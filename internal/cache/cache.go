@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"hybrimoe/internal/moe"
 )
@@ -15,8 +16,16 @@ import (
 type Cache struct {
 	capacity int
 	policy   Policy
-	resident map[moe.ExpertID]bool
-	pinned   map[moe.ExpertID]bool
+	// resident lists the resident experts; slot maps each one to its
+	// position plus one (0 = absent), so eviction is a swap-remove.
+	// pins counts the pinned experts, so the victim scan can skip the
+	// pinned table when there are none.
+	resident []moe.ExpertID
+	slot     table[int32]
+	pinned   table[bool]
+	pins     int
+	// evicted backs Insert's result.
+	evicted []moe.ExpertID
 
 	hits   int64
 	misses int64
@@ -32,12 +41,7 @@ func New(capacity int, policy Policy) *Cache {
 	if policy == nil {
 		panic("cache: nil policy")
 	}
-	return &Cache{
-		capacity: capacity,
-		policy:   policy,
-		resident: make(map[moe.ExpertID]bool),
-		pinned:   make(map[moe.ExpertID]bool),
-	}
+	return &Cache{capacity: capacity, policy: policy}
 }
 
 // Capacity reports the maximum resident expert count.
@@ -50,13 +54,36 @@ func (c *Cache) Len() int { return len(c.resident) }
 func (c *Cache) Policy() Policy { return c.policy }
 
 // Contains reports residency without touching hit/miss accounting.
-func (c *Cache) Contains(id moe.ExpertID) bool { return c.resident[id] }
+func (c *Cache) Contains(id moe.ExpertID) bool { return c.slot.get(id) != 0 }
+
+// full reports whether the cache is at capacity.
+func (c *Cache) full() bool { return len(c.resident) >= c.capacity }
+
+// place makes id resident (it must be absent and the cache not full) and
+// tells the policy.
+func (c *Cache) place(id moe.ExpertID) {
+	c.resident = append(c.resident, id)
+	c.slot.set(id, int32(len(c.resident)))
+	c.policy.Admit(id)
+}
+
+// evict removes resident id by moving the last resident into its slot,
+// and tells the policy.
+func (c *Cache) evict(id moe.ExpertID) {
+	i := c.slot.get(id) - 1
+	last := c.resident[len(c.resident)-1]
+	c.resident[i] = last
+	c.slot.set(last, i+1)
+	c.resident = c.resident[:len(c.resident)-1]
+	c.slot.set(id, 0)
+	c.policy.Forget(id)
+}
 
 // Lookup reports residency and updates hit/miss statistics and the
 // policy's recency state. Use it on the serving path; use Contains for
 // planning lookups that must not skew statistics.
 func (c *Cache) Lookup(id moe.ExpertID) bool {
-	if c.resident[id] {
+	if c.Contains(id) {
 		c.hits++
 		c.policy.Touch(id)
 		return true
@@ -69,55 +96,67 @@ func (c *Cache) Lookup(id moe.ExpertID) bool {
 // non-nil, marks experts that must not be evicted right now (e.g. the
 // current layer's activated experts). It returns the evicted experts
 // and reports whether the insert succeeded; inserting fails only when
-// every resident expert is pinned or protected.
+// every resident expert is pinned or protected. The evicted slice is
+// reused by the next Insert on this cache.
 func (c *Cache) Insert(id moe.ExpertID, protected func(moe.ExpertID) bool) (evicted []moe.ExpertID, ok bool) {
-	if c.resident[id] {
+	if c.Contains(id) {
 		return nil, true
 	}
-	for len(c.resident) >= c.capacity {
+	c.evicted = c.evicted[:0]
+	for c.full() {
 		victim, found := c.pickVictim(protected)
 		if !found {
-			return evicted, false
+			return c.evicted, false
 		}
-		delete(c.resident, victim)
-		c.policy.Forget(victim)
-		evicted = append(evicted, victim)
+		c.evict(victim)
+		c.evicted = append(c.evicted, victim)
 	}
-	c.resident[id] = true
-	c.policy.Admit(id)
-	return evicted, true
+	c.place(id)
+	return c.evicted, true
 }
 
+// candidatePool lends pickVictim its candidate slice. A pool rather
+// than a per-cache buffer: the slice grows to the resident count, and
+// grids and fleets keep many caches alive at once.
+var candidatePool = sync.Pool{New: func() any { return new([]moe.ExpertID) }}
+
 func (c *Cache) pickVictim(protected func(moe.ExpertID) bool) (moe.ExpertID, bool) {
-	candidates := make([]moe.ExpertID, 0, len(c.resident))
-	for id := range c.resident {
-		if c.pinned[id] || (protected != nil && protected(id)) {
+	buf := candidatePool.Get().(*[]moe.ExpertID)
+	defer candidatePool.Put(buf)
+	candidates := (*buf)[:0]
+	for _, id := range c.resident {
+		if (c.pins > 0 && c.pinned.get(id)) || (protected != nil && protected(id)) {
 			continue
 		}
 		candidates = append(candidates, id)
 	}
+	*buf = candidates
 	if len(candidates) == 0 {
 		return moe.ExpertID{}, false
 	}
-	// Policies tie-break on expert ID, so the (random) map iteration
-	// order above never influences the chosen victim.
+	// Every policy's Victim is an argmin under a total order ending in
+	// the expert-ID tie-break, so the resident list's order (which
+	// swap-removal shuffles) never influences the chosen victim.
 	return c.policy.Victim(candidates), true
 }
 
 // Pin marks id as permanently resident, inserting it if absent. It
 // fails (returns false) when the cache is full of other pinned experts.
 func (c *Cache) Pin(id moe.ExpertID) bool {
-	if !c.resident[id] {
+	if !c.Contains(id) {
 		if _, ok := c.Insert(id, nil); !ok {
 			return false
 		}
 	}
-	c.pinned[id] = true
+	if !c.pinned.get(id) {
+		c.pinned.set(id, true)
+		c.pins++
+	}
 	return true
 }
 
 // Pinned reports whether id is pinned.
-func (c *Cache) Pinned(id moe.ExpertID) bool { return c.pinned[id] }
+func (c *Cache) Pinned(id moe.ExpertID) bool { return c.pinned.get(id) }
 
 // ObserveScores forwards one iteration's routing scores for a layer to
 // the policy (MRS uses them; LRU/LFU ignore them).
@@ -151,14 +190,10 @@ func (c *Cache) HitRate() float64 {
 // experiments can exclude warm-up from measurements.
 func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
 
-// Resident returns the resident expert set as a slice (order
+// Resident returns a copy of the resident expert set (order
 // unspecified).
 func (c *Cache) Resident() []moe.ExpertID {
-	out := make([]moe.ExpertID, 0, len(c.resident))
-	for id := range c.resident {
-		out = append(out, id)
-	}
-	return out
+	return append([]moe.ExpertID(nil), c.resident...)
 }
 
 // Warm fills the cache with ids (stopping at capacity) without counting
@@ -167,14 +202,13 @@ func (c *Cache) Resident() []moe.ExpertID {
 func (c *Cache) Warm(ids []moe.ExpertID) int {
 	n := 0
 	for _, id := range ids {
-		if len(c.resident) >= c.capacity {
+		if c.full() {
 			break
 		}
-		if c.resident[id] {
+		if c.Contains(id) {
 			continue
 		}
-		c.resident[id] = true
-		c.policy.Admit(id)
+		c.place(id)
 		n++
 	}
 	return n

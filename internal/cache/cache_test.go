@@ -198,18 +198,6 @@ func TestResidentSnapshot(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"LRU", "LFU", "MRS"} {
-		p, err := ByName(name, 6)
-		if err != nil || p.Name() != name {
-			t.Errorf("ByName(%q) = %v, %v", name, p, err)
-		}
-	}
-	if _, err := ByName("FIFO", 6); err == nil {
-		t.Error("unknown policy should error")
-	}
-}
-
 // Property: the cache never exceeds capacity and never evicts pinned
 // experts, under arbitrary operation sequences and all three policies.
 func TestCacheInvariantsQuick(t *testing.T) {

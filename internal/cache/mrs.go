@@ -2,9 +2,9 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 
 	"hybrimoe/internal/moe"
+	"hybrimoe/internal/tensor"
 )
 
 // DefaultAlpha is the averaging coefficient of Eq. (3). Recent scores
@@ -24,7 +24,11 @@ const DefaultAlpha = 0.4
 type MRS struct {
 	alpha float64
 	topP  int
-	prio  map[moe.ExpertID]float64
+	prio  table[float64]
+	// top and inTop are ObserveScores' top-p selection and mask, reused
+	// across calls.
+	top   []int
+	inTop []bool
 }
 
 // NewMRS returns an MRS policy with averaging coefficient alpha and the
@@ -37,7 +41,7 @@ func NewMRS(alpha float64, topP int) *MRS {
 	if topP <= 0 {
 		panic(fmt.Sprintf("cache: MRS topP %d must be positive", topP))
 	}
-	return &MRS{alpha: alpha, topP: topP, prio: make(map[moe.ExpertID]float64)}
+	return &MRS{alpha: alpha, topP: topP}
 }
 
 // Name implements Policy.
@@ -48,12 +52,8 @@ func (p *MRS) Name() string { return "MRS" }
 func (p *MRS) Touch(id moe.ExpertID) {}
 
 // Admit implements Policy. An expert entering the cache keeps whatever
-// score history it has accumulated.
-func (p *MRS) Admit(id moe.ExpertID) {
-	if _, ok := p.prio[id]; !ok {
-		p.prio[id] = 0
-	}
-}
+// score history it has accumulated (none reads as priority 0).
+func (p *MRS) Admit(id moe.ExpertID) {}
 
 // Forget implements Policy. Score history survives eviction — the whole
 // point is remembering high scorers while they are absent.
@@ -64,11 +64,10 @@ func (p *MRS) Victim(candidates []moe.ExpertID) moe.ExpertID {
 	if len(candidates) == 0 {
 		panic("cache: Victim with no candidates")
 	}
-	best := candidates[0]
+	best, bestPrio := candidates[0], p.prio.get(candidates[0])
 	for _, c := range candidates[1:] {
-		if p.prio[c] < p.prio[best] ||
-			(p.prio[c] == p.prio[best] && idLess(c, best)) {
-			best = c
+		if prio := p.prio.get(c); prio < bestPrio || (prio == bestPrio && idLess(c, best)) {
+			best, bestPrio = c, prio
 		}
 	}
 	return best
@@ -85,26 +84,29 @@ func (p *MRS) ObserveScores(layer int, scores []float64) {
 	if topP > len(scores) {
 		topP = len(scores)
 	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
+	// Top-p over the float64 scores at full precision, ties to the lower
+	// index: exactly the first p of a stable descending sort. (Ranking a
+	// float32 copy could merge distinct scores and flip the tie-break.)
+	p.top = tensor.TopKInto(p.top, scores, topP)
+	if cap(p.inTop) < len(scores) {
+		p.inTop = make([]bool, len(scores))
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	inTop := make(map[int]bool, topP)
-	for _, e := range idx[:topP] {
+	inTop := p.inTop[:len(scores)]
+	clear(inTop)
+	for _, e := range p.top {
 		inTop[e] = true
 	}
+	prio := p.prio.row(layer, len(scores))
 	for e := range scores {
-		id := moe.ExpertID{Layer: layer, Index: e}
 		s := 0.0
 		if inTop[e] {
 			s = scores[e]
 		}
-		p.prio[id] = p.alpha*s + (1-p.alpha)*p.prio[id]
+		prio[e] = p.alpha*s + (1-p.alpha)*prio[e]
 	}
 }
 
 // Priority exposes the current estimate for tests and analysis tools.
-func (p *MRS) Priority(id moe.ExpertID) float64 { return p.prio[id] }
+func (p *MRS) Priority(id moe.ExpertID) float64 { return p.prio.get(id) }
 
 var _ Policy = (*MRS)(nil)

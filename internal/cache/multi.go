@@ -43,7 +43,7 @@ func (m *Multi) Shard(d int) *Cache { return m.shards[d] }
 // Owner reports which device holds id, if any.
 func (m *Multi) Owner(id moe.ExpertID) (int, bool) {
 	for d, s := range m.shards {
-		if s.resident[id] {
+		if s.Contains(id) {
 			return d, true
 		}
 	}
@@ -63,7 +63,7 @@ func (m *Multi) Contains(id moe.ExpertID) bool {
 // receive the transfer.
 func (m *Multi) Lookup(id moe.ExpertID, home int) bool {
 	for _, s := range m.shards {
-		if s.resident[id] {
+		if s.Contains(id) {
 			s.hits++
 			s.policy.Touch(id)
 			return true
@@ -113,11 +113,10 @@ func (m *Multi) Warm(ids []moe.ExpertID) int {
 		for i := 0; i < len(m.shards); i++ {
 			d := (m.cursor + i) % len(m.shards)
 			s := m.shards[d]
-			if len(s.resident) >= s.capacity {
+			if s.full() {
 				continue
 			}
-			s.resident[id] = true
-			s.policy.Admit(id)
+			s.place(id)
 			m.cursor = (d + 1) % len(m.shards)
 			admitted = true
 			n++
@@ -159,7 +158,7 @@ func (m *Multi) Capacity() int {
 func (m *Multi) Len() int {
 	total := 0
 	for _, s := range m.shards {
-		total += len(s.resident)
+		total += s.Len()
 	}
 	return total
 }

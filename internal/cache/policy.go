@@ -26,20 +26,22 @@ type Policy interface {
 	// Forget records id leaving the cache.
 	Forget(id moe.ExpertID)
 	// Victim picks the eviction victim among candidates (never empty).
+	// The slice is the cache's scratch: read it, do not retain it.
 	Victim(candidates []moe.ExpertID) moe.ExpertID
 	// ObserveScores feeds one iteration's routing scores for a layer.
-	// Score-agnostic policies ignore it.
+	// Score-agnostic policies ignore it. The engine reuses the slice for
+	// the next iteration, so a policy copies what it keeps.
 	ObserveScores(layer int, scores []float64)
 }
 
 // LRU evicts the least-recently-used expert.
 type LRU struct {
 	clock int64
-	last  map[moe.ExpertID]int64
+	last  table[int64]
 }
 
 // NewLRU returns an empty LRU policy.
-func NewLRU() *LRU { return &LRU{last: make(map[moe.ExpertID]int64)} }
+func NewLRU() *LRU { return &LRU{} }
 
 // Name implements Policy.
 func (p *LRU) Name() string { return "LRU" }
@@ -47,14 +49,14 @@ func (p *LRU) Name() string { return "LRU" }
 // Touch implements Policy.
 func (p *LRU) Touch(id moe.ExpertID) {
 	p.clock++
-	p.last[id] = p.clock
+	p.last.set(id, p.clock)
 }
 
 // Admit implements Policy.
 func (p *LRU) Admit(id moe.ExpertID) { p.Touch(id) }
 
 // Forget implements Policy.
-func (p *LRU) Forget(id moe.ExpertID) { delete(p.last, id) }
+func (p *LRU) Forget(id moe.ExpertID) { p.last.set(id, 0) }
 
 // Victim implements Policy: least recently used, ties broken by expert
 // ID so victim choice is independent of candidate order.
@@ -62,11 +64,10 @@ func (p *LRU) Victim(candidates []moe.ExpertID) moe.ExpertID {
 	if len(candidates) == 0 {
 		panic("cache: Victim with no candidates")
 	}
-	best := candidates[0]
+	best, bestLast := candidates[0], p.last.get(candidates[0])
 	for _, c := range candidates[1:] {
-		if p.last[c] < p.last[best] ||
-			(p.last[c] == p.last[best] && idLess(c, best)) {
-			best = c
+		if last := p.last.get(c); last < bestLast || (last == bestLast && idLess(c, best)) {
+			best, bestLast = c, last
 		}
 	}
 	return best
@@ -85,25 +86,23 @@ func (p *LRU) ObserveScores(int, []float64) {}
 
 // LFU evicts the least-frequently-used expert (total hit count).
 type LFU struct {
-	count map[moe.ExpertID]int64
+	count table[int64]
 	// tie-breaking by recency avoids pathological churn
 	clock int64
-	last  map[moe.ExpertID]int64
+	last  table[int64]
 }
 
 // NewLFU returns an empty LFU policy.
-func NewLFU() *LFU {
-	return &LFU{count: make(map[moe.ExpertID]int64), last: make(map[moe.ExpertID]int64)}
-}
+func NewLFU() *LFU { return &LFU{} }
 
 // Name implements Policy.
 func (p *LFU) Name() string { return "LFU" }
 
 // Touch implements Policy.
 func (p *LFU) Touch(id moe.ExpertID) {
-	p.count[id]++
+	p.count.set(id, p.count.get(id)+1)
 	p.clock++
-	p.last[id] = p.clock
+	p.last.set(id, p.clock)
 }
 
 // Admit implements Policy.
@@ -119,18 +118,12 @@ func (p *LFU) Victim(candidates []moe.ExpertID) moe.ExpertID {
 		panic("cache: Victim with no candidates")
 	}
 	best := candidates[0]
+	bestCount, bestLast := p.count.get(best), p.last.get(best)
 	for _, c := range candidates[1:] {
-		switch {
-		case p.count[c] != p.count[best]:
-			if p.count[c] < p.count[best] {
-				best = c
-			}
-		case p.last[c] != p.last[best]:
-			if p.last[c] < p.last[best] {
-				best = c
-			}
-		case idLess(c, best):
-			best = c
+		count, last := p.count.get(c), p.last.get(c)
+		if count < bestCount || (count == bestCount &&
+			(last < bestLast || (last == bestLast && idLess(c, best)))) {
+			best, bestCount, bestLast = c, count, last
 		}
 	}
 	return best
@@ -187,11 +180,6 @@ func Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// ByName is a compatibility shim for the pre-registry API.
-//
-// Deprecated: use NewPolicy.
-func ByName(name string, k int) (Policy, error) { return NewPolicy(name, k) }
 
 func init() {
 	Register("LRU", func(int) Policy { return NewLRU() })

@@ -1002,6 +1002,16 @@ func (c *Cluster) Step() (ev Event, ok bool) {
 			c.applyLife(a, at)
 			continue
 		}
+		// The fleet is done computing. Deliver what live replicas still
+		// hold queued before reporting exhaustion.
+		for i, r := range c.replicas {
+			if r.state != StateDead {
+				c.queue = c.flushEmissions(i, c.queue)
+			}
+		}
+		if c.qhead < len(c.queue) {
+			continue
+		}
 		return Event{}, false
 	}
 }

@@ -382,3 +382,59 @@ func TestClusterDropsZeroWork(t *testing.T) {
 	}
 	c.Run(nil)
 }
+
+// TestClusterDeliversFinalBatchEvents is the regression pin for trailing
+// batch members: when a replica's last iteration is a merged batch, its
+// session queues the other members' events (Done included) after
+// Pending has already reached 0. Cluster.Step alone — serially or in
+// parallel windows, and on a replica retiring by scale-down — must
+// still deliver exactly one Done per request.
+func TestClusterDeliversFinalBatchEvents(t *testing.T) {
+	const n = 8
+	reqs := make([]workload.Request, n)
+	for i := range reqs {
+		// Decode-only and equal length: each replica batches its whole
+		// share and finishes it in one final multi-request iteration.
+		reqs[i] = workload.Request{ID: i, DecodeTokens: 3}
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"serial", nil},
+		{"parallel", []Option{WithWorkers(2)}},
+		{"scale-down", []Option{WithScalePlan(ScaleEvent{At: 1e-9, Delta: -1})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := append([]Option{
+				WithReplicas(2), WithRouter("round-robin"), WithSeed(950),
+				WithBuilder(buildReplica(t, 950, engine.WithBatchPolicy("greedy", 64))),
+				WithMaxConcurrent(n),
+			}, tc.opts...)
+			c, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Submit(reqs...)
+			done := map[int]int{}
+			maxBatch := 0
+			c.Run(func(ev Event) {
+				if ev.Kind == EventStep && ev.Done {
+					done[ev.Request]++
+				}
+				maxBatch = max(maxBatch, ev.BatchSize)
+			})
+			if maxBatch < 2 {
+				t.Fatalf("no multi-request batch formed (max size %d); the scenario lost its point", maxBatch)
+			}
+			for id := 0; id < n; id++ {
+				if done[id] != 1 {
+					t.Fatalf("request %d ended %d times through Cluster.Step (want 1); done=%v", id, done[id], done)
+				}
+			}
+			if c.Pending() != 0 {
+				t.Fatalf("%d requests still pending after Run", c.Pending())
+			}
+		})
+	}
+}

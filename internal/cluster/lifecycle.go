@@ -225,6 +225,7 @@ func (c *Cluster) scaleDown(n int, at float64) {
 			Start: at, End: at,
 		}})
 		if r.ses.Pending() == 0 {
+			c.queue = c.flushEmissions(i, c.queue)
 			r.state = StateDead
 			c.queue = append(c.queue, Event{Replica: i, Kind: EventReplicaDead, StepEvent: engine.StepEvent{
 				Start: at, End: at,
@@ -240,8 +241,26 @@ func (c *Cluster) retireDrained(i int) {
 	if r.state != StateDraining || r.ses.Pending() != 0 {
 		return
 	}
+	c.queue = c.flushEmissions(i, c.queue)
 	r.state = StateDead
 	c.queue = append(c.queue, Event{Replica: i, Kind: EventReplicaDead, StepEvent: engine.StepEvent{
 		Start: r.eng.Clock(), End: r.eng.Clock(),
 	}})
+}
+
+// flushEmissions appends to dst the events replica i's session has
+// produced but not yet delivered — the trailing members of its last
+// merged batch, or an admission record — folding each into the fleet
+// accumulators as a stepped event would be. The session's Pending does
+// not count them, so the lockstep loop never steps a replica for them
+// alone: they leave here, before the replica retires or the fleet
+// reports exhaustion.
+func (c *Cluster) flushEmissions(i int, dst []Event) []Event {
+	r := c.replicas[i]
+	for r.ses.HasEmission() {
+		sev, _ := r.ses.Step()
+		c.observe(sev)
+		dst = append(dst, Event{Replica: i, StepEvent: sev})
+	}
+	return dst
 }

@@ -149,6 +149,7 @@ func (c *Cluster) mergeWindow(cands []int) {
 		if cursors[best] == len(r.runEvs) {
 			r.lease = r.eng.Clock()
 			if r.state == StateDraining && r.ses.Pending() == 0 {
+				c.run = c.flushEmissions(bi, c.run)
 				r.state = StateDead
 				c.run = append(c.run, Event{Replica: bi, Kind: EventReplicaDead, StepEvent: engine.StepEvent{
 					Start: r.eng.Clock(), End: r.eng.Clock(),

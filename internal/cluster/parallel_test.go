@@ -23,8 +23,9 @@ type parallelScenario struct {
 // parallelScenarios spans the coupling surfaces a parallel window must
 // not perturb: plain routing, stateful affinity routing, fleet
 // admission (shed/defer + the observe-fed quantiles), failure churn
-// with re-routes, elastic scale-down draining, and a disaggregated
-// fleet (which must silently fall back to the serial path).
+// with re-routes, elastic scale-down draining, merged batches whose
+// trailing events outlive Pending, and a disaggregated fleet (which must
+// silently fall back to the serial path).
 func parallelScenarios() []parallelScenario {
 	return []parallelScenario{
 		{
@@ -80,6 +81,28 @@ func parallelScenarios() []parallelScenario {
 				}
 			},
 			reqs: func() []workload.Request { return burstRequests(930, 20, 12) },
+		},
+		{
+			name: "greedy-batched-scale-down",
+			opts: func(t *testing.T) []Option {
+				return []Option{
+					WithReplicas(3), WithRouter("round-robin"), WithSeed(960),
+					WithBuilder(buildReplica(t, 960, engine.WithBatchPolicy("greedy", 64))),
+					WithMaxConcurrent(4),
+					WithScalePlan(ScaleEvent{At: 0.3, Delta: -1}),
+				}
+			},
+			reqs: func() []workload.Request {
+				// Two waves of equal decode-only requests: every replica
+				// ends each wave on a multi-request batch, idles with its
+				// trailing events queued, then takes new work (or, for
+				// the drained replica, retires).
+				var reqs []workload.Request
+				for i := 0; i < 12; i++ {
+					reqs = append(reqs, workload.Request{ID: i, DecodeTokens: 3, Arrival: float64(i/6) * 0.5})
+				}
+				return reqs
+			},
 		},
 		{
 			name: "pooled-1-2",

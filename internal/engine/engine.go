@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"hybrimoe/internal/cache"
 	"hybrimoe/internal/hw"
@@ -48,15 +51,41 @@ type Engine struct {
 	linkBusy []float64
 	clock    float64
 
-	// predScores/predF32/predIdx are PredictedResidency's per-layer
-	// scratch — fleet routers poll the residency signal once per
-	// eligible replica per dispatch, so the probe must not allocate.
+	// predScores/predF32/predIdx are predictedTopK's per-layer scratch —
+	// fleet routers poll PredictedResidency once per eligible replica
+	// per dispatch, so the probe must not allocate.
 	predScores []float64
 	predF32    []float32
 	predIdx    []int
 	// curTokens is the current step's batch size (prefetch load
 	// prediction scales with it).
 	curTokens int
+
+	// Per-layer scratch of runStep and the cache refreshes after it,
+	// reused across layers and steps; none of it outlives a layer:
+	//   - active: the current layer's routed experts, activeLayer that
+	//     layer, and protect the eviction guard reading them, bound once;
+	//   - dest: a transferred expert's destination shard, by index (a
+	//     plan covers one layer);
+	//   - gpuFrees/linkFrees: the plan's per-device Resources;
+	//   - budgets: the prefetch link budgets;
+	//   - loadScores/loadIdx: predictedLoads' top-k selection;
+	//   - misses: missInsert's candidates.
+	active              []bool
+	activeLayer         int
+	protect             func(moe.ExpertID) bool
+	dest                []int
+	gpuFrees, linkFrees []float64
+	budgets             []float64
+	loadScores          []float64
+	loadIdx             []int
+	misses              []moe.ExpertID
+	// pfLayer is the layer prefetchInto is serving; the prefetch context
+	// hooks are bound once so building a context allocates nothing.
+	pfLayer        int
+	pfTarget       func(moe.ExpertID) hw.Device
+	pfIsCached     func(moe.ExpertID) bool
+	pfPredictLoads func(int) []int
 
 	cpuTL           *sim.Timeline
 	gpuTLs, linkTLs []*sim.Timeline
@@ -189,6 +218,15 @@ func New(cfg *moe.Config, platform *hw.Platform, fw Framework, opts ...Option) (
 	}
 	e.gpuBusy = make([]float64, gpus)
 	e.linkBusy = make([]float64, gpus)
+	e.gpuFrees = make([]float64, gpus)
+	e.linkFrees = make([]float64, gpus)
+	e.budgets = make([]float64, e.placeGPUs)
+	e.active = make([]bool, cfg.RoutedExperts)
+	e.dest = make([]int, cfg.RoutedExperts)
+	e.protect = e.isActive
+	e.pfTarget = e.homeDevice
+	e.pfIsCached = e.isCached
+	e.pfPredictLoads = func(l int) []int { return e.predictedLoads(e.pfLayer, l) }
 	e.warmCache()
 
 	if set.recordTrace {
@@ -220,23 +258,29 @@ func (e *Engine) warmCache() {
 		return
 	}
 	hist := e.gen.ForkHistory(e.set.seed ^ 0x5eedf00d)
-	counts := make(map[moe.ExpertID]int)
+	// counts is indexed layer*RoutedExperts+index.
+	n := e.cfg.RoutedExperts
+	counts := make([]int, e.cfg.Layers*n)
+	var acts []trace.LayerActivation
 	for i := 0; i < e.set.warmupIters; i++ {
-		hist.Advance()
-		for l := 0; l < e.cfg.Layers; l++ {
-			for _, x := range hist.Activated(l) {
-				counts[moe.ExpertID{Layer: l, Index: x}]++
+		acts = trace.DecodeStepInto(acts, hist)
+		for _, act := range acts {
+			for x, load := range act.Loads {
+				counts[act.Layer*n+x] += load
 			}
-			e.placeCache.ObserveScores(l, hist.Scores(l))
+			e.placeCache.ObserveScores(act.Layer, act.Scores)
 		}
 	}
-	ids := make([]moe.ExpertID, 0, len(counts))
-	for id := range counts {
-		ids = append(ids, id)
+	count := func(id moe.ExpertID) int { return counts[id.Layer*n+id.Index] }
+	var ids []moe.ExpertID
+	for k, c := range counts {
+		if c > 0 {
+			ids = append(ids, moe.ExpertID{Layer: k / n, Index: k % n})
+		}
 	}
 	sort.Slice(ids, func(i, j int) bool {
-		if counts[ids[i]] != counts[ids[j]] {
-			return counts[ids[i]] > counts[ids[j]]
+		if count(ids[i]) != count(ids[j]) {
+			return count(ids[i]) > count(ids[j])
 		}
 		if ids[i].Layer != ids[j].Layer {
 			return ids[i].Layer < ids[j].Layer
@@ -258,7 +302,7 @@ func (e *Engine) warmCache() {
 	// LFU counts and LRU recency the state of a long-running server
 	// instead of treating every warm expert as a one-hit wonder.
 	for i := len(ids) - 1; i >= 0; i-- {
-		for n := 0; n < counts[ids[i]]; n++ {
+		for k := 0; k < count(ids[i]); k++ {
 			e.placeCache.TouchHistorical(ids[i])
 		}
 	}
@@ -302,8 +346,25 @@ func (e *Engine) attentionDevice(layer int) hw.Device {
 	return hw.GPU
 }
 
-// runStep executes one forward pass (all layers) for the given
-// activations and token/context sizes, returning its latency.
+// stepBuffers is the scratch one engine iteration borrows from
+// stepPool: the iteration's routing and the per-layer plan task list
+// (schedulers never retain their tasks). Borrowing rather than owning
+// keeps idle engines small, and grids and fleets keep many alive; every
+// field is overwritten before it is read, so engines sharing the pool
+// never see each other's data.
+type stepBuffers struct {
+	acts  []trace.LayerActivation
+	tasks []sched.Task
+}
+
+var stepPool = sync.Pool{New: func() any { return new(stepBuffers) }}
+
+// borrowStep takes step buffers from the pool; runStep returns them.
+func borrowStep() *stepBuffers { return stepPool.Get().(*stepBuffers) }
+
+// runStep executes one forward pass (all layers) for the activations in
+// b.acts and the token/context sizes, returning its latency. It returns
+// b to the pool.
 // perLoadLookups marks a merged pure-decode iteration: cache lookups
 // (and the policy touches they carry) are then recorded once per token
 // routed to an expert — the load, i.e. the batch width — rather than
@@ -314,10 +375,11 @@ func (e *Engine) attentionDevice(layer int) hw.Device {
 // Iterations containing prefill work keep the prefill convention (one
 // lookup per distinct expert per pass) whether merged or solo, so
 // hit rates stay comparable across batch policies.
-func (e *Engine) runStep(acts []trace.LayerActivation, tokens, context int, perLoadLookups bool) float64 {
+func (e *Engine) runStep(b *stepBuffers, tokens, context int, perLoadLookups bool) float64 {
+	defer stepPool.Put(b)
 	stepStart := e.clock
 	e.curTokens = tokens
-	for _, act := range acts {
+	for _, act := range b.acts {
 		layerStart := e.clock
 
 		// Attention + shared experts. Weight traffic: INT4 QKVO
@@ -343,16 +405,19 @@ func (e *Engine) runStep(acts []trace.LayerActivation, tokens, context int, perL
 
 		// Routed experts: look up residency (with hit accounting), plan
 		// and apply.
-		active := make(map[moe.ExpertID]bool)
-		for _, id := range act.ActiveExperts() {
-			active[id] = true
+		e.markActive(act)
+		for x, load := range act.Loads {
+			if load <= 0 {
+				continue
+			}
+			id := moe.ExpertID{Layer: act.Layer, Index: x}
 			lookups := 1
 			if perLoadLookups {
 				// One lookup per routed token — the load is the batch
 				// width here, bounded by the concurrency limit, and the
 				// repeated policy touches mirror the ones the batched
 				// requests' separate steps would have made.
-				lookups = act.Loads[id.Index]
+				lookups = load
 			}
 			for n := 0; n < lookups; n++ {
 				// Hit/miss statistics; misses are attributed to the
@@ -360,13 +425,14 @@ func (e *Engine) runStep(acts []trace.LayerActivation, tokens, context int, perL
 				e.placeCache.Lookup(id, e.homeDevice(id).GPUIndex())
 			}
 		}
-		tasks := sched.TasksFromLoadsOn(e.cfg, act.Layer, act.Loads, e.residentOn)
+		b.tasks = sched.TasksFromLoadsOnInto(b.tasks, e.cfg, act.Layer, act.Loads, e.residentOn)
+		tasks := b.tasks
 		res := sched.Resources{
 			CPUFree:   maxF(0, e.cpuBusy-layerStart),
 			GPUFree:   maxF(0, e.gpuBusy[0]-layerStart),
 			LinkFree:  maxF(0, e.linkBusy[0]-layerStart),
-			GPUFrees:  make([]float64, len(e.gpuBusy)),
-			LinkFrees: make([]float64, len(e.linkBusy)),
+			GPUFrees:  e.gpuFrees,
+			LinkFrees: e.linkFrees,
 		}
 		for d := range e.gpuBusy {
 			res.GPUFrees[d] = maxF(0, e.gpuBusy[d]-layerStart)
@@ -378,7 +444,7 @@ func (e *Engine) runStep(acts []trace.LayerActivation, tokens, context int, perL
 				panic(fmt.Sprintf("engine: invalid plan at layer %d: %v", act.Layer, err))
 			}
 		}
-		e.applyPlan(plan, layerStart, active)
+		e.applyPlan(plan, layerStart)
 
 		layerEnd := maxF(attEnd, layerStart+plan.Makespan)
 		e.clock = layerEnd
@@ -388,49 +454,65 @@ func (e *Engine) runStep(acts []trace.LayerActivation, tokens, context int, perL
 
 		// Spend PCIe idle time: prefetch upcoming layers, then refresh
 		// the cache with this layer's misses if the framework does so.
-		e.prefetchInto(act.Layer, layerEnd, active)
-		e.missInsert(act, layerEnd, active)
+		e.prefetchInto(act.Layer, layerEnd)
+		e.missInsert(act, layerEnd)
 	}
 	return e.clock - stepStart
 }
 
-func (e *Engine) applyPlan(plan *sched.Plan, layerStart float64, active map[moe.ExpertID]bool) {
+// markActive records act's routed experts as the current layer's, the
+// set the eviction guard protects.
+func (e *Engine) markActive(act trace.LayerActivation) {
+	e.activeLayer = act.Layer
+	for x, load := range act.Loads {
+		e.active[x] = load > 0
+	}
+}
+
+// isActive is the eviction guard: it reports whether id is routed in
+// the layer being executed.
+func (e *Engine) isActive(id moe.ExpertID) bool {
+	return id.Layer == e.activeLayer && e.active[id.Index]
+}
+
+func (e *Engine) applyPlan(plan *sched.Plan, layerStart float64) {
 	// Transfer destinations: the op's device says which shard receives
 	// the weights the plan moved.
-	dest := make(map[moe.ExpertID]int)
+	for _, id := range plan.Transferred {
+		e.dest[id.Index] = 0
+	}
 	for _, op := range plan.Ops {
 		absStart, absEnd := layerStart+op.Start, layerStart+op.End
 		switch op.Kind {
 		case sched.OpComputeCPU:
 			e.stats.CPUOps++
-			e.reserveTL(e.cpuTL, absStart, absEnd, op.Expert.String())
+			e.reserveOp(e.cpuTL, absStart, absEnd, "", op.Expert)
 			e.cpuBusy = maxF(e.cpuBusy, absEnd)
 		case sched.OpComputeGPU:
 			d := op.Device.GPUIndex()
 			e.stats.GPUOps++
-			e.reserveTL(e.gpuTL(d), absStart, absEnd, op.Expert.String())
+			e.reserveOp(e.gpuTL(d), absStart, absEnd, "", op.Expert)
 			e.gpuBusy[d] = maxF(e.gpuBusy[d], absEnd)
 		case sched.OpTransfer:
 			d := op.Device.GPUIndex()
 			e.stats.DemandTransfers++
-			e.reserveTL(e.linkTL(d), absStart, absEnd, op.Expert.String())
+			e.reserveOp(e.linkTL(d), absStart, absEnd, "", op.Expert)
 			e.linkBusy[d] = maxF(e.linkBusy[d], absEnd)
-			dest[op.Expert] = d
+			e.dest[op.Expert.Index] = d
 		}
 	}
-	protected := func(id moe.ExpertID) bool { return active[id] }
 	for _, id := range plan.Transferred {
-		e.placeCache.Insert(id, dest[id], protected)
+		e.placeCache.Insert(id, e.dest[id.Index], e.protect)
 	}
 }
 
 // prefetchInto spends PCIe idle time until layerEnd on upcoming layers,
 // each pick riding its target device's own host link.
-func (e *Engine) prefetchInto(layer int, layerEnd float64, active map[moe.ExpertID]bool) {
+func (e *Engine) prefetchInto(layer int, layerEnd float64) {
 	// Only the links placement can target count: a confined single-GPU
 	// planner on an N-GPU platform must not see the idle extra links,
 	// or the prefetcher would price candidates it can never afford.
-	budgets := make([]float64, e.placeGPUs)
+	budgets := e.budgets
 	anyIdle := false
 	for d := range budgets {
 		budgets[d] = layerEnd - e.linkBusy[d]
@@ -443,33 +525,30 @@ func (e *Engine) prefetchInto(layer int, layerEnd float64, active map[moe.Expert
 	if !anyIdle {
 		return
 	}
-	curLayer := layer
+	e.pfLayer = layer
 	ctx := prefetch.Context{
-		Cfg:      e.cfg,
-		Platform: e.platform,
-		Layer:    layer,
-		Budget:   budgets[0],
-		Budgets:  budgets,
-		Target:   e.homeDevice,
-		PredictedLoads: func(l int) []int {
-			return e.predictedLoads(curLayer, l)
-		},
-		IsCached:  e.isCached,
-		Scheduler: e.scheduler,
+		Cfg:            e.cfg,
+		Platform:       e.platform,
+		Layer:          layer,
+		Budget:         budgets[0],
+		Budgets:        budgets,
+		Target:         e.pfTarget,
+		PredictedLoads: e.pfPredictLoads,
+		IsCached:       e.pfIsCached,
+		Scheduler:      e.scheduler,
 	}
 	picks := e.pref.Select(ctx)
-	protected := func(id moe.ExpertID) bool { return active[id] }
 	for _, id := range picks {
 		d := e.homeDevice(id).GPUIndex()
 		// A shard full of protected residents only blocks its own
 		// device's picks; on one device the failure repeats, matching
 		// the old early exit.
-		if _, ok := e.placeCache.Insert(id, d, protected); !ok {
+		if _, ok := e.placeCache.Insert(id, d, e.protect); !ok {
 			continue
 		}
 		xfer := e.platform.Links[d].TransferTime(e.cfg.ExpertBytes())
 		start := e.linkBusy[d]
-		e.reserveTL(e.linkTL(d), start, start+xfer, "pf:"+id.String())
+		e.reserveOp(e.linkTL(d), start, start+xfer, "pf:", id)
 		e.linkBusy[d] = start + xfer
 		e.stats.PrefetchTransfers++
 	}
@@ -484,15 +563,12 @@ func (e *Engine) predictedLoads(curLayer, layer int) []int {
 	if lookahead <= 0 || layer >= e.cfg.Layers {
 		return make([]int, e.cfg.RoutedExperts)
 	}
-	scores := e.gen.PredictedScores(layer, lookahead)
+	e.loadScores = e.gen.PredictedScoresInto(e.loadScores, layer, lookahead)
+	scores := e.loadScores
 	loads := make([]int, e.cfg.RoutedExperts)
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
+	e.loadIdx = tensor.TopKInto(e.loadIdx, scores, e.cfg.ActivatedExperts)
 	assignments := float64(e.curTokens * e.cfg.ActivatedExperts)
-	for _, x := range idx[:e.cfg.ActivatedExperts] {
+	for _, x := range e.loadIdx {
 		load := int(scores[x]*assignments + 0.5)
 		if load < 1 {
 			load = 1
@@ -504,28 +580,27 @@ func (e *Engine) predictedLoads(curLayer, layer int) []int {
 
 // missInsert refreshes the cache with this layer's missed experts in
 // leftover PCIe idle time (static-scheduler frameworks' cache path).
-func (e *Engine) missInsert(act trace.LayerActivation, layerEnd float64, active map[moe.ExpertID]bool) {
+func (e *Engine) missInsert(act trace.LayerActivation, layerEnd float64) {
 	if !e.fw.OnMissInsert {
 		return
 	}
-	type missed struct {
-		id    moe.ExpertID
-		score float64
-	}
-	var misses []missed
+	misses := e.misses[:0]
 	for x, load := range act.Loads {
 		if load == 0 {
 			continue
 		}
 		id := moe.ExpertID{Layer: act.Layer, Index: x}
 		if !e.isCached(id) {
-			misses = append(misses, missed{id, act.Scores[x]})
+			misses = append(misses, id)
 		}
 	}
-	sort.SliceStable(misses, func(i, j int) bool { return misses[i].score > misses[j].score })
-	protected := func(id moe.ExpertID) bool { return active[id] }
-	for _, m := range misses {
-		d := e.homeDevice(m.id).GPUIndex()
+	e.misses = misses
+	// Highest routing score first, ties in index order.
+	slices.SortStableFunc(misses, func(a, b moe.ExpertID) int {
+		return cmp.Compare(act.Scores[b.Index], act.Scores[a.Index])
+	})
+	for _, id := range misses {
+		d := e.homeDevice(id).GPUIndex()
 		xfer := e.platform.Links[d].TransferTime(e.cfg.ExpertBytes())
 		// Skip, don't stop: a lower-scored miss may home to a different
 		// link with idle time (or a shard with evictable residents) even
@@ -535,11 +610,11 @@ func (e *Engine) missInsert(act trace.LayerActivation, layerEnd float64, active 
 		if e.linkBusy[d]+xfer > layerEnd {
 			continue
 		}
-		if _, ok := e.placeCache.Insert(m.id, d, protected); !ok {
+		if _, ok := e.placeCache.Insert(id, d, e.protect); !ok {
 			continue
 		}
 		start := e.linkBusy[d]
-		e.reserveTL(e.linkTL(d), start, start+xfer, "mi:"+m.id.String())
+		e.reserveOp(e.linkTL(d), start, start+xfer, "mi:", id)
 		e.linkBusy[d] = start + xfer
 		e.stats.MissInserts++
 	}
@@ -550,6 +625,15 @@ func (e *Engine) reserveTL(tl *sim.Timeline, start, end float64, name string) {
 		return
 	}
 	tl.Reserve(start, end-start, name)
+}
+
+// reserveOp is reserveTL for an expert's span, labelled prefix+id; the
+// label is formatted only when the timeline is recorded.
+func (e *Engine) reserveOp(tl *sim.Timeline, start, end float64, prefix string, id moe.ExpertID) {
+	if tl == nil {
+		return
+	}
+	tl.Reserve(start, end-start, prefix+id.String())
 }
 
 // gpuTL and linkTL return device d's recorded timeline (nil without
@@ -582,16 +666,7 @@ func (e *Engine) Clock() float64 { return e.clock }
 // so routers may poll it at every dispatch without perturbing runs.
 func (e *Engine) PredictedResidency() (resident, predicted int) {
 	for l := 0; l < e.cfg.Layers; l++ {
-		e.predScores = e.gen.PredictedScoresInto(e.predScores, l, 1)
-		if cap(e.predF32) < len(e.predScores) {
-			e.predF32 = make([]float32, len(e.predScores))
-		}
-		f32 := e.predF32[:len(e.predScores)]
-		for i, v := range e.predScores {
-			f32[i] = float32(v)
-		}
-		e.predIdx = tensor.TopKInto(e.predIdx, f32, e.cfg.ActivatedExperts)
-		for _, x := range e.predIdx {
+		for _, x := range e.predictedTopK(l) {
 			predicted++
 			// isCached covers layer-mapped frameworks too (their
 			// residency is the static layer split, not the cache).
@@ -612,18 +687,29 @@ func (e *Engine) PredictedResidency() (resident, predicted int) {
 func (e *Engine) residentWorkingSet() []workload.ExpertRef {
 	var refs []workload.ExpertRef
 	for l := 0; l < e.cfg.Layers; l++ {
-		scores := e.gen.PredictedScores(l, 1)
-		f32 := make([]float32, len(scores))
-		for i, v := range scores {
-			f32[i] = float32(v)
-		}
-		for _, x := range tensor.TopK(f32, e.cfg.ActivatedExperts) {
+		for _, x := range e.predictedTopK(l) {
 			if e.isCached(moe.ExpertID{Layer: l, Index: x}) {
 				refs = append(refs, workload.ExpertRef{Layer: l, Index: x})
 			}
 		}
 	}
 	return refs
+}
+
+// predictedTopK returns layer l's lookahead-1 predicted top-k experts,
+// ranked on float32 scores, in the engine's reused scratch (valid until
+// the next call).
+func (e *Engine) predictedTopK(l int) []int {
+	e.predScores = e.gen.PredictedScoresInto(e.predScores, l, 1)
+	if cap(e.predF32) < len(e.predScores) {
+		e.predF32 = make([]float32, len(e.predScores))
+	}
+	f32 := e.predF32[:len(e.predScores)]
+	for i, v := range e.predScores {
+		f32[i] = float32(v)
+	}
+	e.predIdx = tensor.TopKInto(e.predIdx, f32, e.cfg.ActivatedExperts)
+	return e.predIdx
 }
 
 // IsResident reports whether one expert (by grid position) is resident

@@ -258,10 +258,9 @@ type Session struct {
 	batchMembers []*sessionRequest
 	batchTokens  []int
 	batchEvents  []StepEvent
-	// untilEvents and untilClocks back StepUntil's batched return; valid
-	// until the next StepUntil call.
+	// untilEvents backs StepUntil's batched return; valid until the next
+	// StepUntil call.
 	untilEvents []StepEvent
-	untilClocks []float64
 	// arena batches the per-event device-vector allocations; see devArena.
 	arena devArena
 }
@@ -550,11 +549,15 @@ func (s *Session) pushEmit(ev StepEvent) {
 	s.events.Push(s.e.clock, sessionEvent{kind: evEmit, ev: ev})
 }
 
-// hasEmit reports whether an emission is queued. Emissions are stamped
-// at (a past value of) the clock and fired arrivals are drained through
-// it, so a queued emission is always the timeline's minimum — modulo
+// HasEmission reports whether a produced StepEvent is queued for the
+// next Step: a merged batch's trailing members, or an admission shed or
+// deferral record. Pending does not count these (their requests have
+// finished or been shed), so a driver that steps only while Pending is
+// positive must deliver them separately. Emissions are stamped at (a
+// past value of) the clock and fired arrivals are drained through it,
+// so a queued emission is always the timeline's minimum — modulo
 // prefetch markers, which order between but emit nothing.
-func (s *Session) hasEmit() bool {
+func (s *Session) HasEmission() bool {
 	for {
 		_, e, ok := s.events.PeekMin()
 		if ok && e.kind == evPrefetchDone {
@@ -700,7 +703,7 @@ func (s *Session) Step() (ev StepEvent, ok bool) {
 	// co-arrivals the new clock covers, and re-admit; each round
 	// consumes at least one scheduled request (admit, shed or promoted
 	// deferral), so the loop terminates.
-	for len(s.active) == 0 && !s.hasEmit() {
+	for len(s.active) == 0 && !s.HasEmission() {
 		at, e, popped := s.events.PopMin()
 		if !popped {
 			break
@@ -722,7 +725,7 @@ func (s *Session) Step() (ev StepEvent, ok bool) {
 		}
 		s.admit()
 	}
-	if s.hasEmit() {
+	if s.HasEmission() {
 		_, e, _ := s.events.PopMin()
 		s.steps++
 		return e.ev, true
@@ -762,19 +765,30 @@ func (s *Session) Step() (ev StepEvent, ok bool) {
 // drained first. The returned slice is scratch reused by the next
 // StepUntil call — copy it to retain events across calls.
 func (s *Session) StepUntil(t float64) []StepEvent {
-	s.untilEvents, s.untilClocks = s.StepUntilClocked(t, s.untilEvents[:0], s.untilClocks[:0])
-	return s.untilEvents
+	evs := s.untilEvents[:0]
+	for s.e.clock < t {
+		ev, ok := s.Step()
+		if !ok {
+			break
+		}
+		evs = append(evs, ev)
+	}
+	s.untilEvents = evs
+	return evs
 }
 
-// StepUntilClocked is StepUntil recording, aligned with each returned
-// event, the session clock observed immediately before the Step call
-// that produced it — the merge key a lockstep fleet driver interleaves
-// replica runs by (the clock it would have seen when picking this
-// session to step). Events and clocks are appended to evs and clocks,
-// which are returned; pass reusable backing to keep the loop
+// StepUntilClocked advances the session the way a lockstep fleet driver
+// does — while its clock trails t and Pending is positive — recording,
+// aligned with each returned event, the session clock observed
+// immediately before the Step call that produced it: the merge key the
+// driver interleaves replica runs by (the clock it would have seen when
+// picking this session to step). Unlike StepUntil it stops once Pending
+// reaches 0, leaving any emissions still queued (HasEmission) for the
+// caller to deliver with Step. Events and clocks are appended to evs and
+// clocks, which are returned; pass reusable backing to keep the loop
 // allocation-free. Pre-step clocks are non-decreasing within one call.
 func (s *Session) StepUntilClocked(t float64, evs []StepEvent, clocks []float64) ([]StepEvent, []float64) {
-	for s.e.clock < t {
+	for s.e.clock < t && s.Pending() > 0 {
 		pre := s.e.clock
 		ev, ok := s.Step()
 		if !ok {
@@ -843,8 +857,9 @@ func (s *Session) stepSolo(idx int) StepEvent {
 		ev.Phase = PhasePrefill
 		ev.Tokens = r.req.PromptTokens
 		s.e.scheduler = s.e.prefillSched
-		acts := trace.PrefillStep(s.e.gen, r.req.PromptTokens)
-		ev.Latency = s.e.runStep(acts, r.req.PromptTokens, r.req.PromptTokens, false)
+		b := borrowStep()
+		b.acts = trace.PrefillStepInto(b.acts, s.e.gen, r.req.PromptTokens)
+		ev.Latency = s.e.runStep(b, r.req.PromptTokens, r.req.PromptTokens, false)
 		r.prefilled = true
 		if s.adm != nil {
 			// Only admission snapshots read the accumulators; skip the
@@ -863,8 +878,9 @@ func (s *Session) stepSolo(idx int) StepEvent {
 		ev.Index = r.decoded
 		ev.Tokens = 1
 		s.e.scheduler = s.e.decodeSched
-		acts := trace.DecodeStep(s.e.gen)
-		ev.Latency = s.e.runStep(acts, 1, s.contextFor(r), false)
+		b := borrowStep()
+		b.acts = trace.DecodeStepInto(b.acts, s.e.gen)
+		ev.Latency = s.e.runStep(b, 1, s.contextFor(r), false)
 		r.decoded++
 		if s.adm != nil {
 			s.tbts.Add(ev.Latency)
@@ -985,19 +1001,19 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 	cpu0 := s.e.cpuBusy
 	gpu0, link0 := s.snapBusy()
 
-	var acts []trace.LayerActivation
+	b := borrowStep()
 	if allDecode {
 		s.e.scheduler = s.e.decodeSched
-		acts = trace.BatchDecodeStep(s.e.gen, len(batch))
+		b.acts = trace.BatchDecodeStepInto(b.acts, s.e.gen, len(batch))
 	} else {
 		s.e.scheduler = s.e.prefillSched
-		acts = trace.PrefillStep(s.e.gen, total)
+		b.acts = trace.PrefillStepInto(b.acts, s.e.gen, total)
 	}
 	// Pure-decode batches count cache lookups per routed token so
 	// hits+misses conserve against the unbatched run; prefill-bearing
 	// batches are one prefill-shaped pass and keep prefill's
 	// per-distinct-expert convention.
-	latency := s.e.runStep(acts, total, context, allDecode)
+	latency := s.e.runStep(b, total, context, allDecode)
 
 	hits := s.e.cache.Hits() - hits0
 	misses := s.e.cache.Misses() - misses0

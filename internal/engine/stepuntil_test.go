@@ -18,8 +18,8 @@ func stepUntilWorkload(seed uint64) []workload.Request {
 	return reqs
 }
 
-// TestStepUntilMatchesStepLoop pins the batched stepping contract the
-// cluster's parallel windows build on: driving a session through
+// TestStepUntilMatchesStepLoop pins the batched stepping contract:
+// driving a session through
 // StepUntil at an arbitrary ladder of horizons — including horizons
 // landing mid-run, between steps, and past the end — yields exactly the
 // event sequence a plain Step loop emits on an equal-seed twin, and
@@ -93,5 +93,39 @@ func TestStepUntilClockedKeysAreMonotone(t *testing.T) {
 				t.Fatalf("merge keys regressed: %v after %v", at, clocks[i-1])
 			}
 		}
+	}
+}
+
+// TestStepUntilClockedStopsAtDrain pins the fleet-driver half of the
+// contract: StepUntilClocked steps only while requests are pending, so
+// when the last iteration is a merged batch its trailing events stay
+// queued — reported by HasEmission and delivered by Step — exactly as a
+// lockstep driver that steps a replica only while Pending is positive
+// would leave them.
+func TestStepUntilClockedStopsAtDrain(t *testing.T) {
+	e := newEngineOpts(t, 4400, WithBatchPolicy("greedy", 64))
+	s := e.NewSession(WithMaxConcurrent(4))
+	for i := 0; i < 4; i++ {
+		s.Submit(workload.Request{ID: i, DecodeTokens: 2})
+	}
+	evs, _ := s.StepUntilClocked(math.Inf(1), nil, nil)
+	if s.Pending() != 0 {
+		t.Fatalf("StepUntilClocked stopped with %d pending", s.Pending())
+	}
+	trailing := 0
+	for s.HasEmission() {
+		if _, ok := s.Step(); !ok {
+			t.Fatal("Step refused a queued emission")
+		}
+		trailing++
+	}
+	if trailing == 0 {
+		t.Fatal("final merged batch left no trailing events; the scenario lost its point")
+	}
+	if got := len(evs) + trailing; got != 8 {
+		t.Fatalf("%d events in all, want one per decode token (8)", got)
+	}
+	if _, ok := s.Step(); ok {
+		t.Fatal("drained session still stepping")
 	}
 }

@@ -312,7 +312,14 @@ func TasksFromLoads(cfg *moe.Config, layer int, loads []int, isCached func(moe.E
 // TasksFromLoadsOn builds the task list with per-device residency:
 // cached tasks carry the device holding their copy.
 func TasksFromLoadsOn(cfg *moe.Config, layer int, loads []int, residentOn Residency) []Task {
-	var tasks []Task
+	return TasksFromLoadsOnInto(nil, cfg, layer, loads, residentOn)
+}
+
+// TasksFromLoadsOnInto is TasksFromLoadsOn appending to dst[:0], for
+// callers that reuse one task buffer across layers (schedulers never
+// retain their tasks).
+func TasksFromLoadsOnInto(dst []Task, cfg *moe.Config, layer int, loads []int, residentOn Residency) []Task {
+	tasks := dst[:0]
 	for e, load := range loads {
 		if load == 0 {
 			continue

@@ -53,29 +53,34 @@ func TopK(xs []float32, k int) []int {
 
 // TopKInto is TopK writing into dst's backing array (grown as needed):
 // the same indices in the same order — descending value, ties broken by
-// ascending index, exactly the stable argsort — via k successive
-// max-selections, so hot paths probing small k over large vectors pay
-// no per-call allocation. Each round admits only candidates ranking
-// strictly after the previous pick in the (value desc, index asc) total
-// order, which is both the dedup and the tie rule.
-func TopKInto(dst []int, xs []float32, k int) []int {
+// ascending index, exactly the stable argsort — so hot paths probing
+// small k over large vectors pay no per-call allocation. One pass keeps
+// dst sorted: a value enters only if it beats the current k-th strictly
+// (an equal value with a later index ranks after it), and lands behind
+// every kept value it does not exceed. It takes float64 vectors too,
+// ranked at full precision (a float32 conversion first can merge
+// distinct scores and so flip the tie-break).
+func TopKInto[T float32 | float64](dst []int, xs []T, k int) []int {
 	if k <= 0 || k > len(xs) {
 		panic(fmt.Sprintf("tensor: TopKInto k=%d with %d values", k, len(xs)))
 	}
 	dst = dst[:0]
-	prev, prevIdx := float32(0), -1
-	for j := 0; j < k; j++ {
-		best := -1
-		for i, v := range xs {
-			if j > 0 && (v > prev || (v == prev && i <= prevIdx)) {
+	for i, v := range xs {
+		n := len(dst)
+		if n == k {
+			if !(v > xs[dst[k-1]]) {
 				continue
 			}
-			if best < 0 || v > xs[best] {
-				best = i
-			}
+			n-- // the k-th drops out
+		} else {
+			dst = append(dst, 0)
 		}
-		dst = append(dst, best)
-		prev, prevIdx = xs[best], best
+		j := n
+		for j > 0 && xs[dst[j-1]] < v {
+			j--
+		}
+		copy(dst[j+1:n+1], dst[j:n])
+		dst[j] = i
 	}
 	return dst
 }

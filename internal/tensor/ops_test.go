@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -132,6 +133,38 @@ func TestTopKIntoMatchesTopK(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("TopKInto allocated %.1f times per call with warm scratch", allocs)
+	}
+}
+
+// TestTopKIntoFloat64MatchesStableSort checks the float64 instantiation
+// against a stable descending argsort at full precision, including
+// scores a float32 conversion would merge.
+func TestTopKIntoFloat64MatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var dst []int
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(96)
+		xs := make([]float64, n)
+		for i := range xs {
+			// Quantised draws tie often; the 1e-12 nudges differ only
+			// below float32 resolution. Every other trial is continuous,
+			// the shape of real routing scores.
+			xs[i] = float64(rng.Intn(6))/8 + float64(rng.Intn(2))*1e-12
+			if trial%2 == 1 {
+				xs[i] = rng.Float64()
+			}
+		}
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return xs[idx[a]] > xs[idx[b]] })
+		for k := 1; k <= n; k++ {
+			dst = TopKInto(dst, xs, k)
+			if !reflect.DeepEqual(dst, idx[:k]) {
+				t.Fatalf("xs=%v k=%d: TopKInto=%v, stable sort=%v", xs, k, dst, idx[:k])
+			}
+		}
 	}
 }
 

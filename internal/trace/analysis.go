@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 
-	"hybrimoe/internal/moe"
 	"hybrimoe/internal/stats"
 )
 
@@ -141,17 +140,44 @@ type ExpertLayer = int
 
 // DecodeStep advances the generator one iteration and returns each
 // layer's activation with unit loads (one token per activated expert).
-func DecodeStep(g *Generator) []LayerActivation {
+func DecodeStep(g *Generator) []LayerActivation { return DecodeStepInto(nil, g) }
+
+// DecodeStepInto is DecodeStep writing into dst's activations — the
+// slice and every layer's Loads and Scores backing arrays, grown as
+// needed — for callers that consume one step before taking the next.
+// The result aliases dst.
+func DecodeStepInto(dst []LayerActivation, g *Generator) []LayerActivation {
 	g.Advance()
-	out := make([]LayerActivation, g.cfg.Layers)
-	for l := 0; l < g.cfg.Layers; l++ {
-		loads := make([]int, g.cfg.RoutedExperts)
-		for _, e := range g.Activated(l) {
-			loads[e] = 1
+	out := layerActivations(dst, g.cfg.Layers)
+	for l := range out {
+		a := &out[l]
+		a.Layer = l
+		a.Scores = softmax64Into(a.Scores, g.latent[l])
+		a.Loads = zeroLoads(a.Loads, g.cfg.RoutedExperts)
+		for _, e := range g.activatedFrom(a.Scores) {
+			a.Loads[e] = 1
 		}
-		out[l] = LayerActivation{Layer: l, Loads: loads, Scores: g.Scores(l)}
 	}
 	return out
+}
+
+// layerActivations returns dst resized to n layers, reusing its entries'
+// buffers where it has them.
+func layerActivations(dst []LayerActivation, n int) []LayerActivation {
+	if cap(dst) < n {
+		dst = append(dst[:cap(dst)], make([]LayerActivation, n-cap(dst))...)
+	}
+	return dst[:n]
+}
+
+// zeroLoads returns loads resized to n entries, all zero.
+func zeroLoads(loads []int, n int) []int {
+	if cap(loads) < n {
+		return make([]int, n)
+	}
+	loads = loads[:n]
+	clear(loads)
+	return loads
 }
 
 // BatchDecodeStep advances the generator one iteration and returns each
@@ -165,10 +191,16 @@ func DecodeStep(g *Generator) []LayerActivation {
 // lookup counts conserved against the equivalent unbatched run.
 // batch 1 is exactly DecodeStep.
 func BatchDecodeStep(g *Generator, batch int) []LayerActivation {
+	return BatchDecodeStepInto(nil, g, batch)
+}
+
+// BatchDecodeStepInto is BatchDecodeStep writing into dst's activations,
+// as DecodeStepInto does.
+func BatchDecodeStepInto(dst []LayerActivation, g *Generator, batch int) []LayerActivation {
 	if batch < 1 {
 		panic(fmt.Sprintf("trace: non-positive decode batch %d", batch))
 	}
-	out := DecodeStep(g)
+	out := DecodeStepInto(dst, g)
 	if batch == 1 {
 		return out
 	}
@@ -185,25 +217,19 @@ func BatchDecodeStep(g *Generator, batch int) []LayerActivation {
 // PrefillStep advances the generator one iteration and returns each
 // layer's activation for a prefill forward over the given token count.
 func PrefillStep(g *Generator, tokens int) []LayerActivation {
-	g.Advance()
-	out := make([]LayerActivation, g.cfg.Layers)
-	for l := 0; l < g.cfg.Layers; l++ {
-		out[l] = LayerActivation{
-			Layer:  l,
-			Loads:  g.PrefillLoads(l, tokens),
-			Scores: g.Scores(l),
-		}
-	}
-	return out
+	return PrefillStepInto(nil, g, tokens)
 }
 
-// ActiveExperts lists the expert IDs with a nonzero load.
-func (a LayerActivation) ActiveExperts() []moe.ExpertID {
-	var out []moe.ExpertID
-	for e, load := range a.Loads {
-		if load > 0 {
-			out = append(out, moe.ExpertID{Layer: a.Layer, Index: e})
-		}
+// PrefillStepInto is PrefillStep writing into dst's activations, as
+// DecodeStepInto does.
+func PrefillStepInto(dst []LayerActivation, g *Generator, tokens int) []LayerActivation {
+	g.Advance()
+	out := layerActivations(dst, g.cfg.Layers)
+	for l := range out {
+		a := &out[l]
+		a.Layer = l
+		a.Loads = g.prefillLoadsInto(a.Loads, l, tokens)
+		a.Scores = softmax64Into(a.Scores, g.latent[l])
 	}
 	return out
 }

@@ -98,6 +98,11 @@ type Generator struct {
 	// fresh generator on the routing hot path. Reseed restores the
 	// exact NewRNG state, so draws are byte-identical.
 	predRNG stats.RNG
+	// row and top are the top-k selection scratch of PrefillLoads (once
+	// per token), DecodeStep and Activated: the float32 ranking row and
+	// the selected indices, both consumed before the next selection.
+	row []float32
+	top []int
 }
 
 // New builds a generator for cfg. It panics on an invalid configuration;
@@ -173,8 +178,7 @@ func (g *Generator) Scores(layer int) []float64 {
 // Activated returns the current top-k experts of a layer in descending
 // score order (a decode iteration's activation set).
 func (g *Generator) Activated(layer int) []int {
-	scores := g.Scores(layer)
-	return topKIndices(scores, g.cfg.ActivatedExperts)
+	return append([]int(nil), g.activatedFrom(g.Scores(layer))...)
 }
 
 // PredictedScores returns a prediction of layer's scores as seen from
@@ -220,21 +224,47 @@ func (g *Generator) PredictedScoresInto(dst []float64, layer, lookahead int) []f
 // and selects its own top-k. The result maps expert index to token
 // count; entries sum to tokens × ActivatedExperts.
 func (g *Generator) PrefillLoads(layer, tokens int) []int {
+	return g.prefillLoadsInto(nil, layer, tokens)
+}
+
+// prefillLoadsInto is PrefillLoads writing into dst's backing array.
+func (g *Generator) prefillLoadsInto(dst []int, layer, tokens int) []int {
 	g.checkLayer(layer)
 	if tokens <= 0 {
 		panic(fmt.Sprintf("trace: non-positive token count %d", tokens))
 	}
-	loads := make([]int, g.cfg.RoutedExperts)
-	perTok := make([]float64, g.cfg.RoutedExperts)
+	loads := zeroLoads(dst, g.cfg.RoutedExperts)
+	row := g.rankRow(g.cfg.RoutedExperts)
 	for t := 0; t < tokens; t++ {
 		for e, v := range g.latent[layer] {
-			perTok[e] = v + g.rng.NormMeanStd(0, g.opts.TokenNoise)
+			row[e] = float32(v + g.rng.NormMeanStd(0, g.opts.TokenNoise))
 		}
-		for _, e := range topKIndices(perTok, g.cfg.ActivatedExperts) {
+		g.top = tensor.TopKInto(g.top, row, g.cfg.ActivatedExperts)
+		for _, e := range g.top {
 			loads[e]++
 		}
 	}
 	return loads
+}
+
+// rankRow returns the reused float32 ranking row, n entries long.
+func (g *Generator) rankRow(n int) []float32 {
+	if cap(g.row) < n {
+		g.row = make([]float32, n)
+	}
+	return g.row[:n]
+}
+
+// activatedFrom is Activated over already-computed scores, selecting
+// into the generator's scratch: the same indices in the same order,
+// valid until the next selection.
+func (g *Generator) activatedFrom(scores []float64) []int {
+	row := g.rankRow(len(scores))
+	for i, v := range scores {
+		row[i] = float32(v)
+	}
+	g.top = tensor.TopKInto(g.top, row, g.cfg.ActivatedExperts)
+	return g.top
 }
 
 func (g *Generator) checkLayer(layer int) {

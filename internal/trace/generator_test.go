@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"hybrimoe/internal/moe"
@@ -240,8 +241,14 @@ func TestDecodeStepShape(t *testing.T) {
 		t.Fatalf("decode step layers = %d, want 26", len(acts))
 	}
 	for _, a := range acts {
-		if got := len(a.ActiveExperts()); got != 6 {
-			t.Fatalf("layer %d active experts = %d, want 6", a.Layer, got)
+		active := 0
+		for _, load := range a.Loads {
+			if load > 0 {
+				active++
+			}
+		}
+		if active != 6 {
+			t.Fatalf("layer %d active experts = %d, want 6", a.Layer, active)
 		}
 		if a.TotalLoad() != 6 {
 			t.Fatalf("layer %d decode load = %d, want 6", a.Layer, a.TotalLoad())
@@ -293,5 +300,56 @@ func TestOptionsFillDefaults(t *testing.T) {
 	o2.fillDefaults()
 	if o2.TemporalCorr != 0.5 || o2.NoiseStd != d.NoiseStd {
 		t.Fatalf("partial defaults broken: %+v", o2)
+	}
+}
+
+// TestPrefillLoadsAllocationsFlatInTokens pins the per-token loop as
+// allocation-free: routing 512 tokens through a layer allocates no more
+// than routing one (the returned loads; the ranking scratch is reused).
+func TestPrefillLoadsAllocationsFlatInTokens(t *testing.T) {
+	g := New(moe.DeepSeek(), DefaultOptions(5))
+	g.PrefillLoads(0, 1)
+	one := testing.AllocsPerRun(20, func() { g.PrefillLoads(0, 1) })
+	many := testing.AllocsPerRun(20, func() { g.PrefillLoads(0, 512) })
+	if many > one {
+		t.Fatalf("PrefillLoads allocated %.1f times for 512 tokens, %.1f for 1", many, one)
+	}
+}
+
+// TestScratchSelectionMatchesTopK pins the scratch-backed selections of
+// DecodeStep and PrefillLoads to the allocating float32 TopK path they
+// replaced, on twin generators: same routing, same loads, same draws.
+func TestScratchSelectionMatchesTopK(t *testing.T) {
+	cfg := moe.DeepSeek()
+	k := cfg.ActivatedExperts
+	a, b := New(cfg, DefaultOptions(6)), New(cfg, DefaultOptions(6))
+	for it := 0; it < 5; it++ {
+		acts := DecodeStep(a)
+		b.Advance()
+		for l, act := range acts {
+			want := make([]int, cfg.RoutedExperts)
+			for _, e := range topKIndices(b.Scores(l), k) {
+				want[e] = 1
+			}
+			if !reflect.DeepEqual(act.Loads, want) || !reflect.DeepEqual(act.Scores, b.Scores(l)) {
+				t.Fatalf("iter %d layer %d: DecodeStep diverged from TopK", it, l)
+			}
+		}
+		for _, tokens := range []int{1, 37} {
+			got := a.PrefillLoads(it, tokens)
+			want := make([]int, cfg.RoutedExperts)
+			perTok := make([]float64, cfg.RoutedExperts)
+			for tok := 0; tok < tokens; tok++ {
+				for e, v := range b.latent[it] {
+					perTok[e] = v + b.rng.NormMeanStd(0, b.opts.TokenNoise)
+				}
+				for _, e := range topKIndices(perTok, k) {
+					want[e]++
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d: PrefillLoads(%d tokens) = %v, TopK path %v", it, tokens, got, want)
+			}
+		}
 	}
 }
