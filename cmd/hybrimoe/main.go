@@ -38,6 +38,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -54,13 +55,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "hybrimoe:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one subcommand, writing its report to w.
+func run(args []string, w io.Writer) error {
 	if len(args) == 0 {
 		usage()
 		return fmt.Errorf("missing subcommand")
@@ -78,7 +80,7 @@ func run(args []string) error {
 	switch cmd {
 	case "list":
 		for _, e := range exp.Registry() {
-			fmt.Printf("%-14s %s\n", e.ID, e.Desc)
+			fmt.Fprintf(w, "%-14s %s\n", e.ID, e.Desc)
 		}
 		return nil
 
@@ -97,7 +99,7 @@ func run(args []string) error {
 		p := params(*seed, *steps, *quick || *short)
 		p.Workers = *workers
 		p.ClusterWorkers = *clusterWorkers
-		e.Run(p).Render(os.Stdout)
+		e.Run(p).Render(w)
 		return nil
 
 	case "all":
@@ -107,7 +109,7 @@ func run(args []string) error {
 		p := params(*seed, *steps, *quick || *short)
 		p.Workers = *workers
 		p.ClusterWorkers = *clusterWorkers
-		exp.RunAll(os.Stdout, p)
+		exp.RunAll(w, p)
 		return nil
 
 	case "demo":
@@ -130,12 +132,12 @@ func run(args []string) error {
 			return err
 		}
 		res := sys.Decode(*steps)
-		fmt.Printf("%s decode, %d steps, %.0f%% cache: mean TBT %.4fs, hit rate %.1f%%\n",
+		fmt.Fprintf(w, "%s decode, %d steps, %.0f%% cache: mean TBT %.4fs, hit rate %.1f%%\n",
 			cfg.Name, *steps, *ratio*100, res.Mean(), 100*res.Stats.CacheHitRate)
-		fmt.Printf("ops: %d CPU, %d GPU, %d demand transfers, %d prefetches\n",
+		fmt.Fprintf(w, "ops: %d CPU, %d GPU, %d demand transfers, %d prefetches\n",
 			res.Stats.CPUOps, res.Stats.GPUOps, res.Stats.DemandTransfers, res.Stats.PrefetchTransfers)
-		fmt.Println("\nExecution timeline (whole run):")
-		fmt.Print(sys.Gantt(100))
+		fmt.Fprintln(w, "\nExecution timeline (whole run):")
+		fmt.Fprint(w, sys.Gantt(100))
 		return nil
 
 	case "serve":
@@ -177,7 +179,7 @@ func run(args []string) error {
 			replicas: *replicas, router: *router, fail: *fail, scalePlan: *scalePlan,
 			pools: *pools, clusterWorkers: *clusterWorkers,
 		}
-		return serve(sc)
+		return serve(w, sc)
 
 	default:
 		usage()
@@ -248,7 +250,7 @@ func serveRequests(sc serveConfig) ([]workload.Request, error) {
 // request scheduler and, when SLO targets are set, admission control,
 // and reports queue-inclusive TTFT and TBT percentiles plus
 // shed/deferral/violation accounting from the step events.
-func serve(sc serveConfig) error {
+func serve(w io.Writer, sc serveConfig) error {
 	if sc.requests < 1 {
 		return fmt.Errorf("-requests %d must be at least 1", sc.requests)
 	}
@@ -293,7 +295,7 @@ func serve(sc serveConfig) error {
 	if sc.replicas > 1 || sc.fail != "" || sc.scalePlan != "" || sc.pools != "" {
 		// Lifecycle and disaggregation knobs only exist at fleet scope;
 		// a 1-replica fleet with churn is still a fleet.
-		return serveFleet(sc, reqs)
+		return serveFleet(w, sc, reqs)
 	}
 	opts := []engine.Option{
 		engine.WithCacheRatio(sc.ratio),
@@ -316,23 +318,23 @@ func serve(sc serveConfig) error {
 	s := e.NewSession(engine.WithMaxConcurrent(sc.concurrent))
 	s.Submit(reqs...)
 
-	fmt.Printf("serving %d requests on %s (%.0f%% cache, ≤%d concurrent, %s scheduling",
+	fmt.Fprintf(w, "serving %d requests on %s (%.0f%% cache, ≤%d concurrent, %s scheduling",
 		len(reqs), sc.cfg.Name, sc.ratio*100, sc.concurrent, sc.reqSched)
 	if sc.gpus > 1 {
-		fmt.Printf(", %d GPUs via %s", sc.gpus, sc.sched)
+		fmt.Fprintf(w, ", %d GPUs via %s", sc.gpus, sc.sched)
 	}
 	if sc.traceIn != "" {
-		fmt.Printf(", replaying %s", sc.traceIn)
+		fmt.Fprintf(w, ", replaying %s", sc.traceIn)
 	} else if sc.arrivals != "none" {
-		fmt.Printf(", %s arrivals at %.3g req/s", sc.arrivals, sc.rate)
+		fmt.Fprintf(w, ", %s arrivals at %.3g req/s", sc.arrivals, sc.rate)
 	}
 	if sc.batch != "none" {
-		fmt.Printf(", %s batching ≤%d tokens", sc.batch, sc.batchBudget)
+		fmt.Fprintf(w, ", %s batching ≤%d tokens", sc.batch, sc.batchBudget)
 	}
 	if admitting {
-		fmt.Printf(", SLO p95 TTFT %.3gs / TBT %.3gs", sc.sloTTFT, sc.sloTBT)
+		fmt.Fprintf(w, ", SLO p95 TTFT %.3gs / TBT %.3gs", sc.sloTTFT, sc.sloTBT)
 	}
-	fmt.Print(")\n\n")
+	fmt.Fprint(w, ")\n\n")
 	var ttfts, tbts []float64
 	violations := 0
 	s.Run(func(ev engine.StepEvent) {
@@ -345,15 +347,15 @@ func serve(sc serveConfig) error {
 			if ev.Queued > 0 {
 				queued = fmt.Sprintf(" (queued %.4fs)", ev.Queued)
 			}
-			fmt.Printf("  t=%7.3fs req %2d prefill %4d tokens  TTFT %.4fs%s\n",
+			fmt.Fprintf(w, "  t=%7.3fs req %2d prefill %4d tokens  TTFT %.4fs%s\n",
 				ev.End, ev.Request, ev.Tokens, ev.Queued+ev.Latency, queued)
 		case engine.PhaseDecode:
 			tbts = append(tbts, ev.Latency)
 		case engine.PhaseShed:
-			fmt.Printf("  t=%7.3fs req %2d SHED by admission control\n", ev.End, ev.Request)
+			fmt.Fprintf(w, "  t=%7.3fs req %2d SHED by admission control\n", ev.End, ev.Request)
 			return
 		case engine.PhaseDeferred:
-			fmt.Printf("  t=%7.3fs req %2d deferred by admission control\n", ev.End, ev.Request)
+			fmt.Fprintf(w, "  t=%7.3fs req %2d deferred by admission control\n", ev.End, ev.Request)
 			return
 		}
 		// Done can ride a decode event or, for decode-free requests, the
@@ -368,27 +370,27 @@ func serve(sc serveConfig) error {
 			if ev.Phase == engine.PhasePrefill {
 				steps = 0
 			}
-			fmt.Printf("  t=%7.3fs req %2d done after %d decode steps%s\n",
+			fmt.Fprintf(w, "  t=%7.3fs req %2d done after %d decode steps%s\n",
 				ev.End, ev.Request, steps, late)
 		}
 	})
 
-	fmt.Printf("\nsteps: %d   cache hit rate: %.1f%%\n", s.Steps(), 100*e.Caches().HitRate())
+	fmt.Fprintf(w, "\nsteps: %d   cache hit rate: %.1f%%\n", s.Steps(), 100*e.Caches().HitRate())
 	if sc.batch != "none" {
 		computeSteps := len(ttfts) + len(tbts)
 		meanBatch := 0.0
 		if s.Batches() > 0 {
 			meanBatch = float64(computeSteps) / float64(s.Batches())
 		}
-		fmt.Printf("batching: %d iterations for %d request-steps (mean batch %.2f)\n",
+		fmt.Fprintf(w, "batching: %d iterations for %d request-steps (mean batch %.2f)\n",
 			s.Batches(), computeSteps, meanBatch)
 	}
 	if admitting || sc.deadline > 0 {
-		fmt.Printf("admission: %d shed, %d deferral verdicts   deadline violations: %d\n",
+		fmt.Fprintf(w, "admission: %d shed, %d deferral verdicts   deadline violations: %d\n",
 			s.Shed(), s.Deferred(), violations)
 	}
-	fmt.Printf("TTFT  %s\n", report.Latencies(ttfts))
-	fmt.Printf("TBT   %s\n", report.Latencies(tbts))
+	fmt.Fprintf(w, "TTFT  %s\n", report.Latencies(ttfts))
+	fmt.Fprintf(w, "TBT   %s\n", report.Latencies(tbts))
 	return nil
 }
 
@@ -398,7 +400,7 @@ func serve(sc serveConfig) error {
 // derived seed, the named router picks a replica per arrival, and SLO
 // targets move admission to the fleet door — requests are shed against
 // fleet-aggregate quantiles before any replica queues them.
-func serveFleet(sc serveConfig, reqs []workload.Request) error {
+func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 	failures, err := cluster.ParseFailures(sc.fail)
 	if err != nil {
 		return err
@@ -464,56 +466,56 @@ func serveFleet(sc serveConfig, reqs []workload.Request) error {
 	}
 	c.Submit(reqs...)
 
-	fmt.Printf("serving %d requests across %d %s replicas (%s routing, %.0f%% cache, ≤%d concurrent each",
+	fmt.Fprintf(w, "serving %d requests across %d %s replicas (%s routing, %.0f%% cache, ≤%d concurrent each",
 		len(reqs), replicas, sc.cfg.Name, c.RouterName(), sc.ratio*100, sc.concurrent)
 	if poolSpec.Pooled() {
-		fmt.Printf(", %s pools", poolSpec)
+		fmt.Fprintf(w, ", %s pools", poolSpec)
 	}
 	if sc.gpus > 1 {
-		fmt.Printf(", %d GPUs via %s", sc.gpus, sc.sched)
+		fmt.Fprintf(w, ", %d GPUs via %s", sc.gpus, sc.sched)
 	}
 	if sc.traceIn != "" {
-		fmt.Printf(", replaying %s", sc.traceIn)
+		fmt.Fprintf(w, ", replaying %s", sc.traceIn)
 	} else if sc.arrivals != "none" {
-		fmt.Printf(", %s arrivals at %.3g req/s", sc.arrivals, sc.rate)
+		fmt.Fprintf(w, ", %s arrivals at %.3g req/s", sc.arrivals, sc.rate)
 	}
 	if sc.batch != "none" {
-		fmt.Printf(", %s batching ≤%d tokens", sc.batch, sc.batchBudget)
+		fmt.Fprintf(w, ", %s batching ≤%d tokens", sc.batch, sc.batchBudget)
 	}
 	if admitting {
-		fmt.Printf(", fleet SLO p95 TTFT %.3gs / TBT %.3gs", sc.sloTTFT, sc.sloTBT)
+		fmt.Fprintf(w, ", fleet SLO p95 TTFT %.3gs / TBT %.3gs", sc.sloTTFT, sc.sloTBT)
 	}
 	if sc.fail != "" {
-		fmt.Printf(", failures %s", sc.fail)
+		fmt.Fprintf(w, ", failures %s", sc.fail)
 	}
 	if sc.scalePlan != "" {
-		fmt.Printf(", scale plan %s", sc.scalePlan)
+		fmt.Fprintf(w, ", scale plan %s", sc.scalePlan)
 	}
-	fmt.Print(")\n\n")
+	fmt.Fprint(w, ")\n\n")
 
 	var ttfts, tbts []float64
 	violations := 0
 	c.Run(func(ev cluster.Event) {
 		switch ev.Kind {
 		case cluster.EventReplicaWarming:
-			fmt.Printf("  t=%7.3fs r%d JOINED cold, warming\n", ev.End, ev.Replica)
+			fmt.Fprintf(w, "  t=%7.3fs r%d JOINED cold, warming\n", ev.End, ev.Replica)
 			return
 		case cluster.EventReplicaDraining:
-			fmt.Printf("  t=%7.3fs r%d DRAINING, no new dispatches\n", ev.End, ev.Replica)
+			fmt.Fprintf(w, "  t=%7.3fs r%d DRAINING, no new dispatches\n", ev.End, ev.Replica)
 			return
 		case cluster.EventReplicaDead:
 			if ev.Tokens > 0 {
-				fmt.Printf("  t=%7.3fs r%d DEAD, %d in-flight requests lost\n", ev.End, ev.Replica, ev.Tokens)
+				fmt.Fprintf(w, "  t=%7.3fs r%d DEAD, %d in-flight requests lost\n", ev.End, ev.Replica, ev.Tokens)
 			} else {
-				fmt.Printf("  t=%7.3fs r%d DEAD\n", ev.End, ev.Replica)
+				fmt.Fprintf(w, "  t=%7.3fs r%d DEAD\n", ev.End, ev.Replica)
 			}
 			return
 		case cluster.EventRerouted:
-			fmt.Printf("  t=%7.3fs    req %2d RE-ROUTED off dead r%d (arrived %.3fs)\n",
+			fmt.Fprintf(w, "  t=%7.3fs    req %2d RE-ROUTED off dead r%d (arrived %.3fs)\n",
 				ev.End, ev.Request, ev.Replica, ev.Arrival)
 			return
 		case cluster.EventHandoff:
-			fmt.Printf("  t=%7.3fs r%d req %2d HANDOFF landed: %d experts (%d warm), xfer %.4fs\n",
+			fmt.Fprintf(w, "  t=%7.3fs r%d req %2d HANDOFF landed: %d experts (%d warm), xfer %.4fs\n",
 				ev.End, ev.Replica, ev.Request, ev.Tokens, ev.Hits, ev.Latency)
 			return
 		}
@@ -524,15 +526,15 @@ func serveFleet(sc serveConfig, reqs []workload.Request) error {
 			if ev.Queued > 0 {
 				queued = fmt.Sprintf(" (queued %.4fs)", ev.Queued)
 			}
-			fmt.Printf("  t=%7.3fs r%d req %2d prefill %4d tokens  TTFT %.4fs%s\n",
+			fmt.Fprintf(w, "  t=%7.3fs r%d req %2d prefill %4d tokens  TTFT %.4fs%s\n",
 				ev.End, ev.Replica, ev.Request, ev.Tokens, ev.Queued+ev.Latency, queued)
 		case engine.PhaseDecode:
 			tbts = append(tbts, ev.Latency)
 		case engine.PhaseShed:
-			fmt.Printf("  t=%7.3fs    req %2d SHED at the fleet door\n", ev.End, ev.Request)
+			fmt.Fprintf(w, "  t=%7.3fs    req %2d SHED at the fleet door\n", ev.End, ev.Request)
 			return
 		case engine.PhaseDeferred:
-			fmt.Printf("  t=%7.3fs    req %2d deferred at the fleet door\n", ev.End, ev.Request)
+			fmt.Fprintf(w, "  t=%7.3fs    req %2d deferred at the fleet door\n", ev.End, ev.Request)
 			return
 		}
 		if ev.Done {
@@ -545,35 +547,35 @@ func serveFleet(sc serveConfig, reqs []workload.Request) error {
 			if ev.Phase == engine.PhasePrefill {
 				steps = 0
 			}
-			fmt.Printf("  t=%7.3fs r%d req %2d done after %d decode steps%s\n",
+			fmt.Fprintf(w, "  t=%7.3fs r%d req %2d done after %d decode steps%s\n",
 				ev.End, ev.Replica, ev.Request, steps, late)
 		}
 	})
 
-	fmt.Printf("\nsteps: %d   routed per replica: %v\n", c.Steps(), c.Routed())
+	fmt.Fprintf(w, "\nsteps: %d   routed per replica: %v\n", c.Steps(), c.Routed())
 	for i := 0; i < c.Replicas(); i++ {
 		role := ""
 		if c.Pools().Pooled() {
 			role = " " + c.Role(i).String()
 		}
-		fmt.Printf("  replica %d: %-8s%s clock %.3fs, cache hit rate %.1f%%\n",
+		fmt.Fprintf(w, "  replica %d: %-8s%s clock %.3fs, cache hit rate %.1f%%\n",
 			i, c.State(i), role, c.Engine(i).Clock(), 100*c.Engine(i).Caches().HitRate())
 	}
 	if c.Handoffs() > 0 {
 		warm, total := c.MigratedExperts()
-		fmt.Printf("disaggregation: %d prefill→decode handoffs, %d/%d migrated experts landed warm\n",
+		fmt.Fprintf(w, "disaggregation: %d prefill→decode handoffs, %d/%d migrated experts landed warm\n",
 			c.Handoffs(), warm, total)
 	}
 	if c.Rerouted() > 0 || c.Lost() > 0 {
-		fmt.Printf("churn: %d requests re-routed off dead replicas, %d in-flight lost\n",
+		fmt.Fprintf(w, "churn: %d requests re-routed off dead replicas, %d in-flight lost\n",
 			c.Rerouted(), c.Lost())
 	}
 	if admitting || sc.deadline > 0 {
-		fmt.Printf("admission: %d shed, %d deferral verdicts   deadline violations: %d\n",
+		fmt.Fprintf(w, "admission: %d shed, %d deferral verdicts   deadline violations: %d\n",
 			c.Shed(), c.Deferred(), violations)
 	}
-	fmt.Printf("TTFT  %s\n", report.Latencies(ttfts))
-	fmt.Printf("TBT   %s\n", report.Latencies(tbts))
+	fmt.Fprintf(w, "TTFT  %s\n", report.Latencies(ttfts))
+	fmt.Fprintf(w, "TBT   %s\n", report.Latencies(tbts))
 	return nil
 }
 
