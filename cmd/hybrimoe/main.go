@@ -48,7 +48,6 @@ import (
 	"hybrimoe/internal/exp"
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
-	"hybrimoe/internal/report"
 	"hybrimoe/internal/reqsched"
 	"hybrimoe/internal/sched"
 	"hybrimoe/internal/workload"
@@ -335,22 +334,17 @@ func serve(w io.Writer, sc serveConfig) error {
 		fmt.Fprintf(w, ", SLO p95 TTFT %.3gs / TBT %.3gs", sc.sloTTFT, sc.sloTBT)
 	}
 	fmt.Fprint(w, ")\n\n")
-	var ttfts, tbts []float64
-	violations := 0
+	var t engine.Tally
 	s.Run(func(ev engine.StepEvent) {
+		t.Add(ev)
 		switch ev.Phase {
 		case engine.PhasePrefill:
-			// TTFT is queue-inclusive: arrival → first token. With no
-			// arrival stamps Queued is 0 and this is the forward alone.
-			ttfts = append(ttfts, ev.Queued+ev.Latency)
 			queued := ""
 			if ev.Queued > 0 {
 				queued = fmt.Sprintf(" (queued %.4fs)", ev.Queued)
 			}
 			fmt.Fprintf(w, "  t=%7.3fs req %2d prefill %4d tokens  TTFT %.4fs%s\n",
 				ev.End, ev.Request, ev.Tokens, ev.Queued+ev.Latency, queued)
-		case engine.PhaseDecode:
-			tbts = append(tbts, ev.Latency)
 		case engine.PhaseShed:
 			fmt.Fprintf(w, "  t=%7.3fs req %2d SHED by admission control\n", ev.End, ev.Request)
 			return
@@ -363,7 +357,6 @@ func serve(w io.Writer, sc serveConfig) error {
 		if ev.Done {
 			late := ""
 			if ev.Deadline > 0 && ev.End > ev.Deadline {
-				violations++
 				late = fmt.Sprintf("  MISSED deadline %.3fs", ev.Deadline)
 			}
 			steps := ev.Index + 1
@@ -377,20 +370,19 @@ func serve(w io.Writer, sc serveConfig) error {
 
 	fmt.Fprintf(w, "\nsteps: %d   cache hit rate: %.1f%%\n", s.Steps(), 100*e.Caches().HitRate())
 	if sc.batch != "none" {
-		computeSteps := len(ttfts) + len(tbts)
 		meanBatch := 0.0
 		if s.Batches() > 0 {
-			meanBatch = float64(computeSteps) / float64(s.Batches())
+			meanBatch = float64(t.ComputeEvents) / float64(s.Batches())
 		}
 		fmt.Fprintf(w, "batching: %d iterations for %d request-steps (mean batch %.2f)\n",
-			s.Batches(), computeSteps, meanBatch)
+			s.Batches(), t.ComputeEvents, meanBatch)
 	}
 	if admitting || sc.deadline > 0 {
 		fmt.Fprintf(w, "admission: %d shed, %d deferral verdicts   deadline violations: %d\n",
-			s.Shed(), s.Deferred(), violations)
+			s.Shed(), s.Deferred(), t.Violated)
 	}
-	fmt.Fprintf(w, "TTFT  %s\n", report.Latencies(ttfts))
-	fmt.Fprintf(w, "TBT   %s\n", report.Latencies(tbts))
+	fmt.Fprintf(w, "TTFT  %s\n", t.TTFT.Stats())
+	fmt.Fprintf(w, "TBT   %s\n", t.TBT.Stats())
 	return nil
 }
 
@@ -493,8 +485,7 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 	}
 	fmt.Fprint(w, ")\n\n")
 
-	var ttfts, tbts []float64
-	violations := 0
+	var t engine.Tally
 	c.Run(func(ev cluster.Event) {
 		switch ev.Kind {
 		case cluster.EventReplicaWarming:
@@ -519,17 +510,15 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 				ev.End, ev.Replica, ev.Request, ev.Tokens, ev.Hits, ev.Latency)
 			return
 		}
+		t.Add(ev.StepEvent)
 		switch ev.Phase {
 		case engine.PhasePrefill:
-			ttfts = append(ttfts, ev.Queued+ev.Latency)
 			queued := ""
 			if ev.Queued > 0 {
 				queued = fmt.Sprintf(" (queued %.4fs)", ev.Queued)
 			}
 			fmt.Fprintf(w, "  t=%7.3fs r%d req %2d prefill %4d tokens  TTFT %.4fs%s\n",
 				ev.End, ev.Replica, ev.Request, ev.Tokens, ev.Queued+ev.Latency, queued)
-		case engine.PhaseDecode:
-			tbts = append(tbts, ev.Latency)
 		case engine.PhaseShed:
 			fmt.Fprintf(w, "  t=%7.3fs    req %2d SHED at the fleet door\n", ev.End, ev.Request)
 			return
@@ -540,7 +529,6 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 		if ev.Done {
 			late := ""
 			if ev.Deadline > 0 && ev.End > ev.Deadline {
-				violations++
 				late = fmt.Sprintf("  MISSED deadline %.3fs", ev.Deadline)
 			}
 			steps := ev.Index + 1
@@ -572,10 +560,10 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 	}
 	if admitting || sc.deadline > 0 {
 		fmt.Fprintf(w, "admission: %d shed, %d deferral verdicts   deadline violations: %d\n",
-			c.Shed(), c.Deferred(), violations)
+			c.Shed(), c.Deferred(), t.Violated)
 	}
-	fmt.Fprintf(w, "TTFT  %s\n", report.Latencies(ttfts))
-	fmt.Fprintf(w, "TBT   %s\n", report.Latencies(tbts))
+	fmt.Fprintf(w, "TTFT  %s\n", t.TTFT.Stats())
+	fmt.Fprintf(w, "TBT   %s\n", t.TBT.Stats())
 	return nil
 }
 

@@ -25,7 +25,6 @@ import (
 	"hybrimoe/internal/cluster"
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/exp"
-	"hybrimoe/internal/report"
 	"hybrimoe/internal/workload"
 )
 
@@ -50,26 +49,16 @@ func main() {
 			log.Fatal(err)
 		}
 		c.Submit(reqs...)
-		var ttfts, tbts []float64
-		makespan := 0.0
+		var t engine.Tally
 		c.Run(func(ev cluster.Event) {
-			if ev.Kind != cluster.EventStep {
-				return
-			}
-			if ev.End > makespan {
-				makespan = ev.End
-			}
-			switch ev.Phase {
-			case engine.PhasePrefill:
-				ttfts = append(ttfts, ev.Queued+ev.Latency)
-			case engine.PhaseDecode:
-				tbts = append(tbts, ev.Latency)
+			if ev.Kind == cluster.EventStep {
+				t.Add(ev.StepEvent)
 			}
 		})
 		fmt.Printf("  %-14s %-10s %-12s %-12s %v\n", name,
-			fmt.Sprintf("%.3fs", makespan),
-			fmt.Sprintf("%.4fs", report.Latencies(ttfts).P95),
-			fmt.Sprintf("%.5fs", report.Latencies(tbts).Mean),
+			fmt.Sprintf("%.3fs", t.Makespan),
+			fmt.Sprintf("%.4fs", t.TTFT.Stats().P95),
+			fmt.Sprintf("%.5fs", t.TBT.Stats().Mean),
 			c.Routed())
 	}
 

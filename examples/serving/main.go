@@ -4,8 +4,8 @@
 // through the engine's streaming Session loop — prefill and decode
 // interleaved across concurrent requests, the expert cache carrying
 // state throughout — the deployment scenario the paper's edge-offloading
-// setting targets. TTFT and TBT percentiles are computed from the
-// per-step event stream.
+// setting targets. TTFT and TBT percentiles are folded from the
+// per-step event stream by engine.Tally.
 //
 // Run with: go run ./examples/serving
 package main
@@ -20,7 +20,6 @@ import (
 	"hybrimoe/internal/exp"
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
-	"hybrimoe/internal/report"
 	"hybrimoe/internal/stats"
 	"hybrimoe/internal/workload"
 )
@@ -63,15 +62,14 @@ func main() {
 	s.Submit(reqs...)
 
 	fmt.Println("\nstreaming session (HybriMoE, 25% cache, 2 concurrent requests):")
-	var ttfts, tbts []float64
+	var t engine.Tally
 	s.Run(func(ev engine.StepEvent) {
+		t.Add(ev)
 		switch ev.Phase {
 		case engine.PhasePrefill:
-			ttfts = append(ttfts, ev.Latency)
 			fmt.Printf("  t=%7.3fs  req %2d  prefill %4d tok  TTFT %.4fs  (%d hits / %d misses)\n",
 				ev.End, ev.Request, ev.Tokens, ev.Latency, ev.Hits, ev.Misses)
 		case engine.PhaseDecode:
-			tbts = append(tbts, ev.Latency)
 			if ev.Done {
 				fmt.Printf("  t=%7.3fs  req %2d  done after %d decode steps\n",
 					ev.End, ev.Request, ev.Index+1)
@@ -79,8 +77,8 @@ func main() {
 		}
 	})
 	fmt.Printf("\n%d steps, cache hit rate %.1f%%\n", s.Steps(), 100*e.Caches().HitRate())
-	fmt.Printf("TTFT  %s\n", report.Latencies(ttfts))
-	fmt.Printf("TBT   %s\n", report.Latencies(tbts))
+	fmt.Printf("TTFT  %s\n", t.TTFT.Stats())
+	fmt.Printf("TBT   %s\n", t.TBT.Stats())
 
 	// The same stream under deadline-aware scheduling and SLO admission
 	// control: requests carry per-token completion deadlines, EDF picks
@@ -104,8 +102,9 @@ func main() {
 	s2.Submit(reqs...)
 
 	fmt.Println("\nEDF + SLO admission (p95 targets: TTFT 0.12s, TBT 0.02s):")
-	violations := 0
+	var t2 engine.Tally
 	s2.Run(func(ev engine.StepEvent) {
+		t2.Add(ev)
 		switch ev.Phase {
 		case engine.PhaseShed:
 			fmt.Printf("  t=%7.3fs  req %2d  shed by admission control\n", ev.End, ev.Request)
@@ -116,7 +115,6 @@ func main() {
 				verdict := "met"
 				if ev.Deadline > 0 && ev.End > ev.Deadline {
 					verdict = "MISSED"
-					violations++
 				}
 				fmt.Printf("  t=%7.3fs  req %2d  done, deadline %.3fs %s\n",
 					ev.End, ev.Request, ev.Deadline, verdict)
@@ -124,7 +122,7 @@ func main() {
 		}
 	})
 	fmt.Printf("shed %d, deferral verdicts %d, deadline violations %d\n",
-		s2.Shed(), s2.Deferred(), violations)
+		s2.Shed(), s2.Deferred(), t2.Violated)
 
 	// The same stream under continuous batching: the phase-aware batch
 	// former merges the in-flight requests' decode steps into single
@@ -141,21 +139,17 @@ func main() {
 	s3.Submit(reqs...)
 
 	fmt.Println("\nphase-aware continuous batching (4 concurrent, 256-token budget):")
-	var batchedTBTs []float64
-	decoded := 0
+	var t3 engine.Tally
 	s3.Run(func(ev engine.StepEvent) {
-		if ev.Phase == engine.PhaseDecode {
-			batchedTBTs = append(batchedTBTs, ev.Latency)
-			decoded += ev.Tokens
-		}
+		t3.Add(ev)
 		if ev.Done && ev.BatchSize > 1 {
 			fmt.Printf("  t=%7.3fs  req %2d  done in a %d-wide batch (iteration %d)\n",
 				ev.End, ev.Request, ev.BatchSize, ev.Batch)
 		}
 	})
 	fmt.Printf("%d decode tokens over %d merged iterations (mean batch %.2f)\n",
-		decoded, s3.Batches(), float64(s3.Steps())/float64(s3.Batches()))
-	fmt.Printf("TBT   %s\n", report.Latencies(batchedTBTs))
+		t3.DecodeTokens, s3.Batches(), float64(s3.Steps())/float64(s3.Batches()))
+	fmt.Printf("TBT   %s\n", t3.TBT.Stats())
 
 	// The same workload as an open-loop server: a bursty arrival process
 	// stamps each request with an arrival time, the Session holds it
@@ -186,11 +180,11 @@ func main() {
 	s4.Submit(replayed...)
 
 	fmt.Println("\nopen-loop bursty arrivals (replayed from a JSONL trace, SLO p95 TTFT 0.3s):")
-	var queuedTTFTs []float64
+	var t4 engine.Tally
 	s4.Run(func(ev engine.StepEvent) {
+		t4.Add(ev)
 		switch ev.Phase {
 		case engine.PhasePrefill:
-			queuedTTFTs = append(queuedTTFTs, ev.Queued+ev.Latency)
 			fmt.Printf("  t=%7.3fs  req %2d  arrived %6.3fs, queued %.4fs  TTFT %.4fs\n",
 				ev.End, ev.Request, ev.Arrival, ev.Queued, ev.Queued+ev.Latency)
 		case engine.PhaseShed:
@@ -198,7 +192,7 @@ func main() {
 		}
 	})
 	fmt.Printf("shed %d of %d\n", s4.Shed(), len(replayed))
-	fmt.Printf("TTFT (arrival→first token)  %s\n", report.Latencies(queuedTTFTs))
+	fmt.Printf("TTFT (arrival→first token)  %s\n", t4.TTFT.Stats())
 
 	// End-to-end serving comparison across frameworks, with percentiles.
 	fmt.Println()

@@ -23,7 +23,6 @@ import (
 	"sort"
 
 	"hybrimoe/internal/engine"
-	"hybrimoe/internal/report"
 	"hybrimoe/internal/sim"
 	"hybrimoe/internal/stats"
 	"hybrimoe/internal/workload"
@@ -369,23 +368,19 @@ type Cluster struct {
 	// cursor never wraps.
 	queue []Event
 	qhead int
-	// ttfts and tbts aggregate latency observations across every
-	// replica's event stream; fleet admission snapshots quantile over
-	// them. Only maintained when a fleet admission policy is installed.
-	ttfts, tbts report.Live
-	// promptless marks dispatched request IDs with no prefill, so
-	// observe can attribute their first decode as a TTFT observation
-	// the way the session's decode-only path does.
-	promptless map[int]bool
-	routed     []int
-	routeLog   []RouteRecord
-	routeCap   int
-	routeHead  int
-	steps      int
-	shed       int
-	deferred   int
-	rerouted   int
-	lost       int
+	// tally folds every replica event the fleet produces; fleet
+	// admission snapshots read its TTFT and TBT samples. Nil (and never
+	// fed) without a fleet admission policy.
+	tally     *engine.Tally
+	routed    []int
+	routeLog  []RouteRecord
+	routeCap  int
+	routeHead int
+	steps     int
+	shed      int
+	deferred  int
+	rerouted  int
+	lost      int
 	// pools is the disaggregation spec (zero when unpooled); the
 	// migration counters track completed prefill→decode handoffs and
 	// the working-set admission outcome on the receiving replicas.
@@ -479,7 +474,6 @@ func New(opts ...Option) (*Cluster, error) {
 		maxConcurrent: cfg.maxConcurrent,
 		leaseTTL:      cfg.leaseTTL,
 		warmup:        cfg.warmup,
-		promptless:    map[int]bool{},
 		routed:        make([]int, cfg.replicas),
 		routeCap:      cfg.routeLog,
 		pools:         cfg.pools,
@@ -487,6 +481,9 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	if cfg.routeLog > 0 {
 		c.routeLog = make([]RouteRecord, 0, cfg.routeLog)
+	}
+	if c.adm != nil {
+		c.tally = &engine.Tally{}
 	}
 	for i := 0; i < cfg.replicas; i++ {
 		eng, err := cfg.build(i)
@@ -724,8 +721,8 @@ func (c *Cluster) snapshot(now float64) engine.SLOSnapshot {
 	})
 	return engine.SLOSnapshot{
 		Now:    now,
-		TTFT:   c.ttfts.Stats(),
-		TBT:    c.tbts.Stats(),
+		TTFT:   c.tally.TTFT.Stats(),
+		TBT:    c.tally.TBT.Stats(),
 		Active: active,
 		Queued: queued,
 	}
@@ -847,11 +844,6 @@ func (c *Cluster) dispatch() {
 			c.adoptHandoff(pick, head)
 			continue
 		}
-		if c.adm != nil && head.req.PromptTokens <= 0 {
-			// observe is the map's only reader, and it bails without a
-			// fleet admission policy — skip the write too.
-			c.promptless[head.req.ID] = true
-		}
 		c.replicas[pick].ses.Submit(head.req)
 	}
 }
@@ -899,26 +891,6 @@ func (c *Cluster) exportPrefilled(i int) {
 		c.pending.Push(req.Checkpoint.ReadyAt, &fleetRequest{
 			req: req, handoff: true, at: req.Checkpoint.ReadyAt, xferStart: at,
 		})
-	}
-}
-
-// observe folds a replica event into the fleet-aggregate latency
-// accumulators fleet admission quantiles over — queue-inclusive TTFT on
-// prefills (and on a prompt-less request's first arrival-stamped
-// decode), raw per-step TBT on decodes — mirroring what each session
-// feeds its own admission.
-func (c *Cluster) observe(ev engine.StepEvent) {
-	if c.adm == nil {
-		return
-	}
-	switch ev.Phase {
-	case engine.PhasePrefill:
-		c.ttfts.Add(ev.Queued + ev.Latency)
-	case engine.PhaseDecode:
-		c.tbts.Add(ev.Latency)
-		if c.promptless[ev.Request] && ev.Index == 0 && ev.Arrival > 0 {
-			c.ttfts.Add(ev.Queued + ev.Latency)
-		}
 	}
 }
 
@@ -989,7 +961,7 @@ func (c *Cluster) Step() (ev Event, ok bool) {
 					pick, r.ses.Pending()))
 			}
 			r.lease = r.eng.Clock()
-			c.observe(sev)
+			c.tally.Add(sev)
 			c.exportPrefilled(pick)
 			c.retireDrained(pick)
 			c.steps++

@@ -259,7 +259,7 @@ func (c *Cluster) flushEmissions(i int, dst []Event) []Event {
 	r := c.replicas[i]
 	for r.ses.HasEmission() {
 		sev, _ := r.ses.Step()
-		c.observe(sev)
+		c.tally.Add(sev)
 		dst = append(dst, Event{Replica: i, StepEvent: sev})
 	}
 	return dst

@@ -144,7 +144,7 @@ func (c *Cluster) mergeWindow(cands []int) {
 		r := c.replicas[bi]
 		ev := r.runEvs[cursors[best]]
 		cursors[best]++
-		c.observe(ev)
+		c.tally.Add(ev)
 		c.run = append(c.run, Event{Replica: bi, StepEvent: ev})
 		if cursors[best] == len(r.runEvs) {
 			r.lease = r.eng.Clock()

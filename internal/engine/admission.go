@@ -46,9 +46,9 @@ func (d AdmissionDecision) String() string {
 type SLOSnapshot struct {
 	// Now is the simulation clock at the admission pass.
 	Now float64
-	// TTFT and TBT summarise the live per-stage latency observations
-	// from the session's event stream. TTFT observations are
-	// queue-inclusive — arrival → first token (StepEvent.Queued +
+	// TTFT and TBT summarise the Tally of the session's (or, at the
+	// fleet door, the cluster's) event stream so far. TTFT observations
+	// are queue-inclusive — arrival → first token (StepEvent.Queued +
 	// Latency), so queueing pressure from open-loop bursts moves the
 	// quantiles; for closed-queue requests with no arrival stamp this
 	// reduces to the forward latency alone. TBT observations are raw

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"hybrimoe/internal/report"
 	"hybrimoe/internal/reqsched"
 	"hybrimoe/internal/sim"
 	"hybrimoe/internal/trace"
@@ -120,6 +119,11 @@ type StepEvent struct {
 	// so attribution stays exactly conserved across the handoff. Always
 	// false outside export mode, keeping existing streams byte-identical.
 	Migrated bool `json:",omitempty"`
+	// Adopted marks a step of a request this session adopted through
+	// SubmitPrefilled: its first token came from the exporting session,
+	// so a Tally never counts the adopted decode as one. Not serialised,
+	// so event logs keep their schema.
+	Adopted bool `json:"-"`
 }
 
 // SessionOption configures a Session.
@@ -233,11 +237,11 @@ type Session struct {
 	arrived []*sessionRequest
 	// future counts arrival events still scheduled on the timeline.
 	future int
-	// ttfts and tbts accumulate the live latency observations admission
-	// snapshots quantile over (sorted incrementally, queried per step).
-	ttfts, tbts report.Live
-	shed        int
-	deferred    int
+	// tally folds every emitted event; admission snapshots read its
+	// TTFT and TBT samples. Nil (and never fed) without a policy.
+	tally    *Tally
+	shed     int
+	deferred int
 	// exportPrefill marks the prefill half of a disaggregated pair; see
 	// WithPrefillExport.
 	exportPrefill bool
@@ -317,6 +321,9 @@ func (e *Engine) NewSession(opts ...SessionOption) *Session {
 		panic(fmt.Sprintf("engine: batch policy vanished from registry: %v", err))
 	}
 	s := &Session{e: e, sched: rs, batch: bp, adm: e.set.admission, maxConcurrent: 1}
+	if s.adm != nil {
+		s.tally = &Tally{}
+	}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -514,8 +521,8 @@ func (s *Session) Batches() int { return s.batches }
 func (s *Session) snapshot() SLOSnapshot {
 	return SLOSnapshot{
 		Now:    s.e.clock,
-		TTFT:   s.ttfts.Stats(),
-		TBT:    s.tbts.Stats(),
+		TTFT:   s.tally.TTFT.Stats(),
+		TBT:    s.tally.TBT.Stats(),
 		Active: len(s.active),
 		Queued: len(s.arrived),
 	}
@@ -672,6 +679,16 @@ func (s *Session) schedView() []reqsched.Request {
 // skipped by construction. ok is false when every submitted request has
 // finished or been shed.
 func (s *Session) Step() (ev StepEvent, ok bool) {
+	ev, ok = s.next()
+	if ok {
+		s.steps++
+		s.tally.Add(ev)
+	}
+	return ev, ok
+}
+
+// next produces the event Step returns; see Step.
+func (s *Session) next() (ev StepEvent, ok bool) {
 	// Drain the timeline up to the clock: emissions return (one per
 	// call), arrivals fire into the admission queue, prefetch markers
 	// are retired. Stamp order interleaves them correctly — an arrival
@@ -685,7 +702,6 @@ func (s *Session) Step() (ev StepEvent, ok bool) {
 		}
 		if e.kind == evEmit {
 			s.events.PopMin()
-			s.steps++
 			return e.ev, true
 		}
 		if at > s.e.clock {
@@ -727,7 +743,6 @@ func (s *Session) Step() (ev StepEvent, ok bool) {
 	}
 	if s.HasEmission() {
 		_, e, _ := s.events.PopMin()
-		s.steps++
 		return e.ev, true
 	}
 	if len(s.active) == 0 {
@@ -749,7 +764,6 @@ func (s *Session) Step() (ev StepEvent, ok bool) {
 	for _, bev := range events[1:] {
 		s.pushEmit(bev)
 	}
-	s.steps++
 	return events[0], true
 }
 
@@ -847,7 +861,8 @@ func (s *Session) stepSolo(idx int) StepEvent {
 	r := s.active[idx]
 
 	ev := StepEvent{Request: r.req.ID, Start: s.e.clock, Deadline: r.req.Deadline,
-		Arrival: r.req.Arrival, Class: r.req.Class, Batch: s.batches, BatchSize: 1}
+		Arrival: r.req.Arrival, Class: r.req.Class, Batch: s.batches, BatchSize: 1,
+		Adopted: r.adopted}
 	ev.Queued = s.queueWait(r, ev.Start)
 	hits0, misses0 := s.e.cache.Hits(), s.e.cache.Misses()
 	cpu0 := s.e.cpuBusy
@@ -861,14 +876,6 @@ func (s *Session) stepSolo(idx int) StepEvent {
 		b.acts = trace.PrefillStepInto(b.acts, s.e.gen, r.req.PromptTokens)
 		ev.Latency = s.e.runStep(b, r.req.PromptTokens, r.req.PromptTokens, false)
 		r.prefilled = true
-		if s.adm != nil {
-			// Only admission snapshots read the accumulators; skip the
-			// sorted insert (and the retained history) without a policy.
-			// The observation is the queue-inclusive TTFT — arrival to
-			// first token — so admission sees queueing pressure build,
-			// not just the forward's cost.
-			s.ttfts.Add(ev.Queued + ev.Latency)
-		}
 		if s.exportPrefill && r.req.DecodeTokens > 0 {
 			ev.Migrated = true
 			s.export(r, ev.Queued+ev.Latency)
@@ -882,10 +889,6 @@ func (s *Session) stepSolo(idx int) StepEvent {
 		b.acts = trace.DecodeStepInto(b.acts, s.e.gen)
 		ev.Latency = s.e.runStep(b, 1, s.contextFor(r), false)
 		r.decoded++
-		if s.adm != nil {
-			s.tbts.Add(ev.Latency)
-			s.addDecodeOnlyTTFT(r, ev)
-		}
 	}
 
 	ev.End = s.e.clock
@@ -895,7 +898,6 @@ func (s *Session) stepSolo(idx int) StepEvent {
 	ev.GPUBusyByDevice, ev.GPUBusy = s.busyDeltas(s.e.gpuBusy, gpu0)
 	ev.LinkBusyByDevice, ev.LinkBusy = s.busyDeltas(s.e.linkBusy, link0)
 	ev.Done = r.done()
-	s.steps++
 	s.e.stats.CacheHitRate = s.e.cache.HitRate()
 	s.notePrefetchHorizon()
 
@@ -925,18 +927,6 @@ func (s *Session) export(r *sessionRequest, ttft float64) {
 		TTFT:           ttft,
 	}
 	s.exported = append(s.exported, r)
-}
-
-// addDecodeOnlyTTFT folds a prompt-less request's first token into the
-// TTFT quantiles admission reads: with no prefill to carry the
-// observation, its arrival→first-token time is the first decode's
-// queue wait plus latency. Only arrival-stamped requests contribute —
-// closed-queue decode-only bursts never fed the TTFT feed, and keeping
-// them out preserves that admission behaviour exactly.
-func (s *Session) addDecodeOnlyTTFT(r *sessionRequest, ev StepEvent) {
-	if r.req.PromptTokens <= 0 && ev.Index == 0 && r.req.Arrival > 0 {
-		s.ttfts.Add(ev.Queued + ev.Latency)
-	}
 }
 
 // queueWait stamps (once, on the request's first compute step) the
@@ -1041,6 +1031,7 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 			Class:    r.req.Class,
 			Queued:   s.queueWait(r, start),
 			Batch:    s.batches,
+			Adopted:  r.adopted,
 			// Token-share attribution, telescoped so member deltas sum
 			// exactly to the iteration totals.
 			Hits:      hits*int64(next)/int64(total) - hits*int64(prev)/int64(total),
@@ -1065,10 +1056,6 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 			ev.Phase = PhasePrefill
 			ev.Tokens = r.req.PromptTokens
 			r.prefilled = true
-			if s.adm != nil {
-				// Queue-inclusive TTFT, as in the solo path.
-				s.ttfts.Add(ev.Queued + latency)
-			}
 			if s.exportPrefill && r.req.DecodeTokens > 0 {
 				ev.Migrated = true
 				s.export(r, ev.Queued+latency)
@@ -1078,10 +1065,6 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 			ev.Index = r.decoded
 			ev.Tokens = 1
 			r.decoded++
-			if s.adm != nil {
-				s.tbts.Add(latency)
-				s.addDecodeOnlyTTFT(r, ev)
-			}
 		}
 		ev.Done = r.done()
 		events = append(events, ev)

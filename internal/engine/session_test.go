@@ -290,7 +290,7 @@ func (f decideFunc) Decide(req workload.Request, snap SLOSnapshot) AdmissionDeci
 // TestSessionAdmissionShedAccounting sheds everything and checks the
 // explicit rejection records: one PhaseShed event per request, Done set,
 // no compute steps, counters consistent — and the fully-shed run's
-// latency summaries are zero-valued, not NaN (the report.Latencies
+// latency summaries are zero-valued, not NaN (the report.Live
 // empty-sample contract at the Session boundary).
 func TestSessionAdmissionShedAccounting(t *testing.T) {
 	e := newEngineOpts(t, 213, WithAdmission(decideFunc(
@@ -298,14 +298,11 @@ func TestSessionAdmissionShedAccounting(t *testing.T) {
 	s := e.NewSession(WithMaxConcurrent(2))
 	s.Submit(testRequests()...)
 
-	var ttfts, tbts []float64
+	var tally Tally
 	sheds := map[int]int{}
 	s.Run(func(ev StepEvent) {
+		tally.Add(ev)
 		switch ev.Phase {
-		case PhasePrefill:
-			ttfts = append(ttfts, ev.Latency)
-		case PhaseDecode:
-			tbts = append(tbts, ev.Latency)
 		case PhaseShed:
 			sheds[ev.Request]++
 			if !ev.Done {
@@ -318,8 +315,8 @@ func TestSessionAdmissionShedAccounting(t *testing.T) {
 			t.Fatalf("unexpected phase %v in a fully-shed run", ev.Phase)
 		}
 	})
-	if len(ttfts) != 0 || len(tbts) != 0 {
-		t.Fatalf("fully-shed run produced %d prefills, %d decodes", len(ttfts), len(tbts))
+	if tally.ComputeEvents != 0 || tally.Shed != len(testRequests()) {
+		t.Fatalf("fully-shed run folded %d compute events, %d sheds", tally.ComputeEvents, tally.Shed)
 	}
 	if s.Shed() != len(testRequests()) {
 		t.Fatalf("Shed() = %d, want %d", s.Shed(), len(testRequests()))
@@ -333,7 +330,7 @@ func TestSessionAdmissionShedAccounting(t *testing.T) {
 		t.Fatalf("%d requests pending after a full shed", s.Pending())
 	}
 	// Regression: the empty samples summarise to the zero value.
-	for _, l := range []report.LatencyStats{report.Latencies(ttfts), report.Latencies(tbts)} {
+	for _, l := range []report.LatencyStats{tally.TTFT.Stats(), tally.TBT.Stats()} {
 		if l != (report.LatencyStats{}) {
 			t.Fatalf("empty sample summarised to %+v, want zero value", l)
 		}

@@ -17,29 +17,17 @@ const BatchBudget = 256
 
 // batchRun aggregates one batch-policy × concurrency serving run.
 type batchRun struct {
-	decodeTokens int
-	requestSteps int // compute events (one per request per iteration)
-	iterations   int // merged engine iterations
-	clockEnd     float64
-	ttft, tbt    report.LatencyStats
-}
-
-// decodeThroughput reports decode tokens per simulated second over the
-// whole run — the quantity continuous batching exists to raise.
-func (r batchRun) decodeThroughput() float64 {
-	if r.clockEnd == 0 {
-		return 0
-	}
-	return float64(r.decodeTokens) / r.clockEnd
+	engine.Tally
+	iterations int // merged engine iterations
 }
 
 // meanBatch reports the mean number of requests advanced per engine
 // iteration.
-func (r batchRun) meanBatch() float64 {
+func (r *batchRun) meanBatch() float64 {
 	if r.iterations == 0 {
 		return 0
 	}
-	return float64(r.requestSteps) / float64(r.iterations)
+	return float64(r.ComputeEvents) / float64(r.iterations)
 }
 
 // driveBatch serves reqs through a fresh HybriMoE engine under the
@@ -57,24 +45,8 @@ func driveBatch(p Params, ratio float64, reqs []workload.Request,
 	s.Submit(reqs...)
 
 	var r batchRun
-	var ttfts, tbts []float64
-	s.Run(func(ev engine.StepEvent) {
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
-		switch ev.Phase {
-		case engine.PhasePrefill:
-			ttfts = append(ttfts, ev.Latency)
-			r.requestSteps++
-		case engine.PhaseDecode:
-			tbts = append(tbts, ev.Latency)
-			r.decodeTokens += ev.Tokens
-			r.requestSteps++
-		}
-	})
+	s.Run(r.Add)
 	r.iterations = s.Batches()
-	r.ttft = report.Latencies(ttfts)
-	r.tbt = report.Latencies(tbts)
 	return r
 }
 
@@ -113,8 +85,9 @@ func (s batchingStudy) Cells(p Params) []Cell {
 				Label: fmt.Sprintf("batching/%s/x%d", policy, concurrent),
 				Run: func() []Row {
 					r := driveBatch(p, s.ratio, reqs, policy, BatchBudget, concurrent)
-					return []Row{{policy, concurrent, r.decodeThroughput(),
-						r.tbt.P50, r.tbt.P95, r.ttft.P95, r.meanBatch(), r.clockEnd}}
+					tbt := r.TBT.Stats()
+					return []Row{{policy, concurrent, r.DecodeThroughput(),
+						tbt.P50, tbt.P95, r.TTFT.Stats().P95, r.meanBatch(), r.Makespan}}
 				},
 			})
 		}

@@ -52,9 +52,9 @@ func TestBatchingBeatsNoneAtConcurrency8(t *testing.T) {
 	none := driveBatch(p, 0.25, reqs, "none", BatchBudget, 8)
 	for _, policy := range []string{"greedy", "phase-aware"} {
 		batched := driveBatch(p, 0.25, reqs, policy, BatchBudget, 8)
-		if batched.decodeThroughput() <= none.decodeThroughput() {
+		if batched.DecodeThroughput() <= none.DecodeThroughput() {
 			t.Errorf("%s decode throughput %.2f tok/s does not beat none's %.2f",
-				policy, batched.decodeThroughput(), none.decodeThroughput())
+				policy, batched.DecodeThroughput(), none.DecodeThroughput())
 		}
 		if batched.meanBatch() <= 1 {
 			t.Errorf("%s never merged: mean batch %.2f", policy, batched.meanBatch())
@@ -75,11 +75,11 @@ func TestBatchingConservesWork(t *testing.T) {
 	none := driveBatch(p, 0.25, reqs, "none", BatchBudget, 4)
 	for _, policy := range []string{"greedy", "phase-aware"} {
 		r := driveBatch(p, 0.25, reqs, policy, BatchBudget, 4)
-		if r.decodeTokens != none.decodeTokens {
-			t.Errorf("%s decoded %d tokens, none %d", policy, r.decodeTokens, none.decodeTokens)
+		if r.DecodeTokens != none.DecodeTokens {
+			t.Errorf("%s decoded %d tokens, none %d", policy, r.DecodeTokens, none.DecodeTokens)
 		}
-		if r.requestSteps != none.requestSteps {
-			t.Errorf("%s ran %d request-steps, none %d", policy, r.requestSteps, none.requestSteps)
+		if r.ComputeEvents != none.ComputeEvents {
+			t.Errorf("%s ran %d request-steps, none %d", policy, r.ComputeEvents, none.ComputeEvents)
 		}
 	}
 }

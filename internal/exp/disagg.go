@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hybrimoe/internal/cluster"
-	"hybrimoe/internal/engine"
 	"hybrimoe/internal/report"
 	"hybrimoe/internal/workload"
 )
@@ -17,10 +16,6 @@ type disaggRun struct {
 	fleetRun
 	handoffs                int
 	warmExperts, allExperts int
-	// gapQ summarises inter-token gaps: consecutive decode completions
-	// per request, with the first gap anchored at the prefill completion
-	// so migration transfer and decode-pool queueing are charged to it.
-	gapQ report.LatencyStats
 }
 
 // warmFrac is the fraction of migrated working-set experts already
@@ -40,48 +35,8 @@ func (r disaggRun) warmFrac() float64 {
 // was cheap, which is exactly the interference disaggregation removes.
 func driveDisagg(p Params, ratio float64, n int, reqs []workload.Request,
 	spec cluster.PoolSpec) disaggRun {
-	c, err := NewFleet(n, "affinity", p.Seed, ratio, append(workerOpts(p), poolOpts(spec)...)...)
-	if err != nil {
-		panic(err)
-	}
-	c.Submit(reqs...)
-
-	r := disaggRun{fleetRun: fleetRun{offered: len(reqs)}}
-	var (
-		ttftQ, gaps []float64
-		prefillEnd  = map[int]float64{}
-		lastDecode  = map[int]float64{}
-	)
-	c.Run(func(ev cluster.Event) {
-		if ev.Kind != cluster.EventStep {
-			// Handoff and lifecycle records carry no compute; their cost
-			// already lands in the first decode gap via ReadyAt.
-			return
-		}
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
-		switch ev.Phase {
-		case engine.PhasePrefill:
-			ttftQ = append(ttftQ, ev.Queued+ev.Latency)
-			prefillEnd[ev.Request] = ev.End
-		case engine.PhaseDecode:
-			prev, ok := lastDecode[ev.Request]
-			if !ok {
-				prev = prefillEnd[ev.Request]
-			}
-			gaps = append(gaps, ev.End-prev)
-			lastDecode[ev.Request] = ev.End
-		}
-		if ev.Done {
-			r.completed++
-		}
-	})
-	r.ttftQ = report.Latencies(ttftQ)
-	r.gapQ = report.Latencies(gaps)
-	r.routed = c.Routed()
-	r.pools = c.Pools()
-	r.handoffs = c.Handoffs()
+	run, c := serveFleet(p, ratio, n, "affinity", reqs, nil, poolOpts(spec)...)
+	r := disaggRun{fleetRun: run, handoffs: c.Handoffs()}
 	r.warmExperts, r.allExperts = c.MigratedExperts()
 	return r
 }
@@ -140,7 +95,7 @@ const disaggGapCol = 7
 
 func (s disaggStudy) Cells(p Params) []Cell {
 	base := driveFleet(p, s.ratio, 1, "round-robin", fleetRequests(p, s.requests, 0), nil)
-	perReplica := float64(base.completed) / base.clockEnd
+	perReplica := float64(base.Completed) / base.Makespan
 
 	// Rate-major, config-minor grid (mixed first per rate) — Render
 	// leans on this order to pair each split with its mixed baseline.
@@ -153,9 +108,9 @@ func (s disaggStudy) Cells(p Params) []Cell {
 				Label: fmt.Sprintf("disagg/%s/%.3g", spec, rate),
 				Run: func() []Row {
 					r := driveDisagg(p, s.ratio, disaggReplicas, reqs, spec)
-					return []Row{{spec.String(), rate, r.completed, r.goodput(),
-						r.handoffs, r.warmFrac(), r.ttftQ.P95, r.gapQ.P95,
-						r.clockEnd}}
+					return []Row{{spec.String(), rate, r.Completed, r.Goodput(),
+						r.handoffs, r.warmFrac(), r.TTFT.Stats().P95, r.Gap.Stats().P95,
+						r.Makespan}}
 				},
 			})
 		}

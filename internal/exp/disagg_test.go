@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hybrimoe/internal/cluster"
-	"hybrimoe/internal/report"
 )
 
 // TestDisaggIsolationAtSaturation pins the tentpole acceptance claim at
@@ -20,16 +19,16 @@ func TestDisaggIsolationAtSaturation(t *testing.T) {
 	const requests, ratio = 18, 0.25
 
 	base := driveFleet(p, ratio, 1, "round-robin", fleetRequests(p, requests, 0), nil)
-	perReplica := float64(base.completed) / base.clockEnd
+	perReplica := float64(base.Completed) / base.Makespan
 	rate := 2.4 * perReplica * disaggReplicas
 	reqs := fleetRequests(p, requests, rate)
 
 	mixed := driveDisagg(p, ratio, disaggReplicas, reqs, cluster.PoolSpec{})
 	split := driveDisagg(p, ratio, disaggReplicas, reqs, cluster.PoolSpec{Prefill: 1, Decode: 2})
 
-	if mixed.completed != requests || split.completed != requests {
+	if mixed.Completed != requests || split.Completed != requests {
 		t.Fatalf("completions mixed=%d split=%d, want %d each",
-			mixed.completed, split.completed, requests)
+			mixed.Completed, split.Completed, requests)
 	}
 	if mixed.handoffs != 0 {
 		t.Fatalf("mixed baseline migrated %d requests, want 0", mixed.handoffs)
@@ -41,9 +40,9 @@ func TestDisaggIsolationAtSaturation(t *testing.T) {
 		t.Fatalf("migrated working sets landed cold: %d/%d experts warm",
 			split.warmExperts, split.allExperts)
 	}
-	if split.gapQ.P95 >= mixed.gapQ.P95 {
+	if split.Gap.Stats().P95 >= mixed.Gap.Stats().P95 {
 		t.Errorf("disaggregated p95 inter-token gap %.4f did not beat mixed %.4f at rate %.2f",
-			split.gapQ.P95, mixed.gapQ.P95, rate)
+			split.Gap.Stats().P95, mixed.Gap.Stats().P95, rate)
 	}
 }
 
@@ -123,7 +122,7 @@ func TestDisaggRunDerivedMetrics(t *testing.T) {
 	if zero.warmFrac() != 0 {
 		t.Fatal("zero-value disaggRun must not divide by zero")
 	}
-	r := disaggRun{warmExperts: 3, allExperts: 4, gapQ: report.LatencyStats{}}
+	r := disaggRun{warmExperts: 3, allExperts: 4}
 	if got := r.warmFrac(); got != 0.75 {
 		t.Fatalf("warmFrac = %v, want 0.75", got)
 	}

@@ -15,12 +15,11 @@ import (
 // consumer uses, matching the open-loop study's serving shape.
 const FleetConcurrent = 3
 
-// fleetRun aggregates one replicas × router × arrival-rate serving run.
+// fleetRun aggregates one replicas × router × arrival-rate serving run:
+// the fold of its step events plus the dispatch spread.
 type fleetRun struct {
-	offered, completed, shed int
-	clockEnd                 float64
-	ttftQ                    report.LatencyStats
-	routed                   []int
+	engine.Tally
+	routed []int
 	// pools echoes the fleet's disaggregation spec (zero when unpooled)
 	// so renders can break the dispatch spread down per pool.
 	pools cluster.PoolSpec
@@ -28,7 +27,7 @@ type fleetRun struct {
 
 // perPool renders the dispatch spread summed per pool role, the
 // breakdown pooled study rows append.
-func (r fleetRun) perPool() string {
+func (r *fleetRun) perPool() string {
 	var p, d, m int
 	for i, n := range r.routed {
 		switch r.pools.Role(i) {
@@ -41,24 +40,6 @@ func (r fleetRun) perPool() string {
 		}
 	}
 	return fmt.Sprintf("P:%d D:%d M:%d", p, d, m)
-}
-
-func (r fleetRun) shedFraction() float64 {
-	if r.offered == 0 {
-		return 0
-	}
-	return float64(r.shed) / float64(r.offered)
-}
-
-// goodput reports completions per simulated second of fleet makespan.
-// Routing to the replica whose cache is ready moves it two ways at
-// once: warm steps advance the clock less, and the latency they save
-// keeps the admission guard from shedding.
-func (r fleetRun) goodput() float64 {
-	if r.clockEnd == 0 {
-		return 0
-	}
-	return float64(r.completed) / r.clockEnd
 }
 
 // NewFleet assembles the canonical fleet every consumer (the study, the
@@ -103,45 +84,37 @@ func workerOpts(p Params) []cluster.Option {
 // cluster options (pool specs, lifecycle knobs).
 func driveFleet(p Params, ratio float64, n int, routerName string,
 	reqs []workload.Request, adm engine.AdmissionPolicy, extra ...cluster.Option) fleetRun {
-	opts := workerOpts(p)
+	var opts []cluster.Option
 	if adm != nil {
 		opts = append(opts, cluster.WithAdmission(adm))
 	}
-	opts = append(opts, extra...)
-	c, err := NewFleet(n, routerName, p.Seed, ratio, opts...)
+	r, _ := serveFleet(p, ratio, n, routerName, reqs, nil, append(opts, extra...)...)
+	return r
+}
+
+// serveFleet serves reqs through a fresh n-replica study fleet (with
+// Params.ClusterWorkers applied) and folds every step event into the
+// returned run; observe, when non-nil, also sees every event, lifecycle
+// records included. The drained cluster is returned for its counters.
+func serveFleet(p Params, ratio float64, n int, routerName string, reqs []workload.Request,
+	observe func(cluster.Event), opts ...cluster.Option) (fleetRun, *cluster.Cluster) {
+	c, err := NewFleet(n, routerName, p.Seed, ratio, append(workerOpts(p), opts...)...)
 	if err != nil {
 		panic(err)
 	}
 	c.Submit(reqs...)
-
-	r := fleetRun{offered: len(reqs)}
-	var ttftQ []float64
+	var r fleetRun
 	c.Run(func(ev cluster.Event) {
-		if ev.Kind != cluster.EventStep {
-			// Lifecycle records (warming/draining/dead/rerouted) carry
-			// no compute; the counters below read compute phases only.
-			return
+		if observe != nil {
+			observe(ev)
 		}
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
-		switch ev.Phase {
-		case engine.PhasePrefill:
-			ttftQ = append(ttftQ, ev.Queued+ev.Latency)
-		case engine.PhaseShed:
-			r.shed++
-			return
-		case engine.PhaseDeferred:
-			return
-		}
-		if ev.Done {
-			r.completed++
+		if ev.Kind == cluster.EventStep {
+			r.Add(ev.StepEvent)
 		}
 	})
-	r.ttftQ = report.Latencies(ttftQ)
 	r.routed = c.Routed()
 	r.pools = c.Pools()
-	return r
+	return r, c
 }
 
 // fleetGuard builds the study's fleet-level SLO admission guard from a
@@ -219,8 +192,8 @@ func (s fleetStudy) Cells(p Params) []Cell {
 	// Single-replica closed-loop calibration: capacity in completions
 	// per busy second, and the unqueued forward p95 for the SLO target.
 	base := driveFleet(p, s.ratio, 1, "round-robin", fleetRequests(p, s.requests, 0), nil)
-	perReplica := float64(base.completed) / base.clockEnd
-	adm := fleetGuard(base.ttftQ.P95)
+	perReplica := float64(base.Completed) / base.Makespan
+	adm := fleetGuard(base.TTFT.Stats().P95)
 
 	var cells []Cell
 	for _, n := range s.replicaCounts {
@@ -232,8 +205,8 @@ func (s fleetStudy) Cells(p Params) []Cell {
 					Label: fmt.Sprintf("fleet/%dx/%s/%.3g", n, routerName, rate),
 					Run: func() []Row {
 						r := driveFleet(p, s.ratio, n, routerName, reqs, adm(), poolOpts(s.pools)...)
-						row := Row{n, routerName, rate, r.completed, r.shedFraction(),
-							r.goodput(), r.ttftQ.P95, r.clockEnd, fmt.Sprint(r.routed)}
+						row := Row{n, routerName, rate, r.Completed, r.ShedFraction(len(reqs)),
+							r.Goodput(), r.TTFT.Stats().P95, r.Makespan, fmt.Sprint(r.routed)}
 						if s.pools.Pooled() {
 							row = append(row, r.perPool())
 						}

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"hybrimoe/internal/cluster"
-	"hybrimoe/internal/report"
+	"hybrimoe/internal/engine"
 )
 
 // TestFleetStudyAffinityMeetsRoundRobin pins the fleet study's headline
@@ -21,8 +21,8 @@ func TestFleetStudyAffinityMeetsRoundRobin(t *testing.T) {
 	const requests, replicas, ratio = 16, 4, 0.25
 
 	base := driveFleet(p, ratio, 1, "round-robin", fleetRequests(p, requests, 0), nil)
-	perReplica := float64(base.completed) / base.clockEnd
-	guard := fleetGuard(base.ttftQ.P95)
+	perReplica := float64(base.Completed) / base.Makespan
+	guard := fleetGuard(base.TTFT.Stats().P95)
 
 	strictly := false
 	for _, mult := range []float64{1.5, 4} {
@@ -30,11 +30,11 @@ func TestFleetStudyAffinityMeetsRoundRobin(t *testing.T) {
 		reqs := fleetRequests(p, requests, rate)
 		aff := driveFleet(p, ratio, replicas, "affinity", reqs, guard())
 		rr := driveFleet(p, ratio, replicas, "round-robin", reqs, guard())
-		if aff.goodput() < rr.goodput() {
+		if aff.Goodput() < rr.Goodput() {
 			t.Errorf("rate %.2f: affinity goodput %.3f < round-robin %.3f",
-				rate, aff.goodput(), rr.goodput())
+				rate, aff.Goodput(), rr.Goodput())
 		}
-		if aff.goodput() > rr.goodput() {
+		if aff.Goodput() > rr.Goodput() {
 			strictly = true
 		}
 	}
@@ -60,18 +60,18 @@ func TestFleetStudyRendersEveryRouter(t *testing.T) {
 	}
 }
 
-// fleetRunSanity keeps the helper struct honest on its derived ratios.
+// TestFleetRunDerivedMetrics keeps the fleet run's derived ratios
+// honest, including a deadline violation that goodput must not count.
 func TestFleetRunDerivedMetrics(t *testing.T) {
-	r := fleetRun{offered: 8, completed: 6, shed: 2, clockEnd: 3.0,
-		ttftQ: report.LatencyStats{}}
-	if got := r.shedFraction(); got != 0.25 {
-		t.Fatalf("shedFraction = %v, want 0.25", got)
+	r := fleetRun{Tally: engine.Tally{Completed: 7, Violated: 1, Shed: 2, Makespan: 3.0}}
+	if got := r.ShedFraction(8); got != 0.25 {
+		t.Fatalf("ShedFraction = %v, want 0.25", got)
 	}
-	if got := r.goodput(); got != 2.0 {
-		t.Fatalf("goodput = %v, want 2.0", got)
+	if got := r.Goodput(); got != 2.0 {
+		t.Fatalf("Goodput = %v, want 2.0", got)
 	}
 	var zero fleetRun
-	if zero.shedFraction() != 0 || zero.goodput() != 0 {
+	if zero.ShedFraction(0) != 0 || zero.Goodput() != 0 || zero.DecodeThroughput() != 0 {
 		t.Fatal("zero-value fleetRun must not divide by zero")
 	}
 }

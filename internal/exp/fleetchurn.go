@@ -52,59 +52,35 @@ func (r churnRun) recovery() float64 {
 // joiners. stallAt anchors the dip window; pass 0 for churn-free rows.
 func driveChurn(p Params, ratio float64, n int, routerName string,
 	reqs []workload.Request, stallAt float64, opts ...cluster.Option) churnRun {
-	c, err := NewFleet(n, routerName, p.Seed, ratio, append(workerOpts(p), opts...)...)
-	if err != nil {
-		panic(err)
-	}
-	c.Submit(reqs...)
-
-	r := churnRun{fleetRun: fleetRun{offered: len(reqs)}}
 	var (
-		ttftQ        []float64
+		r            churnRun
 		reroutedIDs  = map[int]bool{}
-		doneAt       = map[int]float64{}
 		hits, misses = map[int]int64{}, map[int]int64{}
 	)
-	c.Run(func(ev cluster.Event) {
+	run, c := serveFleet(p, ratio, n, routerName, reqs, func(ev cluster.Event) {
 		switch ev.Kind {
 		case cluster.EventRerouted:
 			reroutedIDs[ev.Request] = true
-			return
 		case cluster.EventReplicaDead:
 			if ev.End > r.deadAt {
 				r.deadAt = ev.End
 			}
-			return
+		case cluster.EventStep:
+			hits[ev.Replica] += ev.Hits
+			misses[ev.Replica] += ev.Misses
 		}
-		if ev.Kind != cluster.EventStep {
-			return
-		}
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
-		if ev.Phase == 0 { // prefill
-			ttftQ = append(ttftQ, ev.Queued+ev.Latency)
-		}
-		hits[ev.Replica] += ev.Hits
-		misses[ev.Replica] += ev.Misses
-		if ev.Done {
-			r.completed++
-			doneAt[ev.Request] = ev.End
-		}
-	})
-	r.ttftQ = report.Latencies(ttftQ)
-	r.routed = c.Routed()
-	r.pools = c.Pools()
+	}, opts...)
+	r.fleetRun = run
 	r.rerouted, r.lost = c.Rerouted(), c.Lost()
 
 	for id := range reroutedIDs {
-		if at, ok := doneAt[id]; ok && at > r.recoverAt {
+		if at, ok := r.CompletedAt[id]; ok && at > r.recoverAt {
 			r.recoverAt = at
 		}
 	}
 	if stallAt > 0 && r.recoverAt > stallAt {
 		dip, post := 0, 0
-		for _, at := range doneAt {
+		for _, at := range r.CompletedAt {
 			switch {
 			case at > stallAt && at <= r.recoverAt:
 				dip++
@@ -113,8 +89,8 @@ func driveChurn(p Params, ratio float64, n int, routerName string,
 			}
 		}
 		r.dipRate = float64(dip) / (r.recoverAt - stallAt)
-		if r.clockEnd > r.recoverAt {
-			r.postRate = float64(post) / (r.clockEnd - r.recoverAt)
+		if r.Makespan > r.recoverAt {
+			r.postRate = float64(post) / (r.Makespan - r.recoverAt)
 		}
 	}
 	hitFrac := func(h, m int64) float64 {
@@ -212,13 +188,13 @@ var churnRouters = []string{"round-robin", "affinity"}
 
 func (s fleetChurnStudy) Cells(p Params) []Cell {
 	base := driveFleet(p, s.ratio, 1, "round-robin", fleetRequests(p, s.requests, 0), nil)
-	perReplica := float64(base.completed) / base.clockEnd
+	perReplica := float64(base.Completed) / base.Makespan
 	// 1.2x aggregate capacity: enough overload that a lost replica digs
 	// a visible backlog, low enough that arrivals outlast the re-warm.
 	rate := 1.2 * perReplica * float64(s.replicas)
 	reqs := fleetRequests(p, s.requests, rate)
 
-	span := driveFleet(p, s.ratio, s.replicas, "round-robin", reqs, nil).clockEnd
+	span := driveFleet(p, s.ratio, s.replicas, "round-robin", reqs, nil).Makespan
 	stallAt := 0.3 * span
 	scaleAt := stallAt
 
@@ -235,8 +211,8 @@ func (s fleetChurnStudy) Cells(p Params) []Cell {
 					opts := append(sc.opts(stallAt, scaleAt), poolOpts(s.pools)...)
 					r := driveChurn(p, s.ratio, s.replicas, routerName, reqs,
 						anchor, opts...)
-					row := Row{sc.name, routerName, r.completed, r.rerouted, r.lost,
-						r.goodput(), r.dipDepth(), r.recovery(), r.ttftQ.P95,
+					row := Row{sc.name, routerName, r.Completed, r.rerouted, r.lost,
+						r.Goodput(), r.dipDepth(), r.recovery(), r.TTFT.Stats().P95,
 						r.coldRouted, r.coldHit, r.warmHit}
 					if s.pools.Pooled() {
 						row = append(row, r.perPool())

@@ -7,17 +7,20 @@ import (
 	"hybrimoe/internal/cluster"
 )
 
+// churnTestRequests is the offered load churnTestShape's runs serve.
+const churnTestRequests = 24
+
 // churnTestShape mirrors fleetChurnStudy's calibration at the registry
 // scale, so the assertions below guard the same numbers the rendered
 // table reports.
 func churnTestShape(t *testing.T, p Params) (stallAt float64, drive func(router string, opts ...cluster.Option) churnRun) {
 	t.Helper()
-	const requests, replicas, ratio = 24, 3, 0.25
-	base := driveFleet(p, ratio, 1, "round-robin", fleetRequests(p, requests, 0), nil)
-	perReplica := float64(base.completed) / base.clockEnd
+	const replicas, ratio = 3, 0.25
+	base := driveFleet(p, ratio, 1, "round-robin", fleetRequests(p, churnTestRequests, 0), nil)
+	perReplica := float64(base.Completed) / base.Makespan
 	rate := 1.2 * perReplica * replicas
-	stream := fleetRequests(p, requests, rate)
-	span := driveFleet(p, ratio, replicas, "round-robin", stream, nil).clockEnd
+	stream := fleetRequests(p, churnTestRequests, rate)
+	span := driveFleet(p, ratio, replicas, "round-robin", stream, nil).Makespan
 	stallAt = 0.3 * span
 	drive = func(router string, opts ...cluster.Option) churnRun {
 		anchor := 0.0
@@ -43,9 +46,9 @@ func TestFleetChurnStallRecovers(t *testing.T) {
 		if r.rerouted == 0 {
 			t.Errorf("%s: stall displaced no queued requests", router)
 		}
-		if r.completed+r.lost != r.offered {
+		if r.Completed+r.lost != churnTestRequests {
 			t.Errorf("%s: completed %d + lost %d != offered %d",
-				router, r.completed, r.lost, r.offered)
+				router, r.Completed, r.lost, churnTestRequests)
 		}
 		if r.recoverAt == 0 {
 			t.Errorf("%s: no re-routed request ever completed", router)
@@ -83,9 +86,9 @@ func TestFleetChurnStandbyPaysRewarm(t *testing.T) {
 			t.Errorf("%s: cold hit rate %.3f not below warm %.3f; re-warm cost invisible",
 				router, r.coldHit, r.warmHit)
 		}
-		if r.completed+r.lost != r.offered {
+		if r.Completed+r.lost != churnTestRequests {
 			t.Errorf("%s: completed %d + lost %d != offered %d",
-				router, r.completed, r.lost, r.offered)
+				router, r.Completed, r.lost, churnTestRequests)
 		}
 	}
 	rr, aff := runs["round-robin"], runs["affinity"]
@@ -106,8 +109,8 @@ func TestFleetChurnSteadyIsQuiet(t *testing.T) {
 		if r.rerouted != 0 || r.lost != 0 {
 			t.Errorf("%s: steady run re-routed %d / lost %d", router, r.rerouted, r.lost)
 		}
-		if r.completed != r.offered {
-			t.Errorf("%s: steady run completed %d of %d", router, r.completed, r.offered)
+		if r.Completed != churnTestRequests {
+			t.Errorf("%s: steady run completed %d of %d", router, r.Completed, churnTestRequests)
 		}
 		if r.dipDepth() != 0 || r.recovery() != 0 {
 			t.Errorf("%s: steady run reports dip %.3f recovery %.3f",

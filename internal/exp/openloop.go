@@ -10,38 +10,10 @@ import (
 	"hybrimoe/internal/workload"
 )
 
-// openLoopRun aggregates one arrival-rate × scheduler × batch-former
-// serving run.
-type openLoopRun struct {
-	offered, completed, shed int
-	clockEnd                 float64
-	// ttftQ is the queue-inclusive TTFT (arrival → first token);
-	// forward is the prefill forward alone (the pre-arrival TTFT);
-	// queue is the arrival → prefill-start wait.
-	ttftQ, forward, queue report.LatencyStats
-}
-
-func (r openLoopRun) shedFraction() float64 {
-	if r.offered == 0 {
-		return 0
-	}
-	return float64(r.shed) / float64(r.offered)
-}
-
-// goodput reports completions per simulated second — shed requests
-// deliver nothing, so admission raises it exactly when dropping load
-// lets the rest finish sooner.
-func (r openLoopRun) goodput() float64 {
-	if r.clockEnd == 0 {
-		return 0
-	}
-	return float64(r.completed) / r.clockEnd
-}
-
 // driveOpenLoop serves reqs through a fresh HybriMoE engine under the
 // named request scheduler, batch former and optional admission policy.
 func driveOpenLoop(p Params, ratio float64, reqs []workload.Request,
-	schedName, batchName string, adm engine.AdmissionPolicy) openLoopRun {
+	schedName, batchName string, adm engine.AdmissionPolicy) *engine.Tally {
 	opts := []engine.Option{
 		engine.WithCacheRatio(ratio),
 		engine.WithSeed(p.Seed),
@@ -58,31 +30,9 @@ func driveOpenLoop(p Params, ratio float64, reqs []workload.Request,
 	s := e.NewSession(engine.WithMaxConcurrent(3))
 	s.Submit(reqs...)
 
-	r := openLoopRun{offered: len(reqs)}
-	var ttftQ, forward, queue []float64
-	s.Run(func(ev engine.StepEvent) {
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
-		switch ev.Phase {
-		case engine.PhasePrefill:
-			forward = append(forward, ev.Latency)
-			ttftQ = append(ttftQ, ev.Queued+ev.Latency)
-			queue = append(queue, ev.Queued)
-		case engine.PhaseShed:
-			r.shed++
-			return
-		case engine.PhaseDeferred:
-			return
-		}
-		if ev.Done {
-			r.completed++
-		}
-	})
-	r.ttftQ = report.Latencies(ttftQ)
-	r.forward = report.Latencies(forward)
-	r.queue = report.Latencies(queue)
-	return r
+	var t engine.Tally
+	s.Run(t.Add)
+	return &t
 }
 
 // OpenLoopStudy serves the same mixed-corpus request sequence under
@@ -135,9 +85,9 @@ func (s openLoopStudy) Cells(p Params) []Cell {
 	// that only queueing can breach, so the shed fraction tracks the
 	// arrival rate rather than the workload content.
 	base := driveOpenLoop(p, s.ratio, mkReqs(0), "round-robin", "none", nil)
-	capacity := float64(base.completed) / base.clockEnd
+	capacity := float64(base.Completed) / base.Makespan
 	adm := func() engine.AdmissionPolicy {
-		return &engine.SLOAdmission{TTFTp95: 1.25 * base.forward.P95, MinSamples: 2, ShedFactor: 1.5}
+		return &engine.SLOAdmission{TTFTp95: 1.25 * base.Prefill.Stats().P95, MinSamples: 2, ShedFactor: 1.5}
 	}
 
 	var cells []Cell
@@ -148,9 +98,10 @@ func (s openLoopStudy) Cells(p Params) []Cell {
 				cells = append(cells, Cell{
 					Label: fmt.Sprintf("open-loop/%.3g/%s/%s", rate, schedName, batchName),
 					Run: func() []Row {
-						r := driveOpenLoop(p, s.ratio, mkReqs(rate), schedName, batchName, adm())
-						return []Row{{rate, schedName, batchName, r.completed, r.shedFraction(),
-							r.goodput(), r.ttftQ.P95, r.forward.P95, r.queue.P95}}
+						reqs := mkReqs(rate)
+						r := driveOpenLoop(p, s.ratio, reqs, schedName, batchName, adm())
+						return []Row{{rate, schedName, batchName, r.Completed, r.ShedFraction(len(reqs)),
+							r.Goodput(), r.TTFT.Stats().P95, r.Prefill.Stats().P95, r.Queue.Stats().P95}}
 					},
 				})
 			}

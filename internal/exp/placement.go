@@ -14,31 +14,21 @@ import (
 // placementRun aggregates one topology × scheduler × cache-ratio
 // serving run.
 type placementRun struct {
-	decodeTokens int
-	clockEnd     float64
-	tbt          report.LatencyStats
-	hitRate      float64
+	engine.Tally
+	hitRate float64
 	// gpuBusy sums each device's busy seconds across the run (from the
 	// per-device StepEvent vectors).
 	gpuBusy []float64
 }
 
-// decodeThroughput reports decode tokens per simulated second.
-func (r placementRun) decodeThroughput() float64 {
-	if r.clockEnd == 0 {
-		return 0
-	}
-	return float64(r.decodeTokens) / r.clockEnd
-}
-
 // utilisation renders each GPU's busy fraction as "u0/u1/…".
-func (r placementRun) utilisation() string {
-	if r.clockEnd == 0 {
+func (r *placementRun) utilisation() string {
+	if r.Makespan == 0 {
 		return "-"
 	}
 	parts := make([]string, len(r.gpuBusy))
 	for d, busy := range r.gpuBusy {
-		parts[d] = fmt.Sprintf("%.0f%%", 100*busy/r.clockEnd)
+		parts[d] = fmt.Sprintf("%.0f%%", 100*busy/r.Makespan)
 	}
 	return strings.Join(parts, "/")
 }
@@ -57,20 +47,12 @@ func drivePlacement(p Params, gpus int, schedName string, ratio float64, reqs []
 	s.Submit(reqs...)
 
 	r := placementRun{gpuBusy: make([]float64, gpus)}
-	var tbts []float64
 	s.Run(func(ev engine.StepEvent) {
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
+		r.Add(ev)
 		for d, busy := range ev.GPUBusyByDevice {
 			r.gpuBusy[d] += busy
 		}
-		if ev.Phase == engine.PhaseDecode {
-			r.decodeTokens += ev.Tokens
-			tbts = append(tbts, ev.Latency)
-		}
 	})
-	r.tbt = report.Latencies(tbts)
 	r.hitRate = e.Caches().HitRate()
 	return r
 }
@@ -115,8 +97,9 @@ func (s placementStudy) Cells(p Params) []Cell {
 					Label: fmt.Sprintf("placement/%dgpu/%s/%.2f", gpus, schedName, ratio),
 					Run: func() []Row {
 						r := drivePlacement(p, gpus, schedName, ratio, reqs)
-						return []Row{{gpus, schedName, ratio, r.decodeThroughput(),
-							r.tbt.P50, r.tbt.P95, r.hitRate, r.utilisation()}}
+						tbt := r.TBT.Stats()
+						return []Row{{gpus, schedName, ratio, r.DecodeThroughput(),
+							tbt.P50, tbt.P95, r.hitRate, r.utilisation()}}
 					},
 				})
 			}

@@ -18,9 +18,9 @@ func TestPlacementDualExpertParallelBeatsSingleGPU(t *testing.T) {
 
 	single := drivePlacement(p, 1, "hybrimoe", 0.25, reqs)
 	dual := drivePlacement(p, 2, "expert-parallel", 0.25, reqs)
-	if dual.decodeThroughput() <= single.decodeThroughput() {
+	if dual.DecodeThroughput() <= single.DecodeThroughput() {
 		t.Fatalf("dual expert-parallel %.2f tok/s should beat single-GPU baseline %.2f tok/s",
-			dual.decodeThroughput(), single.decodeThroughput())
+			dual.DecodeThroughput(), single.DecodeThroughput())
 	}
 }
 
@@ -35,9 +35,9 @@ func TestPlacementSingleGPUPlannerTopologyInvariant(t *testing.T) {
 
 	single := drivePlacement(p, 1, "hybrimoe", 0.25, reqs)
 	dual := drivePlacement(p, 2, "hybrimoe", 0.25, reqs)
-	if single.clockEnd != dual.clockEnd || single.decodeTokens != dual.decodeTokens {
+	if single.Makespan != dual.Makespan || single.DecodeTokens != dual.DecodeTokens {
 		t.Fatalf("hybrimoe run changed with an idle extra GPU: %v/%d vs %v/%d",
-			single.clockEnd, single.decodeTokens, dual.clockEnd, dual.decodeTokens)
+			single.Makespan, single.DecodeTokens, dual.Makespan, dual.DecodeTokens)
 	}
 	if dual.gpuBusy[1] != 0 {
 		t.Fatalf("single-GPU planner used GPU1 for %v seconds", dual.gpuBusy[1])

@@ -56,17 +56,9 @@ func (s servingStudy) Cells(p Params) []Cell {
 			// phases.
 			ses := e.NewSession(engine.WithMaxConcurrent(2))
 			ses.Submit(reqs...)
-			var ttfts, tbts []float64
-			ses.Run(func(ev engine.StepEvent) {
-				switch ev.Phase {
-				case engine.PhasePrefill:
-					ttfts = append(ttfts, ev.Latency)
-				case engine.PhaseDecode:
-					tbts = append(tbts, ev.Latency)
-				}
-			})
-			ttft := report.Latencies(ttfts)
-			tbt := report.Latencies(tbts)
+			var t engine.Tally
+			ses.Run(t.Add)
+			ttft, tbt := t.TTFT.Stats(), t.TBT.Stats()
 			return []Row{{fw.Name, ttft.Mean, ttft.P50, ttft.P95, ttft.P99,
 				tbt.P50, tbt.P95, tbt.P99, e.Caches().HitRate()}}
 		}})
@@ -80,46 +72,19 @@ func (servingStudy) Render(_ Params, results [][]Row) Renderable {
 			"p50-TBT(s)", "p95-TBT(s)", "p99-TBT(s)", "hit-rate"}, results)
 }
 
-// classStats aggregates one SLO class's outcomes within a run.
-type classStats struct {
-	completed, violated, shed int
-}
-
-// policyRun aggregates one scheduler × admission serving run.
-type policyRun struct {
-	completed, onTime, violated, shed int
-	clockEnd                          float64
-	ttft, tbt                         report.LatencyStats
-	// completion records each completed request's finish clock.
-	completion map[int]float64
-	// byClass slices completions, violations and sheds per SLO class
-	// (keyed by workload.Request.Class, echoed on every StepEvent).
-	byClass map[string]*classStats
-}
-
-// class returns (allocating on demand) the accumulator for label c.
-func (r *policyRun) class(c string) *classStats {
-	s, ok := r.byClass[c]
-	if !ok {
-		s = &classStats{}
-		r.byClass[c] = s
-	}
-	return s
-}
-
-// classViolationRate reports violated/completed for class c.
-func (r *policyRun) classViolationRate(c string) float64 {
-	s := r.byClass[c]
-	if s == nil || s.completed == 0 {
+// classViolationRate reports violated/completed for SLO class c.
+func classViolationRate(t *engine.Tally, c string) float64 {
+	ct := t.ByClass[c]
+	if ct == nil || ct.Completed == 0 {
 		return 0
 	}
-	return float64(s.violated) / float64(s.completed)
+	return float64(ct.Violated) / float64(ct.Completed)
 }
 
 // drivePolicy serves reqs through a fresh HybriMoE engine under the
 // named request scheduler and optional admission policy.
 func drivePolicy(p Params, ratio float64, reqs []workload.Request,
-	schedName string, adm engine.AdmissionPolicy) policyRun {
+	schedName string, adm engine.AdmissionPolicy) *engine.Tally {
 	opts := []engine.Option{
 		engine.WithCacheRatio(ratio),
 		engine.WithSeed(p.Seed),
@@ -135,41 +100,9 @@ func drivePolicy(p Params, ratio float64, reqs []workload.Request,
 	s := e.NewSession(engine.WithMaxConcurrent(3))
 	s.Submit(reqs...)
 
-	r := policyRun{completion: make(map[int]float64), byClass: make(map[string]*classStats)}
-	var ttfts, tbts []float64
-	s.Run(func(ev engine.StepEvent) {
-		if ev.End > r.clockEnd {
-			r.clockEnd = ev.End
-		}
-		switch ev.Phase {
-		case engine.PhasePrefill:
-			ttfts = append(ttfts, ev.Latency)
-		case engine.PhaseDecode:
-			tbts = append(tbts, ev.Latency)
-		case engine.PhaseShed:
-			r.shed++
-			r.class(ev.Class).shed++
-			return
-		default:
-			return
-		}
-		if ev.Done {
-			r.completed++
-			r.class(ev.Class).completed++
-			r.completion[ev.Request] = ev.End
-			if ev.Deadline > 0 {
-				if ev.End <= ev.Deadline {
-					r.onTime++
-				} else {
-					r.violated++
-					r.class(ev.Class).violated++
-				}
-			}
-		}
-	})
-	r.ttft = report.Latencies(ttfts)
-	r.tbt = report.Latencies(tbts)
-	return r
+	var t engine.Tally
+	s.Run(t.Add)
+	return &t
 }
 
 // ServingPolicyStudy compares request schedulers and admission policies
@@ -234,12 +167,12 @@ func (s servingPolicyStudy) Cells(p Params) []Cell {
 		if i%2 == 1 {
 			slack = 1.15
 		}
-		reqs[i].Deadline = slack * base.completion[reqs[i].ID]
+		reqs[i].Deadline = slack * base.CompletedAt[reqs[i].ID]
 	}
 	adm := func() engine.AdmissionPolicy {
 		return &engine.SLOAdmission{
-			TTFTp95:    base.ttft.P50,
-			TBTp95:     base.tbt.P95,
+			TTFTp95:    base.TTFT.Stats().P50,
+			TBTp95:     base.TBT.Stats().P95,
 			MinSamples: 4,
 			ShedFactor: 1.2,
 		}
@@ -256,29 +189,23 @@ func (s servingPolicyStudy) Cells(p Params) []Cell {
 					admName = policy.Name()
 				}
 				r := drivePolicy(p, s.ratio, reqs, schedName, policy)
-				goodput, violRate := 0.0, 0.0
-				if r.clockEnd > 0 {
-					goodput = float64(r.onTime) / r.clockEnd
-				}
-				if r.completed > 0 {
-					violRate = float64(r.violated) / float64(r.completed)
+				violRate := 0.0
+				if r.Completed > 0 {
+					violRate = float64(r.Violated) / float64(r.Completed)
 				}
 				shedRate := func(c string) float64 {
-					if offered[c] == 0 {
+					cs := r.ByClass[c]
+					if cs == nil || offered[c] == 0 {
 						return 0
 					}
-					cs := r.byClass[c]
-					if cs == nil {
-						return 0
-					}
-					return float64(cs.shed) / float64(offered[c])
+					return float64(cs.Shed) / float64(offered[c])
 				}
-				return []Row{{schedName, admName, r.completed, r.shed,
-					goodput, violRate, float64(r.shed) / float64(len(reqs)),
+				return []Row{{schedName, admName, r.Completed, r.Shed,
+					r.Goodput(), violRate, r.ShedFraction(len(reqs)),
 					fmt.Sprintf("%.2f/%.2f",
-						r.classViolationRate("interactive"), r.classViolationRate("batch")),
+						classViolationRate(r, "interactive"), classViolationRate(r, "batch")),
 					fmt.Sprintf("%.2f/%.2f", shedRate("interactive"), shedRate("batch")),
-					r.ttft.P95, r.tbt.P95}}
+					r.TTFT.Stats().P95, r.TBT.Stats().P95}}
 			}})
 		}
 	}

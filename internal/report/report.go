@@ -7,8 +7,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-
-	"hybrimoe/internal/stats"
 )
 
 // LatencyStats summarises a latency sample with the percentiles serving
@@ -18,56 +16,39 @@ type LatencyStats struct {
 	Mean, P50, P95, P99 float64
 }
 
-// Latencies computes LatencyStats over xs. An empty sample yields the
-// zero value (all-zero percentiles) rather than panicking, so drained
-// event streams with no observations render as empty rows.
-func Latencies(xs []float64) LatencyStats {
-	if len(xs) == 0 {
-		return LatencyStats{}
-	}
-	var s stats.Sample
-	s.AddN(xs)
-	return LatencyStats{
-		N:    s.N(),
-		Mean: s.Mean(),
-		P50:  s.Quantile(0.50),
-		P95:  s.Quantile(0.95),
-		P99:  s.Quantile(0.99),
-	}
-}
-
 // String renders the summary on one line.
 func (l LatencyStats) String() string {
 	return fmt.Sprintf("n=%d mean=%.4gs p50=%.4gs p95=%.4gs p99=%.4gs",
 		l.N, l.Mean, l.P50, l.P95, l.P99)
 }
 
-// Live accumulates latency observations for repeated in-flight quantile
-// queries: the sample is kept sorted by binary-search insertion and the
-// sum runs alongside, so each Stats call reads percentiles directly
-// instead of re-sorting the whole history — the accumulator admission
-// controllers poll once per serving step. Live and Latencies agree
-// exactly on the same observations (same interpolation).
+// Live accumulates latency observations and summarises them on demand.
+// Add appends and keeps the running sum (in insertion order, so the mean
+// is the plain left-to-right average); Stats orders whatever arrived
+// since the last query. A sample read once at the end of a run costs one
+// sort, and one polled between every few adds — what admission
+// controllers do once per serving step — costs one binary insertion per
+// new observation. The zero value is an empty, usable sample.
 type Live struct {
-	xs  []float64 // sorted ascending
-	sum float64
+	xs     []float64 // xs[:sorted] is ascending
+	sorted int
+	sum    float64
 }
 
 // Add folds in one observation.
 func (l *Live) Add(x float64) {
-	i := sort.SearchFloat64s(l.xs, x)
-	l.xs = append(l.xs, 0)
-	copy(l.xs[i+1:], l.xs[i:])
-	l.xs[i] = x
+	l.xs = append(l.xs, x)
 	l.sum += x
 }
 
-// Stats summarises the observations so far; the zero value (no
-// observations) yields the zero LatencyStats, as Latencies does.
+// Stats summarises the observations so far; an empty sample yields the
+// zero LatencyStats rather than NaN percentiles, so drained event
+// streams with no observations render as zero rows.
 func (l *Live) Stats() LatencyStats {
 	if len(l.xs) == 0 {
 		return LatencyStats{}
 	}
+	l.order()
 	return LatencyStats{
 		N:    len(l.xs),
 		Mean: l.sum / float64(len(l.xs)),
@@ -77,8 +58,26 @@ func (l *Live) Stats() LatencyStats {
 	}
 }
 
+// order sorts the observations added since the last query into the
+// sorted prefix: a full sort when most of the sample is new, binary
+// insertion otherwise.
+func (l *Live) order() {
+	if 2*l.sorted < len(l.xs) {
+		sort.Float64s(l.xs)
+	} else {
+		for i := l.sorted; i < len(l.xs); i++ {
+			x := l.xs[i]
+			j := sort.SearchFloat64s(l.xs[:i], x)
+			copy(l.xs[j+1:i+1], l.xs[j:i])
+			l.xs[j] = x
+		}
+	}
+	l.sorted = len(l.xs)
+}
+
 // quantileSorted interpolates the q-th quantile of a sorted non-empty
-// sample, mirroring stats.Sample.Quantile so Live and Latencies agree.
+// sample linearly between order statistics, as stats.Sample.Quantile
+// does.
 func quantileSorted(xs []float64, q float64) float64 {
 	if len(xs) == 1 {
 		return xs[0]

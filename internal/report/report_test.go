@@ -3,6 +3,8 @@ package report
 import (
 	"strings"
 	"testing"
+
+	"hybrimoe/internal/stats"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -142,7 +144,11 @@ func TestLatencies(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i + 1) // 1..100
 	}
-	l := Latencies(xs)
+	var live Live
+	for _, x := range xs {
+		live.Add(x)
+	}
+	l := live.Stats()
 	if l.N != 100 {
 		t.Fatalf("N = %d", l.N)
 	}
@@ -164,37 +170,54 @@ func TestLatencies(t *testing.T) {
 }
 
 func TestLatenciesEmpty(t *testing.T) {
-	l := Latencies(nil)
-	if l != (LatencyStats{}) {
+	var live Live
+	if l := live.Stats(); l != (LatencyStats{}) {
 		t.Fatalf("empty sample should yield zero stats, got %+v", l)
 	}
 }
 
-// TestLiveMatchesLatencies pins the incremental accumulator's contract:
-// after any insertion order, Live.Stats equals Latencies over the same
-// observations (same interpolation), and the zero value matches the
-// empty-sample zero LatencyStats.
-func TestLiveMatchesLatencies(t *testing.T) {
-	var live Live
-	if live.Stats() != (LatencyStats{}) {
-		t.Fatalf("zero-value Live = %+v, want zero stats", live.Stats())
+// latencies is the reference summary Live is checked against: a batch
+// stats.Sample over the same observations.
+func latencies(xs []float64) LatencyStats {
+	if len(xs) == 0 {
+		return LatencyStats{}
 	}
-	// Deterministic scrambled insertion order with duplicates.
-	var xs []float64
-	for i := 0; i < 57; i++ {
-		x := float64((i*37)%19) / 7
-		live.Add(x)
-		xs = append(xs, x)
-		want := Latencies(xs)
-		got := live.Stats()
-		// Percentiles read identical sorted values and must match
-		// exactly; the running mean may differ from the batch mean by
-		// summation order, within float tolerance.
-		if got.N != want.N || got.P50 != want.P50 || got.P95 != want.P95 || got.P99 != want.P99 {
-			t.Fatalf("after %d adds: Live %+v != Latencies %+v", i+1, got, want)
-		}
-		if diff := got.Mean - want.Mean; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("after %d adds: mean %v != %v", i+1, got.Mean, want.Mean)
+	var s stats.Sample
+	s.AddN(xs)
+	return LatencyStats{
+		N:    s.N(),
+		Mean: s.Mean(),
+		P50:  s.Quantile(0.50),
+		P95:  s.Quantile(0.95),
+		P99:  s.Quantile(0.99),
+	}
+}
+
+// TestLiveMatchesLatencies pins the accumulator's contract: however
+// often it is queried between adds, Live.Stats equals the batch summary
+// of the same observations exactly (same interpolation, same summation
+// order), and the zero value matches the empty-sample zero LatencyStats.
+func TestLiveMatchesLatencies(t *testing.T) {
+	var zero Live
+	if zero.Stats() != (LatencyStats{}) {
+		t.Fatalf("zero-value Live = %+v, want zero stats", zero.Stats())
+	}
+	// Query every add, every few adds, and only at the end: both the
+	// insertion path and the full-sort path must agree with the batch.
+	for _, every := range []int{1, 3, 10, 1000} {
+		var live Live
+		var xs []float64
+		for i := 0; i < 57; i++ {
+			// Deterministic scrambled insertion order with duplicates.
+			x := float64((i*37)%19) / 7
+			live.Add(x)
+			xs = append(xs, x)
+			if (i+1)%every != 0 && i != 56 {
+				continue
+			}
+			if got, want := live.Stats(), latencies(xs); got != want {
+				t.Fatalf("querying every %d, after %d adds: Live %+v != batch %+v", every, i+1, got, want)
+			}
 		}
 	}
 }
@@ -202,7 +225,7 @@ func TestLiveMatchesLatencies(t *testing.T) {
 // TestLiveDuplicateHeavySamples stresses the binary-search insertion at
 // equal keys: a feed dominated by a handful of repeated values — the
 // shape a steady server's latency stream actually has — must keep Live
-// and Latencies in exact agreement however the duplicates interleave,
+// and the batch summary in exact agreement however the duplicates interleave,
 // including all-identical samples where every percentile collapses to
 // the one value.
 func TestLiveDuplicateHeavySamples(t *testing.T) {
@@ -216,9 +239,9 @@ func TestLiveDuplicateHeavySamples(t *testing.T) {
 		x := vals[(i*7)%len(vals)]
 		live.Add(x)
 		xs = append(xs, x)
-		got, want := live.Stats(), Latencies(xs)
-		if got.N != want.N || got.P50 != want.P50 || got.P95 != want.P95 || got.P99 != want.P99 {
-			t.Fatalf("after %d duplicate-heavy adds: Live %+v != Latencies %+v", i+1, got, want)
+		got, want := live.Stats(), latencies(xs)
+		if got != want {
+			t.Fatalf("after %d duplicate-heavy adds: Live %+v != batch %+v", i+1, got, want)
 		}
 	}
 
