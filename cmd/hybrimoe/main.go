@@ -5,7 +5,7 @@
 //	hybrimoe list                 # show available experiments
 //	hybrimoe run <id> [flags]     # run one experiment (fig3a..fig9, table3, ...)
 //	hybrimoe all [flags]          # run every experiment
-//	hybrimoe demo [flags]         # one decode run with a Gantt timeline
+//	hybrimoe demo [flags]         # one decode run with a Gantt timeline (-cache 0 = no expert cache)
 //	hybrimoe serve [flags]        # stream a mixed request workload through a Session
 //
 // Flags:
@@ -43,7 +43,6 @@ import (
 	"strings"
 
 	"hybrimoe/internal/cluster"
-	"hybrimoe/internal/core"
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/exp"
 	"hybrimoe/internal/hw"
@@ -121,22 +120,21 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		sys, err := core.NewSystem(core.Config{
-			Model:       cfg,
-			CacheRatio:  *ratio,
-			Seed:        *seed,
-			RecordTrace: true,
-		})
+		if *steps < 1 {
+			return fmt.Errorf("-steps %d must be at least 1", *steps)
+		}
+		e, err := engine.New(cfg, hw.A6000Platform(), engine.HybriMoEFramework(),
+			engine.WithCacheRatio(*ratio), engine.WithSeed(*seed), engine.WithTraceRecording())
 		if err != nil {
 			return err
 		}
-		res := sys.Decode(*steps)
+		res := e.RunDecode(*steps)
 		fmt.Fprintf(w, "%s decode, %d steps, %.0f%% cache: mean TBT %.4fs, hit rate %.1f%%\n",
 			cfg.Name, *steps, *ratio*100, res.Mean(), 100*res.Stats.CacheHitRate)
 		fmt.Fprintf(w, "ops: %d CPU, %d GPU, %d demand transfers, %d prefetches\n",
 			res.Stats.CPUOps, res.Stats.GPUOps, res.Stats.DemandTransfers, res.Stats.PrefetchTransfers)
 		fmt.Fprintln(w, "\nExecution timeline (whole run):")
-		fmt.Fprint(w, sys.Gantt(100))
+		fmt.Fprint(w, e.Gantt(100))
 		return nil
 
 	case "serve":

@@ -56,6 +56,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"bogus",
 		"run",
 		"run fig99",
+		"demo -steps 0",
 		"serve -model Bogus",
 		"serve -cache 1.5",
 		"serve -requests 0",

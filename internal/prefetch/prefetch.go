@@ -276,14 +276,6 @@ func Names() []string {
 	return out
 }
 
-// ByName is a compatibility shim for the pre-registry API.
-//
-// Deprecated: use New.
-func ByName(name string) (Prefetcher, bool) {
-	p, err := New(name)
-	return p, err == nil
-}
-
 func init() {
 	Register("none", func() Prefetcher { return NewNone() })
 	Register("next-layer-topk", func() Prefetcher { return NewNextLayerTopK() })

@@ -164,18 +164,6 @@ func TestImpactDrivenBudgetRespected(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"none", "next-layer-topk", "impact-driven"} {
-		p, ok := ByName(name)
-		if !ok || p.Name() != name {
-			t.Errorf("ByName(%q) = %v, %v", name, p, ok)
-		}
-	}
-	if _, ok := ByName("psychic"); ok {
-		t.Error("unknown prefetcher should not resolve")
-	}
-}
-
 // Multi-GPU: each pick spends its target device's link budget, priced
 // by that device's own link model, so one saturated link does not stop
 // prefetch onto the other.

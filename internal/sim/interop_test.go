@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// drain pops q to exhaustion, advancing *now to each item's stamp
+// before running it — the event loop a callback queue drives.
+func drain(q *Queue[func()], now *float64) {
+	for {
+		at, fn, ok := q.PopMin()
+		if !ok {
+			return
+		}
+		*now = at
+		fn()
+	}
+}
+
 // TestTwoSessionsInterleaveDeterministically drives two independent
 // serving sessions — each a self-rescheduling worker with its own
 // resource timeline — on one shared event clock, and pins the invariant
@@ -18,7 +31,8 @@ func TestTwoSessionsInterleaveDeterministically(t *testing.T) {
 		At     float64
 	}
 	run := func() []fired {
-		eng := NewEngine()
+		var q Queue[func()]
+		var now float64
 		var order []fired
 		tls := []*Timeline{NewTimeline("s0"), NewTimeline("s1")}
 		// Deterministic unequal step costs: the two sessions drift apart
@@ -26,16 +40,16 @@ func TestTwoSessionsInterleaveDeterministically(t *testing.T) {
 		durs := []float64{0.3, 0.45}
 		var step func(w, n int)
 		step = func(w, n int) {
-			order = append(order, fired{w, eng.Now()})
+			order = append(order, fired{w, now})
 			if n == 0 {
 				return
 			}
-			_, end := tls[w].Reserve(eng.Now(), durs[w], fmt.Sprintf("s%d-step", w))
-			eng.Schedule(end, func() { step(w, n-1) })
+			_, end := tls[w].Reserve(now, durs[w], fmt.Sprintf("s%d-step", w))
+			q.Push(end, func() { step(w, n-1) })
 		}
-		eng.Schedule(0, func() { step(0, 6) })
-		eng.Schedule(0, func() { step(1, 4) })
-		eng.Run()
+		q.Push(0, func() { step(0, 6) })
+		q.Push(0, func() { step(1, 4) })
+		drain(&q, &now)
 		return order
 	}
 
@@ -78,24 +92,25 @@ func TestLockstepAdvanceMatchesEventQueue(t *testing.T) {
 	durs := []float64{0.3, 0.7} // first shared multiple (2.1) is past both horizons
 	steps := []int{7, 3}
 
-	// Shared-queue reference: one engine, two self-rescheduling workers.
+	// Shared-queue reference: one queue, two self-rescheduling workers.
 	type fired struct {
 		Worker int
 		At     float64
 	}
 	var want []fired
 	{
-		eng := NewEngine()
+		var q Queue[func()]
+		var now float64
 		var step func(w, n int)
 		step = func(w, n int) {
-			want = append(want, fired{w, eng.Now()})
+			want = append(want, fired{w, now})
 			if n > 1 {
-				eng.ScheduleAfter(durs[w], func() { step(w, n-1) })
+				q.Push(now+durs[w], func() { step(w, n-1) })
 			}
 		}
-		eng.Schedule(0, func() { step(0, steps[0]) })
-		eng.Schedule(0, func() { step(1, steps[1]) })
-		eng.Run()
+		q.Push(0, func() { step(0, steps[0]) })
+		q.Push(0, func() { step(1, steps[1]) })
+		drain(&q, &now)
 	}
 
 	// Lockstep loop: each session is an isolated clock; the driver picks
