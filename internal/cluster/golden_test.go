@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hybrimoe/internal/engine"
 )
 
 // TestGoldenFleetChurnStream is the fleet entry in the golden-scenario
@@ -34,7 +36,8 @@ func TestGoldenFleetChurnStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Submit(burstRequests(seed, 20, 12)...)
+	const offered = 20
+	c.Submit(burstRequests(seed, offered, 12)...)
 	var events []Event
 	c.Run(func(ev Event) { events = append(events, ev) })
 	if len(events) == 0 {
@@ -48,6 +51,18 @@ func TestGoldenFleetChurnStream(t *testing.T) {
 	}
 	if lifecycle == 0 {
 		t.Fatal("churn scenario emitted no lifecycle events; the golden would pin nothing new")
+	}
+	// Conservation: every offered request completes, is shed, or dies
+	// in flight with its replica — the churn never strands one.
+	var tally engine.Tally
+	for _, ev := range events {
+		if ev.Kind == EventStep {
+			tally.Add(ev.StepEvent)
+		}
+	}
+	if got := tally.Completed + tally.Shed + c.Lost(); got != offered {
+		t.Fatalf("completed %d + shed %d + lost %d = %d, want the %d offered",
+			tally.Completed, tally.Shed, c.Lost(), got, offered)
 	}
 
 	var buf bytes.Buffer

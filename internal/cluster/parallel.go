@@ -113,8 +113,8 @@ func (c *Cluster) runReplica(i int, h float64) {
 
 // mergeWindow interleaves the candidates' batched runs into c.run in
 // (pre-step clock, replica index) order — the serial pick order —
-// folding each step into the fleet-aggregate latency accumulators as it
-// lands, renewing leases when a replica's run exhausts, and retiring
+// folding each step into the fleet tally as it lands, renewing leases
+// when a replica's run exhausts, and retiring
 // draining replicas that emptied (their ReplicaDead record lands
 // immediately after their final step, where the serial queue pop would
 // emit it). The candidate list is ascending, so a strict < scan picks

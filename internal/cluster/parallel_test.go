@@ -22,7 +22,7 @@ type parallelScenario struct {
 
 // parallelScenarios spans the coupling surfaces a parallel window must
 // not perturb: plain routing, stateful affinity routing, fleet
-// admission (shed/defer + the observe-fed quantiles), failure churn
+// admission (shed/defer + the tally-fed quantiles), failure churn
 // with re-routes, elastic scale-down draining, merged batches whose
 // trailing events outlive Pending, and a disaggregated fleet (which must
 // silently fall back to the serial path).

@@ -304,3 +304,42 @@ func TestGoldenDisaggHandoffStream(t *testing.T) {
 		t.Fatalf("event stream drifted from %s:\n%s", path, diff)
 	}
 }
+
+// TestPooledAdmissionCountsEachFirstTokenOnce runs a disaggregated fleet
+// with fleet-door admission installed: the fleet's Tally must count one
+// TTFT per prefill (on the prefill pool) and none for the adopted
+// decodes that continue those requests on the decode pool.
+func TestPooledAdmissionCountsEachFirstTokenOnce(t *testing.T) {
+	const seed = 840
+	c, err := New(
+		WithReplicas(3),
+		WithRouter("affinity"),
+		WithSeed(seed),
+		WithBuilder(buildReplica(t, seed)),
+		WithMaxConcurrent(2),
+		WithPools(PoolSpec{Prefill: 1, Decode: 2}),
+		// Zero targets admit everything; the policy only installs the tally.
+		WithAdmission(engine.NewSLOAdmission(0, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Submit(burstRequests(seed, 10, 12)...)
+	prefills, adopted := 0, 0
+	c.Run(func(ev Event) {
+		if ev.Kind != EventStep {
+			return
+		}
+		if ev.Phase == engine.PhasePrefill {
+			prefills++
+		}
+		if ev.Adopted {
+			adopted++
+		}
+	})
+	if c.Handoffs() == 0 || adopted == 0 {
+		t.Fatalf("%d handoffs, %d adopted decodes; the scenario must migrate work", c.Handoffs(), adopted)
+	}
+	if n := c.tally.TTFT.Stats().N; n != prefills {
+		t.Fatalf("fleet tally holds %d TTFT observations for %d prefills", n, prefills)
+	}
+}

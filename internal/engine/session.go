@@ -237,8 +237,10 @@ type Session struct {
 	arrived []*sessionRequest
 	// future counts arrival events still scheduled on the timeline.
 	future int
-	// tally folds every emitted event; admission snapshots read its
-	// TTFT and TBT samples. Nil (and never fed) without a policy.
+	// tally folds every event as Step returns it; admission snapshots
+	// read its TTFT and TBT samples. An admission pass runs only once
+	// every event produced so far has been emitted, so it sees each
+	// completed iteration. Nil (and never fed) without a policy.
 	tally    *Tally
 	shed     int
 	deferred int
