@@ -86,8 +86,11 @@ func (s openLoopStudy) Cells(p Params) []Cell {
 	// arrival rate rather than the workload content.
 	base := driveOpenLoop(p, s.ratio, mkReqs(0), "round-robin", "none", nil)
 	capacity := float64(base.Completed) / base.Makespan
+	// Read the calibration here, serially: Live.Stats sorts in place, and
+	// the cells run on concurrent workers.
+	target := 1.25 * base.Prefill.Stats().P95
 	adm := func() engine.AdmissionPolicy {
-		return &engine.SLOAdmission{TTFTp95: 1.25 * base.Prefill.Stats().P95, MinSamples: 2, ShedFactor: 1.5}
+		return &engine.SLOAdmission{TTFTp95: target, MinSamples: 2, ShedFactor: 1.5}
 	}
 
 	var cells []Cell

@@ -169,10 +169,13 @@ func (s servingPolicyStudy) Cells(p Params) []Cell {
 		}
 		reqs[i].Deadline = slack * base.CompletedAt[reqs[i].ID]
 	}
+	// Read the calibration here, serially: Live.Stats sorts in place, and
+	// the cells run on concurrent workers.
+	ttftTarget, tbtTarget := base.TTFT.Stats().P50, base.TBT.Stats().P95
 	adm := func() engine.AdmissionPolicy {
 		return &engine.SLOAdmission{
-			TTFTp95:    base.TTFT.Stats().P50,
-			TBTp95:     base.TBT.Stats().P95,
+			TTFTp95:    ttftTarget,
+			TBTp95:     tbtTarget,
 			MinSamples: 4,
 			ShedFactor: 1.2,
 		}

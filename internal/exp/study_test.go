@@ -26,6 +26,7 @@ func TestStudyWorkerCountInvariance(t *testing.T) {
 	}
 	studies := []Study{
 		openLoopStudy{requests: 4, ratio: 0.25},
+		servingPolicyStudy{requests: 4, ratio: 0.25},
 		fleetStudy{requests: 5, replicaCounts: []int{2}, ratio: 0.25},
 	}
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}

@@ -29,6 +29,10 @@ func (l LatencyStats) String() string {
 // sort, and one polled between every few adds — what admission
 // controllers do once per serving step — costs one binary insertion per
 // new observation. The zero value is an empty, usable sample.
+//
+// Stats reorders the sample in place, so it mutates the receiver: a Live
+// is not safe for concurrent use, reads included. Summarise it once
+// before sharing the numbers across goroutines.
 type Live struct {
 	xs     []float64 // xs[:sorted] is ascending
 	sorted int
@@ -43,7 +47,8 @@ func (l *Live) Add(x float64) {
 
 // Stats summarises the observations so far; an empty sample yields the
 // zero LatencyStats rather than NaN percentiles, so drained event
-// streams with no observations render as zero rows.
+// streams with no observations render as zero rows. It sorts the sample
+// in place; see Live for what that means for concurrent readers.
 func (l *Live) Stats() LatencyStats {
 	if len(l.xs) == 0 {
 		return LatencyStats{}
