@@ -218,6 +218,9 @@ func BenchmarkSchedulerPlanDecode(b *testing.B) {
 			Flops: cfg.ExpertFlops(1), Bytes: cfg.ExpertBytes(), Cached: e%2 == 0,
 		})
 	}
+	// One warm-up call grows the scheduler's plan and scratch, so even a
+	// single timed iteration reports the steady state.
+	s.Plan(tasks, p, sched.Resources{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Plan(tasks, p, sched.Resources{})
@@ -239,6 +242,7 @@ func BenchmarkSchedulerPlanPrefill(b *testing.B) {
 			Flops: cfg.ExpertFlops(load), Bytes: cfg.ExpertBytes(), Cached: rng.Float64() < 0.25,
 		})
 	}
+	s.Plan(tasks, p, sched.Resources{}) // warm-up, as in BenchmarkSchedulerPlanDecode
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Plan(tasks, p, sched.Resources{})
@@ -315,6 +319,9 @@ func BenchmarkEngineDecodeStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Warm-up: the first step grows the schedulers' plans and the pooled
+	// scratch, which a single timed iteration would otherwise count.
+	e.RunDecode(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.RunDecode(1)

@@ -290,3 +290,23 @@ func TestDeterministicRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeStepAllocations pins the decode step's allocation budget:
+// once the schedulers' plans and the pooled scratch have grown, a
+// DeepSeek HybriMoE decode step (a fresh one-request Session, as
+// RunDecode builds it) stays within 50 allocations. Planning itself
+// allocates nothing; the rest is the Session and its event.
+func TestDecodeStepAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	e, err := New(moe.DeepSeek(), hw.A6000Platform(), HybriMoEFramework(),
+		WithCacheRatio(0.25), WithSeed(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RunDecode(1)
+	if a := testing.AllocsPerRun(20, func() { e.RunDecode(1) }); a > 50 {
+		t.Errorf("decode step allocated %.0f times, want at most 50", a)
+	}
+}

@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"hybrimoe/internal/hw"
 )
@@ -12,7 +12,7 @@ import (
 // CPU. CPU and GPU proceed in parallel but there is no load balancing,
 // no work stealing, and no on-demand transfer — exactly the imbalance of
 // Figure 1(b).
-type KTransStatic struct{}
+type KTransStatic struct{ plan Plan }
 
 // NewKTransStatic returns the kTransformers-style baseline.
 func NewKTransStatic() *KTransStatic { return &KTransStatic{} }
@@ -23,50 +23,57 @@ func (s *KTransStatic) Name() string { return "KTransformers" }
 // Plan implements Scheduler.
 func (s *KTransStatic) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	res.validate()
-	plan := &Plan{}
-	var cpuTasks, gpuTasks []Task
-	for _, t := range tasks {
-		if t.Cached {
-			gpuTasks = append(gpuTasks, t)
-		} else {
-			cpuTasks = append(cpuTasks, t)
-		}
-	}
-	// Descending load on the GPU (hot experts first), ascending on the
-	// CPU; order only affects intra-layer progress, not the makespan.
-	sort.SliceStable(gpuTasks, func(i, j int) bool { return gpuTasks[i].Load > gpuTasks[j].Load })
-	sort.SliceStable(cpuTasks, func(i, j int) bool { return cpuTasks[i].Load < cpuTasks[j].Load })
+	b := borrowBuffers()
+	defer planPool.Put(b)
+	s.plan.reset()
+	// Order only affects intra-layer progress, not the makespan.
+	cpu, gpu := b.mapStatic(tasks)
+	runGPU(&s.plan, gpu, p, res.GPUFree)
+	runCPU(&s.plan, cpu, p, res.CPUFree)
+	return &s.plan
+}
 
-	gpuBusy := res.GPUFree
-	for _, t := range gpuTasks {
-		end := gpuBusy + p.GPUs[0].ExpertTime(t.Flops, t.Bytes)
-		plan.Ops = append(plan.Ops, Op{Expert: t.ID, Kind: OpComputeGPU, Load: t.Load, Start: gpuBusy, End: end})
-		gpuBusy = end
+// mapStatic is kTransformers' fixed mapping on the borrowed buffers:
+// uncached tasks for the CPU, lowest load first, and cached ones for
+// GPU0, highest load first.
+func (b *planBuffers) mapStatic(tasks []Task) (cpu, gpu []Task) {
+	cpu, gpu = b.split(tasks)
+	slices.SortStableFunc(cpu, loadAscending)
+	slices.SortStableFunc(gpu, loadDescending)
+	return cpu, gpu
+}
+
+// runCPU computes tasks back to back on the CPU from at, the first one
+// paying the warm-up, and returns when the CPU is free again. A nil plan
+// only simulates.
+func runCPU(plan *Plan, tasks []Task, p *hw.Platform, at float64) float64 {
+	for i, t := range tasks {
+		end := at + p.CPU.ExpertTime(t.Flops, t.Bytes, i == 0)
+		if plan != nil {
+			plan.add(Op{Expert: t.ID, Kind: OpComputeCPU, Load: t.Load, Start: at, End: end})
+		}
+		at = end
 	}
-	cpuBusy := res.CPUFree
-	for i, t := range cpuTasks {
-		end := cpuBusy + p.CPU.ExpertTime(t.Flops, t.Bytes, i == 0)
-		plan.Ops = append(plan.Ops, Op{Expert: t.ID, Kind: OpComputeCPU, Load: t.Load, Start: cpuBusy, End: end})
-		cpuBusy = end
+	return at
+}
+
+// runGPU is runCPU on GPU0.
+func runGPU(plan *Plan, tasks []Task, p *hw.Platform, at float64) float64 {
+	for _, t := range tasks {
+		end := at + p.GPUs[0].ExpertTime(t.Flops, t.Bytes)
+		if plan != nil {
+			plan.add(Op{Expert: t.ID, Kind: OpComputeGPU, Load: t.Load, Start: at, End: end})
+		}
+		at = end
 	}
-	plan.Makespan = maxFloat(gpuBusy, cpuBusy)
-	if len(gpuTasks) == 0 {
-		plan.Makespan = cpuBusy
-	}
-	if len(cpuTasks) == 0 {
-		plan.Makespan = gpuBusy
-	}
-	if len(tasks) == 0 {
-		plan.Makespan = 0
-	}
-	return plan
+	return at
 }
 
 // GPUCentric reproduces the AdapMoE-style strategy: every expert runs on
 // the GPU; cache misses stall on on-demand PCIe loads (mitigated by
 // whatever prefetching and caching the engine layers on top). The CPU
 // does no expert computation.
-type GPUCentric struct{}
+type GPUCentric struct{ plan Plan }
 
 // NewGPUCentric returns the AdapMoE-style baseline.
 func NewGPUCentric() *GPUCentric { return &GPUCentric{} }
@@ -77,51 +84,32 @@ func (s *GPUCentric) Name() string { return "AdapMoE" }
 // Plan implements Scheduler.
 func (s *GPUCentric) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	res.validate()
-	plan := &Plan{}
-	var cached, missed []Task
-	for _, t := range tasks {
-		if t.Cached {
-			cached = append(cached, t)
-		} else {
-			missed = append(missed, t)
-		}
-	}
-	sort.SliceStable(cached, func(i, j int) bool { return cached[i].Load > cached[j].Load })
+	b := borrowBuffers()
+	defer planPool.Put(b)
+	s.plan.reset()
+	missed, cached := b.split(tasks)
 	// Highest-load misses transfer first so the GPU's biggest work
 	// arrives earliest.
-	sort.SliceStable(missed, func(i, j int) bool { return missed[i].Load > missed[j].Load })
-
+	slices.SortStableFunc(missed, loadDescending)
 	linkBusy := res.LinkFree
-	type ready struct {
-		task Task
-		at   float64
-	}
-	var pend []ready
 	for _, t := range missed {
 		end := linkBusy + p.Links[0].TransferTime(t.Bytes)
-		plan.Ops = append(plan.Ops, Op{Expert: t.ID, Kind: OpTransfer, Load: t.Load, Start: linkBusy, End: end})
-		plan.Transferred = append(plan.Transferred, t.ID)
+		s.plan.add(Op{Expert: t.ID, Kind: OpTransfer, Load: t.Load, Start: linkBusy, End: end})
+		s.plan.Transferred = append(s.plan.Transferred, t.ID)
 		linkBusy = end
-		pend = append(pend, ready{task: t, at: end})
 	}
-	// Cached experts are ready immediately.
-	for _, t := range cached {
-		pend = append([]ready{{task: t}}, pend...)
+	// The GPU runs in ready order: the cached experts, which are ready
+	// at once, lowest load first with ties in reverse task order, then
+	// each miss as its transfer lands.
+	slices.SortStableFunc(cached, loadDescending)
+	slices.Reverse(cached)
+	gpuBusy := runGPU(&s.plan, cached, p, res.GPUFree)
+	for i, t := range missed {
+		start := maxFloat(gpuBusy, s.plan.Ops[i].End)
+		gpuBusy = start + p.GPUs[0].ExpertTime(t.Flops, t.Bytes)
+		s.plan.add(Op{Expert: t.ID, Kind: OpComputeGPU, Load: t.Load, Start: start, End: gpuBusy})
 	}
-	// GPU executes in ready order (stable: cached first, then arrival).
-	sort.SliceStable(pend, func(i, j int) bool { return pend[i].at < pend[j].at })
-	gpuBusy := res.GPUFree
-	for _, r := range pend {
-		start := maxFloat(gpuBusy, r.at)
-		end := start + p.GPUs[0].ExpertTime(r.task.Flops, r.task.Bytes)
-		plan.Ops = append(plan.Ops, Op{Expert: r.task.ID, Kind: OpComputeGPU, Load: r.task.Load, Start: start, End: end})
-		gpuBusy = end
-	}
-	plan.Makespan = gpuBusy
-	if len(tasks) == 0 {
-		plan.Makespan = 0
-	}
-	return plan
+	return &s.plan
 }
 
 // StaticSplit reproduces llama.cpp's strategy: whole layers are mapped
@@ -132,6 +120,8 @@ func (s *GPUCentric) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 type StaticSplit struct {
 	// GPULayer reports whether a layer lives on the GPU.
 	GPULayer func(layer int) bool
+
+	plan Plan
 }
 
 // NewStaticSplit returns the llama.cpp-style baseline with the given
@@ -146,33 +136,21 @@ func (s *StaticSplit) Name() string { return "llama.cpp" }
 // Plan implements Scheduler.
 func (s *StaticSplit) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	res.validate()
-	plan := &Plan{}
+	s.plan.reset()
 	if len(tasks) == 0 {
-		return plan
+		return &s.plan
 	}
-	layer := tasks[0].ID.Layer
-	onGPU := s.GPULayer != nil && s.GPULayer(layer)
-	ordered := make([]Task, len(tasks))
-	copy(ordered, tasks)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Load > ordered[j].Load })
-	if onGPU {
-		gpuBusy := res.GPUFree
-		for _, t := range ordered {
-			end := gpuBusy + p.GPUs[0].ExpertTime(t.Flops, t.Bytes)
-			plan.Ops = append(plan.Ops, Op{Expert: t.ID, Kind: OpComputeGPU, Load: t.Load, Start: gpuBusy, End: end})
-			gpuBusy = end
-		}
-		plan.Makespan = gpuBusy
-		return plan
+	b := borrowBuffers()
+	defer planPool.Put(b)
+	ordered := append(b.ordered[:0], tasks...)
+	b.ordered = ordered
+	slices.SortStableFunc(ordered, loadDescending)
+	if s.GPULayer != nil && s.GPULayer(tasks[0].ID.Layer) {
+		runGPU(&s.plan, ordered, p, res.GPUFree)
+	} else {
+		runCPU(&s.plan, ordered, p, res.CPUFree)
 	}
-	cpuBusy := res.CPUFree
-	for i, t := range ordered {
-		end := cpuBusy + p.CPU.ExpertTime(t.Flops, t.Bytes, i == 0)
-		plan.Ops = append(plan.Ops, Op{Expert: t.ID, Kind: OpComputeCPU, Load: t.Load, Start: cpuBusy, End: end})
-		cpuBusy = end
-	}
-	plan.Makespan = cpuBusy
-	return plan
+	return &s.plan
 }
 
 func maxFloat(a, b float64) float64 {

@@ -2,7 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hybrimoe/internal/hw"
 )
@@ -64,9 +64,9 @@ func buildAssignment(tasks []Task, p *hw.Platform, res Resources, onCPU func(int
 			gpuMissed = append(gpuMissed, t)
 		}
 	}
-	sort.SliceStable(cpuTasks, func(i, j int) bool { return cpuTasks[i].Load < cpuTasks[j].Load })
-	sort.SliceStable(gpuCached, func(i, j int) bool { return gpuCached[i].Load > gpuCached[j].Load })
-	sort.SliceStable(gpuMissed, func(i, j int) bool { return gpuMissed[i].Load > gpuMissed[j].Load })
+	slices.SortStableFunc(cpuTasks, loadAscending)
+	slices.SortStableFunc(gpuCached, loadDescending)
+	slices.SortStableFunc(gpuMissed, loadDescending)
 
 	cpuBusy := res.CPUFree
 	for i, t := range cpuTasks {

@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"hybrimoe/internal/hw"
 )
@@ -13,11 +14,10 @@ import (
 // experts start on the CPU queue and the per-device host links
 // compete to pull the heaviest ones onto whichever GPU — priced by
 // that device's own link model — would finish them earliest. The
-// planning loop is the same earliest-completion greedy simulation as
-// HybriMoE, with one compute timeline per GPU and one transfer
-// timeline per link; on a single-GPU platform it degenerates to the
-// HybriMoE greedy pass.
-type ExpertParallel struct{}
+// planning loop is HybriMoE's earliest-completion greedy simulation,
+// with one compute timeline per GPU and one transfer timeline per
+// link; on a single-GPU platform it is the HybriMoE greedy pass.
+type ExpertParallel struct{ plan Plan }
 
 // NewExpertParallel returns the multi-GPU placement scheduler.
 func NewExpertParallel() *ExpertParallel { return &ExpertParallel{} }
@@ -31,77 +31,94 @@ func (s *ExpertParallel) PlansDevices() {}
 // Plan implements Scheduler.
 func (s *ExpertParallel) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	res.validate()
-	plan := &Plan{}
-	if len(tasks) == 0 {
-		return plan
-	}
-	n := p.NumGPUs()
-	if n < 1 {
-		n = 1
-	}
+	b := borrowBuffers()
+	defer planPool.Put(b)
+	greedy(&s.plan, b, tasks, p, res, max(p.NumGPUs(), 1))
+	return &s.plan
+}
 
+// gpuEntry is a GPU-queue element: a task plus the time it becomes
+// available on the GPU (0 for cached experts, transfer end for in-flight
+// ones).
+type gpuEntry struct {
+	task    Task
+	readyAt float64
+	// viaTransfer marks entries produced by a committed transfer; the
+	// CPU must not steal them (the weights are already in flight).
+	viaTransfer bool
+}
+
+func entryLoadDescending(a, b gpuEntry) int { return cmp.Compare(b.task.Load, a.task.Load) }
+
+// Candidate operations in the greedy loop.
+const (
+	pickNone = iota
+	pickCPU
+	pickGPU
+	pickLink
+)
+
+// greedy fills plan with the earliest-completion simulation over the
+// CPU, GPUs 0..n-1 and their host links, following HybriMoE's priority
+// rules: the CPU computes uncached experts lightest first and steals
+// the lightest cached one when it has nothing else; each GPU computes
+// its cached experts heaviest first; the links pull the heaviest
+// uncached expert to the GPU that would have it compute-ready earliest.
+func greedy(plan *Plan, b *planBuffers, tasks []Task, p *hw.Platform, res Resources, n int) {
+	plan.reset()
 	// CPU queue: uncached, ascending load. Per-GPU queues: cached on
 	// that device, descending load.
-	var cpuQ []Task
-	gpuQ := make([][]gpuEntry, n)
-	for _, t := range tasks {
-		if t.Cached {
-			d := t.Device.GPUIndex()
-			if d >= n {
-				// Residency on a device the platform does not carry is a
-				// wiring bug upstream; fold onto GPU0 rather than panic so
-				// a stale cache entry cannot take the serving loop down.
-				d = 0
-			}
-			gpuQ[d] = append(gpuQ[d], gpuEntry{task: t})
-		} else {
-			cpuQ = append(cpuQ, t)
-		}
+	for len(b.queues) < n {
+		b.queues = append(b.queues, nil)
 	}
-	sort.SliceStable(cpuQ, func(i, j int) bool { return cpuQ[i].Load < cpuQ[j].Load })
+	gpuQ := b.queues[:n]
 	for d := range gpuQ {
-		q := gpuQ[d]
-		sort.SliceStable(q, func(i, j int) bool { return q[i].task.Load > q[j].task.Load })
+		gpuQ[d] = gpuQ[d][:0]
+	}
+	cpuQ := b.uncached[:0]
+	for _, t := range tasks {
+		if !t.Cached {
+			cpuQ = append(cpuQ, t)
+			continue
+		}
+		d := t.Device.GPUIndex()
+		if d >= n {
+			// Residency on a device the platform does not carry is a
+			// wiring bug upstream; fold onto GPU0 rather than panic so a
+			// stale cache entry cannot take the serving loop down.
+			d = 0
+		}
+		gpuQ[d] = append(gpuQ[d], gpuEntry{task: t})
+	}
+	b.uncached = cpuQ
+	slices.SortStableFunc(cpuQ, loadAscending)
+	for _, q := range gpuQ {
+		slices.SortStableFunc(q, entryLoadDescending)
 	}
 
-	cpuBusy := res.CPUFree
-	gpuBusy := make([]float64, n)
-	linkBusy := make([]float64, n)
+	cpuBusy, cpuFirst := res.CPUFree, true
+	gpuBusy, linkBusy := b.gpuBusy[:0], b.linkBusy[:0]
 	for d := 0; d < n; d++ {
-		gpuBusy[d] = res.GPUFreeAt(hw.GPUAt(d))
-		linkBusy[d] = res.LinkFreeAt(hw.GPUAt(d))
+		gpuBusy = append(gpuBusy, res.GPUFreeAt(hw.GPUAt(d)))
+		linkBusy = append(linkBusy, res.LinkFreeAt(hw.GPUAt(d)))
 	}
-	cpuFirst := true
-
-	appendOp := func(op Op) {
-		plan.Ops = append(plan.Ops, op)
-		if op.Kind != OpTransfer && op.End > plan.Makespan {
-			plan.Makespan = op.End
-		}
-	}
-	remaining := func() bool {
-		if len(cpuQ) > 0 {
-			return true
-		}
-		for _, q := range gpuQ {
-			if len(q) > 0 {
-				return true
-			}
-		}
-		return false
-	}
+	b.gpuBusy, b.linkBusy = gpuBusy, linkBusy
 
 	const none = -1
 	const eps = 1e-15
-	for remaining() {
-		// Candidate A: CPU computes its queue head, or steals the
-		// globally lowest-load cached (non-in-flight) expert.
-		cpuHead := len(cpuQ) > 0
+	for left := len(tasks); left > 0; {
+		// Each resource proposes its next op and the earliest-finishing
+		// one commits. Ties prefer the CPU, then GPUs in device order,
+		// then the transfer (the paper's walk-through keeps the CPU busy
+		// on cheap uncached work).
+		pick, fin := pickNone, 0.0
+
+		// The CPU computes its queue head, or steals the globally
+		// lowest-load cached expert not already in flight.
 		stealDev, stealIdx := none, none
-		var cpuFin float64
-		if cpuHead {
+		if len(cpuQ) > 0 {
 			t := cpuQ[0]
-			cpuFin = cpuBusy + p.CPU.ExpertTime(t.Flops, t.Bytes, cpuFirst)
+			pick, fin = pickCPU, cpuBusy+p.CPU.ExpertTime(t.Flops, t.Bytes, cpuFirst)
 		} else {
 			for d, q := range gpuQ {
 				// Queues are load-descending: scan from the back for the
@@ -118,114 +135,101 @@ func (s *ExpertParallel) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan
 			}
 			if stealDev != none {
 				t := gpuQ[stealDev][stealIdx].task
-				cpuFin = cpuBusy + p.CPU.ExpertTime(t.Flops, t.Bytes, cpuFirst)
+				pick, fin = pickCPU, cpuBusy+p.CPU.ExpertTime(t.Flops, t.Bytes, cpuFirst)
 			}
 		}
 
-		// Candidates B_d: each GPU computes its earliest-startable queue
-		// entry (the queue is load-ordered, so the first minimal-start
-		// entry wins ties on load).
-		gpuIdx := make([]int, n)
-		gpuStart := make([]float64, n)
-		gpuFin := make([]float64, n)
+		// Each GPU computes its earliest-startable queue entry; the queue
+		// is load-ordered, so the first minimal-start entry wins ties.
+		gpuDev, gpuIdx := none, none
+		var gpuStart float64
 		for d, q := range gpuQ {
-			gpuIdx[d] = none
+			idx := none
+			var start float64
 			for i, e := range q {
-				start := gpuBusy[d]
-				if e.readyAt > start {
-					start = e.readyAt
+				at := gpuBusy[d]
+				if e.readyAt > at {
+					at = e.readyAt
 				}
-				if gpuIdx[d] == none || start < gpuStart[d]-eps {
-					gpuIdx[d] = i
-					gpuStart[d] = start
-					gpuFin[d] = start + p.GPUs[d].ExpertTime(e.task.Flops, e.task.Bytes)
+				if idx == none || at < start-eps {
+					idx, start = i, at
 				}
+			}
+			if idx == none {
+				continue
+			}
+			t := q[idx].task
+			if f := start + p.GPUs[d].ExpertTime(t.Flops, t.Bytes); pick == pickNone || f < fin-eps {
+				pick, fin = pickGPU, f
+				gpuDev, gpuIdx, gpuStart = d, idx, start
 			}
 		}
 
-		// Candidate C: transfer the highest-load uncached expert (the
-		// CPU queue tail) to the device that would have it compute-ready
+		// A link transfers the highest-load uncached expert (the CPU
+		// queue tail) to the device that would have it compute-ready
 		// earliest, priced by that device's own link.
 		xferDev := none
-		var xferFin float64
 		if len(cpuQ) > 0 {
 			t := cpuQ[len(cpuQ)-1]
-			var bestReady float64
+			var ready, xferFin float64
 			for d := 0; d < n; d++ {
-				fin := linkBusy[d] + p.Links[d].TransferTime(t.Bytes)
-				ready := fin
-				if gpuBusy[d] > ready {
-					ready = gpuBusy[d]
+				f := linkBusy[d] + p.Links[d].TransferTime(t.Bytes)
+				r := f
+				if gpuBusy[d] > r {
+					r = gpuBusy[d]
 				}
-				if xferDev == none || ready < bestReady-eps {
-					xferDev = d
-					bestReady = ready
-					xferFin = fin
+				if xferDev == none || r < ready-eps {
+					xferDev, ready, xferFin = d, r, f
 				}
+			}
+			if pick == pickNone || xferFin < fin-eps {
+				pick, fin = pickLink, xferFin
 			}
 		}
 
-		// Commit the earliest-finishing candidate; ties prefer CPU, then
-		// GPUs in device order, then the transfer (matching the paper's
-		// walk-through, which keeps the CPU busy on cheap uncached work).
-		best := none // 0 = CPU, 1..n = GPU d-1, n+1 = transfer
-		var bestFin float64
-		consider := func(kind int, fin float64, ok bool) {
-			if !ok {
-				return
-			}
-			if best == none || fin < bestFin-eps {
-				best = kind
-				bestFin = fin
-			}
-		}
-		consider(0, cpuFin, cpuHead || stealDev != none)
-		for d := 0; d < n; d++ {
-			consider(1+d, gpuFin[d], gpuIdx[d] != none)
-		}
-		consider(1+n, xferFin, xferDev != none)
-
-		switch {
-		case best == 0:
+		switch pick {
+		case pickCPU:
 			var t Task
-			if cpuHead {
-				t = cpuQ[0]
-				cpuQ = cpuQ[1:]
+			if len(cpuQ) > 0 {
+				t, cpuQ = cpuQ[0], cpuQ[1:]
 			} else {
-				t = gpuQ[stealDev][stealIdx].task
-				gpuQ[stealDev] = append(gpuQ[stealDev][:stealIdx], gpuQ[stealDev][stealIdx+1:]...)
+				q := gpuQ[stealDev]
+				t = q[stealIdx].task
+				gpuQ[stealDev] = append(q[:stealIdx], q[stealIdx+1:]...)
 			}
-			appendOp(Op{Expert: t.ID, Kind: OpComputeCPU, Load: t.Load, Start: cpuBusy, End: cpuFin})
-			cpuBusy = cpuFin
-			cpuFirst = false
-		case best >= 1 && best <= n:
-			d := best - 1
-			e := gpuQ[d][gpuIdx[d]]
-			gpuQ[d] = append(gpuQ[d][:gpuIdx[d]], gpuQ[d][gpuIdx[d]+1:]...)
-			appendOp(Op{Expert: e.task.ID, Kind: OpComputeGPU, Load: e.task.Load,
-				Start: gpuStart[d], End: gpuFin[d], Device: hw.GPUAt(d)})
-			gpuBusy[d] = gpuFin[d]
-		case best == 1+n:
+			plan.add(Op{Expert: t.ID, Kind: OpComputeCPU, Load: t.Load, Start: cpuBusy, End: fin})
+			cpuBusy, cpuFirst = fin, false
+			left--
+		case pickGPU:
+			q := gpuQ[gpuDev]
+			t := q[gpuIdx].task
+			gpuQ[gpuDev] = append(q[:gpuIdx], q[gpuIdx+1:]...)
+			plan.add(Op{Expert: t.ID, Kind: OpComputeGPU, Load: t.Load,
+				Start: gpuStart, End: fin, Device: hw.GPUAt(gpuDev)})
+			gpuBusy[gpuDev] = fin
+			left--
+		case pickLink:
 			t := cpuQ[len(cpuQ)-1]
 			cpuQ = cpuQ[:len(cpuQ)-1]
-			appendOp(Op{Expert: t.ID, Kind: OpTransfer, Load: t.Load,
-				Start: linkBusy[xferDev], End: xferFin, Device: hw.GPUAt(xferDev)})
-			linkBusy[xferDev] = xferFin
+			plan.add(Op{Expert: t.ID, Kind: OpTransfer, Load: t.Load,
+				Start: linkBusy[xferDev], End: fin, Device: hw.GPUAt(xferDev)})
 			plan.Transferred = append(plan.Transferred, t.ID)
-			// Insert into the target GPU's queue keeping descending load
-			// order.
-			entry := gpuEntry{task: t, readyAt: xferFin, viaTransfer: true}
+			linkBusy[xferDev] = fin
+			// The expert joins the target GPU's queue in descending load
+			// order, available when its transfer lands.
 			q := gpuQ[xferDev]
-			pos := sort.Search(len(q), func(i int) bool { return q[i].task.Load < t.Load })
+			pos := 0
+			for pos < len(q) && q[pos].task.Load >= t.Load {
+				pos++
+			}
 			q = append(q, gpuEntry{})
 			copy(q[pos+1:], q[pos:])
-			q[pos] = entry
+			q[pos] = gpuEntry{task: t, readyAt: fin, viaTransfer: true}
 			gpuQ[xferDev] = q
 		default:
 			panic("sched: no candidate operation (scheduler bug)")
 		}
 	}
-	return plan
 }
 
 var _ DeviceAware = (*ExpertParallel)(nil)

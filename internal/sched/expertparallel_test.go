@@ -61,7 +61,8 @@ func TestExpertParallelPlanAlwaysValid(t *testing.T) {
 
 // Pin the 1-GPU degenerate case: on a single-GPU platform with scalar
 // resources, expert-parallel produces exactly the HybriMoE greedy
-// schedule (the pre-refactor planner), op for op.
+// schedule, op for op. The greedy pass is the test-only reference copy
+// in reference_test.go, since HybriMoE now runs expert-parallel's loop.
 func TestExpertParallelSingleGPUMatchesHybriMoEGreedy(t *testing.T) {
 	rng := stats.NewRNG(99)
 	cfg := moe.Mixtral()
@@ -73,7 +74,7 @@ func TestExpertParallelSingleGPUMatchesHybriMoEGreedy(t *testing.T) {
 			LinkFree: rng.Float64() * 1e-3,
 		}
 		got := NewExpertParallel().Plan(tasks, hw.A6000Platform(), res)
-		want := NewHybriMoE().planGreedy(tasks, hw.A6000Platform(), res)
+		want := refHybriMoEGreedy(tasks, hw.A6000Platform(), res)
 		if math.Abs(got.Makespan-want.Makespan) > 1e-12 || len(got.Ops) != len(want.Ops) {
 			t.Fatalf("trial %d: single-GPU expert-parallel diverged from HybriMoE greedy:\n got %+v\nwant %+v",
 				trial, got, want)

@@ -255,6 +255,30 @@ func TestHybriMoEPlanAlwaysValid(t *testing.T) {
 	}
 }
 
+// A lone uncached expert whose transfer lands before the CPU would
+// finish it, while attention still holds the GPU: the greedy pass
+// transfers it and waits for the GPU, so the static mapping, computing
+// it on the CPU, finishes first and HybriMoE returns that plan — also
+// from an instance whose scratch a larger plan grew.
+func TestHybriMoEStaticFallbackWins(t *testing.T) {
+	p := hw.A6000Platform()
+	cfg := moe.DeepSeek()
+	tasks := []Task{{ID: id(0, 0), Load: 1, Flops: cfg.ExpertFlops(1), Bytes: cfg.ExpertBytes()}}
+	res := Resources{GPUFree: 0.44e-3}
+	s := NewHybriMoE()
+	s.Plan(randomTasks(stats.NewRNG(1), cfg, 1, 40, 1), p, res)
+	plan := s.Plan(tasks, p, res)
+	if len(plan.Ops) != 1 || plan.Ops[0].Kind != OpComputeCPU || len(plan.Transferred) != 0 {
+		t.Fatalf("want the static CPU-only plan, got %+v", plan)
+	}
+	if greedy := refHybriMoEGreedy(tasks, p, res); plan.Makespan >= greedy.Makespan {
+		t.Fatalf("fallback makespan %v should beat the greedy pass's %v", plan.Makespan, greedy.Makespan)
+	}
+	if err := plan.Validate(tasks, res); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSimulateMakespanCachedOverride(t *testing.T) {
 	p := hw.UnitPlatform()
 	tasks := []Task{unitTask(0, 3, false)}

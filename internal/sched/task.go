@@ -13,8 +13,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
+	"sync"
 
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
@@ -85,6 +87,54 @@ type Plan struct {
 	Transferred []moe.ExpertID
 }
 
+// reset empties the plan, keeping its storage for the next call.
+func (pl *Plan) reset() {
+	pl.Ops, pl.Transferred, pl.Makespan = pl.Ops[:0], pl.Transferred[:0], 0
+}
+
+// add appends op, extending the makespan over compute ops.
+func (pl *Plan) add(op Op) {
+	pl.Ops = append(pl.Ops, op)
+	if op.Kind != OpTransfer && op.End > pl.Makespan {
+		pl.Makespan = op.End
+	}
+}
+
+// planBuffers is the queue and sort scratch one Plan call borrows from
+// planPool. A scheduler owns only the plan it returns: grids and fleets
+// keep hundreds of schedulers alive, and most sit idle. Every buffer is
+// emptied before use, so schedulers sharing the pool never see each
+// other's data.
+type planBuffers struct {
+	uncached, cached, ordered []Task
+	queues                    [][]gpuEntry
+	gpuBusy, linkBusy         []float64
+}
+
+var planPool = sync.Pool{New: func() any { return new(planBuffers) }}
+
+// borrowBuffers takes plan scratch from the pool; the caller puts it
+// back when its plan is built.
+func borrowBuffers() *planBuffers { return planPool.Get().(*planBuffers) }
+
+// split partitions tasks, in order, into the uncached and cached
+// buffers.
+func (b *planBuffers) split(tasks []Task) (uncached, cached []Task) {
+	uncached, cached = b.uncached[:0], b.cached[:0]
+	for _, t := range tasks {
+		if t.Cached {
+			cached = append(cached, t)
+		} else {
+			uncached = append(uncached, t)
+		}
+	}
+	b.uncached, b.cached = uncached, cached
+	return uncached, cached
+}
+
+func loadAscending(a, b Task) int  { return cmp.Compare(a.Load, b.Load) }
+func loadDescending(a, b Task) int { return cmp.Compare(b.Load, a.Load) }
+
 // Resources carries the occupancy of the device timelines at the moment
 // the layer starts, as offsets ≥ 0 relative to the layer start. GPUFree
 // is typically positive (attention + shared experts run first); LinkFree
@@ -152,11 +202,14 @@ func (r Resources) validate() {
 	}
 }
 
-// Scheduler plans one layer.
+// Scheduler plans one layer. An instance serves one goroutine at a
+// time, as each engine owns its own.
 type Scheduler interface {
 	// Name identifies the strategy in experiment tables.
 	Name() string
 	// Plan schedules the tasks. Implementations must not retain tasks.
+	// The returned plan belongs to the scheduler and stays valid until
+	// its next Plan call, so a caller reads it before planning again.
 	Plan(tasks []Task, p *hw.Platform, res Resources) *Plan
 }
 
