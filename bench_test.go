@@ -260,12 +260,73 @@ func BenchmarkMRSObserveScores(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheInsertEvict times two inserts into a full LRU cache,
+// each evicting. The warm-up fills the cache along the id sequence the
+// timed loop continues, plus one evicting pair to grow the eviction
+// buffer, so a single iteration measures victim scans, not growth.
 func BenchmarkCacheInsertEvict(b *testing.B) {
 	c := cache.New(256, cache.NewLRU())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	insertPair := func(i int) {
 		c.Insert(moe.ExpertID{Layer: i % 26, Index: i % 64}, nil)
 		c.Insert(moe.ExpertID{Layer: (i + 13) % 26, Index: (i + 31) % 64}, nil)
+	}
+	start := 0
+	for ; c.Len() < c.Capacity(); start++ {
+		insertPair(start)
+	}
+	insertPair(start)
+	start++
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		insertPair(start + i)
+	}
+}
+
+// BenchmarkCacheInsertAllLayer reproduces Engine.applyPlan's cache
+// update: a full MRS cache at DeepSeek's 25% capacity (416 experts)
+// inserts one decode layer's missed experts as one batch under that
+// layer's guard, then observes the layer's scores as the engine does
+// next. Routing is drawn before timing, and the warm-up replays four
+// decode steps so the timed layers evict from a settled cache.
+func BenchmarkCacheInsertAllLayer(b *testing.B) {
+	cfg := moe.DeepSeek()
+	g := trace.New(cfg, trace.DefaultOptions(benchTraceSeed))
+	const warmSteps, steps = 4, 8
+	var acts []trace.LayerActivation
+	for s := 0; s < steps; s++ {
+		acts = append(acts, trace.DecodeStep(g)...)
+	}
+	c := cache.NewMulti(cache.New(cfg.CacheCapacity(0.25),
+		cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts)))
+	all := make([]moe.ExpertID, 0, cfg.TotalRoutedExperts())
+	for l := 0; l < cfg.Layers; l++ {
+		for x := 0; x < cfg.RoutedExperts; x++ {
+			all = append(all, moe.ExpertID{Layer: l, Index: x})
+		}
+	}
+	c.Warm(all)
+	var cur trace.LayerActivation
+	guard := func(id moe.ExpertID) bool { return id.Layer == cur.Layer && cur.Loads[id.Index] > 0 }
+	dest := func(moe.ExpertID) int { return 0 }
+	missed := make([]moe.ExpertID, 0, cfg.RoutedExperts)
+	layer := func(i int) {
+		cur = acts[i%len(acts)]
+		missed = missed[:0]
+		for x, load := range cur.Loads {
+			if id := (moe.ExpertID{Layer: cur.Layer, Index: x}); load > 0 && !c.Contains(id) {
+				missed = append(missed, id)
+			}
+		}
+		c.InsertAll(missed, dest, guard)
+		c.ObserveScores(cur.Layer, cur.Scores)
+	}
+	warm := warmSteps * cfg.Layers
+	for i := 0; i < warm; i++ {
+		layer(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		layer(warm + i)
 	}
 }
 

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"sync"
 
 	"hybrimoe/internal/moe"
 )
@@ -18,12 +17,18 @@ type Cache struct {
 	policy   Policy
 	// resident lists the resident experts; slot maps each one to its
 	// position plus one (0 = absent), so eviction is a swap-remove.
-	// pins counts the pinned experts, so the victim scan can skip the
+	// pins counts the pinned experts, so the partition can skip the
 	// pinned table when there are none.
 	resident []moe.ExpertID
 	slot     table[int32]
 	pinned   table[bool]
 	pins     int
+	// split partitions resident for the insert call in progress: once
+	// an eviction has needed it, resident[:split] are the pinned and
+	// protected experts and resident[split:] the victim candidates. -1
+	// until then; every call starts without it, since its guard may
+	// differ from the last call's.
+	split int
 	// evicted backs Insert's result.
 	evicted []moe.ExpertID
 
@@ -99,45 +104,65 @@ func (c *Cache) Lookup(id moe.ExpertID) bool {
 // every resident expert is pinned or protected. The evicted slice is
 // reused by the next Insert on this cache.
 func (c *Cache) Insert(id moe.ExpertID, protected func(moe.ExpertID) bool) (evicted []moe.ExpertID, ok bool) {
+	c.split = -1
+	return c.insert(id, protected)
+}
+
+// insert is Insert inside a call that may insert several ids under one
+// guard, reusing the call's partition. The partition stays exact for
+// the whole call: the guard and the pins do not change, a victim
+// leaves the candidate suffix through a swap-remove that moves another
+// candidate into its slot, and a placed expert joins the candidates
+// unless the guard protects it. So every Victim call is offered the
+// set a fresh scan would build, in a different order, which Victim
+// ignores.
+func (c *Cache) insert(id moe.ExpertID, protected func(moe.ExpertID) bool) ([]moe.ExpertID, bool) {
 	if c.Contains(id) {
 		return nil, true
 	}
 	c.evicted = c.evicted[:0]
 	for c.full() {
-		victim, found := c.pickVictim(protected)
-		if !found {
+		if c.split < 0 {
+			c.partition(protected)
+		}
+		candidates := c.resident[c.split:]
+		if len(candidates) == 0 {
 			return c.evicted, false
 		}
+		victim := c.policy.Victim(candidates)
 		c.evict(victim)
 		c.evicted = append(c.evicted, victim)
 	}
 	c.place(id)
+	if c.split >= 0 && protected != nil && protected(id) {
+		c.swap(len(c.resident)-1, c.split)
+		c.split++
+	}
 	return c.evicted, true
 }
 
-// candidatePool lends pickVictim its candidate slice. A pool rather
-// than a per-cache buffer: the slice grows to the resident count, and
-// grids and fleets keep many caches alive at once.
-var candidatePool = sync.Pool{New: func() any { return new([]moe.ExpertID) }}
-
-func (c *Cache) pickVictim(protected func(moe.ExpertID) bool) (moe.ExpertID, bool) {
-	buf := candidatePool.Get().(*[]moe.ExpertID)
-	defer candidatePool.Put(buf)
-	candidates := (*buf)[:0]
-	for _, id := range c.resident {
+// partition moves the pinned and protected residents to the front of
+// the resident list and sets split past them.
+func (c *Cache) partition(protected func(moe.ExpertID) bool) {
+	k := 0
+	for i, id := range c.resident {
 		if (c.pins > 0 && c.pinned.get(id)) || (protected != nil && protected(id)) {
-			continue
+			c.swap(i, k)
+			k++
 		}
-		candidates = append(candidates, id)
 	}
-	*buf = candidates
-	if len(candidates) == 0 {
-		return moe.ExpertID{}, false
+	c.split = k
+}
+
+// swap exchanges two positions of the resident list.
+func (c *Cache) swap(i, j int) {
+	if i == j {
+		return
 	}
-	// Every policy's Victim is an argmin under a total order ending in
-	// the expert-ID tie-break, so the resident list's order (which
-	// swap-removal shuffles) never influences the chosen victim.
-	return c.policy.Victim(candidates), true
+	a, b := c.resident[i], c.resident[j]
+	c.resident[i], c.resident[j] = b, a
+	c.slot.set(b, int32(i+1))
+	c.slot.set(a, int32(j+1))
 }
 
 // Pin marks id as permanently resident, inserting it if absent. It

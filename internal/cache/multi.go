@@ -83,6 +83,22 @@ func (m *Multi) Insert(id moe.ExpertID, d int, protected func(moe.ExpertID) bool
 	return m.shards[d].Insert(id, protected)
 }
 
+// InsertAll inserts ids in order, each with Insert's semantics on
+// device dest(id), under one guard. It is one Insert call per id with
+// the victim scan's partition kept: each shard partitions its residents
+// at most once for the whole call, so protected must answer the same
+// for every expert until InsertAll returns.
+func (m *Multi) InsertAll(ids []moe.ExpertID, dest func(moe.ExpertID) int, protected func(moe.ExpertID) bool) {
+	for _, s := range m.shards {
+		s.split = -1
+	}
+	for _, id := range ids {
+		if !m.Contains(id) {
+			m.shards[dest(id)].insert(id, protected)
+		}
+	}
+}
+
 // Pin permanently places id, striping across shards round-robin. It
 // reports whether any shard admitted it.
 func (m *Multi) Pin(id moe.ExpertID) bool {

@@ -26,7 +26,12 @@ type Policy interface {
 	// Forget records id leaving the cache.
 	Forget(id moe.ExpertID)
 	// Victim picks the eviction victim among candidates (never empty).
-	// The slice is the cache's scratch: read it, do not retain it.
+	// The choice must depend only on the candidate set and the policy's
+	// state, never on the slice's order: the cache hands over a slice
+	// of its resident list, whose order swap-removals and partitioning
+	// shuffle. The built-in policies take an argmin under a total order
+	// ending in the expert-ID tie-break. The slice is the cache's own:
+	// read it, do not modify or retain it.
 	Victim(candidates []moe.ExpertID) moe.ExpertID
 	// ObserveScores feeds one iteration's routing scores for a layer.
 	// Score-agnostic policies ignore it. The engine reuses the slice for

@@ -118,6 +118,7 @@ type refCache struct {
 	policy           refPolicy
 	resident, pinned map[moe.ExpertID]bool
 	hits, misses     int64
+	victimCalls      int64
 	victimCandidates int64
 }
 
@@ -141,6 +142,7 @@ func (c *refCache) insert(id moe.ExpertID, protected func(moe.ExpertID) bool) ([
 		if len(cands) == 0 {
 			return evicted, false
 		}
+		c.victimCalls++
 		c.victimCandidates += int64(len(cands))
 		v := c.policy.victim(cands)
 		delete(c.resident, v)
@@ -248,14 +250,16 @@ func (m *refMulti) touchHistorical(id moe.ExpertID) {
 	m.shards[d].policy.touch(id)
 }
 
-// countingPolicy counts the candidates Victim is offered, the figure a
-// traced run reports as cache.victim_candidates.
+// countingPolicy counts the Victim calls and the candidates they are
+// offered, the figures a traced run reports as cache.victim_calls and
+// cache.victim_candidates.
 type countingPolicy struct {
 	Policy
-	candidates int64
+	calls, candidates int64
 }
 
 func (p *countingPolicy) Victim(cs []moe.ExpertID) moe.ExpertID {
+	p.calls++
 	p.candidates += int64(len(cs))
 	return p.Policy.Victim(cs)
 }
@@ -275,9 +279,11 @@ func newPolicyPair(name string, topP int) (Policy, refPolicy) {
 // reference through identical seeded random sequences of every
 // operation the engine issues — lookups, inserts under random
 // protection sets, pins, warm fills, score observations with frequent
-// ties and historical touches — on one and two shards, under all three
-// policies, and requires identical evictions, residency, statistics,
-// victim-candidate counts and MRS priorities after every operation.
+// ties, historical touches and batched inserts — on one and two
+// shards, under all three policies, and requires identical evictions,
+// residency, statistics, victim calls and candidate counts and MRS
+// priorities after every operation. The reference inserts a batch one
+// id at a time, rebuilding its candidates for every eviction.
 func TestCacheMatchesReference(t *testing.T) {
 	const layers, experts, topP = 4, 8, 3
 	all := make([]moe.ExpertID, 0, layers*experts)
@@ -306,7 +312,7 @@ func TestCacheMatchesReference(t *testing.T) {
 					pick := func() moe.ExpertID { return all[rng.Intn(len(all))] }
 					for op := 0; op < 1500; op++ {
 						var what string
-						switch k := rng.Intn(20); {
+						switch k := rng.Intn(23); {
 						case k < 6:
 							x, home := pick(), rng.Intn(shards)
 							what = fmt.Sprintf("Lookup(%v,%d)", x, home)
@@ -353,11 +359,19 @@ func TestCacheMatchesReference(t *testing.T) {
 							what = fmt.Sprintf("ObserveScores(%d,%v)", layer, scores)
 							m.ObserveScores(layer, scores)
 							ref.observe(layer, scores)
-						default:
+						case k < 20:
 							x := pick()
 							what = fmt.Sprintf("TouchHistorical(%v)", x)
 							m.TouchHistorical(x)
 							ref.touchHistorical(x)
+						default:
+							ids, dests, prot := insertBatch(rng, m, pick)
+							what = fmt.Sprintf("InsertAll(%v,dest %v,protect %d)", ids, dests, len(prot))
+							m.InsertAll(ids, func(y moe.ExpertID) int { return dests[y] },
+								func(y moe.ExpertID) bool { return prot[y] })
+							for _, x := range ids {
+								ref.insert(x, dests[x], func(y moe.ExpertID) bool { return prot[y] })
+							}
 						}
 						for d := 0; d < shards; d++ {
 							s, r := m.Shard(d), ref.shards[d]
@@ -365,9 +379,9 @@ func TestCacheMatchesReference(t *testing.T) {
 								t.Fatalf("op %d %s: shard %d hits/misses/len %d/%d/%d, reference %d/%d/%d",
 									op, what, d, s.Hits(), s.Misses(), s.Len(), r.hits, r.misses, len(r.resident))
 							}
-							if counters[d].candidates != r.victimCandidates {
-								t.Fatalf("op %d %s: shard %d offered %d victim candidates, reference %d",
-									op, what, d, counters[d].candidates, r.victimCandidates)
+							if counters[d].calls != r.victimCalls || counters[d].candidates != r.victimCandidates {
+								t.Fatalf("op %d %s: shard %d made %d victim calls offering %d candidates, reference %d offering %d",
+									op, what, d, counters[d].calls, counters[d].candidates, r.victimCalls, r.victimCandidates)
 							}
 						}
 						for _, x := range all {
@@ -396,6 +410,46 @@ func TestCacheMatchesReference(t *testing.T) {
 	}
 }
 
+// insertBatch draws an InsertAll batch for the reference test: 0–8 ids
+// mixing fresh picks, repeats within the batch and residents, each with
+// a random destination shard, and a guard that protects some batch ids
+// and leaves others to rejoin the candidates once placed. One batch in
+// four also guards every resident, so a full shard has nothing to evict
+// and every insert into it fails.
+func insertBatch(rng *stats.RNG, m *Multi, pick func() moe.ExpertID) ([]moe.ExpertID, map[moe.ExpertID]int, map[moe.ExpertID]bool) {
+	ids := make([]moe.ExpertID, rng.Intn(9))
+	for i := range ids {
+		s := m.Shard(rng.Intn(m.Devices()))
+		switch r := rng.Intn(4); {
+		case r == 0 && i > 0:
+			ids[i] = ids[rng.Intn(i)]
+		case r == 1 && s.Len() > 0:
+			ids[i] = s.Resident()[rng.Intn(s.Len())]
+		default:
+			ids[i] = pick()
+		}
+	}
+	dests := map[moe.ExpertID]int{}
+	prot := map[moe.ExpertID]bool{}
+	for _, x := range ids {
+		if _, ok := dests[x]; !ok {
+			dests[x] = rng.Intn(m.Devices())
+		}
+		prot[x] = rng.Intn(2) == 0
+	}
+	for n := rng.Intn(4); n > 0; n-- {
+		prot[pick()] = true
+	}
+	if rng.Intn(4) == 0 {
+		for d := 0; d < m.Devices(); d++ {
+			for _, x := range m.Shard(d).Resident() {
+				prot[x] = true
+			}
+		}
+	}
+	return ids, dests, prot
+}
+
 // TestMRSTopPTieAtBoundary pins the tie rule where it decides
 // membership: with p = 2 and three experts tied for second place, only
 // the lowest-indexed of them accumulates (the stable descending sort's
@@ -416,7 +470,8 @@ func TestMRSTopPTieAtBoundary(t *testing.T) {
 
 // TestHotPathsDoNotAllocate pins the steady-state allocation contract:
 // once the tables and scratch have grown, score observation, victim
-// choice under every policy, and an evicting insert allocate nothing.
+// choice under every policy, an evicting insert and an evicting batch
+// on one or two shards allocate nothing.
 func TestHotPathsDoNotAllocate(t *testing.T) {
 	scores := []float64{0.05, 0.3, 0.1, 0.2, 0.15, 0.2}
 	mrs := NewMRS(DefaultAlpha, 4)
@@ -446,5 +501,40 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		e++
 	}); a != 0 {
 		t.Errorf("evicting Cache.Insert allocated %.1f times per call", a)
+	}
+	pool := make([]moe.ExpertID, 12)
+	for i := range pool {
+		pool[i] = id(3, i)
+	}
+	for _, shards := range []int{1, 2} {
+		var cs []*Cache
+		var counters []*countingPolicy
+		for d := 0; d < shards; d++ {
+			cp := &countingPolicy{Policy: NewMRS(DefaultAlpha, 4)}
+			counters = append(counters, cp)
+			cs = append(cs, New(4, cp))
+		}
+		m := NewMulti(cs...)
+		m.ObserveScores(3, scores)
+		m.Warm(pool)
+		batch := make([]moe.ExpertID, 3)
+		dest := func(x moe.ExpertID) int { return x.Index % shards }
+		guard := func(x moe.ExpertID) bool { return x == batch[0] }
+		e := 0
+		// AllocsPerRun's own warm-up call is the one the batch needs.
+		if a := testing.AllocsPerRun(100, func() {
+			for i := range batch {
+				batch[i] = pool[(5*e+i)%len(pool)]
+			}
+			e++
+			m.InsertAll(batch, dest, guard)
+		}); a != 0 {
+			t.Errorf("evicting Multi.InsertAll on %d shards allocated %.1f times per call", shards, a)
+		}
+		for d, cp := range counters {
+			if cp.calls == 0 {
+				t.Errorf("Multi.InsertAll on %d shards never evicted from shard %d", shards, d)
+			}
+		}
 	}
 }

@@ -3,6 +3,9 @@ package cache
 import (
 	"strings"
 	"testing"
+
+	"hybrimoe/internal/moe"
+	"hybrimoe/internal/stats"
 )
 
 func TestPolicyRegistryRoundTripsBuiltins(t *testing.T) {
@@ -58,5 +61,57 @@ func TestPolicyRegisterThirdParty(t *testing.T) {
 	p, err := NewPolicy("test-always-first", 4)
 	if err != nil || p == nil {
 		t.Fatalf("third-party policy: %v, %v", p, err)
+	}
+}
+
+// TestVictimIgnoresCandidateOrder pins the contract the cache's victim
+// partition relies on: every registered policy's Victim depends on the
+// candidate set, never on its order. The states are tie-heavy — few
+// touches, forgotten experts, coarse score levels — so the tie-break,
+// not the policy's ranking, decides among many candidates.
+func TestVictimIgnoresCandidateOrder(t *testing.T) {
+	const layers, experts = 3, 6
+	var all []moe.ExpertID
+	for l := 0; l < layers; l++ {
+		for e := 0; e < experts; e++ {
+			all = append(all, id(l, e))
+		}
+	}
+	for _, name := range Names() {
+		for seed := uint64(1); seed <= 8; seed++ {
+			rng := stats.NewRNG(seed)
+			p, err := NewPolicy(name, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for op := 0; op < 30; op++ {
+				x := all[rng.Intn(len(all))]
+				switch rng.Intn(4) {
+				case 0:
+					p.Admit(x)
+				case 1:
+					p.Touch(x)
+				case 2:
+					p.Forget(x)
+				default:
+					scores := make([]float64, experts)
+					for i := range scores {
+						scores[i] = float64(rng.Intn(3)) / 4
+					}
+					p.ObserveScores(rng.Intn(layers), scores)
+				}
+			}
+			cands := make([]moe.ExpertID, 0, len(all))
+			for _, i := range rng.Perm(len(all))[:2+rng.Intn(len(all)-1)] {
+				cands = append(cands, all[i])
+			}
+			want := p.Victim(cands)
+			for n := 0; n < 50; n++ {
+				rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+				if got := p.Victim(cands); got != want {
+					t.Fatalf("%s seed %d: Victim(%v) = %v, %v in another order", name, seed, cands, got, want)
+				}
+			}
+		}
 	}
 }
