@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -18,86 +19,100 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "DeepSeek", "model name (DeepSeek, Mixtral, Qwen2)")
-	mode := flag.String("mode", "decode", "decode, prefill or requests")
-	iters := flag.Int("iters", 16, "decode iterations to dump")
-	tokens := flag.Int("tokens", 128, "prefill tokens (prefill mode)")
-	layer := flag.Int("layer", 0, "layer to dump")
-	seed := flag.Uint64("seed", 2025, "trace seed")
-	scores := flag.Bool("scores", false, "dump full score distribution instead of activations")
-	requests := flag.Int("requests", 16, "requests to emit (requests mode)")
-	arrivals := flag.String("arrivals", "poisson", "arrival process for requests mode: none, poisson, uniform, bursty")
-	rate := flag.Float64("rate", 4, "mean arrival rate in req/s (requests mode)")
-	decodeCap := flag.Int("decode-cap", 0, "cap on decode tokens per request, 0 = uncapped (requests mode)")
-	flag.Parse()
-
-	if *mode == "requests" {
-		if err := emitRequests(*seed, *requests, *arrivals, *rate, *decodeCap); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	cfg, err := moe.ByName(*model)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
-	}
-	if *layer < 0 || *layer >= cfg.Layers {
-		fmt.Fprintf(os.Stderr, "tracegen: layer %d out of range [0,%d)\n", *layer, cfg.Layers)
-		os.Exit(1)
-	}
-	g := trace.New(cfg, trace.DefaultOptions(*seed))
-
-	switch *mode {
-	case "decode":
-		if *scores {
-			header := make([]string, cfg.RoutedExperts)
-			for e := range header {
-				header[e] = fmt.Sprintf("e%d", e)
-			}
-			fmt.Println("iter," + strings.Join(header, ","))
-			for i := 0; i < *iters; i++ {
-				g.Advance()
-				ss := g.Scores(*layer)
-				row := make([]string, len(ss))
-				for e, s := range ss {
-					row[e] = fmt.Sprintf("%.6f", s)
-				}
-				fmt.Printf("%d,%s\n", i, strings.Join(row, ","))
-			}
-			return
-		}
-		fmt.Println("iter,activated")
-		for i := 0; i < *iters; i++ {
-			g.Advance()
-			acts := g.Activated(*layer)
-			parts := make([]string, len(acts))
-			for j, e := range acts {
-				parts[j] = fmt.Sprint(e)
-			}
-			fmt.Printf("%d,%s\n", i, strings.Join(parts, " "))
-		}
-
-	case "prefill":
-		g.Advance()
-		loads := g.PrefillLoads(*layer, *tokens)
-		fmt.Println("expert,load")
-		for e, l := range loads {
-			fmt.Printf("%d,%d\n", e, l)
-		}
-
-	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown mode %q (decode|prefill|requests)\n", *mode)
 		os.Exit(1)
 	}
 }
 
-// emitRequests writes a JSONL request trace to stdout: the mixed-corpus
+// run parses args, validates them and writes the requested trace to
+// stdout; flag usage and parse errors go to stderr. Split from main so
+// tests drive it directly.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "DeepSeek", "model name (DeepSeek, Mixtral, Qwen2)")
+	mode := fs.String("mode", "decode", "decode, prefill or requests")
+	iters := fs.Int("iters", 16, "decode iterations to dump")
+	tokens := fs.Int("tokens", 128, "prefill tokens (prefill mode)")
+	layer := fs.Int("layer", 0, "layer to dump")
+	seed := fs.Uint64("seed", 2025, "trace seed")
+	scores := fs.Bool("scores", false, "dump full score distribution instead of activations")
+	requests := fs.Int("requests", 16, "requests to emit (requests mode)")
+	arrivals := fs.String("arrivals", "poisson", "arrival process for requests mode: none, poisson, uniform, bursty")
+	rate := fs.Float64("rate", 4, "mean arrival rate in req/s (requests mode)")
+	decodeCap := fs.Int("decode-cap", 0, "cap on decode tokens per request, 0 = uncapped (requests mode)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+
+	if *iters < 0 {
+		return fmt.Errorf("-iters %d must be non-negative", *iters)
+	}
+	if *tokens < 1 {
+		return fmt.Errorf("-tokens %d must be at least 1", *tokens)
+	}
+	if *mode == "requests" {
+		return emitRequests(stdout, *seed, *requests, *arrivals, *rate, *decodeCap)
+	}
+	if *mode != "decode" && *mode != "prefill" {
+		return fmt.Errorf("unknown mode %q (decode|prefill|requests)", *mode)
+	}
+	cfg, err := moe.ByName(*model)
+	if err != nil {
+		return err
+	}
+	if *layer < 0 || *layer >= cfg.Layers {
+		return fmt.Errorf("layer %d out of range [0,%d)", *layer, cfg.Layers)
+	}
+	g := trace.New(cfg, trace.DefaultOptions(*seed))
+
+	if *mode == "prefill" {
+		g.Advance()
+		loads := g.PrefillLoads(*layer, *tokens)
+		fmt.Fprintln(stdout, "expert,load")
+		for e, l := range loads {
+			fmt.Fprintf(stdout, "%d,%d\n", e, l)
+		}
+		return nil
+	}
+	if *scores {
+		header := make([]string, cfg.RoutedExperts)
+		for e := range header {
+			header[e] = fmt.Sprintf("e%d", e)
+		}
+		fmt.Fprintln(stdout, "iter,"+strings.Join(header, ","))
+		for i := 0; i < *iters; i++ {
+			g.Advance()
+			ss := g.Scores(*layer)
+			row := make([]string, len(ss))
+			for e, s := range ss {
+				row[e] = fmt.Sprintf("%.6f", s)
+			}
+			fmt.Fprintf(stdout, "%d,%s\n", i, strings.Join(row, ","))
+		}
+		return nil
+	}
+	fmt.Fprintln(stdout, "iter,activated")
+	for i := 0; i < *iters; i++ {
+		g.Advance()
+		acts := g.Activated(*layer)
+		parts := make([]string, len(acts))
+		for j, e := range acts {
+			parts[j] = fmt.Sprint(e)
+		}
+		fmt.Fprintf(stdout, "%d,%s\n", i, strings.Join(parts, " "))
+	}
+	return nil
+}
+
+// emitRequests writes a JSONL request trace to w: the mixed-corpus
 // workload stream, optionally stamped with open-loop arrival times, in
 // the exact schema `hybrimoe serve -trace-in` replays.
-func emitRequests(seed uint64, requests int, arrivals string, rate float64, decodeCap int) error {
+func emitRequests(w io.Writer, seed uint64, requests int, arrivals string, rate float64, decodeCap int) error {
 	if requests < 1 {
 		return fmt.Errorf("-requests %d must be at least 1", requests)
 	}
@@ -114,5 +129,5 @@ func emitRequests(seed uint64, requests int, arrivals string, rate float64, deco
 	}
 	reqs := stream.NextN(requests)
 	workload.CapDecode(reqs, decodeCap)
-	return workload.WriteTrace(os.Stdout, reqs)
+	return workload.WriteTrace(w, reqs)
 }
