@@ -338,6 +338,30 @@ func BenchmarkTraceAdvance(b *testing.B) {
 	}
 }
 
+// BenchmarkTracePrefillLoads times one layer of the prefill routing
+// draw, each prompt token's top-k over the layer's experts, per model
+// at the token counts of a short chat turn (6), the median Vicuna
+// prompt (35) and two long prompts. Calls cycle through the layers, so
+// every layer's latent state is visited.
+func BenchmarkTracePrefillLoads(b *testing.B) {
+	for _, cfg := range []*moe.Config{moe.DeepSeek(), moe.Qwen2(), moe.Mixtral()} {
+		for _, tokens := range []int{6, 35, 128, 512} {
+			b.Run(fmt.Sprintf("%s/tokens=%d", cfg.Name, tokens), func(b *testing.B) {
+				g := trace.New(cfg, trace.DefaultOptions(benchTraceSeed))
+				g.Advance()
+				for l := 0; l < cfg.Layers; l++ {
+					g.PrefillLoads(l, tokens)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					g.PrefillLoads(i%cfg.Layers, tokens)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkTensorGatedFFN(b *testing.B) {
 	rng := stats.NewRNG(6)
 	wg := tensor.NewMatrix(256, 128)

@@ -73,22 +73,65 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Norm returns a standard normal sample (Box-Muller).
+// Norm returns a standard normal sample (Box-Muller). Each uniform
+// pair yields two variates: Norm returns the cosine half and caches
+// the sine half for the next call. A caller that skips the
+// transcendental work for variates it can bound (trace's prefill
+// routing draw) replays exactly this sequence through TakeCached,
+// UniformPair, BoxMuller (or its radius and angle) and PutCached.
 func (r *RNG) Norm() float64 {
-	if r.hasGauss {
-		r.hasGauss = false
-		return r.gauss
+	if z, ok := r.TakeCached(); ok {
+		return z
 	}
-	var u, v float64
+	c, s := BoxMuller(r.UniformPair())
+	r.PutCached(s)
+	return c
+}
+
+// BoxMuller maps a uniform pair from UniformPair to its two standard
+// normal variates: the radius BoxMullerRadius(u) times the cosine and
+// the sine of the angle BoxMullerAngle(v). Norm returns c and caches s.
+// Sincos shares one argument reduction between the halves and returns
+// the bits of Sin and Cos for the non-negative angles here.
+func BoxMuller(u, v float64) (c, s float64) {
+	mag := BoxMullerRadius(u)
+	sin, cos := math.Sincos(BoxMullerAngle(v))
+	return mag * cos, mag * sin
+}
+
+// UniformPair draws the uniform pair behind one Box-Muller pair, in
+// Norm's order: u, redrawn while it is 0, then v. u is a positive
+// multiple of 2⁻⁵³ below 1, and v a non-negative one.
+func (r *RNG) UniformPair() (u, v float64) {
 	for u == 0 {
 		u = r.Float64()
 	}
-	v = r.Float64()
-	mag := math.Sqrt(-2 * math.Log(u))
-	r.gauss = mag * math.Sin(2*math.Pi*v)
-	r.hasGauss = true
-	return mag * math.Cos(2*math.Pi*v)
+	return u, r.Float64()
 }
+
+// TakeCached removes and returns the cached second variate of the last
+// Box-Muller pair, if r holds one; the next Norm call would return it.
+func (r *RNG) TakeCached() (z float64, ok bool) {
+	if !r.hasGauss {
+		return 0, false
+	}
+	r.hasGauss = false
+	return r.gauss, true
+}
+
+// PutCached makes z the cached variate the next Norm call returns.
+func (r *RNG) PutCached(z float64) {
+	r.gauss, r.hasGauss = z, true
+}
+
+// BoxMullerRadius is the radius sqrt(-2 ln u) of a Box-Muller pair
+// drawn from UniformPair's u.
+func BoxMullerRadius(u float64) float64 { return math.Sqrt(-2 * math.Log(u)) }
+
+// BoxMullerAngle is the angle 2πv of a Box-Muller pair drawn from
+// UniformPair's v; the pair's variates are the radius times its cosine
+// (first) and sine (cached).
+func BoxMullerAngle(v float64) float64 { return 2 * math.Pi * v }
 
 // NormMeanStd returns a normal sample with the given mean and standard
 // deviation.

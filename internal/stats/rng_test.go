@@ -148,3 +148,69 @@ func TestRNGShuffle(t *testing.T) {
 		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }
+
+// TestNormMatchesSinCosBoxMuller pins Norm's bits, draw for draw over
+// 2²¹ variates, to the Box-Muller transform written out with separate
+// math.Sin and math.Cos calls and its own cache. Norm shares one
+// argument reduction through math.Sincos; the routing draws every
+// golden depends on must not move by a single bit.
+func TestNormMatchesSinCosBoxMuller(t *testing.T) {
+	r, ref := NewRNG(11), NewRNG(11)
+	var cached float64
+	hasCached := false
+	refNorm := func() float64 {
+		if hasCached {
+			hasCached = false
+			return cached
+		}
+		var u, v float64
+		for u == 0 {
+			u = ref.Float64()
+		}
+		v = ref.Float64()
+		mag := math.Sqrt(-2 * math.Log(u))
+		cached = mag * math.Sin(2*math.Pi*v)
+		hasCached = true
+		return mag * math.Cos(2*math.Pi*v)
+	}
+	for i := 0; i < 1<<21; i++ {
+		got, want := r.Norm(), refNorm()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d: Norm = %v (%#x), Sin/Cos Box-Muller = %v (%#x)",
+				i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if r.Uint64() != ref.Uint64() {
+		t.Fatal("Norm consumed a different number of uniforms")
+	}
+}
+
+// TestCachedVariateRoundTrip checks the pieces Norm is built from: a
+// taken variate is gone, a put one is what the next Norm returns, and
+// a pair replayed from UniformPair gives Norm's two variates.
+func TestCachedVariateRoundTrip(t *testing.T) {
+	r := NewRNG(12)
+	if _, ok := r.TakeCached(); ok {
+		t.Fatal("fresh generator holds a cached variate")
+	}
+	r.PutCached(1.25)
+	if got := r.Norm(); got != 1.25 {
+		t.Fatalf("Norm after PutCached(1.25) = %v", got)
+	}
+	a, b := NewRNG(13), NewRNG(13)
+	first, second := a.Norm(), a.Norm()
+	u, v := b.UniformPair()
+	if c, s := BoxMuller(u, v); c != first || s != second {
+		t.Fatalf("BoxMuller replay = (%v, %v), Norm gave (%v, %v)", c, s, first, second)
+	}
+	mag := BoxMullerRadius(u)
+	if c := mag * math.Cos(BoxMullerAngle(v)); c != first {
+		t.Fatalf("replayed cosine half %v, Norm gave %v", c, first)
+	}
+	if s := mag * math.Sin(BoxMullerAngle(v)); s != second {
+		t.Fatalf("replayed sine half %v, Norm gave %v", s, second)
+	}
+	if z, ok := a.TakeCached(); ok {
+		t.Fatalf("Norm left variate %v cached after returning both halves", z)
+	}
+}

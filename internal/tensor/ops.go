@@ -76,10 +76,9 @@ func TopKInto[T float32 | float64](dst []int, xs []T, k int) []int {
 			dst = append(dst, 0)
 		}
 		j := n
-		for j > 0 && xs[dst[j-1]] < v {
-			j--
+		for ; j > 0 && xs[dst[j-1]] < v; j-- {
+			dst[j] = dst[j-1]
 		}
-		copy(dst[j+1:n+1], dst[j:n])
 		dst[j] = i
 	}
 	return dst

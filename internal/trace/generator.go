@@ -103,6 +103,8 @@ type Generator struct {
 	// the selected indices, both consumed before the next selection.
 	row []float32
 	top []int
+	// draw is the pruned prefill routing draw's scratch (prefill.go).
+	draw prefillDraw
 }
 
 // New builds a generator for cfg. It panics on an invalid configuration;
@@ -228,19 +230,18 @@ func (g *Generator) PrefillLoads(layer, tokens int) []int {
 }
 
 // prefillLoadsInto is PrefillLoads writing into dst's backing array.
+// Each token's row is float32(latent[e] + NormMeanStd(0, TokenNoise))
+// over the experts, drawn in expert order; tokenTopK selects its top-k
+// while computing exact values only where they can reach it.
 func (g *Generator) prefillLoadsInto(dst []int, layer, tokens int) []int {
 	g.checkLayer(layer)
 	if tokens <= 0 {
 		panic(fmt.Sprintf("trace: non-positive token count %d", tokens))
 	}
 	loads := zeroLoads(dst, g.cfg.RoutedExperts)
-	row := g.rankRow(g.cfg.RoutedExperts)
+	g.draw.begin(g.latent[layer], g.opts.TokenNoise, g.cfg.ActivatedExperts)
 	for t := 0; t < tokens; t++ {
-		for e, v := range g.latent[layer] {
-			row[e] = float32(v + g.rng.NormMeanStd(0, g.opts.TokenNoise))
-		}
-		g.top = tensor.TopKInto(g.top, row, g.cfg.ActivatedExperts)
-		for _, e := range g.top {
+		for _, e := range g.tokenTopK() {
 			loads[e]++
 		}
 	}

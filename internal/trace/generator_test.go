@@ -7,6 +7,7 @@ import (
 
 	"hybrimoe/internal/moe"
 	"hybrimoe/internal/stats"
+	"hybrimoe/internal/tensor"
 )
 
 func dsGen(seed uint64) *Generator {
@@ -304,21 +305,32 @@ func TestOptionsFillDefaults(t *testing.T) {
 }
 
 // TestPrefillLoadsAllocationsFlatInTokens pins the per-token loop as
-// allocation-free: routing 512 tokens through a layer allocates no more
-// than routing one (the returned loads; the ranking scratch is reused).
+// allocation-free on every model: after a warm-up call, routing 512
+// tokens through a layer allocates no more than routing one (the
+// returned loads; the draw's O(E) scratch is reused).
 func TestPrefillLoadsAllocationsFlatInTokens(t *testing.T) {
-	g := New(moe.DeepSeek(), DefaultOptions(5))
-	g.PrefillLoads(0, 1)
-	one := testing.AllocsPerRun(20, func() { g.PrefillLoads(0, 1) })
-	many := testing.AllocsPerRun(20, func() { g.PrefillLoads(0, 512) })
-	if many > one {
-		t.Fatalf("PrefillLoads allocated %.1f times for 512 tokens, %.1f for 1", many, one)
+	for _, cfg := range []*moe.Config{moe.DeepSeek(), moe.Qwen2(), moe.Mixtral()} {
+		g := New(cfg, DefaultOptions(5))
+		g.PrefillLoads(0, 1)
+		one := testing.AllocsPerRun(20, func() { g.PrefillLoads(0, 1) })
+		many := testing.AllocsPerRun(20, func() { g.PrefillLoads(0, 512) })
+		if many > one {
+			t.Fatalf("%s: PrefillLoads allocated %.1f times for 512 tokens, %.1f for 1", cfg.Name, many, one)
+		}
 	}
 }
 
-// TestScratchSelectionMatchesTopK pins the scratch-backed selections of
-// DecodeStep and PrefillLoads to the allocating float32 TopK path they
-// replaced, on twin generators: same routing, same loads, same draws.
+// TestScratchSelectionMatchesTopK pins the routing selections to dense
+// reference loops on twin generators. DecodeStep must match the
+// allocating float32 TopK path. The pruned prefill draw must match
+// denseLoads, a copy of the per-token loop it replaced, on every layer:
+// the three models, an odd expert count, k = 1 and k = E; 30 seeds at
+// 1 to 513 tokens, with a cached normal at the row start on alternate
+// calls; and options where every float32 row ties, where TokenNoise
+// swamps the latents, and where it is negative. Loads must match call
+// for call, and so must the draws that follow each call. The RNG
+// structs are not compared: the dense loop leaves a stale cached
+// variate behind that no later draw can observe.
 func TestScratchSelectionMatchesTopK(t *testing.T) {
 	cfg := moe.DeepSeek()
 	k := cfg.ActivatedExperts
@@ -335,21 +347,89 @@ func TestScratchSelectionMatchesTopK(t *testing.T) {
 				t.Fatalf("iter %d layer %d: DecodeStep diverged from TopK", it, l)
 			}
 		}
-		for _, tokens := range []int{1, 37} {
-			got := a.PrefillLoads(it, tokens)
-			want := make([]int, cfg.RoutedExperts)
-			perTok := make([]float64, cfg.RoutedExperts)
-			for tok := 0; tok < tokens; tok++ {
-				for e, v := range b.latent[it] {
-					perTok[e] = v + b.rng.NormMeanStd(0, b.opts.TokenNoise)
+	}
+
+	shape := func(name string, layers, experts, k int) *moe.Config {
+		return &moe.Config{Name: name, Layers: layers, RoutedExperts: experts,
+			ActivatedExperts: k, Hidden: 1, Intermediate: 1}
+	}
+	const tiny = 1e-300
+	cases := []struct {
+		name  string
+		cfg   *moe.Config
+		tweak func(*Options)
+	}{
+		{"DeepSeek", moe.DeepSeek(), nil},
+		{"Qwen2", moe.Qwen2(), nil},
+		{"Mixtral", moe.Mixtral(), nil},
+		{"E63k5", shape("E63k5", 6, 63, 5), nil},
+		{"E64k1", shape("E64k1", 6, 64, 1), nil},
+		{"E9k9", shape("E9k9", 6, 9, 9), nil},
+		{"ties", shape("ties", 4, 63, 5), func(o *Options) { o.BaseSpread, o.NoiseStd, o.TokenNoise = tiny, tiny, tiny }},
+		{"wide", shape("wide", 4, 64, 6), func(o *Options) { o.TokenNoise = 1e6 }},
+		{"negative", shape("negative", 4, 63, 5), func(o *Options) { o.TokenNoise = -1.3 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 30; seed++ {
+				opts := DefaultOptions(seed)
+				if c.tweak != nil {
+					c.tweak(&opts)
 				}
-				for _, e := range topKIndices(perTok, k) {
-					want[e]++
+				a, b := New(c.cfg, opts), New(c.cfg, opts)
+				call := 0
+				for _, tokens := range []int{1, 2, 7, 64, 129, 513} {
+					a.Advance()
+					b.Advance()
+					for l := 0; l < c.cfg.Layers; l++ {
+						call++
+						holdCached(a.rng, call%2 == 1)
+						holdCached(b.rng, call%2 == 1)
+						got, want := a.PrefillLoads(l, tokens), denseLoads(b, l, tokens)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed %d layer %d, %d tokens, cached start %v: loads %v, dense loop %v",
+								seed, l, tokens, call%2 == 1, got, want)
+						}
+						za, zb := a.rng.Norm(), b.rng.Norm()
+						if math.Float64bits(za) != math.Float64bits(zb) || a.rng.Uint64() != b.rng.Uint64() {
+							t.Fatalf("seed %d layer %d, %d tokens: the draws after the call diverged", seed, l, tokens)
+						}
+					}
 				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("iter %d: PrefillLoads(%d tokens) = %v, TopK path %v", it, tokens, got, want)
-			}
+		})
+	}
+}
+
+// holdCached leaves r holding a cached Box-Muller variate when want is
+// set, by drawing one normal if it holds none, and otherwise drops the
+// cached variate if it holds one. Twin generators stay twins.
+func holdCached(r *stats.RNG, want bool) {
+	z, ok := r.TakeCached()
+	switch {
+	case want && ok:
+		r.PutCached(z)
+	case want:
+		r.Norm()
+	}
+}
+
+// denseLoads is the dense prefill routing loop the pruned draw
+// replaced: every entry's exact float32 logit, then TopKInto over the
+// full row, once per token.
+func denseLoads(g *Generator, layer, tokens int) []int {
+	n, k := g.cfg.RoutedExperts, g.cfg.ActivatedExperts
+	loads := make([]int, n)
+	row := make([]float32, n)
+	var top []int
+	for tok := 0; tok < tokens; tok++ {
+		for e, v := range g.latent[layer] {
+			row[e] = float32(v + g.rng.NormMeanStd(0, g.opts.TokenNoise))
+		}
+		top = tensor.TopKInto(top, row, k)
+		for _, e := range top {
+			loads[e]++
 		}
 	}
+	return loads
 }
