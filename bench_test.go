@@ -735,18 +735,19 @@ func BenchmarkDisaggHandoff(b *testing.B) {
 	}
 }
 
-// --- Event-core scale -------------------------------------------------
+// --- Event-queue microbenchmark ----------------------------------------
 
-// BenchmarkMillionRequests drives the raw discrete-event core through an
-// open queueing sweep at scale: 2^20 seeded Poisson arrivals flow
-// through one sim.Queue, each popped arrival reserving deterministic
-// service on the least-busy of eight no-trace resource timelines and
-// scheduling its completion back onto the queue (so the heap constantly
-// interleaves arrivals and completions, the Session's event mix). The
-// sim-req/s metric is simulated requests per wall-clock second — the
-// event-driven rebuild's headline scale claim is that it clears 1e6 —
-// and the queue and timelines are reused across iterations, so the
-// steady-state loop is allocation-free (gated by the -benchmem
+// BenchmarkMillionRequests is a microbenchmark of the event queue: 2^20
+// seeded Poisson arrivals flow through one sim.Queue, each popped
+// arrival reserving deterministic service on the least-busy of eight
+// no-trace resource timelines and scheduling its completion back onto
+// the queue (so the heap constantly interleaves arrivals and
+// completions, the Session's event mix). It never touches an engine,
+// a Session or a cluster, so its sim-req/s (simulated requests per
+// wall-clock second) bounds the event loop's own overhead and says
+// nothing about serving throughput; bench/'s engine-backed workloads
+// measure that. The queue and timelines are reused across iterations,
+// so the steady-state loop is allocation-free (gated by the -benchmem
 // allocs/op column in the bench trend).
 func BenchmarkMillionRequests(b *testing.B) {
 	const (

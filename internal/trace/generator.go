@@ -103,8 +103,6 @@ type Generator struct {
 	// the selected indices, both consumed before the next selection.
 	row []float32
 	top []int
-	// draw is the pruned prefill routing draw's scratch (prefill.go).
-	draw prefillDraw
 }
 
 // New builds a generator for cfg. It panics on an invalid configuration;
@@ -239,12 +237,15 @@ func (g *Generator) prefillLoadsInto(dst []int, layer, tokens int) []int {
 		panic(fmt.Sprintf("trace: non-positive token count %d", tokens))
 	}
 	loads := zeroLoads(dst, g.cfg.RoutedExperts)
-	g.draw.begin(g.latent[layer], g.opts.TokenNoise, g.cfg.ActivatedExperts)
+	d := drawPool.Get().(*prefillDraw)
+	d.begin(g.latent[layer], g.opts.TokenNoise, g.cfg.ActivatedExperts)
 	for t := 0; t < tokens; t++ {
-		for _, e := range g.tokenTopK() {
+		for _, e := range g.tokenTopK(d) {
 			loads[e]++
 		}
 	}
+	d.lat = nil
+	drawPool.Put(d)
 	return loads
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"sync"
 
 	"hybrimoe/internal/stats"
 	"hybrimoe/internal/tensor"
@@ -86,8 +87,10 @@ func newDrawBounds() *drawBounds {
 	return b
 }
 
-// prefillDraw is one Generator's scratch for the pruned draw, O(E) and
-// reused across calls.
+// prefillDraw is the pruned draw's per-call state and O(E) scratch. It
+// is borrowed from drawPool for one prefill call rather than owned by
+// the Generator: a grid or a fleet keeps hundreds of mostly idle
+// generators alive, and owned scratch would add to their peak RSS.
 type prefillDraw struct {
 	// The current call's layer latents and noise scale, its threshold τ
 	// and float32(τ), |σ|, and the angle-bucket offset that turns the
@@ -104,6 +107,8 @@ type prefillDraw struct {
 	hit  []int
 	val  []float32
 }
+
+var drawPool = sync.Pool{New: func() any { return new(prefillDraw) }}
 
 // begin prepares the draw for one prefill call over a layer's latents.
 func (d *prefillDraw) begin(lat []float64, sigma float64, k int) {
@@ -172,8 +177,7 @@ func tokenLogit(l, sigma, z float64) float32 {
 // tokenTopK draws one prompt token's routing row from the generator's
 // RNG and returns the indices TopKInto would select from the dense row,
 // in no particular order, valid until the next selection.
-func (g *Generator) tokenTopK() []int {
-	d := &g.draw
+func (g *Generator) tokenTopK(d *prefillDraw) []int {
 	rng, lat, sigma, tau := g.rng, d.lat, d.sigma, d.tau
 	n := len(lat)
 	hit, val := d.hit[:0], d.val[:0]

@@ -91,6 +91,11 @@ func ReadTrace(r io.Reader) ([]Request, error) {
 			if err := rec.Checkpoint.Validate(); err != nil {
 				return nil, fmt.Errorf("trace line %d: %w", line, err)
 			}
+			if len(rec.Checkpoint.Experts) == 0 {
+				// WriteTrace omits an empty expert list, so "experts":[]
+				// reads as no list at all and the trace round-trips.
+				rec.Checkpoint.Experts = nil
+			}
 		}
 		reqs = append(reqs, Request{
 			ID:           rec.ID,
