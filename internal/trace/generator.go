@@ -98,11 +98,14 @@ type Generator struct {
 	// fresh generator on the routing hot path. Reseed restores the
 	// exact NewRNG state, so draws are byte-identical.
 	predRNG stats.RNG
-	// row and top are the top-k selection scratch of PrefillLoads (once
-	// per token), DecodeStep and Activated: the float32 ranking row and
-	// the selected indices, both consumed before the next selection.
+	// row and top are the top-k selection scratch of DecodeStep,
+	// Activated and PrefillLoads (once per token): the float32 ranking
+	// row and the selected indices, both consumed before the next
+	// selection.
 	row []float32
 	top []int
+	// draw is the pruned prefill routing draw's scratch (prefill.go).
+	draw prefillDraw
 }
 
 // New builds a generator for cfg. It panics on an invalid configuration;
@@ -237,15 +240,13 @@ func (g *Generator) prefillLoadsInto(dst []int, layer, tokens int) []int {
 		panic(fmt.Sprintf("trace: non-positive token count %d", tokens))
 	}
 	loads := zeroLoads(dst, g.cfg.RoutedExperts)
-	d := drawPool.Get().(*prefillDraw)
+	d := &g.draw
 	d.begin(g.latent[layer], g.opts.TokenNoise, g.cfg.ActivatedExperts)
 	for t := 0; t < tokens; t++ {
 		for _, e := range g.tokenTopK(d) {
 			loads[e]++
 		}
 	}
-	d.lat = nil
-	drawPool.Put(d)
 	return loads
 }
 

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math"
-	"sync"
 
 	"hybrimoe/internal/stats"
 	"hybrimoe/internal/tensor"
@@ -87,10 +86,8 @@ func newDrawBounds() *drawBounds {
 	return b
 }
 
-// prefillDraw is the pruned draw's per-call state and O(E) scratch. It
-// is borrowed from drawPool for one prefill call rather than owned by
-// the Generator: a grid or a fleet keeps hundreds of mostly idle
-// generators alive, and owned scratch would add to their peak RSS.
+// prefillDraw is one Generator's state and O(E) scratch for the pruned
+// draw, set up per prefill call and reused across calls.
 type prefillDraw struct {
 	// The current call's layer latents and noise scale, its threshold τ
 	// and float32(τ), |σ|, and the angle-bucket offset that turns the
@@ -107,8 +104,6 @@ type prefillDraw struct {
 	hit  []int
 	val  []float32
 }
-
-var drawPool = sync.Pool{New: func() any { return new(prefillDraw) }}
 
 // begin prepares the draw for one prefill call over a layer's latents.
 func (d *prefillDraw) begin(lat []float64, sigma float64, k int) {
@@ -134,7 +129,7 @@ func (d *prefillDraw) begin(lat []float64, sigma float64, k int) {
 func threshold(lat []float64, absSigma float64, k int) float64 {
 	lo, hi := lat[0], lat[0]
 	for _, l := range lat[1:] {
-		lo, hi = math.Min(lo, l), math.Max(hi, l)
+		lo, hi = min(lo, l), max(hi, l)
 	}
 	lo -= tailZ * absSigma
 	hi += tailZ * absSigma
