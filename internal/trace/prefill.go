@@ -53,8 +53,9 @@ type drawBounds struct {
 	// and a NaN bound fails the comparison that keeps an entry.
 	radius [radiusBuckets]float64
 	// trig[j] bounds the cosine and the sine of BoxMullerAngle(v) for v
-	// in [j, j+1)/angleBuckets, clamped at 0 so a product with a radius
-	// bound never falls below a sign-flipped exact product.
+	// in [j, j+1)/angleBuckets, clamped at 0: below 0 a larger radius
+	// gives a smaller product, so a radius bound times a negative bound
+	// would not bound the exact product.
 	trig [angleBuckets][2]float64
 	// tail[i] = P(N > -tailZ + i/tailSteps) for a standard normal N.
 	tail [2*tailZ*tailSteps + 1]float64
@@ -67,7 +68,7 @@ func newDrawBounds() *drawBounds {
 	for i := range b.radius {
 		// The radius falls as u grows, so each bucket's bound is at its
 		// lower edge; bucket 0 starts at UniformPair's smallest u, 2⁻⁵³.
-		u := math.Max(float64(i)/radiusBuckets, 0x1p-53)
+		u := max(float64(i)/radiusBuckets, 0x1p-53)
 		b.radius[i] = stats.BoxMullerRadius(u) * (1 + boundSlack)
 	}
 	for j := range b.trig {
@@ -76,8 +77,8 @@ func newDrawBounds() *drawBounds {
 		// one of its edges.
 		lo := stats.BoxMullerAngle(float64(j) / angleBuckets)
 		hi := stats.BoxMullerAngle(float64(j+1) / angleBuckets)
-		b.trig[j][0] = math.Max(math.Max(math.Cos(lo), math.Cos(hi))+boundSlack, 0)
-		b.trig[j][1] = math.Max(math.Max(math.Sin(lo), math.Sin(hi))+boundSlack, 0)
+		b.trig[j][0] = max(math.Cos(lo)+boundSlack, math.Cos(hi)+boundSlack, 0)
+		b.trig[j][1] = max(math.Sin(lo)+boundSlack, math.Sin(hi)+boundSlack, 0)
 	}
 	for i := range b.tail {
 		z := -tailZ + float64(i)/tailSteps
