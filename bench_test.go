@@ -161,7 +161,8 @@ func BenchmarkTable3Ablation(b *testing.B) {
 	}
 }
 
-// --- Design-choice ablations (DESIGN.md §4) --------------------------
+// --- Design-choice ablations: greedy vs optimal scheduling, MRS top-p
+// width, prefetch window and policy, CPU warm-up modelling ------------
 
 func BenchmarkSchedulerGreedyVsExhaustive(b *testing.B) {
 	var mean float64

@@ -94,7 +94,10 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		p := params(*seed, *steps, *quick || *short)
+		p, err := params(*seed, *steps, *quick || *short)
+		if err != nil {
+			return err
+		}
 		p.Workers = *workers
 		p.ClusterWorkers = *clusterWorkers
 		e.Run(p).Render(w)
@@ -104,7 +107,10 @@ func run(args []string, w io.Writer) error {
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		p := params(*seed, *steps, *quick || *short)
+		p, err := params(*seed, *steps, *quick || *short)
+		if err != nil {
+			return err
+		}
 		p.Workers = *workers
 		p.ClusterWorkers = *clusterWorkers
 		exp.RunAll(w, p)
@@ -120,8 +126,8 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *steps < 1 {
-			return fmt.Errorf("-steps %d must be at least 1", *steps)
+		if err := checkSteps(*steps); err != nil {
+			return err
 		}
 		e, err := engine.New(cfg, hw.A6000Platform(), engine.HybriMoEFramework(),
 			engine.WithCacheRatio(*ratio), engine.WithSeed(*seed), engine.WithTraceRecording())
@@ -565,7 +571,11 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 	return nil
 }
 
-func params(seed uint64, steps int, quick bool) exp.Params {
+// params resolves the experiment scale the run and all subcommands use.
+func params(seed uint64, steps int, quick bool) (exp.Params, error) {
+	if err := checkSteps(steps); err != nil {
+		return exp.Params{}, err
+	}
 	p := exp.DefaultParams()
 	if quick {
 		p = exp.QuickParams()
@@ -575,7 +585,16 @@ func params(seed uint64, steps int, quick bool) exp.Params {
 	if quick && steps == 50 {
 		p.DecodeSteps = 8
 	}
-	return p
+	return p, nil
+}
+
+// checkSteps rejects a -steps the engine cannot run: every decode
+// measurement needs at least one iteration.
+func checkSteps(steps int) error {
+	if steps < 1 {
+		return fmt.Errorf("-steps %d must be at least 1", steps)
+	}
+	return nil
 }
 
 func usage() {

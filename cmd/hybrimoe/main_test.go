@@ -56,6 +56,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"bogus",
 		"run",
 		"run fig99",
+		"run fig8 -steps 0",
+		"all -steps -1",
 		"demo -steps 0",
 		"serve -model Bogus",
 		"serve -cache 1.5",

@@ -37,6 +37,25 @@ func burstRequests(seed uint64, n int, rate float64) []workload.Request {
 	return reqs
 }
 
+// ReplicaSeed must derive distinct seeds per replica, stable across
+// calls, with replica 0 keeping the base seed.
+func TestReplicaSeedDistinctAndStable(t *testing.T) {
+	seen := map[uint64]int{}
+	for i := 0; i < 64; i++ {
+		s := ReplicaSeed(2025, i)
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("ReplicaSeed(2025, %d) == ReplicaSeed(2025, %d)", i, prev)
+		}
+		seen[s] = i
+		if again := ReplicaSeed(2025, i); again != s {
+			t.Fatalf("ReplicaSeed(2025, %d) unstable: %d then %d", i, s, again)
+		}
+	}
+	if ReplicaSeed(2025, 0) != 2025 {
+		t.Fatal("ReplicaSeed(base, 0) must equal base")
+	}
+}
+
 // TestClusterSingleReplicaMatchesSession is the acceptance pin: a
 // 1-replica cluster with no failures and no scale plan must be a
 // transparent wrapper — its event stream is identical, field for field,

@@ -11,10 +11,10 @@ import (
 	"hybrimoe/internal/stats"
 )
 
-// AblationGreedyVsExhaustive quantifies DESIGN.md ablation 1: how close
-// the greedy timeline-filling simulation gets to the brute-force
-// assignment optimum, over random layer instances. Returns the mean and
-// worst greedy/optimal makespan ratios.
+// AblationGreedyVsExhaustive measures the cost of scheduling greedily:
+// how close HybriMoE's timeline-filling simulation gets to the
+// brute-force CPU/GPU assignment optimum, over random layer instances.
+// Returns the mean and worst greedy/optimal makespan ratios.
 func AblationGreedyVsExhaustive(trials int, seed uint64) (mean, worst float64) {
 	rng := stats.NewRNG(seed)
 	p := hw.A6000Platform()
@@ -59,8 +59,8 @@ func randomTasks(rng *stats.RNG, cfg *moe.Config, n int) []sched.Task {
 	return tasks
 }
 
-// AblationMRSTopP measures DESIGN.md ablation 2: steady-state hit rate
-// of MRS as the top-p accumulation width varies (the paper fixes
+// AblationMRSTopP measures how wide MRS's score accumulation should be:
+// steady-state hit rate as the top-p width varies (the paper fixes
 // p = 2K). Returns a table of p multiplier vs hit rate for DeepSeek at
 // 40% capacity.
 func AblationMRSTopP(p Params) *report.Table {
@@ -79,8 +79,9 @@ func AblationMRSTopP(p Params) *report.Table {
 	return t
 }
 
-// AblationLookahead measures DESIGN.md ablation 3: decode latency as the
-// impact-driven prefetcher's window varies (the paper uses 3 layers).
+// AblationLookahead measures how far ahead prefetching should look:
+// decode latency as the impact-driven prefetcher's window varies (the
+// paper uses 3 layers; window 0 disables prefetch).
 func AblationLookahead(p Params) *report.Table {
 	t := report.NewTable("Ablation: prefetch lookahead window (DeepSeek, 25% cache)",
 		"window", "decode-TBT(s)")
@@ -116,9 +117,9 @@ func AblationPrefetchPolicy(p Params) *report.Table {
 	return t
 }
 
-// AblationCPUWarmup measures DESIGN.md ablation 5: the effect of
-// modelling (and exploiting) the CPU's first-expert warm-up penalty on
-// the scheduler's decisions.
+// AblationCPUWarmup measures what the CPU cost model's warm-up term is
+// worth: decode latency when the scheduler plans with the CPU's
+// first-expert warm-up penalty against a platform that omits it.
 func AblationCPUWarmup(p Params) *report.Table {
 	t := report.NewTable("Ablation: CPU warm-up modelling (DeepSeek, 25% cache)",
 		"warmup-model", "decode-TBT(s)")
@@ -136,33 +137,20 @@ func AblationCPUWarmup(p Params) *report.Table {
 	return t
 }
 
-// PlatformSweep runs the headline decode comparison on the laptop-class
-// platform, checking the result shape holds beyond the paper's testbed.
-func PlatformSweep(p Params) *report.Table {
-	return runTable(platformStudy{}, p)
-}
-
-// platformStudy is PlatformSweep as a runner-iterated grid: one cell
-// per model, each running the kTransformers and HybriMoE decode pair.
-type platformStudy struct{}
-
-func (platformStudy) ID() string       { return "platform" }
-func (platformStudy) Describe() string { return "Laptop-class platform sweep" }
-
-func (platformStudy) Cells(p Params) []Cell {
+// platformSweep runs the headline decode comparison on the laptop-class
+// platform, checking the result shape holds beyond the paper's testbed:
+// one cell per model, each running the kTransformers and HybriMoE
+// decode pair.
+func platformSweep(p Params) *report.Table {
 	platform := hw.LaptopPlatform()
 	var cells []Cell
 	for _, cfg := range moe.AllModels() {
-		cells = append(cells, Cell{Label: "platform/" + cfg.Name, Run: func() []Row {
+		cells = append(cells, func() []Row {
 			kt := mustEngine(cfg, platform, engine.KTransformersFramework(), 0.25, p.Seed).RunDecode(p.DecodeSteps).Mean()
 			hy := mustEngine(cfg, platform, engine.HybriMoEFramework(), 0.25, p.Seed).RunDecode(p.DecodeSteps).Mean()
 			return []Row{{cfg.Name, kt, hy, kt / hy}}
-		}})
+		})
 	}
-	return cells
-}
-
-func (platformStudy) Render(_ Params, results [][]Row) Renderable {
 	return tableFromCells("Platform sweep: decode TBT on laptop-class hardware (25% cache)",
-		[]string{"model", "KTrans(s)", "HybriMoE(s)", "speedup"}, results)
+		[]string{"model", "KTrans(s)", "HybriMoE(s)", "speedup"}, runCells(p, cells))
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
@@ -58,45 +56,23 @@ func driveBatch(p Params, ratio float64, reqs []workload.Request,
 // should climb with concurrency under "greedy" and "phase-aware" while
 // "none" (one request per iteration, the pre-batching loop) stays
 // flat; the TBT percentiles show what each policy charges a single
-// token for the extra sharing.
+// token for the extra sharing. There is one cell per batch former ×
+// concurrency point, all serving one shared stream.
 func BatchingStudy(p Params, requests int, ratio float64) *report.Table {
-	return runTable(batchingStudy{requests: requests, ratio: ratio}, p)
-}
-
-// batchingStudy is BatchingStudy as a runner-iterated grid: one cell
-// per batch former × concurrency point, all serving one shared stream.
-type batchingStudy struct {
-	requests int
-	ratio    float64
-}
-
-func (batchingStudy) ID() string       { return "batching" }
-func (batchingStudy) Describe() string { return "Continuous-batching policies × concurrency" }
-
-func (s batchingStudy) Cells(p Params) []Cell {
-	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
-	reqs := stream.NextN(s.requests)
-	workload.CapDecode(reqs, p.DecodeSteps)
+	reqs := studyRequests(p, requests, 0)
 
 	var cells []Cell
 	for _, policy := range []string{"none", "greedy", "phase-aware"} {
 		for _, concurrent := range []int{1, 4, 8} {
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("batching/%s/x%d", policy, concurrent),
-				Run: func() []Row {
-					r := driveBatch(p, s.ratio, reqs, policy, BatchBudget, concurrent)
-					tbt := r.TBT.Stats()
-					return []Row{{policy, concurrent, r.DecodeThroughput(),
-						tbt.P50, tbt.P95, r.TTFT.Stats().P95, r.meanBatch(), r.Makespan}}
-				},
+			cells = append(cells, func() []Row {
+				r := driveBatch(p, ratio, reqs, policy, BatchBudget, concurrent)
+				tbt := r.TBT.Stats()
+				return []Row{{policy, concurrent, r.DecodeThroughput(),
+					tbt.P50, tbt.P95, r.TTFT.Stats().P95, r.meanBatch(), r.Makespan}}
 			})
 		}
 	}
-	return cells
-}
-
-func (batchingStudy) Render(_ Params, results [][]Row) Renderable {
 	return tableFromCells("Batching study: batch formers × concurrency (HybriMoE)",
 		[]string{"batch", "concurrent", "decode-tok/s", "p50-TBT(s)", "p95-TBT(s)",
-			"p95-TTFT(s)", "mean-batch", "sim-time(s)"}, results)
+			"p95-TTFT(s)", "mean-batch", "sim-time(s)"}, runCells(p, cells))
 }

@@ -3,8 +3,6 @@ package exp
 import (
 	"strings"
 	"testing"
-
-	"hybrimoe/internal/workload"
 )
 
 func TestBatchingStudyShape(t *testing.T) {
@@ -28,18 +26,6 @@ func TestBatchingStudyShape(t *testing.T) {
 	}
 }
 
-// studyRequests draws the batching study's workload at test scale.
-func studyRequests(p Params, n int) []workload.Request {
-	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
-	reqs := stream.NextN(n)
-	for i := range reqs {
-		if reqs[i].DecodeTokens > p.DecodeSteps {
-			reqs[i].DecodeTokens = p.DecodeSteps
-		}
-	}
-	return reqs
-}
-
 // TestBatchingBeatsNoneAtConcurrency8 pins the study's headline: with
 // eight requests in flight, merging their decode steps into one
 // iteration ("greedy" and "phase-aware") must raise decode throughput
@@ -48,7 +34,7 @@ func studyRequests(p Params, n int) []workload.Request {
 func TestBatchingBeatsNoneAtConcurrency8(t *testing.T) {
 	p := QuickParams()
 	p.DecodeSteps = 12
-	reqs := studyRequests(p, 12)
+	reqs := studyRequests(p, 12, 0)
 	none := driveBatch(p, 0.25, reqs, "none", BatchBudget, 8)
 	for _, policy := range []string{"greedy", "phase-aware"} {
 		batched := driveBatch(p, 0.25, reqs, policy, BatchBudget, 8)
@@ -71,7 +57,7 @@ func TestBatchingBeatsNoneAtConcurrency8(t *testing.T) {
 func TestBatchingConservesWork(t *testing.T) {
 	p := QuickParams()
 	p.DecodeSteps = 6
-	reqs := studyRequests(p, 8)
+	reqs := studyRequests(p, 8, 0)
 	none := driveBatch(p, 0.25, reqs, "none", BatchBudget, 4)
 	for _, policy := range []string{"greedy", "phase-aware"} {
 		r := driveBatch(p, 0.25, reqs, policy, BatchBudget, 4)

@@ -35,14 +35,15 @@ func (r disaggRun) warmFrac() float64 {
 // was cheap, which is exactly the interference disaggregation removes.
 func driveDisagg(p Params, ratio float64, n int, reqs []workload.Request,
 	spec cluster.PoolSpec) disaggRun {
-	run, c := serveFleet(p, ratio, n, "affinity", reqs, nil, poolOpts(spec)...)
+	run, c := serveFleet(p, ratio, n, "affinity", reqs, nil, cluster.WithPools(spec))
 	r := disaggRun{fleetRun: run, handoffs: c.Handoffs()}
 	r.warmExperts, r.allExperts = c.MigratedExperts()
 	return r
 }
 
 // disaggConfigs is the pool grid the study contrasts, mixed baseline
-// first in each rate group so Render can anchor the isolation delta.
+// first in each rate group so disaggTable can anchor the isolation
+// delta.
 func disaggConfigs() []cluster.PoolSpec {
 	return []cluster.PoolSpec{
 		{},                      // mixed: every replica serves both stages
@@ -51,14 +52,9 @@ func disaggConfigs() []cluster.PoolSpec {
 	}
 }
 
-// DisaggStudy sweeps pool split × Poisson arrival rate on a fixed
-// 3-replica fleet, contrasting mixed colocation against
-// prefill/decode disaggregation with priced working-set migration.
-func DisaggStudy(p Params, requests int, ratio float64) *report.Table {
-	return runTable(disaggStudy{requests: requests, ratio: ratio}, p)
-}
-
-// disaggStudy is DisaggStudy as a runner-iterated grid. The serial
+// disaggStudy sweeps pool split × Poisson arrival rate on a fixed
+// 3-replica fleet, contrasting mixed colocation against prefill/decode
+// disaggregation with priced working-set migration. The serial
 // prologue calibrates per-replica capacity closed-loop, then sweeps
 // {mixed, 1:2, 2:1} pool splits across two Poisson rates (moderate and
 // saturating multiples of aggregate capacity), every cell serving the
@@ -76,49 +72,39 @@ func DisaggStudy(p Params, requests int, ratio float64) *report.Table {
 // spread over all three boxes. Disaggregation buys steady token
 // cadence with prefill throughput, the trade the paper's serving
 // problem turns on.
-type disaggStudy struct {
-	requests int
-	ratio    float64
-}
+func disaggStudy(p Params, requests int, ratio float64) *report.Table {
+	_, perReplica := calibrateFleet(p, requests, ratio)
 
-func (disaggStudy) ID() string { return "disagg" }
-func (disaggStudy) Describe() string {
-	return "Disaggregated serving: pool split × arrival rate, TBT isolation vs migration cost"
+	// Rate-major, config-minor grid (mixed first per rate) — disaggTable
+	// leans on this order to pair each split with its mixed baseline.
+	var cells []Cell
+	for _, mult := range []float64{1.2, 2.4} {
+		rate := mult * perReplica * disaggReplicas
+		reqs := studyRequests(p, requests, rate)
+		for _, spec := range disaggConfigs() {
+			cells = append(cells, func() []Row {
+				r := driveDisagg(p, ratio, disaggReplicas, reqs, spec)
+				return []Row{{spec.String(), rate, r.Completed, r.Goodput(),
+					r.handoffs, r.warmFrac(), r.TTFT.Stats().P95, r.Gap.Stats().P95,
+					r.Makespan}}
+			})
+		}
+	}
+	return disaggTable(runCells(p, cells))
 }
 
 // disaggReplicas is the fixed fleet size the split grid divides.
 const disaggReplicas = 3
 
 // disaggGapCol is the p95 inter-token-gap column index in the rows
-// Cells emits, which Render reads back to compute isolation deltas.
+// disaggStudy's cells emit, which disaggTable reads back to compute
+// isolation deltas.
 const disaggGapCol = 7
 
-func (s disaggStudy) Cells(p Params) []Cell {
-	base := driveFleet(p, s.ratio, 1, "round-robin", fleetRequests(p, s.requests, 0), nil)
-	perReplica := float64(base.Completed) / base.Makespan
-
-	// Rate-major, config-minor grid (mixed first per rate) — Render
-	// leans on this order to pair each split with its mixed baseline.
-	var cells []Cell
-	for _, mult := range []float64{1.2, 2.4} {
-		rate := mult * perReplica * disaggReplicas
-		reqs := fleetRequests(p, s.requests, rate)
-		for _, spec := range disaggConfigs() {
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("disagg/%s/%.3g", spec, rate),
-				Run: func() []Row {
-					r := driveDisagg(p, s.ratio, disaggReplicas, reqs, spec)
-					return []Row{{spec.String(), rate, r.Completed, r.Goodput(),
-						r.handoffs, r.warmFrac(), r.TTFT.Stats().P95, r.Gap.Stats().P95,
-						r.Makespan}}
-				},
-			})
-		}
-	}
-	return cells
-}
-
-func (s disaggStudy) Render(_ Params, results [][]Row) Renderable {
+// disaggTable renders the split grid's slotted rows, inserting after the
+// p95 gap each row's isolation delta against the mixed row that leads
+// its rate group.
+func disaggTable(results [][]Row) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Disaggregation study: pool split × Poisson rate, %d replicas (affinity router, priced KV migration)", disaggReplicas),
 		"pools", "rate(req/s)", "completed", "goodput(req/s)", "handoffs",

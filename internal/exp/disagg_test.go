@@ -18,10 +18,9 @@ func TestDisaggIsolationAtSaturation(t *testing.T) {
 	p := QuickParams()
 	const requests, ratio = 18, 0.25
 
-	base := driveFleet(p, ratio, 1, "round-robin", fleetRequests(p, requests, 0), nil)
-	perReplica := float64(base.Completed) / base.Makespan
+	_, perReplica := calibrateFleet(p, requests, ratio)
 	rate := 2.4 * perReplica * disaggReplicas
-	reqs := fleetRequests(p, requests, rate)
+	reqs := studyRequests(p, requests, rate)
 
 	mixed := driveDisagg(p, ratio, disaggReplicas, reqs, cluster.PoolSpec{})
 	split := driveDisagg(p, ratio, disaggReplicas, reqs, cluster.PoolSpec{Prefill: 1, Decode: 2})
@@ -58,7 +57,7 @@ func TestDisaggRenderAnchorsMixedDelta(t *testing.T) {
 		mk("mixed", 0.5), mk("1:2", 0.25), mk("2:1", 0.75),
 		mk("mixed", 4.0), mk("1:2", 2.0), mk("2:1", 8.0),
 	}
-	out := renderString(disaggStudy{}.Render(DefaultParams(), results))
+	out := renderString(disaggTable(results))
 	if !strings.Contains(out, "isolation-delta(s)") {
 		t.Fatalf("render lost the isolation-delta column:\n%s", out)
 	}
@@ -69,50 +68,30 @@ func TestDisaggRenderAnchorsMixedDelta(t *testing.T) {
 	}
 }
 
-// TestDisaggStudyGridShape pins the grid: rate-major, config-minor with
-// the mixed baseline leading every rate group — the order Render's
-// delta anchoring depends on.
+// TestDisaggStudyGridShape pins the grid through its rendering:
+// rate-major, config-minor, with the mixed baseline leading every rate
+// group at an isolation delta of zero — the order disaggTable's delta
+// anchoring depends on.
 func TestDisaggStudyGridShape(t *testing.T) {
-	cells := disaggStudy{requests: 4, ratio: 0.25}.Cells(QuickParams())
+	var csv strings.Builder
+	disaggStudy(QuickParams(), 4, 0.25).RenderCSV(&csv)
+	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
+	header, rows := strings.Split(lines[0], ","), lines[1:]
 	group := len(disaggConfigs())
-	if len(cells) != 2*group {
-		t.Fatalf("%d cells, want %d (2 rates × %d configs)", len(cells), 2*group, group)
+	if len(rows) != 2*group {
+		t.Fatalf("%d rows, want %d (2 rates × %d configs):\n%s", len(rows), 2*group, group, csv.String())
 	}
-	for i, c := range cells {
-		wantMixed := i%group == 0
-		isMixed := strings.Contains(c.Label, "/mixed/")
-		if wantMixed != isMixed {
-			t.Fatalf("cell %d label %q breaks the mixed-first group order", i, c.Label)
+	if header[disaggGapCol+1] != "isolation-delta(s)" {
+		t.Fatalf("column %d is %q, want the isolation delta", disaggGapCol+1, header[disaggGapCol+1])
+	}
+	for i, line := range rows {
+		fields := strings.Split(line, ",")
+		if want := disaggConfigs()[i%group].String(); fields[0] != want {
+			t.Fatalf("row %d is %q, want %q (mixed first in each rate group)", i, fields[0], want)
 		}
-	}
-}
-
-// TestFleetStudiesPerPoolColumn pins the opt-in breakdown satellite: the
-// registry-default (unpooled) fleet and churn studies render their
-// historical headers untouched, while a pooled spec appends the
-// per-pool column and driveFleet's breakdown accounts for every
-// dispatch — fresh prompts on the prefill pool, handoffs on decode.
-func TestFleetStudiesPerPoolColumn(t *testing.T) {
-	p := QuickParams()
-	hdr := func(r Renderable) string { return renderString(r) }
-
-	plain := hdr(fleetStudy{}.Render(p, nil)) + hdr(fleetChurnStudy{}.Render(p, nil))
-	if strings.Contains(plain, "per-pool") {
-		t.Fatalf("unpooled studies grew a per-pool column:\n%s", plain)
-	}
-	spec := cluster.PoolSpec{Prefill: 1, Decode: 2}
-	pooled := hdr(fleetStudy{pools: spec}.Render(p, nil)) +
-		hdr(fleetChurnStudy{pools: spec}.Render(p, nil))
-	if strings.Count(pooled, "per-pool") != 2 {
-		t.Fatalf("pooled studies did not both render the per-pool column:\n%s", pooled)
-	}
-
-	const requests = 8
-	r := driveFleet(p, 0.25, 3, "affinity", fleetRequests(p, requests, 10), nil,
-		cluster.WithPools(spec))
-	if got, want := r.perPool(), "P:8 D:8 M:0"; got != want {
-		t.Fatalf("perPool() = %q, want %q (every request dispatched to prefill then handed off)",
-			got, want)
+		if i%group == 0 && fields[disaggGapCol+1] != "0" {
+			t.Fatalf("mixed row %d has isolation delta %s, want 0", i, fields[disaggGapCol+1])
+		}
 	}
 }
 

@@ -2,11 +2,13 @@
 // evaluation. Each driver sets up the workload the paper describes,
 // runs it through the engine (or the relevant subsystem), and returns a
 // report structure printing the same rows/series the paper plots.
-// cmd/hybrimoe, the root benchmark suite and EXPERIMENTS.md all call
+// cmd/hybrimoe, the examples and the root benchmark suite all call
 // these drivers, so every published number has exactly one generator.
 package exp
 
 import (
+	"runtime"
+
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
@@ -25,9 +27,9 @@ type Params struct {
 	CDFIters int
 	// HitRateIters is the trace length for Figure 9.
 	HitRateIters int
-	// Workers bounds the sweep runner's cell-level parallelism; 0 (the
-	// zero value, so existing Params literals keep working) means
-	// DefaultWorkers. Results are worker-count independent — the knob
+	// Workers bounds runCells' cell-level parallelism; 0 (the zero
+	// value, so existing Params literals keep working) means one worker
+	// per available CPU. Results are worker-count independent — the knob
 	// trades wall-clock for CPU, never output.
 	Workers int
 	// ClusterWorkers bounds the horizon-batched replica-level
@@ -44,7 +46,7 @@ func (p Params) workers() int {
 	if p.Workers > 0 {
 		return p.Workers
 	}
-	return DefaultWorkers()
+	return runtime.GOMAXPROCS(0)
 }
 
 // DefaultParams returns the full-size experiment configuration.

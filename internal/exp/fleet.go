@@ -20,26 +20,6 @@ const FleetConcurrent = 3
 type fleetRun struct {
 	engine.Tally
 	routed []int
-	// pools echoes the fleet's disaggregation spec (zero when unpooled)
-	// so renders can break the dispatch spread down per pool.
-	pools cluster.PoolSpec
-}
-
-// perPool renders the dispatch spread summed per pool role, the
-// breakdown pooled study rows append.
-func (r *fleetRun) perPool() string {
-	var p, d, m int
-	for i, n := range r.routed {
-		switch r.pools.Role(i) {
-		case cluster.RolePrefill:
-			p += n
-		case cluster.RoleDecode:
-			d += n
-		default:
-			m += n
-		}
-	}
-	return fmt.Sprintf("P:%d D:%d M:%d", p, d, m)
 }
 
 // NewFleet assembles the canonical fleet every consumer (the study, the
@@ -80,15 +60,14 @@ func workerOpts(p Params) []cluster.Option {
 }
 
 // driveFleet serves reqs through a fresh n-replica fleet under the
-// named router, optional fleet-level admission policy, and any further
-// cluster options (pool specs, lifecycle knobs).
+// named router and optional fleet-level admission policy.
 func driveFleet(p Params, ratio float64, n int, routerName string,
-	reqs []workload.Request, adm engine.AdmissionPolicy, extra ...cluster.Option) fleetRun {
+	reqs []workload.Request, adm engine.AdmissionPolicy) fleetRun {
 	var opts []cluster.Option
 	if adm != nil {
 		opts = append(opts, cluster.WithAdmission(adm))
 	}
-	r, _ := serveFleet(p, ratio, n, routerName, reqs, nil, append(opts, extra...)...)
+	r, _ := serveFleet(p, ratio, n, routerName, reqs, nil, opts...)
 	return r
 }
 
@@ -113,7 +92,6 @@ func serveFleet(p Params, ratio float64, n int, routerName string, reqs []worklo
 		}
 	})
 	r.routed = c.Routed()
-	r.pools = c.Pools()
 	return r, c
 }
 
@@ -128,17 +106,13 @@ func fleetGuard(forward float64) func() engine.AdmissionPolicy {
 	}
 }
 
-// fleetRequests draws the study's request stream: the mixed corpus with
-// Poisson arrivals at rate (closed-loop when rate is 0 — the
-// calibration shape). Only the arrival stamps vary with the rate.
-func fleetRequests(p Params, requests int, rate float64) []workload.Request {
-	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
-	if rate > 0 {
-		stream.WithArrivals(workload.Poisson(rate))
-	}
-	reqs := stream.NextN(requests)
-	workload.CapDecode(reqs, p.DecodeSteps)
-	return reqs
+// calibrateFleet serves a closed-loop stream of requests through one
+// replica, the run that calibrates every fleet study: its completions
+// per busy second give per-replica capacity, and its TTFTs the unqueued
+// forward latency.
+func calibrateFleet(p Params, requests int, ratio float64) (base fleetRun, perReplica float64) {
+	base = driveFleet(p, ratio, 1, "round-robin", studyRequests(p, requests, 0), nil)
+	return base, float64(base.Completed) / base.Makespan
 }
 
 // FleetStudy sweeps fleet size × router × Poisson arrival rate at equal
@@ -157,74 +131,28 @@ func fleetRequests(p Params, requests int, rate float64) []workload.Request {
 // rate at equal hardware, because warm steps advance the fleet clock
 // less and shed less under the same guard. With only two replicas the
 // readiness signal has almost no choice to exploit and the routers
-// mostly coincide.
+// mostly coincide. The calibration runs serially; then each (replicas,
+// rate) pair draws its request stream once, shared read-only across
+// that pair's router cells.
 func FleetStudy(p Params, requests int, replicaCounts []int, ratio float64) *report.Table {
-	return runTable(fleetStudy{requests: requests, replicaCounts: replicaCounts, ratio: ratio}, p)
-}
-
-// fleetStudy is FleetStudy as a runner-iterated grid: the
-// single-replica calibration runs serially in Cells, then one cell per
-// replicas × rate × router point. Each (replicas, rate) pair draws its
-// request stream once, shared read-only across that pair's router
-// cells. A pool spec (optional — the registry default is unpooled and
-// renders exactly the historical table) splits every swept fleet into
-// disaggregated pools and appends a per-pool dispatch-spread column.
-type fleetStudy struct {
-	requests      int
-	replicaCounts []int
-	ratio         float64
-	pools         cluster.PoolSpec
-}
-
-// poolOpts converts the study's pool spec into cluster options (none
-// when unpooled).
-func poolOpts(spec cluster.PoolSpec) []cluster.Option {
-	if !spec.Pooled() {
-		return nil
-	}
-	return []cluster.Option{cluster.WithPools(spec)}
-}
-
-func (fleetStudy) ID() string       { return "fleet" }
-func (fleetStudy) Describe() string { return "Multi-replica fleet: routers × Poisson arrival rate" }
-
-func (s fleetStudy) Cells(p Params) []Cell {
-	// Single-replica closed-loop calibration: capacity in completions
-	// per busy second, and the unqueued forward p95 for the SLO target.
-	base := driveFleet(p, s.ratio, 1, "round-robin", fleetRequests(p, s.requests, 0), nil)
-	perReplica := float64(base.Completed) / base.Makespan
+	base, perReplica := calibrateFleet(p, requests, ratio)
 	adm := fleetGuard(base.TTFT.Stats().P95)
 
 	var cells []Cell
-	for _, n := range s.replicaCounts {
+	for _, n := range replicaCounts {
 		for _, mult := range []float64{1.5, 4} {
 			rate := mult * perReplica * float64(n)
-			reqs := fleetRequests(p, s.requests, rate)
+			reqs := studyRequests(p, requests, rate)
 			for _, routerName := range cluster.RouterNames() {
-				cells = append(cells, Cell{
-					Label: fmt.Sprintf("fleet/%dx/%s/%.3g", n, routerName, rate),
-					Run: func() []Row {
-						r := driveFleet(p, s.ratio, n, routerName, reqs, adm(), poolOpts(s.pools)...)
-						row := Row{n, routerName, rate, r.Completed, r.ShedFraction(len(reqs)),
-							r.Goodput(), r.TTFT.Stats().P95, r.Makespan, fmt.Sprint(r.routed)}
-						if s.pools.Pooled() {
-							row = append(row, r.perPool())
-						}
-						return []Row{row}
-					},
+				cells = append(cells, func() []Row {
+					r := driveFleet(p, ratio, n, routerName, reqs, adm())
+					return []Row{{n, routerName, rate, r.Completed, r.ShedFraction(len(reqs)),
+						r.Goodput(), r.TTFT.Stats().P95, r.Makespan, fmt.Sprint(r.routed)}}
 				})
 			}
 		}
 	}
-	return cells
-}
-
-func (s fleetStudy) Render(_ Params, results [][]Row) Renderable {
-	cols := []string{"replicas", "router", "rate(req/s)", "completed", "shed-fraction",
-		"goodput(req/s)", "p95-TTFT(s)", "makespan(s)", "routed"}
-	if s.pools.Pooled() {
-		cols = append(cols, "per-pool")
-	}
 	return tableFromCells("Fleet study: replicas × router × Poisson arrival rate (HybriMoE)",
-		cols, results)
+		[]string{"replicas", "router", "rate(req/s)", "completed", "shed-fraction",
+			"goodput(req/s)", "p95-TTFT(s)", "makespan(s)", "routed"}, runCells(p, cells))
 }

@@ -20,14 +20,13 @@ func TestFleetStudyAffinityMeetsRoundRobin(t *testing.T) {
 	p := QuickParams()
 	const requests, replicas, ratio = 16, 4, 0.25
 
-	base := driveFleet(p, ratio, 1, "round-robin", fleetRequests(p, requests, 0), nil)
-	perReplica := float64(base.Completed) / base.Makespan
+	base, perReplica := calibrateFleet(p, requests, ratio)
 	guard := fleetGuard(base.TTFT.Stats().P95)
 
 	strictly := false
 	for _, mult := range []float64{1.5, 4} {
 		rate := mult * perReplica * replicas
-		reqs := fleetRequests(p, requests, rate)
+		reqs := studyRequests(p, requests, rate)
 		aff := driveFleet(p, ratio, replicas, "affinity", reqs, guard())
 		rr := driveFleet(p, ratio, replicas, "round-robin", reqs, guard())
 		if aff.Goodput() < rr.Goodput() {

@@ -140,7 +140,7 @@ func churnScenarios() []churnScenario {
 	}
 }
 
-// FleetChurnStudy sweeps churn scenario × router on a fixed fleet: a
+// fleetChurnStudy sweeps churn scenario × router on a fixed fleet: a
 // steady baseline, a mid-run replica stall (detected by lease expiry,
 // its queue re-routed), and the same stall answered by a cold standby —
 // a scale-up scheduled at the stall time, warming while the lease runs
@@ -155,83 +155,50 @@ func churnScenarios() []churnScenario {
 // re-routed request finishes), and a scale-up replica serves at a
 // visibly lower hit rate until its cache warms — the re-warm cost the
 // lifecycle model charges for elasticity, paid under every router.
-func FleetChurnStudy(p Params, requests, replicas int, ratio float64) *report.Table {
-	return runTable(fleetChurnStudy{requests: requests, replicas: replicas, ratio: ratio}, p)
-}
-
-// fleetChurnStudy is FleetChurnStudy as a runner-iterated grid. The
-// serial prologue calibrates per-replica capacity (closed loop), then a
-// churn-free span at the swept rate places the stall at 0.3x span, so
-// the scenario stamps track workload scale instead of hard-coding
-// simulated seconds. The standby scale-up fires at the stall itself:
-// its warm-up (DefaultWarmup) is shorter than the stalled replica's
-// lease expiry (DefaultLeaseTTL plus jitter), so by detection the cold
-// joiner is Serving and absorbs part of the displaced queue — which is
-// exactly when its untrustworthy PredictedResidency matters.
-type fleetChurnStudy struct {
-	requests, replicas int
-	ratio              float64
-	// pools optionally disaggregates the churned fleet; the registry
-	// default is unpooled, which renders exactly the historical table.
-	pools cluster.PoolSpec
-}
-
-func (fleetChurnStudy) ID() string { return "fleet-churn" }
-func (fleetChurnStudy) Describe() string {
-	return "Fleet churn: stall/scale-up scenarios × router, recovery and re-warm cost"
-}
-
-// churnRouters are the two dispatch policies the churn grid contrasts:
-// lease-blind rotation (keeps feeding a silently stalled replica until
-// detection) against lease- and readiness-aware affinity.
-var churnRouters = []string{"round-robin", "affinity"}
-
-func (s fleetChurnStudy) Cells(p Params) []Cell {
-	base := driveFleet(p, s.ratio, 1, "round-robin", fleetRequests(p, s.requests, 0), nil)
-	perReplica := float64(base.Completed) / base.Makespan
+//
+// The serial prologue calibrates per-replica capacity (closed loop),
+// then a churn-free span at the swept rate places the stall at 0.3x
+// span, so the scenario stamps track workload scale instead of
+// hard-coding simulated seconds. The standby scale-up fires at the
+// stall itself: its warm-up (DefaultWarmup) is shorter than the stalled
+// replica's lease expiry (DefaultLeaseTTL plus jitter), so by detection
+// the cold joiner is Serving and absorbs part of the displaced queue —
+// which is exactly when its untrustworthy PredictedResidency matters.
+func fleetChurnStudy(p Params, requests, replicas int, ratio float64) *report.Table {
+	_, perReplica := calibrateFleet(p, requests, ratio)
 	// 1.2x aggregate capacity: enough overload that a lost replica digs
 	// a visible backlog, low enough that arrivals outlast the re-warm.
-	rate := 1.2 * perReplica * float64(s.replicas)
-	reqs := fleetRequests(p, s.requests, rate)
+	rate := 1.2 * perReplica * float64(replicas)
+	reqs := studyRequests(p, requests, rate)
 
-	span := driveFleet(p, s.ratio, s.replicas, "round-robin", reqs, nil).Makespan
+	span := driveFleet(p, ratio, replicas, "round-robin", reqs, nil).Makespan
 	stallAt := 0.3 * span
 	scaleAt := stallAt
 
 	var cells []Cell
 	for _, sc := range churnScenarios() {
 		for _, routerName := range churnRouters {
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("fleet-churn/%s/%s", sc.name, routerName),
-				Run: func() []Row {
-					anchor := 0.0
-					if sc.stalls {
-						anchor = stallAt
-					}
-					opts := append(sc.opts(stallAt, scaleAt), poolOpts(s.pools)...)
-					r := driveChurn(p, s.ratio, s.replicas, routerName, reqs,
-						anchor, opts...)
-					row := Row{sc.name, routerName, r.Completed, r.rerouted, r.lost,
-						r.Goodput(), r.dipDepth(), r.recovery(), r.TTFT.Stats().P95,
-						r.coldRouted, r.coldHit, r.warmHit}
-					if s.pools.Pooled() {
-						row = append(row, r.perPool())
-					}
-					return []Row{row}
-				},
+			cells = append(cells, func() []Row {
+				anchor := 0.0
+				if sc.stalls {
+					anchor = stallAt
+				}
+				r := driveChurn(p, ratio, replicas, routerName, reqs,
+					anchor, sc.opts(stallAt, scaleAt)...)
+				return []Row{{sc.name, routerName, r.Completed, r.rerouted, r.lost,
+					r.Goodput(), r.dipDepth(), r.recovery(), r.TTFT.Stats().P95,
+					r.coldRouted, r.coldHit, r.warmHit}}
 			})
 		}
 	}
-	return cells
+	return tableFromCells(
+		fmt.Sprintf("Fleet churn study: scenario × router, %d replicas (stall at 0.3 span, standby scale-up at the stall)", replicas),
+		[]string{"scenario", "router", "completed", "rerouted", "lost", "goodput(req/s)",
+			"dip-depth", "recovery(s)", "p95-TTFT(s)", "cold-routed", "cold-hit", "warm-hit"},
+		runCells(p, cells))
 }
 
-func (s fleetChurnStudy) Render(_ Params, results [][]Row) Renderable {
-	cols := []string{"scenario", "router", "completed", "rerouted", "lost", "goodput(req/s)",
-		"dip-depth", "recovery(s)", "p95-TTFT(s)", "cold-routed", "cold-hit", "warm-hit"}
-	if s.pools.Pooled() {
-		cols = append(cols, "per-pool")
-	}
-	return tableFromCells(
-		fmt.Sprintf("Fleet churn study: scenario × router, %d replicas (stall at 0.3 span, standby scale-up at the stall)", s.replicas),
-		cols, results)
-}
+// churnRouters are the two dispatch policies the churn grid contrasts:
+// lease-blind rotation (keeps feeding a silently stalled replica until
+// detection) against lease- and readiness-aware affinity.
+var churnRouters = []string{"round-robin", "affinity"}

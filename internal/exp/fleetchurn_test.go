@@ -16,10 +16,9 @@ const churnTestRequests = 24
 func churnTestShape(t *testing.T, p Params) (stallAt float64, drive func(router string, opts ...cluster.Option) churnRun) {
 	t.Helper()
 	const replicas, ratio = 3, 0.25
-	base := driveFleet(p, ratio, 1, "round-robin", fleetRequests(p, churnTestRequests, 0), nil)
-	perReplica := float64(base.Completed) / base.Makespan
+	_, perReplica := calibrateFleet(p, churnTestRequests, ratio)
 	rate := 1.2 * perReplica * replicas
-	stream := fleetRequests(p, churnTestRequests, rate)
+	stream := studyRequests(p, churnTestRequests, rate)
 	span := driveFleet(p, ratio, replicas, "round-robin", stream, nil).Makespan
 	stallAt = 0.3 * span
 	drive = func(router string, opts ...cluster.Option) churnRun {
@@ -129,7 +128,7 @@ func TestFleetChurnStudyRendersEveryScenario(t *testing.T) {
 		t.Skip("full study render skipped in -short")
 	}
 	p := QuickParams()
-	table := FleetChurnStudy(p, 24, 3, 0.25)
+	table := fleetChurnStudy(p, 24, 3, 0.25)
 	var sb strings.Builder
 	table.Render(&sb)
 	out := sb.String()

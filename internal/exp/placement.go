@@ -60,55 +60,31 @@ func drivePlacement(p Params, gpus int, schedName string, ratio float64, reqs []
 // PlacementTopologies are the GPU counts the placement study sweeps.
 var PlacementTopologies = []int{1, 2, 4}
 
-// PlacementStudy sweeps GPU topologies × intra-layer schedulers ×
+// placementStudy sweeps GPU topologies × intra-layer schedulers ×
 // cache ratios on one fixed mixed-corpus stream served by the HybriMoE
 // stack, reporting decode throughput, TBT percentiles, the aggregate
 // expert-cache hit rate and each device's busy fraction. The
 // single-GPU hybrimoe row is the pre-refactor baseline; expert-parallel
 // on the dual/quad presets should beat it on decode throughput — the
 // per-device caches double (quadruple) total residency, and cached
-// experts execute on their owning GPUs in parallel.
-func PlacementStudy(p Params, requests int) *report.Table {
-	return runTable(placementStudy{requests: requests}, p)
-}
-
-// placementStudy is PlacementStudy as a runner-iterated grid: one cell
-// per topology × scheduler × cache-ratio point, all serving one shared
-// stream.
-type placementStudy struct {
-	requests int
-}
-
-func (placementStudy) ID() string { return "placement" }
-func (placementStudy) Describe() string {
-	return "Multi-GPU placement: topology × scheduler × cache ratio"
-}
-
-func (s placementStudy) Cells(p Params) []Cell {
-	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
-	reqs := stream.NextN(s.requests)
-	workload.CapDecode(reqs, p.DecodeSteps)
-
+// experts execute on their owning GPUs in parallel. There is one cell
+// per grid point, all serving one shared stream.
+func placementStudy(p Params, requests int) *report.Table {
+	reqs := studyRequests(p, requests, 0)
 	var cells []Cell
 	for _, gpus := range PlacementTopologies {
 		for _, schedName := range []string{"hybrimoe", "expert-parallel"} {
 			for _, ratio := range []float64{0.25, 0.50} {
-				cells = append(cells, Cell{
-					Label: fmt.Sprintf("placement/%dgpu/%s/%.2f", gpus, schedName, ratio),
-					Run: func() []Row {
-						r := drivePlacement(p, gpus, schedName, ratio, reqs)
-						tbt := r.TBT.Stats()
-						return []Row{{gpus, schedName, ratio, r.DecodeThroughput(),
-							tbt.P50, tbt.P95, r.hitRate, r.utilisation()}}
-					},
+				cells = append(cells, func() []Row {
+					r := drivePlacement(p, gpus, schedName, ratio, reqs)
+					tbt := r.TBT.Stats()
+					return []Row{{gpus, schedName, ratio, r.DecodeThroughput(),
+						tbt.P50, tbt.P95, r.hitRate, r.utilisation()}}
 				})
 			}
 		}
 	}
-	return cells
-}
-
-func (placementStudy) Render(_ Params, results [][]Row) Renderable {
 	return tableFromCells("Placement study: GPU topology × scheduler × cache ratio (HybriMoE stack)",
-		[]string{"gpus", "sched", "cache", "decode-tok/s", "p50-TBT(s)", "p95-TBT(s)", "hit-rate", "per-GPU-util"}, results)
+		[]string{"gpus", "sched", "cache", "decode-tok/s", "p50-TBT(s)", "p95-TBT(s)", "hit-rate", "per-GPU-util"},
+		runCells(p, cells))
 }

@@ -3,8 +3,6 @@ package exp
 import (
 	"strings"
 	"testing"
-
-	"hybrimoe/internal/workload"
 )
 
 // Acceptance pin: expert-parallel on the dual-A6000 preset must beat
@@ -12,9 +10,7 @@ import (
 // configuration) on decode throughput.
 func TestPlacementDualExpertParallelBeatsSingleGPU(t *testing.T) {
 	p := QuickParams()
-	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
-	reqs := stream.NextN(6)
-	workload.CapDecode(reqs, p.DecodeSteps)
+	reqs := studyRequests(p, 6, 0)
 
 	single := drivePlacement(p, 1, "hybrimoe", 0.25, reqs)
 	dual := drivePlacement(p, 2, "expert-parallel", 0.25, reqs)
@@ -29,9 +25,7 @@ func TestPlacementDualExpertParallelBeatsSingleGPU(t *testing.T) {
 // exactly, leaving the second device idle.
 func TestPlacementSingleGPUPlannerTopologyInvariant(t *testing.T) {
 	p := QuickParams()
-	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
-	reqs := stream.NextN(4)
-	workload.CapDecode(reqs, p.DecodeSteps)
+	reqs := studyRequests(p, 4, 0)
 
 	single := drivePlacement(p, 1, "hybrimoe", 0.25, reqs)
 	dual := drivePlacement(p, 2, "hybrimoe", 0.25, reqs)
@@ -45,7 +39,7 @@ func TestPlacementSingleGPUPlannerTopologyInvariant(t *testing.T) {
 }
 
 func TestPlacementStudyRenders(t *testing.T) {
-	tbl := PlacementStudy(QuickParams(), 3)
+	tbl := placementStudy(QuickParams(), 3)
 	var b strings.Builder
 	tbl.Render(&b)
 	out := b.String()

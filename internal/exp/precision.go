@@ -9,26 +9,16 @@ import (
 	"hybrimoe/internal/tensor"
 )
 
-// PrecisionStudy quantifies the mixed-precision offloading trade-off
+// precisionStudy quantifies the mixed-precision offloading trade-off
 // (HOBBIT-style, which the paper cites as related work): per model,
 // the INT4 vs INT8 expert footprint and PCIe transfer time, alongside
 // the *measured* numeric fidelity of the two kernel paths on a real
 // matrix-vector product. Transferring an expert at INT8 costs ~2× the
 // link time but roughly 16× lower reconstruction error — the knob a
-// mixed-precision loader trades per expert importance.
-func PrecisionStudy(p Params) *report.Table {
-	return runTable(precisionStudy{}, p)
-}
-
-// precisionStudy is PrecisionStudy as a runner-iterated grid: the
-// kernel-fidelity probe runs serially in Cells, then one cell per
-// model computes its footprint/transfer row.
-type precisionStudy struct{}
-
-func (precisionStudy) ID() string       { return "precision" }
-func (precisionStudy) Describe() string { return "INT4 vs INT8 offloading trade-off" }
-
-func (precisionStudy) Cells(p Params) []Cell {
+// mixed-precision loader trades per expert importance. The fidelity
+// probe runs serially, then one cell per model computes its
+// footprint/transfer row.
+func precisionStudy(p Params) *report.Table {
 	link := hw.A6000Platform().Links[0]
 
 	// Measured fidelity on a probe expert (scaled, real kernels).
@@ -46,22 +36,18 @@ func (precisionStudy) Cells(p Params) []Cell {
 
 	var cells []Cell
 	for _, cfg := range moe.AllModels() {
-		cells = append(cells, Cell{Label: "precision/" + cfg.Name, Run: func() []Row {
+		cells = append(cells, func() []Row {
 			int4 := cfg.ExpertBytes()
 			int8 := expertBytes8(cfg)
 			return []Row{{cfg.Name,
 				float64(int4) / (1 << 20), float64(int8) / (1 << 20),
 				1e3 * link.TransferTime(int4), 1e3 * link.TransferTime(int8),
 				f4.RelL2Error, f8.RelL2Error}}
-		}})
+		})
 	}
-	return cells
-}
-
-func (precisionStudy) Render(_ Params, results [][]Row) Renderable {
 	return tableFromCells("Extension: INT4 vs INT8 expert offloading trade-off",
 		[]string{"model", "int4-bytes(MB)", "int8-bytes(MB)", "int4-xfer(ms)", "int8-xfer(ms)",
-			"int4-relL2", "int8-relL2"}, results)
+			"int4-relL2", "int8-relL2"}, runCells(p, cells))
 }
 
 func expertBytes8(cfg *moe.Config) int64 {

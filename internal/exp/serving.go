@@ -18,36 +18,21 @@ import (
 // percentiles (p50/p95/p99) per framework, computed from the per-step
 // event stream. The shape should match the paper's per-stage findings
 // (HybriMoE best on both; the prefill gap driven by scheduling, the
-// decode gap by caching and balancing).
-func ServingStudy(p Params, requests int, ratio float64) *report.Table {
-	return runTable(servingStudy{requests: requests, ratio: ratio}, p)
-}
-
-// servingStudy is ServingStudy as a runner-iterated grid: one cell per
+// decode gap by caching and balancing). There is one cell per
 // framework, all serving one shared request sequence.
-type servingStudy struct {
-	requests int
-	ratio    float64
-}
-
-func (servingStudy) ID() string       { return "serving" }
-func (servingStudy) Describe() string { return "End-to-end mixed-corpus serving study" }
-
-func (s servingStudy) Cells(p Params) []Cell {
+func ServingStudy(p Params, requests int, ratio float64) *report.Table {
 	platform := hw.A6000Platform()
 	cfg := moe.DeepSeek()
 
 	// One shared request sequence for every framework (read-only across
 	// cells; Session.Submit copies by value).
-	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
-	reqs := stream.NextN(s.requests)
-	workload.CapDecode(reqs, p.DecodeSteps)
+	reqs := studyRequests(p, requests, 0)
 
 	var cells []Cell
 	for _, fw := range engine.AllFrameworks() {
-		cells = append(cells, Cell{Label: "serving/" + fw.Name, Run: func() []Row {
+		cells = append(cells, func() []Row {
 			e, err := engine.New(cfg, platform, fw,
-				engine.WithCacheRatio(s.ratio), engine.WithSeed(p.Seed))
+				engine.WithCacheRatio(ratio), engine.WithSeed(p.Seed))
 			if err != nil {
 				panic(err)
 			}
@@ -61,15 +46,11 @@ func (s servingStudy) Cells(p Params) []Cell {
 			ttft, tbt := t.TTFT.Stats(), t.TBT.Stats()
 			return []Row{{fw.Name, ttft.Mean, ttft.P50, ttft.P95, ttft.P99,
 				tbt.P50, tbt.P95, tbt.P99, e.Caches().HitRate()}}
-		}})
+		})
 	}
-	return cells
-}
-
-func (servingStudy) Render(_ Params, results [][]Row) Renderable {
 	return tableFromCells("Serving study: mixed corpus stream, end-to-end",
 		[]string{"framework", "mean-TTFT(s)", "p50-TTFT(s)", "p95-TTFT(s)", "p99-TTFT(s)",
-			"p50-TBT(s)", "p95-TBT(s)", "p99-TBT(s)", "hit-rate"}, results)
+			"p50-TBT(s)", "p95-TBT(s)", "p99-TBT(s)", "hit-rate"}, runCells(p, cells))
 }
 
 // classViolationRate reports violated/completed for SLO class c.
@@ -82,13 +63,15 @@ func classViolationRate(t *engine.Tally, c string) float64 {
 }
 
 // drivePolicy serves reqs through a fresh HybriMoE engine under the
-// named request scheduler and optional admission policy.
+// named request scheduler, batch former and optional admission policy,
+// three requests in flight.
 func drivePolicy(p Params, ratio float64, reqs []workload.Request,
-	schedName string, adm engine.AdmissionPolicy) *engine.Tally {
+	schedName, batchName string, adm engine.AdmissionPolicy) *engine.Tally {
 	opts := []engine.Option{
 		engine.WithCacheRatio(ratio),
 		engine.WithSeed(p.Seed),
 		engine.WithRequestScheduler(schedName),
+		engine.WithBatchPolicy(batchName, BatchBudget),
 	}
 	if adm != nil {
 		opts = append(opts, engine.WithAdmission(adm))
@@ -118,28 +101,10 @@ func drivePolicy(p Params, ratio float64, reqs []workload.Request,
 // goodput (deadline-met completions per simulated second), SLO
 // violation rate among completions, shed fraction of offered load,
 // per-class violation and shed rates, and the p95 TTFT/TBT the served
-// requests saw.
+// requests saw. The baseline calibration runs serially, then there is
+// one cell per scheduler × admission point.
 func ServingPolicyStudy(p Params, requests int, ratio float64) *report.Table {
-	return runTable(servingPolicyStudy{requests: requests, ratio: ratio}, p)
-}
-
-// servingPolicyStudy is ServingPolicyStudy as a runner-iterated grid:
-// the baseline calibration (deadline stamping, admission targets) runs
-// serially in Cells, then one cell per scheduler × admission point.
-type servingPolicyStudy struct {
-	requests int
-	ratio    float64
-}
-
-func (servingPolicyStudy) ID() string { return "serving-policy" }
-func (servingPolicyStudy) Describe() string {
-	return "Request schedulers × SLO admission comparison"
-}
-
-func (s servingPolicyStudy) Cells(p Params) []Cell {
-	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
-	reqs := stream.NextN(s.requests)
-	workload.CapDecode(reqs, p.DecodeSteps)
+	reqs := studyRequests(p, requests, 0)
 	offered := map[string]int{}
 	for i := range reqs {
 		// Every third request is priority traffic the SLO guard may
@@ -161,7 +126,7 @@ func (s servingPolicyStudy) Cells(p Params) []Cell {
 	// speed, decides who meets it. The admission guard targets the
 	// baseline's p50 TTFT as its p95 budget with a low shed factor, a
 	// deliberately strained SLO that forces shed/defer verdicts.
-	base := drivePolicy(p, s.ratio, reqs, "round-robin", nil)
+	base := drivePolicy(p, ratio, reqs, "round-robin", "none", nil)
 	for i := range reqs {
 		slack := 0.9
 		if i%2 == 1 {
@@ -184,14 +149,14 @@ func (s servingPolicyStudy) Cells(p Params) []Cell {
 	var cells []Cell
 	for _, schedName := range []string{"fcfs", "round-robin", "sjf", "edf"} {
 		for _, withAdm := range []bool{false, true} {
-			cells = append(cells, Cell{Label: "serving-policy/" + schedName, Run: func() []Row {
+			cells = append(cells, func() []Row {
 				policy := engine.AdmissionPolicy(nil)
 				admName := "none"
 				if withAdm {
 					policy = adm()
 					admName = policy.Name()
 				}
-				r := drivePolicy(p, s.ratio, reqs, schedName, policy)
+				r := drivePolicy(p, ratio, reqs, schedName, "none", policy)
 				violRate := 0.0
 				if r.Completed > 0 {
 					violRate = float64(r.Violated) / float64(r.Completed)
@@ -209,15 +174,11 @@ func (s servingPolicyStudy) Cells(p Params) []Cell {
 						classViolationRate(r, "interactive"), classViolationRate(r, "batch")),
 					fmt.Sprintf("%.2f/%.2f", shedRate("interactive"), shedRate("batch")),
 					r.TTFT.Stats().P95, r.TBT.Stats().P95}}
-			}})
+			})
 		}
 	}
-	return cells
-}
-
-func (servingPolicyStudy) Render(_ Params, results [][]Row) Renderable {
 	return tableFromCells("Serving policy study: request schedulers × admission (HybriMoE)",
 		[]string{"reqsched", "admission", "completed", "shed",
 			"goodput(req/s)", "violation-rate", "shed-fraction",
-			"viol[inter/batch]", "shed[inter/batch]", "p95-TTFT(s)", "p95-TBT(s)"}, results)
+			"viol[inter/batch]", "shed[inter/batch]", "p95-TTFT(s)", "p95-TBT(s)"}, runCells(p, cells))
 }

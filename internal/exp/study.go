@@ -1,83 +1,39 @@
 package exp
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"hybrimoe/internal/cluster"
 	"hybrimoe/internal/report"
+	"hybrimoe/internal/workload"
 )
 
 // Row is one rendered table row: the cell values AddRow receives, in
 // column order.
 type Row []interface{}
 
-// Cell is one independently runnable point of a study's grid. Run must
-// be hermetic — it builds its own engines and touches no mutable state
-// shared with sibling cells (read-only request slices are fine) — so
-// the runner may execute cells concurrently in any order. The rows it
-// returns are slotted by the cell's grid position, which makes the
-// study's output a pure function of its inputs regardless of worker
-// count.
-type Cell struct {
-	// Label names the cell in diagnostics ("serving/HybriMoE",
-	// "fleet/4x/affinity").
-	Label string
-	// Run executes the cell and returns its rendered rows in order.
-	Run func() []Row
-}
+// Cell is one independently runnable point of a grid; it returns its
+// rendered rows in order. A cell must be hermetic — it builds its own
+// engines and touches no mutable state shared with sibling cells
+// (read-only request slices are fine) — so runCells may execute cells
+// concurrently in any order. Serial prologue work, such as calibration
+// runs and deadline stamping, happens before the cells are built.
+type Cell func() []Row
 
-// Study is a grid experiment the runner owns iteration for: Cells
-// enumerates the grid (running any serial calibration first), the
-// runner executes the cells — possibly in parallel — and Render
-// assembles the slotted results into the published table. The split
-// moves the for-loops out of every study body and into one place, so
-// parallelism, determinism and progress accounting are runner
-// properties instead of per-study reimplementations.
-type Study interface {
-	// ID is the registry identifier ("serving", "fleet", …).
-	ID() string
-	// Describe is the one-line registry description.
-	Describe() string
-	// Cells enumerates the study's grid for the given scale parameters.
-	// Serial prologue work — calibration runs, deadline stamping —
-	// happens here, before any cell executes.
-	Cells(p Params) []Cell
-	// Render assembles the per-cell results (indexed like Cells' return,
-	// every slot filled) into the study's published rendering.
-	Render(p Params, results [][]Row) Renderable
-}
-
-// DefaultWorkers is the cell-level parallelism used when Params.Workers
-// is unset: one worker per available CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// CellSeed derives sweep cell i's RNG seed from a study base seed —
-// the fleet's ReplicaSeed idiom applied to grid cells, for studies
-// whose cells want decorrelated workload draws rather than the shared
-// stream the comparison grids hold fixed. Equal (base, i) gives equal
-// seeds on every entry point, so parallel sweeps stay byte-stable.
-func CellSeed(base uint64, i int) uint64 { return cluster.ReplicaSeed(base, i) }
-
-// RunStudy enumerates s's cells and executes them on a bounded worker
-// pool of p.workers() goroutines (serially when that is 1 or there is
-// only one cell), then renders the slotted results. Results are
-// identical for every worker count: cells are hermetic and their rows
-// land in grid order, not completion order. A panicking cell stops the
-// sweep and re-panics on the caller's goroutine.
-func RunStudy(s Study, p Params) Renderable {
-	cells := s.Cells(p)
+// runCells executes cells on a bounded pool of p.workers() goroutines
+// (serially when that is 1 or there is only one cell) and returns each
+// cell's rows in its grid slot. Results are identical for every worker
+// count: cells are hermetic and their rows land in grid order, not
+// completion order. A panicking cell stops the sweep and re-panics on
+// the caller's goroutine.
+func runCells(p Params, cells []Cell) [][]Row {
 	results := make([][]Row, len(cells))
-	workers := p.workers()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
+	workers := min(p.workers(), len(cells))
 	if workers <= 1 {
 		for i, c := range cells {
-			results[i] = c.Run()
+			results[i] = c()
 		}
-		return s.Render(p, results)
+		return results
 	}
 	var (
 		next     atomic.Int64
@@ -103,7 +59,7 @@ func RunStudy(s Study, p Params) Renderable {
 				if i >= len(cells) {
 					return
 				}
-				results[i] = cells[i].Run()
+				results[i] = cells[i]()
 			}
 		}()
 	}
@@ -111,16 +67,10 @@ func RunStudy(s Study, p Params) Renderable {
 	if panicked != nil {
 		panic(panicked)
 	}
-	return s.Render(p, results)
+	return results
 }
 
-// runTable runs a study whose rendering is a table — every current
-// study — and returns it typed.
-func runTable(s Study, p Params) *report.Table {
-	return RunStudy(s, p).(*report.Table)
-}
-
-// tableFromCells assembles the standard study rendering: one table, the
+// tableFromCells assembles the standard grid rendering: one table, the
 // cells' rows appended in grid order.
 func tableFromCells(title string, cols []string, results [][]Row) *report.Table {
 	t := report.NewTable(title, cols...)
@@ -132,29 +82,16 @@ func tableFromCells(title string, cols []string, results [][]Row) *report.Table 
 	return t
 }
 
-// studyExperiment adapts a Study to the Experiment registry entry, so
-// Lookup and RunAll keep working unchanged on studies.
-func studyExperiment(s Study) Experiment {
-	return Experiment{
-		ID:   s.ID(),
-		Desc: s.Describe(),
-		Run:  func(p Params) Renderable { return RunStudy(s, p) },
+// studyRequests draws the studies' request stream: n requests from the
+// mixed corpus with decode capped at p.DecodeSteps, arriving as a
+// Poisson process at rate, or all at once (closed loop) when rate is 0.
+// Only the arrival stamps vary with the rate.
+func studyRequests(p Params, n int, rate float64) []workload.Request {
+	stream := workload.NewStream(p.Seed, workload.AllDatasets()...)
+	if rate > 0 {
+		stream.WithArrivals(workload.Poisson(rate))
 	}
-}
-
-// Studies returns every registered grid study at its registry scale, in
-// registry order.
-func Studies() []Study {
-	return []Study{
-		platformStudy{},
-		servingStudy{requests: 10, ratio: 0.25},
-		servingPolicyStudy{requests: 10, ratio: 0.25},
-		batchingStudy{requests: 12, ratio: 0.25},
-		openLoopStudy{requests: 10, ratio: 0.25},
-		placementStudy{requests: 8},
-		fleetStudy{requests: 16, replicaCounts: []int{2, 4}, ratio: 0.25},
-		fleetChurnStudy{requests: 24, replicas: 3, ratio: 0.25},
-		disaggStudy{requests: 18, ratio: 0.25},
-		precisionStudy{},
-	}
+	reqs := stream.NextN(n)
+	workload.CapDecode(reqs, p.DecodeSteps)
+	return reqs
 }

@@ -74,7 +74,7 @@ type legacyOpenLoopRun struct {
 	ttftQ, forward, queue report.LatencyStats
 }
 
-// legacyOpenLoop is driveOpenLoop's loop.
+// legacyOpenLoop is the open-loop study's loop.
 func legacyOpenLoop(evs []engine.StepEvent) legacyOpenLoopRun {
 	var r legacyOpenLoopRun
 	var ttftQ, forward, queue []float64
@@ -109,7 +109,8 @@ type legacyPolicyRun struct {
 	byClass                           map[string]*engine.ClassTally
 }
 
-// legacyPolicy is drivePolicy's loop (its TTFT is the forward latency).
+// legacyPolicy is the serving-policy study's loop (its TTFT is the
+// forward latency).
 func legacyPolicy(evs []engine.StepEvent) legacyPolicyRun {
 	r := legacyPolicyRun{completion: map[int]float64{}, byClass: map[string]*engine.ClassTally{}}
 	class := func(c string) *engine.ClassTally {

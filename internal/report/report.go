@@ -1,5 +1,5 @@
 // Package report renders experiment results as aligned ASCII tables and
-// CSV, the formats the cmd/hybrimoe harness and EXPERIMENTS.md use.
+// CSV, the formats the cmd/hybrimoe harness prints.
 package report
 
 import (

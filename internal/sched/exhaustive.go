@@ -11,8 +11,10 @@ import (
 // assignment (2^n) and keeps the best plan. Within an assignment it uses
 // the same ordering rules as HybriMoE (CPU ascending load, GPU
 // descending, transfers descending). It exists to quantify how close the
-// greedy simulation gets to the assignment optimum (DESIGN.md ablation
-// 1); it is exponential and refuses more than MaxExhaustiveTasks tasks.
+// greedy simulation gets to the assignment optimum, the ablation
+// exp.AblationGreedyVsExhaustive reports as a greedy/optimal makespan
+// ratio; it is exponential and refuses more than MaxExhaustiveTasks
+// tasks.
 type Exhaustive struct{}
 
 // MaxExhaustiveTasks bounds the brute-force search.

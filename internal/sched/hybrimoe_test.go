@@ -190,7 +190,8 @@ func TestHybriMoECPUWarmupAppliedOnce(t *testing.T) {
 }
 
 // The greedy simulation should stay close to the exhaustive assignment
-// optimum on small random instances (DESIGN.md ablation 1).
+// optimum on small random instances: the cost of scheduling greedily
+// instead of searching every CPU/GPU assignment.
 func TestHybriMoENearOptimal(t *testing.T) {
 	p := hw.UnitPlatform()
 	rng := stats.NewRNG(314)
