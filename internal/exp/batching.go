@@ -1,52 +1,11 @@
 package exp
 
-import (
-	"hybrimoe/internal/engine"
-	"hybrimoe/internal/hw"
-	"hybrimoe/internal/moe"
-	"hybrimoe/internal/report"
-	"hybrimoe/internal/workload"
-)
+import "hybrimoe/internal/report"
 
 // BatchBudget is the token budget per merged iteration the batching
 // study (and its CLI/report consumers) packs to — wide enough that a
 // full decode batch always merges and a typical prompt can ride along.
 const BatchBudget = 256
-
-// batchRun aggregates one batch-policy × concurrency serving run.
-type batchRun struct {
-	engine.Tally
-	iterations int // merged engine iterations
-}
-
-// meanBatch reports the mean number of requests advanced per engine
-// iteration.
-func (r *batchRun) meanBatch() float64 {
-	if r.iterations == 0 {
-		return 0
-	}
-	return float64(r.ComputeEvents) / float64(r.iterations)
-}
-
-// driveBatch serves reqs through a fresh HybriMoE engine under the
-// named batch former and concurrency limit.
-func driveBatch(p Params, ratio float64, reqs []workload.Request,
-	policy string, budget, concurrent int) batchRun {
-	e, err := engine.New(moe.DeepSeek(), hw.A6000Platform(), engine.HybriMoEFramework(),
-		engine.WithCacheRatio(ratio),
-		engine.WithSeed(p.Seed),
-		engine.WithBatchPolicy(policy, budget))
-	if err != nil {
-		panic(err)
-	}
-	s := e.NewSession(engine.WithMaxConcurrent(concurrent))
-	s.Submit(reqs...)
-
-	var r batchRun
-	s.Run(r.Add)
-	r.iterations = s.Batches()
-	return r
-}
 
 // BatchingStudy compares the batch formers × concurrency limits on one
 // fixed mixed-corpus stream served by the HybriMoE framework on the
@@ -65,7 +24,7 @@ func BatchingStudy(p Params, requests int, ratio float64) *report.Table {
 	for _, policy := range []string{"none", "greedy", "phase-aware"} {
 		for _, concurrent := range []int{1, 4, 8} {
 			cells = append(cells, func() []Row {
-				r := driveBatch(p, ratio, reqs, policy, BatchBudget, concurrent)
+				r := drivePolicy(p, ratio, reqs, "round-robin", policy, concurrent, nil)
 				tbt := r.TBT.Stats()
 				return []Row{{policy, concurrent, r.DecodeThroughput(),
 					tbt.P50, tbt.P95, r.TTFT.Stats().P95, r.meanBatch(), r.Makespan}}

@@ -35,9 +35,9 @@ func TestBatchingBeatsNoneAtConcurrency8(t *testing.T) {
 	p := QuickParams()
 	p.DecodeSteps = 12
 	reqs := studyRequests(p, 12, 0)
-	none := driveBatch(p, 0.25, reqs, "none", BatchBudget, 8)
+	none := drivePolicy(p, 0.25, reqs, "round-robin", "none", 8, nil)
 	for _, policy := range []string{"greedy", "phase-aware"} {
-		batched := driveBatch(p, 0.25, reqs, policy, BatchBudget, 8)
+		batched := drivePolicy(p, 0.25, reqs, "round-robin", policy, 8, nil)
 		if batched.DecodeThroughput() <= none.DecodeThroughput() {
 			t.Errorf("%s decode throughput %.2f tok/s does not beat none's %.2f",
 				policy, batched.DecodeThroughput(), none.DecodeThroughput())
@@ -58,9 +58,9 @@ func TestBatchingConservesWork(t *testing.T) {
 	p := QuickParams()
 	p.DecodeSteps = 6
 	reqs := studyRequests(p, 8, 0)
-	none := driveBatch(p, 0.25, reqs, "none", BatchBudget, 4)
+	none := drivePolicy(p, 0.25, reqs, "round-robin", "none", 4, nil)
 	for _, policy := range []string{"greedy", "phase-aware"} {
-		r := driveBatch(p, 0.25, reqs, policy, BatchBudget, 4)
+		r := drivePolicy(p, 0.25, reqs, "round-robin", policy, 4, nil)
 		if r.DecodeTokens != none.DecodeTokens {
 			t.Errorf("%s decoded %d tokens, none %d", policy, r.DecodeTokens, none.DecodeTokens)
 		}

@@ -84,14 +84,24 @@ func TestDisaggStudyGridShape(t *testing.T) {
 	if header[disaggGapCol+1] != "isolation-delta(s)" {
 		t.Fatalf("column %d is %q, want the isolation delta", disaggGapCol+1, header[disaggGapCol+1])
 	}
+	seen := map[string]bool{}
 	for i, line := range rows {
 		fields := strings.Split(line, ",")
-		if want := disaggConfigs()[i%group].String(); fields[0] != want {
-			t.Fatalf("row %d is %q, want %q (mixed first in each rate group)", i, fields[0], want)
+		if i%group == 0 {
+			clear(seen)
+			if fields[0] != "mixed" {
+				t.Fatalf("row %d leads its rate group with %q, want mixed", i, fields[0])
+			}
+			if fields[disaggGapCol+1] != "0" {
+				t.Fatalf("mixed row %d has isolation delta %s, want 0", i, fields[disaggGapCol+1])
+			}
+		} else if fields[0] == "mixed" {
+			t.Fatalf("row %d is a second mixed row in its rate group", i)
 		}
-		if i%group == 0 && fields[disaggGapCol+1] != "0" {
-			t.Fatalf("mixed row %d has isolation delta %s, want 0", i, fields[disaggGapCol+1])
+		if seen[fields[0]] {
+			t.Fatalf("row %d repeats pool split %q in its rate group", i, fields[0])
 		}
+		seen[fields[0]] = true
 	}
 }
 

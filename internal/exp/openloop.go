@@ -28,7 +28,7 @@ func OpenLoopStudy(p Params, requests int, ratio float64) *report.Table {
 	// forward p95 with a low sample floor — a deliberately strained SLO
 	// that only queueing can breach, so the shed fraction tracks the
 	// arrival rate rather than the workload content.
-	base := drivePolicy(p, ratio, studyRequests(p, requests, 0), "round-robin", "none", nil)
+	base := drivePolicy(p, ratio, studyRequests(p, requests, 0), "round-robin", "none", 3, nil)
 	capacity := float64(base.Completed) / base.Makespan
 	// Read the calibration here, serially: Live.Stats sorts in place, and
 	// the cells run on concurrent workers.
@@ -44,7 +44,7 @@ func OpenLoopStudy(p Params, requests int, ratio float64) *report.Table {
 			for _, batchName := range []string{"none", "greedy"} {
 				cells = append(cells, func() []Row {
 					reqs := studyRequests(p, requests, rate)
-					r := drivePolicy(p, ratio, reqs, schedName, batchName, adm())
+					r := drivePolicy(p, ratio, reqs, schedName, batchName, 3, adm())
 					return []Row{{rate, schedName, batchName, r.Completed, r.ShedFraction(len(reqs)),
 						r.Goodput(), r.TTFT.Stats().P95, r.Prefill.Stats().P95, r.Queue.Stats().P95}}
 				})

@@ -62,11 +62,27 @@ func classViolationRate(t *engine.Tally, c string) float64 {
 	return float64(ct.Violated) / float64(ct.Completed)
 }
 
+// policyRun aggregates one serving run under a request scheduler,
+// batch former and admission policy.
+type policyRun struct {
+	engine.Tally
+	iterations int // merged engine iterations
+}
+
+// meanBatch reports the mean number of requests advanced per engine
+// iteration.
+func (r *policyRun) meanBatch() float64 {
+	if r.iterations == 0 {
+		return 0
+	}
+	return float64(r.ComputeEvents) / float64(r.iterations)
+}
+
 // drivePolicy serves reqs through a fresh HybriMoE engine under the
 // named request scheduler, batch former and optional admission policy,
-// three requests in flight.
+// with at most concurrent requests in flight.
 func drivePolicy(p Params, ratio float64, reqs []workload.Request,
-	schedName, batchName string, adm engine.AdmissionPolicy) *engine.Tally {
+	schedName, batchName string, concurrent int, adm engine.AdmissionPolicy) *policyRun {
 	opts := []engine.Option{
 		engine.WithCacheRatio(ratio),
 		engine.WithSeed(p.Seed),
@@ -80,12 +96,13 @@ func drivePolicy(p Params, ratio float64, reqs []workload.Request,
 	if err != nil {
 		panic(err)
 	}
-	s := e.NewSession(engine.WithMaxConcurrent(3))
+	s := e.NewSession(engine.WithMaxConcurrent(concurrent))
 	s.Submit(reqs...)
 
-	var t engine.Tally
-	s.Run(t.Add)
-	return &t
+	r := &policyRun{}
+	s.Run(r.Add)
+	r.iterations = s.Batches()
+	return r
 }
 
 // ServingPolicyStudy compares request schedulers and admission policies
@@ -126,7 +143,7 @@ func ServingPolicyStudy(p Params, requests int, ratio float64) *report.Table {
 	// speed, decides who meets it. The admission guard targets the
 	// baseline's p50 TTFT as its p95 budget with a low shed factor, a
 	// deliberately strained SLO that forces shed/defer verdicts.
-	base := drivePolicy(p, ratio, reqs, "round-robin", "none", nil)
+	base := drivePolicy(p, ratio, reqs, "round-robin", "none", 3, nil)
 	for i := range reqs {
 		slack := 0.9
 		if i%2 == 1 {
@@ -156,7 +173,7 @@ func ServingPolicyStudy(p Params, requests int, ratio float64) *report.Table {
 					policy = adm()
 					admName = policy.Name()
 				}
-				r := drivePolicy(p, ratio, reqs, schedName, "none", policy)
+				r := drivePolicy(p, ratio, reqs, schedName, "none", 3, policy)
 				violRate := 0.0
 				if r.Completed > 0 {
 					violRate = float64(r.Violated) / float64(r.Completed)
@@ -171,7 +188,7 @@ func ServingPolicyStudy(p Params, requests int, ratio float64) *report.Table {
 				return []Row{{schedName, admName, r.Completed, r.Shed,
 					r.Goodput(), violRate, r.ShedFraction(len(reqs)),
 					fmt.Sprintf("%.2f/%.2f",
-						classViolationRate(r, "interactive"), classViolationRate(r, "batch")),
+						classViolationRate(&r.Tally, "interactive"), classViolationRate(&r.Tally, "batch")),
 					fmt.Sprintf("%.2f/%.2f", shedRate("interactive"), shedRate("batch")),
 					r.TTFT.Stats().P95, r.TBT.Stats().P95}}
 			})
