@@ -765,15 +765,8 @@ func (e *Engine) AdoptWorkingSet(experts []workload.ExpertRef) (warm int) {
 // layer reads its Interconnect to price replica-to-replica migration.
 func (e *Engine) Platform() *hw.Platform { return e.platform }
 
-// Cache exposes GPU0's expert-cache shard — the whole cache on
-// single-GPU platforms. Multi-GPU analysis goes through Caches.
-func (e *Engine) Cache() *cache.Cache { return e.cache.Shard(0) }
-
 // Caches exposes the per-device expert cache for analysis.
 func (e *Engine) Caches() *cache.Multi { return e.cache }
-
-// NumGPUs reports the platform's GPU count.
-func (e *Engine) NumGPUs() int { return len(e.gpuBusy) }
 
 // Timelines returns the recorded span timelines for the CPU, GPU0 and
 // GPU0's link (nil without WithTraceRecording). Multi-GPU devices are

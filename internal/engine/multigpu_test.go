@@ -61,13 +61,13 @@ func expertParallelFramework() Framework {
 // vectors carry length 2, the scalars are their sums, both GPUs see
 // compute, and both cache shards hold experts.
 func TestDualGPUSessionUsesBothDevices(t *testing.T) {
-	e, err := New(moe.DeepSeek(), hw.DualA6000Platform(), expertParallelFramework(),
+	e, err := New(moe.DeepSeek(), hw.MultiA6000Platform(2), expertParallelFramework(),
 		WithCacheRatio(0.25), WithSeed(200), WithPlanValidation())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.NumGPUs() != 2 {
-		t.Fatalf("NumGPUs = %d, want 2", e.NumGPUs())
+	if n := e.Platform().NumGPUs(); n != 2 {
+		t.Fatalf("NumGPUs = %d, want 2", n)
 	}
 	s := e.NewSession(WithMaxConcurrent(2))
 	s.Submit(testRequests()...)
@@ -115,7 +115,7 @@ func TestPerDeviceCacheCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dual, err := New(cfg, hw.DualA6000Platform(), HybriMoEFramework(), WithCacheRatio(0.25), WithSeed(1))
+	dual, err := New(cfg, hw.MultiA6000Platform(2), HybriMoEFramework(), WithCacheRatio(0.25), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestPerDeviceCacheCapacity(t *testing.T) {
 func TestMixedDeviceAwarenessRejectedOnMultiGPU(t *testing.T) {
 	fw := KTransformersFramework()
 	fw.Sched = "expert-parallel" // prefill stays gpu-centric
-	if _, err := New(moe.DeepSeek(), hw.QuadA6000Platform(), fw, WithSeed(1)); err == nil {
+	if _, err := New(moe.DeepSeek(), hw.MultiA6000Platform(4), fw, WithSeed(1)); err == nil {
 		t.Fatal("mixed stage schedulers on a 4-GPU platform should error")
 	}
 	if _, err := New(moe.DeepSeek(), hw.A6000Platform(), fw, WithSeed(1)); err != nil {

@@ -18,7 +18,6 @@ type Option func(*settings) error
 // zero cache ratio is a real baseline, never mistaken for "unset".
 type settings struct {
 	cacheRatio    float64
-	context       int
 	seed          uint64
 	warmupIters   int
 	recordTrace   bool
@@ -33,7 +32,6 @@ type settings struct {
 func defaultSettings() settings {
 	return settings{
 		cacheRatio:  0.25,
-		context:     512,
 		warmupIters: 32,
 		reqSched:    "round-robin",
 		batchPolicy: "none",
@@ -49,19 +47,6 @@ func WithCacheRatio(ratio float64) Option {
 			return fmt.Errorf("engine: cache ratio %v outside [0, 1]", ratio)
 		}
 		s.cacheRatio = ratio
-		return nil
-	}
-}
-
-// WithContext sets the KV context length assumed for decode attention
-// cost (512 when unset). Decode-only runs use it directly; Session
-// requests grow their context from the prompt instead.
-func WithContext(tokens int) Option {
-	return func(s *settings) error {
-		if tokens <= 0 {
-			return fmt.Errorf("engine: context length %d must be positive", tokens)
-		}
-		s.context = tokens
 		return nil
 	}
 }

@@ -21,8 +21,6 @@ func TestOptionValidation(t *testing.T) {
 		{"negative ratio", WithCacheRatio(-0.1), "outside [0, 1]"},
 		{"ratio above one", WithCacheRatio(1.5), "outside [0, 1]"},
 		{"NaN ratio", WithCacheRatio(math.NaN()), "outside [0, 1]"},
-		{"zero context", WithContext(0), "must be positive"},
-		{"negative context", WithContext(-3), "must be positive"},
 		{"negative warmup", WithWarmupIters(-1), "must be non-negative"},
 		{"nil prefetcher", WithPrefetcher(nil), "WithPrefetcher(nil)"},
 		{"unknown request scheduler", WithRequestScheduler("psychic"), "unknown request scheduler"},
@@ -56,16 +54,16 @@ func TestExplicitZeroCacheRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := cfg.CacheCapacity(0.25); def.Cache().Capacity() != want {
-		t.Fatalf("unset ratio capacity = %d, want default %d", def.Cache().Capacity(), want)
+	if want := cfg.CacheCapacity(0.25); def.Caches().Shard(0).Capacity() != want {
+		t.Fatalf("unset ratio capacity = %d, want default %d", def.Caches().Shard(0).Capacity(), want)
 	}
 
 	zero, err := New(cfg, platform, HybriMoEFramework(), WithSeed(1), WithCacheRatio(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if zero.Cache().Capacity() != 0 {
-		t.Fatalf("explicit zero ratio capacity = %d, want 0", zero.Cache().Capacity())
+	if zero.Caches().Shard(0).Capacity() != 0 {
+		t.Fatalf("explicit zero ratio capacity = %d, want 0", zero.Caches().Shard(0).Capacity())
 	}
 	res := zero.RunDecode(3)
 	if res.Total <= 0 {
@@ -101,7 +99,7 @@ func TestWarmupItersZeroDisablesWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := e.Cache().Len(); n != 0 {
+	if n := e.Caches().Shard(0).Len(); n != 0 {
 		t.Fatalf("explicit zero warmup left %d residents", n)
 	}
 }

@@ -168,9 +168,13 @@ type sessionRequest struct {
 	adopted   bool // entered via SubmitPrefilled (TTFT already stamped)
 }
 
+// prefillNext reports whether r's next iteration is its prompt forward.
+func (r *sessionRequest) prefillNext() bool {
+	return !r.prefilled && r.req.PromptTokens > 0
+}
+
 func (r *sessionRequest) done() bool {
-	prefillDone := r.prefilled || r.req.PromptTokens <= 0
-	return prefillDone && r.decoded >= r.req.DecodeTokens
+	return !r.prefillNext() && r.decoded >= r.req.DecodeTokens
 }
 
 // sessionEvent is one entry on the Session's unified event timeline.
@@ -205,12 +209,13 @@ const (
 // queue, a pending emission, or (implicitly, when nothing is runnable)
 // the next arrival the clock jumps to — so open-loop idle gaps are
 // skipped by construction rather than by scanning for the next arrival.
-// Admitted requests enter the active set up to the concurrency limit
-// and advance one engine iteration per Step — the request picked by the
-// configured request scheduler, running a prefill forward or a single
-// decode step — with a StepEvent emitted for each. The expert cache,
-// trace generator and device clocks carry state across requests, the
-// state a long-running server would have.
+// Admitted requests enter the active set up to the concurrency limit;
+// each iteration runs the batch the batch former builds around the
+// request scheduler's pick (the pick alone when unbatched), a prefill
+// forward or a decode step per member, with a StepEvent emitted for
+// each member. The expert cache, trace generator and device clocks
+// carry state across requests, the state a long-running server would
+// have.
 type Session struct {
 	e             *Engine
 	active        []*sessionRequest
@@ -221,7 +226,7 @@ type Session struct {
 	steps         int
 	nextSeq       int
 	nextSubmit    int
-	// batches counts merged engine iterations (solo steps included);
+	// batches counts engine iterations (one-member batches included);
 	// StepEvent.Batch carries the ordinal.
 	batches int
 	// events is the unified timeline: scheduled arrivals (stamped at
@@ -252,21 +257,12 @@ type Session struct {
 	// Pending (the request is in this session until the caller takes it).
 	exported []*sessionRequest
 	// Reused scratch buffers: the allocation-lean Step path. view backs
-	// schedView's projection, busyPrev the per-step device-frontier
-	// snapshots, seen checkBatch's duplicate check; none escape a Step.
-	view              []reqsched.Request
-	gpuPrev, linkPrev []float64
-	seen              []bool
-	// Batch-iteration scratch: runBatch's member/token projections and
-	// its event assembly buffer. The events themselves are copied out by
-	// value (one returned, the rest queued for emission), so the backing
-	// slices never escape a Step and are reused across iterations.
-	batchMembers []*sessionRequest
-	batchTokens  []int
-	batchEvents  []StepEvent
-	// untilEvents backs StepUntil's batched return; valid until the next
-	// StepUntil call.
-	untilEvents []StepEvent
+	// schedView's projection, gpuAdv/linkAdv runBatch's per-device
+	// frontier snapshots (turned into advances in place), seen
+	// checkBatch's duplicate check; none escape a Step.
+	view            []reqsched.Request
+	gpuAdv, linkAdv []float64
+	seen            []bool
 	// arena batches the per-event device-vector allocations; see devArena.
 	arena devArena
 }
@@ -759,38 +755,7 @@ func (s *Session) next() (ev StepEvent, ok bool) {
 	batch := s.batch.Form(s.e.clock, view, idx)
 	s.checkBatch(batch, idx)
 	s.batches++
-	if len(batch) == 1 {
-		return s.stepSolo(idx), true
-	}
-	events := s.runBatch(batch, idx)
-	for _, bev := range events[1:] {
-		s.pushEmit(bev)
-	}
-	return events[0], true
-}
-
-// StepUntil advances the session until its clock reaches t (or the
-// session drains), returning every StepEvent emitted along the way in
-// Step order. It is exactly a Step loop — the event sequence is
-// byte-identical to calling Step repeatedly — batched so per-step
-// bookkeeping (scratch views, emission drains) amortizes and the caller
-// makes one call per horizon instead of one per event. A step whose
-// pre-step clock is below t may legitimately finish past it (an idle-gap
-// jump or a long iteration), matching what a serial Step driver
-// observes; the final clock is therefore >= t unless the session
-// drained first. The returned slice is scratch reused by the next
-// StepUntil call — copy it to retain events across calls.
-func (s *Session) StepUntil(t float64) []StepEvent {
-	evs := s.untilEvents[:0]
-	for s.e.clock < t {
-		ev, ok := s.Step()
-		if !ok {
-			break
-		}
-		evs = append(evs, ev)
-	}
-	s.untilEvents = evs
-	return evs
+	return s.runBatch(batch, idx), true
 }
 
 // StepUntilClocked advances the session the way a lockstep fleet driver
@@ -798,9 +763,9 @@ func (s *Session) StepUntil(t float64) []StepEvent {
 // aligned with each returned event, the session clock observed
 // immediately before the Step call that produced it: the merge key the
 // driver interleaves replica runs by (the clock it would have seen when
-// picking this session to step). Unlike StepUntil it stops once Pending
-// reaches 0, leaving any emissions still queued (HasEmission) for the
-// caller to deliver with Step. Events and clocks are appended to evs and
+// picking this session to step). It stops once Pending reaches 0, leaving
+// any emissions still queued (HasEmission) for the caller to deliver
+// with Step. Events and clocks are appended to evs and
 // clocks, which are returned; pass reusable backing to keep the loop
 // allocation-free. Pre-step clocks are non-decreasing within one call.
 func (s *Session) StepUntilClocked(t float64, evs []StepEvent, clocks []float64) ([]StepEvent, []float64) {
@@ -848,70 +813,6 @@ func (s *Session) checkBatch(batch []int, lead int) {
 	}
 }
 
-// snapBusy copies the engine's device-frontier vectors into the
-// session's reused scratch, the pre-step snapshot busyDeltas diffs.
-func (s *Session) snapBusy() (gpu0, link0 []float64) {
-	s.gpuPrev = append(s.gpuPrev[:0], s.e.gpuBusy...)
-	s.linkPrev = append(s.linkPrev[:0], s.e.linkBusy...)
-	return s.gpuPrev, s.linkPrev
-}
-
-// stepSolo runs one engine iteration for a single request — the
-// historical Session loop, which batch policy "none" (and any
-// single-member batch) reproduces event-for-event.
-func (s *Session) stepSolo(idx int) StepEvent {
-	r := s.active[idx]
-
-	ev := StepEvent{Request: r.req.ID, Start: s.e.clock, Deadline: r.req.Deadline,
-		Arrival: r.req.Arrival, Class: r.req.Class, Batch: s.batches, BatchSize: 1,
-		Adopted: r.adopted}
-	ev.Queued = s.queueWait(r, ev.Start)
-	hits0, misses0 := s.e.cache.Hits(), s.e.cache.Misses()
-	cpu0 := s.e.cpuBusy
-	gpu0, link0 := s.snapBusy()
-
-	if !r.prefilled && r.req.PromptTokens > 0 {
-		ev.Phase = PhasePrefill
-		ev.Tokens = r.req.PromptTokens
-		s.e.scheduler = s.e.prefillSched
-		b := borrowStep()
-		b.acts = trace.PrefillStepInto(b.acts, s.e.gen, r.req.PromptTokens)
-		ev.Latency = s.e.runStep(b, r.req.PromptTokens, r.req.PromptTokens, false)
-		r.prefilled = true
-		if s.exportPrefill && r.req.DecodeTokens > 0 {
-			ev.Migrated = true
-			s.export(r, ev.Queued+ev.Latency)
-		}
-	} else {
-		ev.Phase = PhaseDecode
-		ev.Index = r.decoded
-		ev.Tokens = 1
-		s.e.scheduler = s.e.decodeSched
-		b := borrowStep()
-		b.acts = trace.DecodeStepInto(b.acts, s.e.gen)
-		ev.Latency = s.e.runStep(b, 1, s.contextFor(r), false)
-		r.decoded++
-	}
-
-	ev.End = s.e.clock
-	ev.Hits = s.e.cache.Hits() - hits0
-	ev.Misses = s.e.cache.Misses() - misses0
-	ev.CPUBusy = maxF(0, s.e.cpuBusy-cpu0)
-	ev.GPUBusyByDevice, ev.GPUBusy = s.busyDeltas(s.e.gpuBusy, gpu0)
-	ev.LinkBusyByDevice, ev.LinkBusy = s.busyDeltas(s.e.linkBusy, link0)
-	ev.Done = r.done()
-	s.e.stats.CacheHitRate = s.e.cache.HitRate()
-	s.notePrefetchHorizon()
-
-	if ev.Done || r.migrated {
-		s.active = append(s.active[:idx], s.active[idx+1:]...)
-		s.sched.Stepped(idx, []int{idx})
-	} else {
-		s.sched.Stepped(idx, nil)
-	}
-	return ev
-}
-
 // export checkpoints a just-prefilled request and parks it for
 // ExportPrefilled: the serializable decode-side state — prompt
 // consumed, context, the KV bytes that must migrate, and the predicted
@@ -949,49 +850,40 @@ func (s *Session) queueWait(r *sessionRequest, start float64) float64 {
 	return maxF(0, start-r.req.Arrival)
 }
 
-// runBatch executes one merged engine iteration for a multi-request
-// batch and returns one StepEvent per member, in the batch former's
-// order. The batch runs as a single forward: a pure-decode batch shares
-// one trace.DecodeStep activation pass over the union of experts (one
-// token per request through each), while a batch containing prefill
-// work routes its total token count through one prefill-shaped pass.
-// Cache hits/misses and device busy time are accounted once for the
-// iteration, then attributed to members by token share (exactly — the
-// telescoped integer splits sum to the iteration totals), and every
-// member's event carries the full iteration latency as its TTFT/TBT
-// observation, the latency a batched server's request actually sees.
-func (s *Session) runBatch(batch []int, lead int) []StepEvent {
-	// Member/token projections live in session scratch: nothing below
-	// retains them past the iteration.
-	members := s.batchMembers[:0]
-	tokens := s.batchTokens[:0]
+// runBatch executes one engine iteration for the batch the former built
+// around the scheduler's lead — a lone request or several merged — and
+// returns the first member's StepEvent, queueing the rest for emission
+// in the former's order. The batch runs as a single forward: a
+// pure-decode batch shares one trace.BatchDecodeStepInto activation
+// pass over the union of experts (one token per request through each),
+// while a batch containing prefill work routes its total token count
+// through one prefill-shaped pass. Cache hits/misses and device busy
+// time are accounted once for the iteration, then attributed to members
+// by token share (exactly — the telescoped splits sum to the iteration
+// totals), and every member's event carries the full iteration latency
+// as its TTFT/TBT observation, the latency a batched server's request
+// actually sees.
+func (s *Session) runBatch(batch []int, lead int) StepEvent {
 	total := 0
 	allDecode := true
 	context := 0
 	for _, idx := range batch {
 		r := s.active[idx]
-		members = append(members, r)
-		tok := 1
-		if r.prefilled || r.req.PromptTokens <= 0 {
-			if c := s.contextFor(r); c > context {
-				context = c
-			}
-		} else {
-			tok = r.req.PromptTokens
+		if r.prefillNext() {
+			total += r.req.PromptTokens
 			allDecode = false
-			if r.req.PromptTokens > context {
-				context = r.req.PromptTokens
-			}
+			context = max(context, r.req.PromptTokens)
+		} else {
+			total++
+			context = max(context, s.contextFor(r))
 		}
-		tokens = append(tokens, tok)
-		total += tok
 	}
-	s.batchMembers, s.batchTokens = members, tokens
 
 	start := s.e.clock
 	hits0, misses0 := s.e.cache.Hits(), s.e.cache.Misses()
 	cpu0 := s.e.cpuBusy
-	gpu0, link0 := s.snapBusy()
+	s.gpuAdv = append(s.gpuAdv[:0], s.e.gpuBusy...)
+	s.linkAdv = append(s.linkAdv[:0], s.e.linkBusy...)
 
 	b := borrowStep()
 	if allDecode {
@@ -1002,29 +894,35 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 		b.acts = trace.PrefillStepInto(b.acts, s.e.gen, total)
 	}
 	// Pure-decode batches count cache lookups per routed token so
-	// hits+misses conserve against the unbatched run; prefill-bearing
-	// batches are one prefill-shaped pass and keep prefill's
-	// per-distinct-expert convention.
+	// hits+misses conserve against the unbatched run (at load 1 that is
+	// one lookup per expert); prefill-bearing batches are one
+	// prefill-shaped pass and keep prefill's per-distinct-expert
+	// convention.
 	latency := s.e.runStep(b, total, context, allDecode)
 
 	hits := s.e.cache.Hits() - hits0
 	misses := s.e.cache.Misses() - misses0
 	cpu := maxF(0, s.e.cpuBusy-cpu0)
-	gpu, _ := s.busyDeltas(s.e.gpuBusy, gpu0)
-	link, _ := s.busyDeltas(s.e.linkBusy, link0)
+	gpu := advances(s.gpuAdv, s.e.gpuBusy)
+	link := advances(s.linkAdv, s.e.linkBusy)
 	end := s.e.clock
 	s.e.stats.CacheHitRate = s.e.cache.HitRate()
 	s.notePrefetchHorizon()
 
-	// The assembly buffer is scratch too — Step copies events out by
-	// value (one returned, the rest queued) before the next iteration.
-	events := s.batchEvents[:0]
+	var first StepEvent
 	cum := 0
-	for i, r := range members {
-		prev, next := cum, cum+tokens[i]
+	for i, idx := range batch {
+		r := s.active[idx]
+		prefill := r.prefillNext()
+		tokens := 1
+		if prefill {
+			tokens = r.req.PromptTokens
+		}
+		prev, next := cum, cum+tokens
 		cum = next
 		ev := StepEvent{
 			Request:  r.req.ID,
+			Tokens:   tokens,
 			Start:    start,
 			End:      end,
 			Latency:  latency,
@@ -1038,7 +936,7 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 			// exactly to the iteration totals.
 			Hits:      hits*int64(next)/int64(total) - hits*int64(prev)/int64(total),
 			Misses:    misses*int64(next)/int64(total) - misses*int64(prev)/int64(total),
-			CPUBusy:   cpu*float64(next)/float64(total) - cpu*float64(prev)/float64(total),
+			CPUBusy:   share(cpu, prev, next, total),
 			BatchSize: len(batch),
 		}
 		// Per-device token-share splits, telescoped the same way; the
@@ -1047,16 +945,15 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 		ev.GPUBusyByDevice = s.arena.take(len(gpu))
 		ev.LinkBusyByDevice = s.arena.take(len(link))
 		for d := range gpu {
-			ev.GPUBusyByDevice[d] = gpu[d]*float64(next)/float64(total) - gpu[d]*float64(prev)/float64(total)
+			ev.GPUBusyByDevice[d] = share(gpu[d], prev, next, total)
 			ev.GPUBusy += ev.GPUBusyByDevice[d]
 		}
 		for d := range link {
-			ev.LinkBusyByDevice[d] = link[d]*float64(next)/float64(total) - link[d]*float64(prev)/float64(total)
+			ev.LinkBusyByDevice[d] = share(link[d], prev, next, total)
 			ev.LinkBusy += ev.LinkBusyByDevice[d]
 		}
-		if !r.prefilled && r.req.PromptTokens > 0 {
+		if prefill {
 			ev.Phase = PhasePrefill
-			ev.Tokens = r.req.PromptTokens
 			r.prefilled = true
 			if s.exportPrefill && r.req.DecodeTokens > 0 {
 				ev.Migrated = true
@@ -1065,13 +962,15 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 		} else {
 			ev.Phase = PhaseDecode
 			ev.Index = r.decoded
-			ev.Tokens = 1
 			r.decoded++
 		}
 		ev.Done = r.done()
-		events = append(events, ev)
+		if i == 0 {
+			first = ev
+		} else {
+			s.pushEmit(ev)
+		}
 	}
-	s.batchEvents = events
 
 	var removed []int
 	remaining := s.active[:0]
@@ -1088,26 +987,36 @@ func (s *Session) runBatch(batch []int, lead int) []StepEvent {
 	// below the pick, and the compaction above shifts the active slice
 	// under any cursor that only heard about the lead.
 	s.sched.Stepped(lead, removed)
-	return events
+	return first
 }
 
-// busyDeltas reports each device's occupancy-frontier advance since the
-// prev snapshot, plus the summed advance the scalar event fields carry.
-// The slice is carved from the session's arena — it escapes into the
-// emitted event, so it is never reused, only cheaply allocated.
-func (s *Session) busyDeltas(cur, prev []float64) ([]float64, float64) {
-	out := s.arena.take(len(cur))
-	var total float64
-	for d := range cur {
-		out[d] = maxF(0, cur[d]-prev[d])
-		total += out[d]
+// advances turns prev, a snapshot of the device frontiers cur, into each
+// device's frontier advance since the snapshot, in place.
+func advances(prev, cur []float64) []float64 {
+	for d := range prev {
+		prev[d] = maxF(0, cur[d]-prev[d])
 	}
-	return out, total
+	return prev
 }
+
+// share is the part of x attributed to the token range [prev, next) of
+// an iteration's total: x*next/total - x*prev/total, which telescopes so
+// the members' shares sum to x. A lone member, the only one spanning the
+// whole range, gets x itself, because x*n/n is not always x.
+func share(x float64, prev, next, total int) float64 {
+	if prev == 0 && next == total {
+		return x
+	}
+	return x*float64(next)/float64(total) - x*float64(prev)/float64(total)
+}
+
+// burstContext is the KV context a decode-only burst (a request without
+// a prompt, as RunDecode submits) attends over.
+const burstContext = 512
 
 // contextFor reports the KV context length for a request's next decode
-// step: the prompt plus tokens generated so far, or the engine's
-// configured default for decode-only bursts (the Run* wrappers).
+// step: the prompt plus tokens generated so far, or burstContext for
+// decode-only bursts (the Run* wrappers).
 func (s *Session) contextFor(r *sessionRequest) int {
 	if r.adopted && r.req.Checkpoint != nil {
 		// The checkpoint's context is authoritative for adopted
@@ -1116,7 +1025,7 @@ func (s *Session) contextFor(r *sessionRequest) int {
 		return r.req.Checkpoint.Context + r.decoded
 	}
 	if r.req.PromptTokens <= 0 {
-		return s.e.set.context
+		return burstContext
 	}
 	return r.req.PromptTokens + r.decoded
 }
@@ -1138,8 +1047,8 @@ func (s *Session) Run(handler func(StepEvent)) int {
 }
 
 // RunDecode measures steps decode iterations and returns per-step TBT.
-// It is a compatibility wrapper over a decode-only Session burst at the
-// engine's configured KV context.
+// It is a compatibility wrapper over a decode-only Session burst at
+// burstContext.
 func (e *Engine) RunDecode(steps int) Result {
 	if steps <= 0 {
 		panic(fmt.Sprintf("engine: non-positive decode steps %d", steps))

@@ -156,7 +156,7 @@ func TestBatchedStepEventAttribution(t *testing.T) {
 		t.Fatal("greedy policy with 3 decode requests never merged a batch")
 	}
 	// Attributed lookups across all events equal the cache's counters.
-	if got := e.Cache().Hits() + e.Cache().Misses(); got != looks {
+	if got := e.Caches().Hits() + e.Caches().Misses(); got != looks {
 		t.Fatalf("attributed lookups %d != cache counters %d", looks, got)
 	}
 }

@@ -19,12 +19,13 @@ func stepUntilWorkload(seed uint64) []workload.Request {
 }
 
 // TestStepUntilMatchesStepLoop pins the batched stepping contract:
-// driving a session through
-// StepUntil at an arbitrary ladder of horizons — including horizons
-// landing mid-run, between steps, and past the end — yields exactly the
-// event sequence a plain Step loop emits on an equal-seed twin, and
-// every step's pre-step clock respects its horizon (a step may finish
-// past the horizon, but never starts at or beyond it).
+// driving a session through StepUntilClocked at an arbitrary ladder of
+// horizons — including horizons landing mid-run, between steps, and
+// past the end — and then delivering the trailing emissions with Step
+// yields exactly the event sequence a plain Step loop emits on an
+// equal-seed twin, and every step's pre-step clock respects its horizon
+// (a step may finish past the horizon, but never starts at or beyond
+// it).
 func TestStepUntilMatchesStepLoop(t *testing.T) {
 	const seed = 4200
 
@@ -43,22 +44,34 @@ func TestStepUntilMatchesStepLoop(t *testing.T) {
 	s.Submit(stepUntilWorkload(seed)...)
 	horizons := []float64{span * 0.1, span * 0.25, span * 0.25, span * 0.6, span, math.Inf(1)}
 	var got []StepEvent
+	var clocks []float64
 	for _, h := range horizons {
-		pre := e.Clock()
-		batch := s.StepUntil(h)
-		if pre >= h && len(batch) != 0 {
-			t.Fatalf("StepUntil(%v) stepped a session already at clock %v", h, pre)
+		n := len(got)
+		got, clocks = s.StepUntilClocked(h, got, clocks)
+		for _, pre := range clocks[n:] {
+			if pre >= h {
+				t.Fatalf("StepUntilClocked(%v) stepped a session already at clock %v", h, pre)
+			}
 		}
-		got = append(got, batch...)
 		if e.Clock() < h && s.Pending() > 0 {
-			t.Fatalf("StepUntil(%v) stopped at clock %v with %d pending", h, e.Clock(), s.Pending())
+			t.Fatalf("StepUntilClocked(%v) stopped at clock %v with %d pending", h, e.Clock(), s.Pending())
 		}
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("horizon ladder left %d requests pending", s.Pending())
 	}
+	for s.HasEmission() {
+		ev, ok := s.Step()
+		if !ok {
+			t.Fatal("Step refused a queued emission")
+		}
+		got = append(got, ev)
+	}
+	if _, ok := s.Step(); ok {
+		t.Fatal("drained session still stepping")
+	}
 	if len(got) != len(want) {
-		t.Fatalf("StepUntil emitted %d events, Step loop %d", len(got), len(want))
+		t.Fatalf("StepUntilClocked and Step emitted %d events, Step loop %d", len(got), len(want))
 	}
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
