@@ -295,7 +295,7 @@ func BenchmarkCacheInsertAllLayer(b *testing.B) {
 	const warmSteps, steps = 4, 8
 	var acts []trace.LayerActivation
 	for s := 0; s < steps; s++ {
-		acts = append(acts, trace.DecodeStep(g)...)
+		acts = append(acts, trace.DecodeStepInto(nil, g)...)
 	}
 	c := cache.NewMulti(cache.New(cfg.CacheCapacity(0.25),
 		cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts)))

@@ -55,9 +55,6 @@ func (c *Cache) Capacity() int { return c.capacity }
 // Len reports the current resident expert count (including pinned).
 func (c *Cache) Len() int { return len(c.resident) }
 
-// Policy exposes the replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
 // Contains reports residency without touching hit/miss accounting.
 func (c *Cache) Contains(id moe.ExpertID) bool { return c.slot.get(id) != 0 }
 

@@ -206,10 +206,3 @@ func (m *Multi) HitRate() float64 {
 	}
 	return float64(hits) / float64(total)
 }
-
-// ResetStats clears every shard's counters without touching residency.
-func (m *Multi) ResetStats() {
-	for _, s := range m.shards {
-		s.ResetStats()
-	}
-}

@@ -11,7 +11,6 @@ import (
 	"hybrimoe/internal/cluster"
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/report"
-	"hybrimoe/internal/stats"
 )
 
 // The legacy* functions below are the hand-written event loops the
@@ -20,18 +19,11 @@ import (
 
 // latencies is the batch summary the legacy loops reported.
 func latencies(xs []float64) report.LatencyStats {
-	if len(xs) == 0 {
-		return report.LatencyStats{}
+	var live report.Live
+	for _, x := range xs {
+		live.Add(x)
 	}
-	var s stats.Sample
-	s.AddN(xs)
-	return report.LatencyStats{
-		N:    s.N(),
-		Mean: s.Mean(),
-		P50:  s.Quantile(0.50),
-		P95:  s.Quantile(0.95),
-		P99:  s.Quantile(0.99),
-	}
+	return live.Stats()
 }
 
 type legacyFleetRun struct {

@@ -45,9 +45,6 @@ func GPUAt(i int) Device {
 	return Device(i)
 }
 
-// IsGPU reports whether the device is an accelerator (any index).
-func (d Device) IsGPU() bool { return d >= 0 }
-
 // GPUIndex returns the device's position in Platform.GPUs. It panics
 // for the CPU, which has no such index.
 func (d Device) GPUIndex() int {
@@ -210,18 +207,8 @@ func (p *Platform) Topology() Topology {
 // NumGPUs reports how many GPUs the platform carries.
 func (p *Platform) NumGPUs() int { return len(p.GPUs) }
 
-// GPUOf returns the cost model of the GPU behind device d. It panics
-// for the CPU or an out-of-range device — both scheduler bugs.
-func (p *Platform) GPUOf(d Device) GPUModel {
-	i := d.GPUIndex()
-	if i >= len(p.GPUs) {
-		panic(fmt.Sprintf("hw: platform %q has %d GPUs, no %v", p.Name, len(p.GPUs), d))
-	}
-	return p.GPUs[i]
-}
-
-// LinkOf returns the host link feeding device d, with the same panics
-// as GPUOf.
+// LinkOf returns the host link feeding device d. It panics for the CPU
+// or an out-of-range device — both scheduler bugs.
 func (p *Platform) LinkOf(d Device) LinkModel {
 	i := d.GPUIndex()
 	if i >= len(p.Links) {

@@ -18,9 +18,6 @@ func TestDeviceIndexing(t *testing.T) {
 	if GPUAt(0) != GPU {
 		t.Fatal("GPUAt(0) must be the GPU0 constant")
 	}
-	if !GPU.IsGPU() || CPU.IsGPU() {
-		t.Fatal("IsGPU wrong")
-	}
 	if GPUAt(3).GPUIndex() != 3 {
 		t.Fatal("GPUIndex wrong")
 	}
@@ -36,10 +33,9 @@ func TestDeviceIndexing(t *testing.T) {
 	mustPanic("GPUAt(-1)", func() { GPUAt(-1) })
 	mustPanic("CPU.GPUIndex", func() { CPU.GPUIndex() })
 	p := A6000Platform()
-	mustPanic("GPUOf out of range", func() { p.GPUOf(GPUAt(5)) })
 	mustPanic("LinkOf out of range", func() { p.LinkOf(GPUAt(5)) })
-	if p.GPUOf(GPU).Name != p.GPUs[0].Name || p.LinkOf(GPU).Name != p.Links[0].Name {
-		t.Fatal("GPUOf/LinkOf must resolve device 0 to the first models")
+	if p.LinkOf(GPU).Name != p.Links[0].Name {
+		t.Fatal("LinkOf must resolve device 0 to the first link")
 	}
 }
 

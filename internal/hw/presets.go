@@ -91,12 +91,6 @@ func MultiA6000Platform(n int) *Platform {
 	return p
 }
 
-// DualA6000Platform is the 2-GPU sharded-serving preset.
-func DualA6000Platform() *Platform { return MultiA6000Platform(2) }
-
-// QuadA6000Platform is the 4-GPU sharded-serving preset.
-func QuadA6000Platform() *Platform { return MultiA6000Platform(4) }
-
 // LaptopPlatform models a smaller edge deployment (mobile GPU over PCIe
 // 4.0 x8, 6 performance cores). Used by scalability tests.
 func LaptopPlatform() *Platform {

@@ -15,8 +15,8 @@ func TestPresetsValidate(t *testing.T) {
 		{"a6000", A6000Platform(), 1},
 		{"laptop", LaptopPlatform(), 1},
 		{"unit", UnitPlatform(), 1},
-		{"dual-a6000", DualA6000Platform(), 2},
-		{"quad-a6000", QuadA6000Platform(), 4},
+		{"dual-a6000", MultiA6000Platform(2), 2},
+		{"quad-a6000", MultiA6000Platform(4), 4},
 		{"multi-a6000-3", MultiA6000Platform(3), 3},
 	}
 	for _, tc := range presets {
@@ -64,12 +64,12 @@ func TestTopologyValidate(t *testing.T) {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
-	bad := DualA6000Platform()
+	bad := MultiA6000Platform(2)
 	bad.Links = bad.Links[:1]
 	if err := bad.Validate(); err == nil {
 		t.Error("platform with fewer links than GPUs should fail validation")
 	}
-	bad2 := DualA6000Platform()
+	bad2 := MultiA6000Platform(2)
 	bad2.GPUs[1].PeakFlops = 0
 	if err := bad2.Validate(); err == nil {
 		t.Error("platform with an invalid second GPU should fail validation")

@@ -171,7 +171,7 @@ func TestSelectSpendsPerDeviceBudgets(t *testing.T) {
 	cfg := moe.DeepSeek()
 	loads := map[int][]int{1: loadsWith(cfg, map[int]int{0: 10, 1: 9, 2: 8, 3: 7})}
 	ctx := testCtx(0, 0, loads, nil)
-	ctx.Platform = hw.DualA6000Platform()
+	ctx.Platform = hw.MultiA6000Platform(2)
 	xfer := ctx.Platform.Links[0].TransferTime(cfg.ExpertBytes())
 	// Device 0's link has room for one transfer, device 1's for two.
 	ctx.Budgets = []float64{1.5 * xfer, 2.5 * xfer}

@@ -25,11 +25,6 @@ func (m *Matrix8) groupsPerRow() int {
 	return (m.Cols + m.GroupSize - 1) / m.GroupSize
 }
 
-// SizeBytes reports the storage footprint (weights + scales).
-func (m *Matrix8) SizeBytes() int64 {
-	return int64(len(m.Data)) + int64(len(m.Scales))*4
-}
-
 // Quantize8 converts a float32 matrix to symmetric 8-bit groups.
 // groupSize <= 0 selects DefaultGroupSize.
 func Quantize8(src *tensor.Matrix, groupSize int) *Matrix8 {

@@ -161,12 +161,6 @@ func (m *Matrix) MatVec(dst, x []float32) {
 	}
 }
 
-// CompressionRatio reports fp32 bytes divided by quantized bytes.
-func (m *Matrix) CompressionRatio() float64 {
-	fp32 := int64(m.Rows) * int64(m.Cols) * 4
-	return float64(fp32) / float64(m.SizeBytes())
-}
-
 // QuantizedSizeBytes predicts the packed footprint of a rows×cols matrix
 // without materialising it: nibble storage plus per-group scales. The
 // hardware model uses this to size expert transfers.

@@ -81,8 +81,7 @@ func (l *Live) order() {
 }
 
 // quantileSorted interpolates the q-th quantile of a sorted non-empty
-// sample linearly between order statistics, as stats.Sample.Quantile
-// does.
+// sample linearly between the order statistics either side of q*(n-1).
 func quantileSorted(xs []float64, q float64) float64 {
 	if len(xs) == 1 {
 		return xs[0]

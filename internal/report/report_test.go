@@ -1,10 +1,10 @@
 package report
 
 import (
+	"math"
+	"sort"
 	"strings"
 	"testing"
-
-	"hybrimoe/internal/stats"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -176,20 +176,35 @@ func TestLatenciesEmpty(t *testing.T) {
 	}
 }
 
-// latencies is the reference summary Live is checked against: a batch
-// stats.Sample over the same observations.
+// latencies is the reference summary Live is checked against, written
+// independently of it: the mean summed left to right in insertion order,
+// and each percentile read off a sorted copy, interpolated linearly
+// between the order statistics either side of q*(n-1).
 func latencies(xs []float64) LatencyStats {
 	if len(xs) == 0 {
 		return LatencyStats{}
 	}
-	var s stats.Sample
-	s.AddN(xs)
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	quantile := func(q float64) float64 {
+		pos := q * float64(len(sorted)-1)
+		lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+		if lo == hi {
+			return sorted[lo]
+		}
+		frac := pos - float64(lo)
+		return sorted[lo]*(1-frac) + sorted[hi]*frac
+	}
 	return LatencyStats{
-		N:    s.N(),
-		Mean: s.Mean(),
-		P50:  s.Quantile(0.50),
-		P95:  s.Quantile(0.95),
-		P99:  s.Quantile(0.99),
+		N:    len(xs),
+		Mean: sum / float64(len(xs)),
+		P50:  quantile(0.50),
+		P95:  quantile(0.95),
+		P99:  quantile(0.99),
 	}
 }
 

@@ -36,7 +36,7 @@ func randomTasks(rng *stats.RNG, cfg *moe.Config, layer, n, gpus int) []Task {
 // single- and multi-GPU platforms, with per-device resource offsets.
 func TestExpertParallelPlanAlwaysValid(t *testing.T) {
 	platforms := []*hw.Platform{
-		hw.A6000Platform(), hw.DualA6000Platform(), hw.QuadA6000Platform(),
+		hw.A6000Platform(), hw.MultiA6000Platform(2), hw.MultiA6000Platform(4),
 	}
 	rng := stats.NewRNG(314)
 	cfg := moe.Mixtral()
@@ -120,7 +120,7 @@ func TestSingleGPUSchedulersTargetDevice0(t *testing.T) {
 // Cached experts must run on their resident device, and uncached work
 // should spread across both links under contention.
 func TestExpertParallelFollowsResidency(t *testing.T) {
-	p := hw.DualA6000Platform()
+	p := hw.MultiA6000Platform(2)
 	cfg := moe.Mixtral()
 	var tasks []Task
 	for e := 0; e < 6; e++ {
@@ -168,7 +168,7 @@ func TestExpertParallelDualGPUBeatsSingleOnCachedLoad(t *testing.T) {
 		return tasks
 	}
 	single := NewExpertParallel().Plan(mkTasks(1), hw.A6000Platform(), Resources{})
-	dual := NewExpertParallel().Plan(mkTasks(2), hw.DualA6000Platform(), Resources{})
+	dual := NewExpertParallel().Plan(mkTasks(2), hw.MultiA6000Platform(2), Resources{})
 	if dual.Makespan >= single.Makespan {
 		t.Fatalf("dual-GPU makespan %v should beat single-GPU %v", dual.Makespan, single.Makespan)
 	}

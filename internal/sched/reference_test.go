@@ -598,7 +598,7 @@ func samePlan(got, want *Plan) bool {
 func TestSchedulersMatchReference(t *testing.T) {
 	platforms := []*hw.Platform{
 		hw.UnitPlatform(), hw.LaptopPlatform(), hw.A6000Platform(),
-		hw.DualA6000Platform(), hw.QuadA6000Platform(),
+		hw.MultiA6000Platform(2), hw.MultiA6000Platform(4),
 	}
 	cfgs := []*moe.Config{moe.DeepSeek(), moe.Mixtral(), moe.Qwen2()}
 	gpuLayer := func(l int) bool { return l%2 == 0 }
@@ -678,7 +678,7 @@ func TestPlanDoesNotAllocate(t *testing.T) {
 	rng := stats.NewRNG(11)
 	decode := referenceTasks(rng, hw.A6000Platform(), moe.DeepSeek(), 0, 6, 1, 0.5, false)
 	prefill := referenceTasks(rng, hw.A6000Platform(), moe.Qwen2(), 1, 64, 30, 0.25, false)
-	dual := hw.DualA6000Platform()
+	dual := hw.MultiA6000Platform(2)
 	dualDecode := referenceTasks(rng, dual, moe.DeepSeek(), 0, 6, 1, 0.5, true)
 	dualPrefill := referenceTasks(rng, dual, moe.Qwen2(), 1, 64, 30, 0.25, true)
 	res := Resources{CPUFree: 1e-4, GPUFree: 3e-4, LinkFree: 5e-5}

@@ -134,24 +134,3 @@ func TestQueueRandomizedOrdering(t *testing.T) {
 		}
 	}
 }
-
-func TestTimelinePoolRoundTrip(t *testing.T) {
-	tl := AcquireTimeline("pooled")
-	tl.Reserve(0, 2, "a")
-	if len(tl.Spans()) != 1 || tl.BusyUntil() != 2 {
-		t.Fatalf("acquired timeline should record: spans=%d busy=%v",
-			len(tl.Spans()), tl.BusyUntil())
-	}
-	tl.Release()
-	// Reacquire (the pool may or may not hand the same object back);
-	// either way the timeline must start empty and record again.
-	tl2 := AcquireTimeline("again")
-	defer tl2.Release()
-	if tl2.BusyUntil() != 0 || len(tl2.Spans()) != 0 {
-		t.Fatal("reacquired timeline must start reset")
-	}
-	tl2.Reserve(1, 1, "b")
-	if got := tl2.Spans(); len(got) != 1 || got[0].Name != "b" {
-		t.Fatalf("reacquired timeline should record fresh spans: %v", got)
-	}
-}

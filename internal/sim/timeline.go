@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Span records one operation executed on a timeline.
@@ -77,55 +76,13 @@ func (t *Timeline) BusyTime() float64 {
 	return sum
 }
 
-// Utilization reports BusyTime divided by the horizon, or 0 for an empty
-// horizon.
-func (t *Timeline) Utilization(horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return t.BusyTime() / horizon
-}
-
 // Reset clears reservations and spans, rewinding the busy frontier to
-// zero. Span storage is retained (truncated, not freed) — the pooled-
-// span guarantee: a timeline reused across runs, whether by hand or
-// through AcquireTimeline/Release, reaches a steady state where
-// recording allocates nothing.
+// zero. Span storage is retained (truncated, not freed), so a timeline
+// reused across runs reaches a steady state where recording allocates
+// nothing.
 func (t *Timeline) Reset() {
 	t.busyUntil = 0
 	t.spans = t.spans[:0]
-}
-
-// timelinePool recycles timelines — and, through Reset's storage
-// retention, their span slices — across simulation runs, so tight loops
-// that stand up and tear down resource timelines per run (sweep cells,
-// benchmarks) stop paying per-run span allocations.
-var timelinePool = sync.Pool{New: func() interface{} { return &Timeline{} }}
-
-// AcquireTimeline returns an empty recording timeline from the package
-// pool, renamed for this use. Pair it with Release; an acquired
-// timeline is otherwise indistinguishable from NewTimeline's.
-func AcquireTimeline(name string) *Timeline {
-	t := timelinePool.Get().(*Timeline)
-	t.Name = name
-	t.record = true
-	return t
-}
-
-// Release resets t and returns it to the package pool. The caller must
-// not touch t (or spans obtained from it by reference) afterwards;
-// Spans() copies remain valid.
-func (t *Timeline) Release() {
-	t.Reset()
-	t.record = false
-	timelinePool.Put(t)
-}
-
-// Clone returns a copy sharing no state, used by what-if simulations.
-func (t *Timeline) Clone() *Timeline {
-	c := &Timeline{Name: t.Name, busyUntil: t.busyUntil, record: t.record}
-	c.spans = append(c.spans, t.spans...)
-	return c
 }
 
 // Gantt renders the spans of several timelines as aligned text rows, one

@@ -28,9 +28,6 @@ func TestTimelineReserveSequencing(t *testing.T) {
 	if tl.BusyTime() != 6 {
 		t.Fatalf("BusyTime = %v, want 6", tl.BusyTime())
 	}
-	if got := tl.Utilization(12); got != 0.5 {
-		t.Fatalf("Utilization = %v, want 0.5", got)
-	}
 }
 
 func TestTimelineZeroDurationNotRecorded(t *testing.T) {
@@ -60,19 +57,6 @@ func TestTimelineReset(t *testing.T) {
 	}
 }
 
-func TestTimelineCloneIndependence(t *testing.T) {
-	tl := NewTimeline("x")
-	tl.Reserve(0, 2, "a")
-	c := tl.Clone()
-	c.Reserve(0, 3, "b")
-	if tl.BusyUntil() != 2 {
-		t.Fatalf("clone mutation leaked into original: %v", tl.BusyUntil())
-	}
-	if c.BusyUntil() != 5 {
-		t.Fatalf("clone BusyUntil = %v, want 5", c.BusyUntil())
-	}
-}
-
 func TestTimelineNoTraceSkipsSpans(t *testing.T) {
 	tl := NewTimelineNoTrace("fast")
 	tl.Reserve(0, 5, "a")
@@ -91,13 +75,6 @@ func TestSpansAreCopies(t *testing.T) {
 	spans[0].Name = "mutated"
 	if tl.Spans()[0].Name != "a" {
 		t.Fatal("Spans must return a copy")
-	}
-}
-
-func TestUtilizationEdgeCases(t *testing.T) {
-	tl := NewTimeline("x")
-	if tl.Utilization(0) != 0 || tl.Utilization(-1) != 0 {
-		t.Fatal("empty horizon utilization should be 0")
 	}
 }
 

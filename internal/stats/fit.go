@@ -92,46 +92,3 @@ func PearsonCorrelation(x, y []float64) float64 {
 	}
 	return sxy / math.Sqrt(sxx*syy)
 }
-
-// SpearmanCorrelation computes the rank correlation of two equal-length
-// series. The score-aware cache relies on rank structure (top scores
-// persist), which tests verify with this helper.
-func SpearmanCorrelation(x, y []float64) float64 {
-	if len(x) != len(y) || len(x) == 0 {
-		return math.NaN()
-	}
-	return PearsonCorrelation(ranks(x), ranks(y))
-}
-
-func ranks(xs []float64) []float64 {
-	type iv struct {
-		idx int
-		v   float64
-	}
-	tmp := make([]iv, len(xs))
-	for i, v := range xs {
-		tmp[i] = iv{i, v}
-	}
-	// Insertion sort keeps this dependency-free and is fine at the small
-	// sizes (≤ number of experts) it is used for.
-	for i := 1; i < len(tmp); i++ {
-		for j := i; j > 0 && tmp[j].v < tmp[j-1].v; j-- {
-			tmp[j], tmp[j-1] = tmp[j-1], tmp[j]
-		}
-	}
-	out := make([]float64, len(xs))
-	i := 0
-	for i < len(tmp) {
-		j := i
-		for j+1 < len(tmp) && tmp[j+1].v == tmp[i].v {
-			j++
-		}
-		// Average rank over ties.
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			out[tmp[k].idx] = avg
-		}
-		i = j + 1
-	}
-	return out
-}

@@ -89,25 +89,3 @@ func TestPearsonCorrelation(t *testing.T) {
 		t.Errorf("length mismatch should be NaN, got %v", got)
 	}
 }
-
-func TestSpearmanCorrelation(t *testing.T) {
-	// Monotone but nonlinear relation: Spearman 1, Pearson < 1.
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{1, 8, 27, 64, 125}
-	if got := SpearmanCorrelation(x, y); !almostEq(got, 1, 1e-12) {
-		t.Errorf("spearman of monotone relation = %v, want 1", got)
-	}
-	if p := PearsonCorrelation(x, y); p >= 1 {
-		t.Errorf("pearson of cubic should be <1, got %v", p)
-	}
-}
-
-func TestRanksWithTies(t *testing.T) {
-	got := ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ranks = %v, want %v", got, want)
-		}
-	}
-}

@@ -37,13 +37,6 @@ func (r *RNG) Reseed(seed uint64) {
 	r.gauss, r.hasGauss = 0, false
 }
 
-// Split derives an independent child generator; streams from parent and
-// child do not overlap in practice. Used to give each layer/iteration its
-// own stream without coupling draw order across components.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa0761d6478bd642f)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
@@ -149,13 +142,6 @@ func (r *RNG) Exp(rate float64) float64 {
 		u = r.Float64()
 	}
 	return -math.Log(u) / rate
-}
-
-// Zipf returns a sample in [0, n) from a Zipf-like distribution with
-// exponent s > 0. For repeated sampling at the same (n, s) prefer
-// NewZipf, which precomputes the inverse-CDF table once.
-func (r *RNG) Zipf(n int, s float64) int {
-	return NewZipf(n, s).Sample(r)
 }
 
 // Zipf samples from a fixed Zipf-like distribution over [0, n) with

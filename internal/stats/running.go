@@ -1,6 +1,6 @@
 // Package stats provides small statistical utilities used throughout the
-// HybriMoE reproduction: online moment accumulators, exponential moving
-// averages, histograms, empirical CDFs, quantiles and least-squares fits.
+// HybriMoE reproduction: online moment accumulators, frequency CDFs and
+// skew, least-squares fits, correlation and a seeded random generator.
 //
 // The package is dependency-free and deterministic; every consumer that
 // needs randomness supplies its own seeded source.
@@ -101,37 +101,3 @@ func (r *Running) Merge(o *Running) {
 	}
 	r.n, r.mean, r.m2 = n, mean, m2
 }
-
-// EMA is an exponential moving average with smoothing factor alpha in
-// (0, 1]. Larger alpha weights recent observations more heavily. The zero
-// value is invalid; construct with NewEMA.
-type EMA struct {
-	alpha  float64
-	value  float64
-	primed bool
-}
-
-// NewEMA returns an EMA with the given smoothing factor. It panics if
-// alpha is outside (0, 1].
-func NewEMA(alpha float64) *EMA {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("stats: EMA alpha %v out of (0,1]", alpha))
-	}
-	return &EMA{alpha: alpha}
-}
-
-// Add folds one observation into the average. The first observation
-// initialises the average exactly.
-func (e *EMA) Add(x float64) {
-	if !e.primed {
-		e.value, e.primed = x, true
-		return
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-}
-
-// Value reports the current average, or 0 before any observation.
-func (e *EMA) Value() float64 { return e.value }
-
-// Primed reports whether at least one observation has been added.
-func (e *EMA) Primed() bool { return e.primed }

@@ -113,45 +113,3 @@ func TestRunningInvariantsQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestEMA(t *testing.T) {
-	e := NewEMA(0.5)
-	if e.Primed() {
-		t.Fatal("fresh EMA should not be primed")
-	}
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Fatalf("first observation should initialise exactly, got %v", e.Value())
-	}
-	e.Add(20)
-	if e.Value() != 15 {
-		t.Fatalf("EMA(0.5) after 10,20 = %v, want 15", e.Value())
-	}
-	e.Add(15)
-	if e.Value() != 15 {
-		t.Fatalf("EMA stable point moved: %v", e.Value())
-	}
-}
-
-func TestEMAPanicsOnBadAlpha(t *testing.T) {
-	for _, alpha := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewEMA(%v) should panic", alpha)
-				}
-			}()
-			NewEMA(alpha)
-		}()
-	}
-}
-
-func TestEMAConvergesToConstant(t *testing.T) {
-	e := NewEMA(0.2)
-	for i := 0; i < 200; i++ {
-		e.Add(7)
-	}
-	if !almostEq(e.Value(), 7, 1e-12) {
-		t.Fatalf("EMA of constant stream = %v, want 7", e.Value())
-	}
-}

@@ -152,21 +152,6 @@ func GatedFFN(wgate, wup, wdown *Matrix, x []float32) []float32 {
 	return out
 }
 
-// ArgMax returns the index of the largest element (first on ties).
-// Panics on empty input.
-func ArgMax(xs []float32) int {
-	if len(xs) == 0 {
-		panic("tensor: ArgMax of empty slice")
-	}
-	best := 0
-	for i, v := range xs {
-		if v > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // CosineSimilarity returns the cosine of the angle between two vectors,
 // or 0 when either is zero. The prefetcher's accuracy model is validated
 // against the inter-layer hidden-state similarity this measures.

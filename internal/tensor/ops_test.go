@@ -293,21 +293,6 @@ func TestGatedFFNShapePanics(t *testing.T) {
 	GatedFFN(wg, wu, wd, make([]float32, 8))
 }
 
-func TestArgMax(t *testing.T) {
-	if got := ArgMax([]float32{1, 5, 3}); got != 1 {
-		t.Fatalf("ArgMax = %d, want 1", got)
-	}
-	if got := ArgMax([]float32{2, 2}); got != 0 {
-		t.Fatalf("ArgMax ties should prefer first: %d", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("ArgMax of empty should panic")
-		}
-	}()
-	ArgMax(nil)
-}
-
 func TestCosineSimilarity(t *testing.T) {
 	a := []float32{1, 0}
 	if got := CosineSimilarity(a, []float32{2, 0}); math.Abs(got-1) > 1e-9 {

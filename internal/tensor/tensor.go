@@ -38,17 +38,6 @@ func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// SizeBytes reports the fp32 storage footprint, used for transfer-time
-// accounting before quantization.
-func (m *Matrix) SizeBytes() int64 { return int64(len(m.Data)) * 4 }
-
 // FillRandom initialises the matrix with scaled Gaussian entries
 // (Xavier-style: std = 1/sqrt(cols)) from the supplied generator.
 func (m *Matrix) FillRandom(rng *stats.RNG) {
@@ -115,18 +104,6 @@ func MatMul(a, b *Matrix) *Matrix {
 	return c
 }
 
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var acc float64
-	for i := range a {
-		acc += float64(a[i]) * float64(b[i])
-	}
-	return acc
-}
-
 // Axpy computes dst += alpha * x elementwise.
 func Axpy(dst []float32, alpha float32, x []float32) {
 	if len(dst) != len(x) {
@@ -134,13 +111,6 @@ func Axpy(dst []float32, alpha float32, x []float32) {
 	}
 	for i := range dst {
 		dst[i] += alpha * x[i]
-	}
-}
-
-// Scale multiplies every element of x by alpha in place.
-func Scale(x []float32, alpha float32) {
-	for i := range x {
-		x[i] *= alpha
 	}
 }
 

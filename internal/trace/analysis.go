@@ -138,14 +138,12 @@ type LayerActivation struct {
 // ExpertLayer aliases the layer index for readability in engine code.
 type ExpertLayer = int
 
-// DecodeStep advances the generator one iteration and returns each
-// layer's activation with unit loads (one token per activated expert).
-func DecodeStep(g *Generator) []LayerActivation { return DecodeStepInto(nil, g) }
-
-// DecodeStepInto is DecodeStep writing into dst's activations — the
-// slice and every layer's Loads and Scores backing arrays, grown as
-// needed — for callers that consume one step before taking the next.
-// The result aliases dst.
+// DecodeStepInto advances the generator one iteration and returns each
+// layer's activation with unit loads (one token per activated expert),
+// written into dst's activations — the slice and every layer's Loads and
+// Scores backing arrays, grown as needed — for callers that consume one
+// step before taking the next. The result aliases dst; a nil dst
+// allocates fresh activations.
 func DecodeStepInto(dst []LayerActivation, g *Generator) []LayerActivation {
 	g.Advance()
 	out := layerActivations(dst, g.cfg.Layers)
@@ -189,7 +187,7 @@ func zeroLoads(loads []int, n int) []int {
 // unit decode loads scaled by the batch size, summing to
 // batch × ActivatedExperts per layer, which keeps per-token cache
 // lookup counts conserved against the equivalent unbatched run.
-// batch 1 is exactly DecodeStep.
+// batch 1 is exactly DecodeStepInto.
 func BatchDecodeStep(g *Generator, batch int) []LayerActivation {
 	return BatchDecodeStepInto(nil, g, batch)
 }

@@ -98,7 +98,7 @@ type Generator struct {
 	// fresh generator on the routing hot path. Reseed restores the
 	// exact NewRNG state, so draws are byte-identical.
 	predRNG stats.RNG
-	// row and top are the top-k selection scratch of DecodeStep,
+	// row and top are the top-k selection scratch of DecodeStepInto,
 	// Activated and PrefillLoads (once per token): the float32 ranking
 	// row and the selected indices, both consumed before the next
 	// selection.

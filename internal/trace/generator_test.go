@@ -237,7 +237,7 @@ func TestPanicsOnBadArgs(t *testing.T) {
 
 func TestDecodeStepShape(t *testing.T) {
 	g := dsGen(10)
-	acts := DecodeStep(g)
+	acts := DecodeStepInto(nil, g)
 	if len(acts) != 26 {
 		t.Fatalf("decode step layers = %d, want 26", len(acts))
 	}
@@ -321,7 +321,7 @@ func TestPrefillLoadsAllocationsFlatInTokens(t *testing.T) {
 }
 
 // TestScratchSelectionMatchesTopK pins the routing selections to dense
-// reference loops on twin generators. DecodeStep must match the
+// reference loops on twin generators. DecodeStepInto must match the
 // allocating float32 TopK path. The pruned prefill draw must match
 // denseLoads, a copy of the per-token loop it replaced, on every layer:
 // the three models, an odd expert count, k = 1 and k = E; 30 seeds at
@@ -336,7 +336,7 @@ func TestScratchSelectionMatchesTopK(t *testing.T) {
 	k := cfg.ActivatedExperts
 	a, b := New(cfg, DefaultOptions(6)), New(cfg, DefaultOptions(6))
 	for it := 0; it < 5; it++ {
-		acts := DecodeStep(a)
+		acts := DecodeStepInto(nil, a)
 		b.Advance()
 		for l, act := range acts {
 			want := make([]int, cfg.RoutedExperts)
@@ -344,7 +344,7 @@ func TestScratchSelectionMatchesTopK(t *testing.T) {
 				want[e] = 1
 			}
 			if !reflect.DeepEqual(act.Loads, want) || !reflect.DeepEqual(act.Scores, b.Scores(l)) {
-				t.Fatalf("iter %d layer %d: DecodeStep diverged from TopK", it, l)
+				t.Fatalf("iter %d layer %d: DecodeStepInto diverged from TopK", it, l)
 			}
 		}
 	}
