@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -263,8 +264,15 @@ func serve(w io.Writer, sc serveConfig) error {
 	if sc.decodeCap < 0 {
 		return fmt.Errorf("-decode-cap %d must be non-negative", sc.decodeCap)
 	}
-	if sc.deadline < 0 {
-		return fmt.Errorf("-deadline %v must be non-negative", sc.deadline)
+	// A negative or NaN SLO target would silently turn admission off,
+	// and NaN slips past a plain < 0 check.
+	for _, f := range []struct {
+		name string
+		secs float64
+	}{{"slo-ttft-p95", sc.sloTTFT}, {"slo-tbt-p95", sc.sloTBT}, {"deadline", sc.deadline}} {
+		if f.secs < 0 || math.IsNaN(f.secs) || math.IsInf(f.secs, 0) {
+			return fmt.Errorf("-%s %v must be finite and non-negative", f.name, f.secs)
+		}
 	}
 	if sc.gpus < 1 {
 		return fmt.Errorf("-gpus %d must be at least 1", sc.gpus)

@@ -63,6 +63,13 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"serve -cache 1.5",
 		"serve -requests 0",
 		"serve -pools 0:0:1",
+		"serve -replicas 2 -fail 1@NaN:stall",
+		"serve -replicas 2 -scale-plan +1@NaN",
+		"serve -slo-ttft-p95 -1",
+		"serve -slo-tbt-p95 NaN",
+		"serve -slo-ttft-p95 +Inf",
+		"serve -deadline NaN",
+		"serve -deadline Inf",
 	} {
 		var buf bytes.Buffer
 		if err := run(strings.Fields(args), &buf); err == nil {

@@ -215,11 +215,11 @@ func WithAdmission(p engine.AdmissionPolicy) Option {
 // WithLeaseTTL sets the lease timeout (simulated seconds) after which a
 // stalled replica is declared dead (default DefaultLeaseTTL). The
 // actual detection delay per failure is TTL stretched by a jittered
-// factor from the failure RNG stream. d <= 0 errors.
+// factor from the failure RNG stream. d <= 0 and non-finite d error.
 func WithLeaseTTL(d float64) Option {
 	return func(c *config) error {
-		if d <= 0 {
-			return fmt.Errorf("cluster: WithLeaseTTL(%g) must be positive", d)
+		if d <= 0 || !finite(d) {
+			return fmt.Errorf("cluster: WithLeaseTTL(%g) must be positive and finite", d)
 		}
 		c.leaseTTL = d
 		return nil
@@ -228,11 +228,12 @@ func WithLeaseTTL(d float64) Option {
 
 // WithWarmup sets the cache re-warm window (simulated seconds) a
 // scale-up replica spends Warming before it serves (default
-// DefaultWarmup). d < 0 errors; 0 means new replicas serve immediately.
+// DefaultWarmup). d < 0 and non-finite d error; 0 means new replicas
+// serve immediately.
 func WithWarmup(d float64) Option {
 	return func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("cluster: WithWarmup(%g) must be non-negative", d)
+		if d < 0 || !finite(d) {
+			return fmt.Errorf("cluster: WithWarmup(%g) must be non-negative and finite", d)
 		}
 		c.warmup = d
 		return nil
@@ -246,8 +247,8 @@ func WithWarmup(d float64) Option {
 // stream, so runs without failures configured stay byte-identical.
 func WithFailure(replica int, at float64, kind FailureKind) Option {
 	return func(c *config) error {
-		if at < 0 {
-			return fmt.Errorf("cluster: WithFailure(%d, %g, %v) time must be non-negative", replica, at, kind)
+		if at < 0 || !finite(at) {
+			return fmt.Errorf("cluster: WithFailure(%d, %g, %v) time must be non-negative and finite", replica, at, kind)
 		}
 		if kind != FailStall && kind != FailDeath {
 			return fmt.Errorf("cluster: WithFailure(%d, %g, %d) unknown kind", replica, at, int(kind))
@@ -267,14 +268,18 @@ func WithScalePlan(plan ...ScaleEvent) Option {
 			if ev.Delta == 0 {
 				return fmt.Errorf("cluster: WithScalePlan event at %g has zero delta", ev.At)
 			}
-			if ev.At < 0 {
-				return fmt.Errorf("cluster: WithScalePlan event %+d@%g time must be non-negative", ev.Delta, ev.At)
+			if ev.At < 0 || !finite(ev.At) {
+				return fmt.Errorf("cluster: WithScalePlan event %+d@%g time must be non-negative and finite", ev.Delta, ev.At)
 			}
 		}
 		c.scale = append(c.scale, plan...)
 		return nil
 	}
 }
+
+// finite reports whether x is neither NaN nor infinite. Lifecycle times
+// must be: a NaN stamp breaks the event queue's ordering and pops first.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // WithRouteLog retains the last n dispatch decisions as RouteRecords
 // (RouteLog returns them oldest-first). Retention is opt-in so

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -343,11 +344,19 @@ func TestClusterRejectsBadInputs(t *testing.T) {
 			WithBuilder(build), WithRouterInstance(NewRoundRobin()), WithRouter("affinity")}},
 		{"zero concurrency", []Option{WithBuilder(build), WithMaxConcurrent(0)}},
 		{"non-positive lease", []Option{WithBuilder(build), WithLeaseTTL(0)}},
+		{"NaN lease", []Option{WithBuilder(build), WithLeaseTTL(math.NaN())}},
+		{"infinite lease", []Option{WithBuilder(build), WithLeaseTTL(math.Inf(1))}},
 		{"negative warmup", []Option{WithBuilder(build), WithWarmup(-0.1)}},
+		{"NaN warmup", []Option{WithBuilder(build), WithWarmup(math.NaN())}},
+		{"infinite warmup", []Option{WithBuilder(build), WithWarmup(math.Inf(1))}},
 		{"failure out of range", []Option{
 			WithReplicas(2), WithBuilder(build), WithFailure(2, 0.5, FailStall)}},
 		{"failure negative time", []Option{
 			WithReplicas(2), WithBuilder(build), WithFailure(0, -1, FailStall)}},
+		{"failure NaN time", []Option{
+			WithReplicas(2), WithBuilder(build), WithFailure(1, math.NaN(), FailStall)}},
+		{"failure infinite time", []Option{
+			WithReplicas(2), WithBuilder(build), WithFailure(1, math.Inf(1), FailDeath)}},
 		{"failure unknown kind", []Option{
 			WithReplicas(2), WithBuilder(build), WithFailure(0, 0.5, FailureKind(9))}},
 		{"duplicate failure", []Option{
@@ -355,6 +364,10 @@ func TestClusterRejectsBadInputs(t *testing.T) {
 			WithFailure(1, 0.3, FailStall), WithFailure(1, 0.6, FailDeath)}},
 		{"zero-delta scale", []Option{
 			WithBuilder(build), WithScalePlan(ScaleEvent{At: 0.5})}},
+		{"scale NaN time", []Option{
+			WithReplicas(2), WithBuilder(build), WithScalePlan(ScaleEvent{At: math.NaN(), Delta: -1})}},
+		{"scale infinite time", []Option{
+			WithBuilder(build), WithScalePlan(ScaleEvent{At: math.Inf(-1), Delta: 1})}},
 		{"scale below one replica", []Option{
 			WithReplicas(2), WithBuilder(build), WithScalePlan(ScaleEvent{At: 0.5, Delta: -2})}},
 		{"zero route log", []Option{WithBuilder(build), WithRouteLog(0)}},

@@ -251,3 +251,100 @@ func TestWithBatchPolicyValidation(t *testing.T) {
 		t.Fatalf("valid batch policy rejected: %v", err)
 	}
 }
+
+// TestShareSplit pins the token-share split at its edges. A lone member
+// spans the whole token range and gets x itself, for values where the
+// telescoped x*n/n is not x. Each member of a two-member batch, cut at
+// every point, keeps the telescoped formula exactly, so merged events
+// cannot move.
+func TestShareSplit(t *testing.T) {
+	cases := []struct {
+		x float64
+		n int
+	}{
+		{0.1, 3}, {0.7, 3}, {0.2, 3}, {0.013, 5}, {0.007, 5}, {0.123456789, 9}, {0.0371, 59},
+	}
+	for _, c := range cases {
+		telescoped := func(prev, next int) float64 {
+			return c.x*float64(next)/float64(c.n) - c.x*float64(prev)/float64(c.n)
+		}
+		if telescoped(0, c.n) == c.x {
+			t.Fatalf("%v over %d tokens: x*n/n is x, so the case tests nothing", c.x, c.n)
+		}
+		if got := share(c.x, 0, c.n, c.n); got != c.x {
+			t.Errorf("lone member of %d tokens got %v of %v", c.n, got, c.x)
+		}
+		for cut := 1; cut < c.n; cut++ {
+			if got, want := share(c.x, 0, cut, c.n), telescoped(0, cut); got != want {
+				t.Errorf("%v split %d|%d: first member %v, telescoped %v", c.x, cut, c.n-cut, got, want)
+			}
+			if got, want := share(c.x, cut, c.n, c.n), telescoped(cut, c.n); got != want {
+				t.Errorf("%v split %d|%d: second member %v, telescoped %v", c.x, cut, c.n-cut, got, want)
+			}
+		}
+	}
+}
+
+// TestLoneMemberBusyIsFrontierAdvance pins the lone-member guard end to
+// end: every event of an unbatched session, prefill and decode, on one
+// GPU and on two, carries CPU and per-device busy times equal bit for
+// bit to how far the engine's frontiers advanced during its iteration,
+// and scalars equal to their sums. The unguarded split would give a
+// prefill of n tokens x*n/n instead, so the run must include an advance
+// where that differs from x.
+func TestLoneMemberBusyIsFrontierAdvance(t *testing.T) {
+	differs := 0
+	for _, p := range []*hw.Platform{hw.A6000Platform(), hw.MultiA6000Platform(2)} {
+		fw := HybriMoEFramework()
+		if p.NumGPUs() > 1 {
+			fw = expertParallelFramework()
+		}
+		e, err := New(moe.DeepSeek(), p, fw, WithCacheRatio(0.25), WithSeed(206))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := e.NewSession(WithMaxConcurrent(2))
+		for i, prompt := range []int{3, 17, 33, 59, 95, 130, 257, 513} {
+			s.Submit(workload.Request{ID: i, PromptTokens: prompt, DecodeTokens: 2})
+		}
+		for {
+			cpu0 := e.cpuBusy
+			gpu0 := append([]float64(nil), e.gpuBusy...)
+			link0 := append([]float64(nil), e.linkBusy...)
+			ev, ok := s.Step()
+			if !ok {
+				break
+			}
+			if ev.BatchSize != 1 {
+				t.Fatalf("unbatched session ran a batch of %d", ev.BatchSize)
+			}
+			advances := []float64{maxF(0, e.cpuBusy-cpu0)}
+			if ev.CPUBusy != advances[0] {
+				t.Fatalf("%s event CPUBusy %v, frontier advanced %v", ev.Phase, ev.CPUBusy, advances[0])
+			}
+			var gpu, link float64
+			for d := range gpu0 {
+				g, l := maxF(0, e.gpuBusy[d]-gpu0[d]), maxF(0, e.linkBusy[d]-link0[d])
+				if ev.GPUBusyByDevice[d] != g || ev.LinkBusyByDevice[d] != l {
+					t.Fatalf("%s event device %d busy %v/%v, frontiers advanced %v/%v",
+						ev.Phase, d, ev.GPUBusyByDevice[d], ev.LinkBusyByDevice[d], g, l)
+				}
+				gpu += g
+				link += l
+				advances = append(advances, g, l)
+			}
+			if ev.GPUBusy != gpu || ev.LinkBusy != link {
+				t.Fatalf("%s event scalars %v/%v, device sums %v/%v", ev.Phase, ev.GPUBusy, ev.LinkBusy, gpu, link)
+			}
+			n := float64(ev.Tokens)
+			for _, x := range advances {
+				if x*n/n != x {
+					differs++
+				}
+			}
+		}
+	}
+	if differs == 0 {
+		t.Fatal("no frontier advance where x*n/n != x; the scenario lost its point")
+	}
+}
