@@ -765,9 +765,9 @@ func (s *Session) next() (ev StepEvent, ok bool) {
 // driver interleaves replica runs by (the clock it would have seen when
 // picking this session to step). It stops once Pending reaches 0, leaving
 // any emissions still queued (HasEmission) for the caller to deliver
-// with Step. Events and clocks are appended to evs and
-// clocks, which are returned; pass reusable backing to keep the loop
-// allocation-free. Pre-step clocks are non-decreasing within one call.
+// with Step. Events and clocks are appended to evs and clocks, which are
+// returned; pass reusable backing to keep the loop allocation-free.
+// Pre-step clocks are non-decreasing within one call.
 func (s *Session) StepUntilClocked(t float64, evs []StepEvent, clocks []float64) ([]StepEvent, []float64) {
 	for s.e.clock < t && s.Pending() > 0 {
 		pre := s.e.clock
