@@ -43,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -153,7 +154,8 @@ func fatal(msg string) {
 
 // parse reads `go test -bench` text output and extracts every benchmark
 // record plus the environment header. It errors when no benchmark line
-// is present.
+// is present, and when a result line carries a NaN or infinite value,
+// which JSON cannot encode.
 func parse(r io.Reader) (Output, error) {
 	var o Output
 	pkg := ""
@@ -171,7 +173,10 @@ func parse(r io.Reader) (Output, error) {
 		case strings.HasPrefix(line, "pkg: "):
 			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "Benchmark"):
-			b, ok := parseLine(line)
+			b, ok, err := parseLine(line)
+			if err != nil {
+				return Output{}, err
+			}
 			if !ok {
 				continue
 			}
@@ -321,23 +326,27 @@ func sortedUnits(metrics map[string]float64) []string {
 
 // parseLine splits one result line: name, run count, then value/unit
 // pairs. Lines that do not fit the shape (e.g. a benchmark name echoed
-// without results) are skipped.
-func parseLine(line string) (Benchmark, bool) {
+// without results) are skipped (ok false); a line that fits but holds a
+// NaN or infinite value is an error quoting the line.
+func parseLine(line string) (b Benchmark, ok bool, err error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || len(fields)%2 != 0 {
-		return Benchmark{}, false
+		return Benchmark{}, false, nil
 	}
 	runs, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Benchmark{}, false
+		return Benchmark{}, false, nil
 	}
-	b := Benchmark{Name: fields[0], Runs: runs, Metrics: make(map[string]float64)}
+	b = Benchmark{Name: fields[0], Runs: runs, Metrics: make(map[string]float64)}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Benchmark{}, false
+			return Benchmark{}, false, nil
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Benchmark{}, false, fmt.Errorf("benchmark line %q: %s value %s is not finite", line, fields[i+1], fields[i])
 		}
 		b.Metrics[fields[i+1]] = v
 	}
-	return b, true
+	return b, true, nil
 }

@@ -95,11 +95,10 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		p, err := params(*seed, *steps, *quick || *short)
+		p, err := params(*seed, *steps, *workers, *quick || *short)
 		if err != nil {
 			return err
 		}
-		p.Workers = *workers
 		p.ClusterWorkers = *clusterWorkers
 		e.Run(p).Render(w)
 		return nil
@@ -108,11 +107,10 @@ func run(args []string, w io.Writer) error {
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		p, err := params(*seed, *steps, *quick || *short)
+		p, err := params(*seed, *steps, *workers, *quick || *short)
 		if err != nil {
 			return err
 		}
-		p.Workers = *workers
 		p.ClusterWorkers = *clusterWorkers
 		exp.RunAll(w, p)
 		return nil
@@ -580,15 +578,19 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 }
 
 // params resolves the experiment scale the run and all subcommands use.
-func params(seed uint64, steps int, quick bool) (exp.Params, error) {
+func params(seed uint64, steps, workers int, quick bool) (exp.Params, error) {
 	if err := checkSteps(steps); err != nil {
 		return exp.Params{}, err
+	}
+	if workers < 0 {
+		return exp.Params{}, fmt.Errorf("-workers %d must be non-negative (0 = all CPUs)", workers)
 	}
 	p := exp.DefaultParams()
 	if quick {
 		p = exp.QuickParams()
 	}
 	p.Seed = seed
+	p.Workers = workers
 	p.DecodeSteps = steps
 	if quick && steps == 50 {
 		p.DecodeSteps = 8

@@ -57,7 +57,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"run",
 		"run fig99",
 		"run fig8 -steps 0",
+		"run fig8 -workers -1",
 		"all -steps -1",
+		"all -workers -3",
 		"demo -steps 0",
 		"serve -model Bogus",
 		"serve -cache 1.5",
@@ -70,6 +72,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"serve -slo-ttft-p95 +Inf",
 		"serve -deadline NaN",
 		"serve -deadline Inf",
+		"serve -sched exhaustive -requests 2",
+		"serve -model Qwen2 -sched exhaustive -requests 2",
 	} {
 		var buf bytes.Buffer
 		if err := run(strings.Fields(args), &buf); err == nil {

@@ -103,8 +103,6 @@ type config struct {
 	seed          uint64
 	maxConcurrent int
 	adm           engine.AdmissionPolicy
-	leaseTTL      float64
-	warmup        float64
 	failures      []Failure
 	scale         []ScaleEvent
 	routeLog      int
@@ -208,34 +206,6 @@ func WithMaxConcurrent(n int) Option {
 func WithAdmission(p engine.AdmissionPolicy) Option {
 	return func(c *config) error {
 		c.adm = p
-		return nil
-	}
-}
-
-// WithLeaseTTL sets the lease timeout (simulated seconds) after which a
-// stalled replica is declared dead (default DefaultLeaseTTL). The
-// actual detection delay per failure is TTL stretched by a jittered
-// factor from the failure RNG stream. d <= 0 and non-finite d error.
-func WithLeaseTTL(d float64) Option {
-	return func(c *config) error {
-		if d <= 0 || !finite(d) {
-			return fmt.Errorf("cluster: WithLeaseTTL(%g) must be positive and finite", d)
-		}
-		c.leaseTTL = d
-		return nil
-	}
-}
-
-// WithWarmup sets the cache re-warm window (simulated seconds) a
-// scale-up replica spends Warming before it serves (default
-// DefaultWarmup). d < 0 and non-finite d error; 0 means new replicas
-// serve immediately.
-func WithWarmup(d float64) Option {
-	return func(c *config) error {
-		if d < 0 || !finite(d) {
-			return fmt.Errorf("cluster: WithWarmup(%g) must be non-negative and finite", d)
-		}
-		c.warmup = d
 		return nil
 	}
 }
@@ -352,8 +322,6 @@ type Cluster struct {
 	adm           engine.AdmissionPolicy
 	build         func(i int) (*engine.Engine, error)
 	maxConcurrent int
-	leaseTTL      float64
-	warmup        float64
 	// life schedules lifecycle transitions (failures, detections, scale
 	// events, warm-up promotions) on the same deterministic timeline
 	// arrivals ride.
@@ -363,14 +331,14 @@ type Cluster struct {
 	// breaks ties — exactly the old stable sort), so dispatch is
 	// order-preserving the way session admission is.
 	pending sim.Queue[*fleetRequest]
-	// queue holds fleet-level admission and lifecycle records awaiting
-	// emission ahead of replica compute — the session's admEvents idiom
-	// at fleet scope. qhead is the pop cursor: Step drops the head by
-	// advancing it (zeroing the slot) instead of re-slicing, so the
-	// drained prefix never pins the backing array; once drained the
+	// queue holds events awaiting emission ahead of replica compute:
+	// fleet-level admission and lifecycle records, and the merged run
+	// of a parallel window. qhead is the pop cursor: Step drops the
+	// head by advancing it (zeroing the slot) instead of re-slicing, so
+	// the drained prefix never pins the backing array; once drained the
 	// buffer resets to length zero for reuse. Appends only ever happen
-	// on a drained queue (dispatch and lifecycle run only then), so the
-	// cursor never wraps.
+	// on a drained queue (dispatch, lifecycle and parallel windows run
+	// only then), so the cursor never wraps.
 	queue []Event
 	qhead int
 	// tally folds every replica event the fleet produces; fleet
@@ -395,13 +363,8 @@ type Cluster struct {
 	warmAdmitted    int
 	// workers caps the goroutines a horizon-batched parallel window
 	// fans steppable replicas out to; 1 is the streaming serial path.
-	workers int
-	// run is the merged event stream of the latest parallel window,
-	// drained ahead of queue and dispatch (its events precede anything
-	// the fleet does next by construction); runHead is its pop cursor.
 	// cands and cursors are per-window scratch.
-	run     []Event
-	runHead int
+	workers int
 	cands   []int
 	cursors []int
 	// viewBuf is the dispatch-time router snapshot, reused across
@@ -411,14 +374,13 @@ type Cluster struct {
 
 // New builds a cluster from functional options. WithBuilder is
 // required; everything else defaults (1 replica, round-robin router,
-// concurrency 1, DefaultLeaseTTL/DefaultWarmup, no failures, no scale
-// plan, no route log). Invalid or conflicting options error.
+// concurrency 1, no failures, no scale plan, no route log). Stalled
+// replicas are detected after DefaultLeaseTTL and scale-up replicas warm
+// for DefaultWarmup. Invalid or conflicting options error.
 func New(opts ...Option) (*Cluster, error) {
 	cfg := config{
 		replicas:      1,
 		maxConcurrent: 1,
-		leaseTTL:      DefaultLeaseTTL,
-		warmup:        DefaultWarmup,
 		workers:       1,
 	}
 	for _, opt := range opts {
@@ -466,7 +428,7 @@ func New(opts ...Option) (*Cluster, error) {
 		router, err = NewRouter(name, RouterConfig{
 			Replicas: cfg.replicas,
 			Seed:     cfg.seed,
-			LeaseTTL: cfg.leaseTTL,
+			LeaseTTL: DefaultLeaseTTL,
 		})
 		if err != nil {
 			return nil, err
@@ -477,8 +439,6 @@ func New(opts ...Option) (*Cluster, error) {
 		adm:           cfg.adm,
 		build:         cfg.build,
 		maxConcurrent: cfg.maxConcurrent,
-		leaseTTL:      cfg.leaseTTL,
-		warmup:        cfg.warmup,
 		routed:        make([]int, cfg.replicas),
 		routeCap:      cfg.routeLog,
 		pools:         cfg.pools,
@@ -521,7 +481,7 @@ func New(opts ...Option) (*Cluster, error) {
 		for _, f := range cfg.failures {
 			c.life.Push(f.At, lifeAction{kind: lifeFail, replica: f.Replica, fail: f.Kind})
 			if f.Kind == FailStall {
-				detect := f.At + cfg.leaseTTL*(1+0.25*rng.Float64())
+				detect := f.At + DefaultLeaseTTL*(1+0.25*rng.Float64())
 				c.life.Push(detect, lifeAction{kind: lifeDetect, replica: f.Replica})
 			}
 		}
@@ -641,22 +601,24 @@ func (c *Cluster) steppable(i int) bool {
 	return r.state != StateDead && !r.stalled && r.ses.Pending() > 0
 }
 
-// frontier reports the minimum simulation clock across steppable
-// replicas — the instant the fleet's next compute step runs at, and
+// frontier reports the steppable replica whose clock trails the fleet
+// (ties to the lowest index — the deterministic lockstep order) and that
+// clock: the instant the fleet's next compute step runs at, and
 // therefore the latest arrival stamp dispatch may observe without
 // leaking the future. Stalled and dead replicas are excluded: a frozen
-// clock must not freeze the fleet's horizon. ok is false when nothing
-// is steppable.
-func (c *Cluster) frontier() (at float64, ok bool) {
+// clock must not freeze the fleet's horizon. pick is -1 when nothing is
+// steppable.
+func (c *Cluster) frontier() (pick int, at float64) {
+	pick = -1
 	for i, r := range c.replicas {
 		if !c.steppable(i) {
 			continue
 		}
-		if clk := r.eng.Clock(); !ok || clk < at {
-			at, ok = clk, true
+		if clk := r.eng.Clock(); pick < 0 || clk < at {
+			pick, at = i, clk
 		}
 	}
-	return at, ok
+	return pick, at
 }
 
 // eligible reports whether a replica of the given role may receive this
@@ -766,7 +728,8 @@ func (c *Cluster) dispatch() {
 		if !more {
 			return
 		}
-		front, busy := c.frontier()
+		trailing, front := c.frontier()
+		busy := trailing >= 0
 		switch {
 		case busy && front > horizon:
 			horizon = front
@@ -899,8 +862,9 @@ func (c *Cluster) exportPrefilled(i int) {
 	}
 }
 
-// Step advances the fleet by one event: a queued fleet admission or
-// lifecycle record if one is waiting, else one session step on the
+// Step advances the fleet by one event: a queued record if one is
+// waiting (a fleet admission, lifecycle or handoff record, or a step of
+// the latest parallel window), else one session step on the
 // steppable replica whose clock trails the fleet (ties to the lowest
 // index — the deterministic lockstep order), after firing any lifecycle
 // action that clock has reached. When nothing is steppable the timeline
@@ -910,19 +874,6 @@ func (c *Cluster) exportPrefilled(i int) {
 // no lifecycle action that could restore it.
 func (c *Cluster) Step() (ev Event, ok bool) {
 	for {
-		// A merged parallel window drains first: its events precede any
-		// later dispatch or lifecycle record by construction (every one
-		// carries a pre-horizon stamp).
-		if c.runHead < len(c.run) {
-			ev = c.run[c.runHead]
-			c.run[c.runHead] = Event{}
-			c.runHead++
-			if c.runHead == len(c.run) {
-				c.run, c.runHead = c.run[:0], 0
-			}
-			c.steps++
-			return ev, true
-		}
 		if c.qhead == len(c.queue) {
 			c.dispatch()
 		}
@@ -939,17 +890,7 @@ func (c *Cluster) Step() (ev Event, ok bool) {
 		if c.workers > 1 && !c.pools.Pooled() && c.advanceWindow() {
 			continue
 		}
-		pick := -1
-		for i := range c.replicas {
-			if !c.steppable(i) {
-				continue
-			}
-			if pick < 0 || c.replicas[i].eng.Clock() < c.replicas[pick].eng.Clock() {
-				pick = i
-			}
-		}
-		if pick >= 0 {
-			now := c.replicas[pick].eng.Clock()
+		if pick, now := c.frontier(); pick >= 0 {
 			if at, _, peek := c.life.PeekMin(); peek && at <= now {
 				// The lockstep clock has reached a lifecycle stamp:
 				// apply it before compute — the step about to run may
@@ -968,7 +909,7 @@ func (c *Cluster) Step() (ev Event, ok bool) {
 			r.lease = r.eng.Clock()
 			c.tally.Add(sev)
 			c.exportPrefilled(pick)
-			c.retireDrained(pick)
+			c.retireDrained(pick, r.eng.Clock())
 			c.steps++
 			return Event{Replica: pick, StepEvent: sev}, true
 		}
@@ -983,7 +924,7 @@ func (c *Cluster) Step() (ev Event, ok bool) {
 		// hold queued before reporting exhaustion.
 		for i, r := range c.replicas {
 			if r.state != StateDead {
-				c.queue = c.flushEmissions(i, c.queue)
+				c.flushEmissions(i)
 			}
 		}
 		if c.qhead < len(c.queue) {

@@ -343,12 +343,6 @@ func TestClusterRejectsBadInputs(t *testing.T) {
 		{"instance then name", []Option{
 			WithBuilder(build), WithRouterInstance(NewRoundRobin()), WithRouter("affinity")}},
 		{"zero concurrency", []Option{WithBuilder(build), WithMaxConcurrent(0)}},
-		{"non-positive lease", []Option{WithBuilder(build), WithLeaseTTL(0)}},
-		{"NaN lease", []Option{WithBuilder(build), WithLeaseTTL(math.NaN())}},
-		{"infinite lease", []Option{WithBuilder(build), WithLeaseTTL(math.Inf(1))}},
-		{"negative warmup", []Option{WithBuilder(build), WithWarmup(-0.1)}},
-		{"NaN warmup", []Option{WithBuilder(build), WithWarmup(math.NaN())}},
-		{"infinite warmup", []Option{WithBuilder(build), WithWarmup(math.Inf(1))}},
 		{"failure out of range", []Option{
 			WithReplicas(2), WithBuilder(build), WithFailure(2, 0.5, FailStall)}},
 		{"failure negative time", []Option{

@@ -205,7 +205,7 @@ func (c *Cluster) scaleUp(n int, at float64) {
 		c.queue = append(c.queue, Event{Replica: i, Kind: EventReplicaWarming, StepEvent: engine.StepEvent{
 			Start: at, End: at,
 		}})
-		c.life.Push(at+c.warmup, lifeAction{kind: lifeServe, replica: i})
+		c.life.Push(at+DefaultWarmup, lifeAction{kind: lifeServe, replica: i})
 	}
 }
 
@@ -224,43 +224,37 @@ func (c *Cluster) scaleDown(n int, at float64) {
 		c.queue = append(c.queue, Event{Replica: i, Kind: EventReplicaDraining, StepEvent: engine.StepEvent{
 			Start: at, End: at,
 		}})
-		if r.ses.Pending() == 0 {
-			c.queue = c.flushEmissions(i, c.queue)
-			r.state = StateDead
-			c.queue = append(c.queue, Event{Replica: i, Kind: EventReplicaDead, StepEvent: engine.StepEvent{
-				Start: at, End: at,
-			}})
-		}
+		c.retireDrained(i, at)
 	}
 }
 
-// retireDrained completes the Draining → Dead transition after replica
-// i's step emptied its queue.
-func (c *Cluster) retireDrained(i int) {
+// retireDrained completes the Draining → Dead transition once replica
+// i's queue is empty: its undelivered events leave first, then a
+// ReplicaDead record stamped at. It does nothing to a replica that is
+// not Draining or still holds work.
+func (c *Cluster) retireDrained(i int, at float64) {
 	r := c.replicas[i]
 	if r.state != StateDraining || r.ses.Pending() != 0 {
 		return
 	}
-	c.queue = c.flushEmissions(i, c.queue)
+	c.flushEmissions(i)
 	r.state = StateDead
 	c.queue = append(c.queue, Event{Replica: i, Kind: EventReplicaDead, StepEvent: engine.StepEvent{
-		Start: r.eng.Clock(), End: r.eng.Clock(),
+		Start: at, End: at,
 	}})
 }
 
-// flushEmissions appends to dst the events replica i's session has
-// produced but not yet delivered — the trailing members of its last
-// merged batch, or an admission record — folding each into the fleet
-// tally as a stepped event would be. The session's Pending does not
-// count them, so the lockstep loop never steps a replica for them
-// alone: they leave here, before the replica retires or the fleet
-// reports exhaustion.
-func (c *Cluster) flushEmissions(i int, dst []Event) []Event {
+// flushEmissions queues the events replica i's session has produced but
+// not yet delivered — the trailing members of its last merged batch, or
+// an admission record — folding each into the fleet tally as a stepped
+// event would be. The session's Pending does not count them, so the
+// lockstep loop never steps a replica for them alone: they leave here,
+// before the replica retires or the fleet reports exhaustion.
+func (c *Cluster) flushEmissions(i int) {
 	r := c.replicas[i]
 	for r.ses.HasEmission() {
 		sev, _ := r.ses.Step()
 		c.tally.Add(sev)
-		dst = append(dst, Event{Replica: i, StepEvent: sev})
+		c.queue = append(c.queue, Event{Replica: i, StepEvent: sev})
 	}
-	return dst
 }

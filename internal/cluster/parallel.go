@@ -5,8 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"hybrimoe/internal/engine"
 )
 
 // Horizon-batched parallel execution.
@@ -46,7 +44,7 @@ import (
 
 // advanceWindow runs one parallel window: it collects the steppable
 // replicas whose clocks trail the safe horizon, fans them out to at
-// most c.workers goroutines, and merges the batched runs into c.run
+// most c.workers goroutines, and merges the batched runs into c.queue
 // for Step to drain. It reports false — leaving the cluster untouched —
 // when no replica can advance (the serial path then applies lifecycle
 // actions or declares the fleet done).
@@ -111,14 +109,14 @@ func (c *Cluster) runReplica(i int, h float64) {
 	}
 }
 
-// mergeWindow interleaves the candidates' batched runs into c.run in
-// (pre-step clock, replica index) order — the serial pick order —
-// folding each step into the fleet tally as it lands, renewing leases
-// when a replica's run exhausts, and retiring
-// draining replicas that emptied (their ReplicaDead record lands
-// immediately after their final step, where the serial queue pop would
-// emit it). The candidate list is ascending, so a strict < scan picks
-// the lowest index on clock ties.
+// mergeWindow interleaves the candidates' batched runs into c.queue,
+// which dispatch has just emptied, in (pre-step clock, replica index)
+// order — the serial pick order — folding each step into the fleet
+// tally as it lands, renewing leases when a replica's run exhausts, and
+// retiring draining replicas that emptied (their ReplicaDead record
+// lands immediately after their final step, where the serial queue pop
+// would emit it). The candidate list is ascending, so a strict < scan
+// picks the lowest index on clock ties.
 func (c *Cluster) mergeWindow(cands []int) {
 	cursors := c.cursors[:0]
 	total := 0
@@ -127,7 +125,6 @@ func (c *Cluster) mergeWindow(cands []int) {
 		total += len(c.replicas[i].runEvs)
 	}
 	c.cursors = cursors
-	c.run, c.runHead = c.run[:0], 0
 	for n := 0; n < total; n++ {
 		best, bi := -1, -1
 		var bestKey float64
@@ -145,16 +142,10 @@ func (c *Cluster) mergeWindow(cands []int) {
 		ev := r.runEvs[cursors[best]]
 		cursors[best]++
 		c.tally.Add(ev)
-		c.run = append(c.run, Event{Replica: bi, StepEvent: ev})
+		c.queue = append(c.queue, Event{Replica: bi, StepEvent: ev})
 		if cursors[best] == len(r.runEvs) {
 			r.lease = r.eng.Clock()
-			if r.state == StateDraining && r.ses.Pending() == 0 {
-				c.run = c.flushEmissions(bi, c.run)
-				r.state = StateDead
-				c.run = append(c.run, Event{Replica: bi, Kind: EventReplicaDead, StepEvent: engine.StepEvent{
-					Start: r.eng.Clock(), End: r.eng.Clock(),
-				}})
-			}
+			c.retireDrained(bi, r.eng.Clock())
 		}
 	}
 }

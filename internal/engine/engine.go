@@ -174,6 +174,14 @@ func New(cfg *moe.Config, platform *hw.Platform, fw Framework, opts ...Option) (
 	if e.prefillSched, err = sched.New(prefillName, env); err != nil {
 		return nil, err
 	}
+	_, decEx := e.decodeSched.(*sched.Exhaustive)
+	_, preEx := e.prefillSched.(*sched.Exhaustive)
+	if (decEx || preEx) && cfg.RoutedExperts > sched.MaxExhaustiveTasks {
+		// A layer can route every expert at once, and the reference
+		// search refuses more than MaxExhaustiveTasks tasks.
+		return nil, fmt.Errorf("engine: the exhaustive scheduler plans at most %d experts per layer, %s routes %d",
+			sched.MaxExhaustiveTasks, cfg.Name, cfg.RoutedExperts)
+	}
 	e.scheduler = e.decodeSched
 	if e.pref = set.prefetcher; e.pref == nil {
 		if e.pref, err = prefetch.New(fw.Prefetch); err != nil {

@@ -48,6 +48,21 @@ func TestNewRejectsBadInputs(t *testing.T) {
 	if _, err := New(moe.DeepSeek(), hw.A6000Platform(), badFW4); err == nil {
 		t.Error("empty scheduler name should error")
 	}
+	// DeepSeek routes 64 experts per layer, past the exhaustive search's
+	// bound, in either stage; Mixtral's 8 fit.
+	exhaustive := HybriMoEFramework()
+	exhaustive.Sched = "exhaustive"
+	if _, err := New(moe.DeepSeek(), hw.A6000Platform(), exhaustive); err == nil {
+		t.Error("exhaustive scheduler on DeepSeek should error")
+	}
+	exhaustivePrefill := HybriMoEFramework()
+	exhaustivePrefill.PrefillSched = "exhaustive"
+	if _, err := New(moe.DeepSeek(), hw.A6000Platform(), exhaustivePrefill); err == nil {
+		t.Error("exhaustive prefill scheduler on DeepSeek should error")
+	}
+	if _, err := New(moe.Mixtral(), hw.A6000Platform(), exhaustive); err != nil {
+		t.Errorf("exhaustive scheduler on Mixtral: %v", err)
+	}
 }
 
 func TestDecodeProducesPositiveLatencies(t *testing.T) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"hybrimoe/internal/hw"
@@ -60,9 +61,9 @@ func TestSessionReclaimUnstarted(t *testing.T) {
 	}
 }
 
-// TestSessionReclaimFutureArrivals pins the timeline rebuild: requests
-// still scheduled as future arrivals are reclaimed with their original
-// stamps intact and the emptied session refuses to step.
+// TestSessionReclaimFutureArrivals pins the arrival-heap reclaim:
+// requests still scheduled as future arrivals are reclaimed with their
+// original stamps intact and the emptied session refuses to step.
 func TestSessionReclaimFutureArrivals(t *testing.T) {
 	s := reclaimEngine(t).NewSession()
 	reqs := []workload.Request{
@@ -88,6 +89,63 @@ func TestSessionReclaimFutureArrivals(t *testing.T) {
 	}
 	if _, ok := s.Step(); ok {
 		t.Fatal("emptied session agreed to step")
+	}
+}
+
+// TestSessionReclaimKeepsEmissions pins that Reclaim takes only
+// requests: a merged batch's trailing events, queued when Reclaim runs,
+// still come out of the next Steps in batch order with the batch's
+// ordinal, exactly as on a twin session that never reclaimed.
+func TestSessionReclaimKeepsEmissions(t *testing.T) {
+	submit := func(s *Session) {
+		s.Submit(
+			workload.Request{ID: 10, DecodeTokens: 3},
+			workload.Request{ID: 11, DecodeTokens: 3},
+			workload.Request{ID: 12, DecodeTokens: 3},
+			workload.Request{ID: 20, DecodeTokens: 3, Arrival: 9},
+			workload.Request{ID: 21, DecodeTokens: 3, Arrival: 5},
+		)
+	}
+	twin := newEngineOpts(t, 950, WithBatchPolicy("greedy", 64)).NewSession(WithMaxConcurrent(3))
+	submit(twin)
+	var want []StepEvent
+	for i := 0; i < 3; i++ {
+		ev, ok := twin.Step()
+		if !ok {
+			t.Fatal("twin session refused to step")
+		}
+		want = append(want, ev)
+	}
+
+	s := newEngineOpts(t, 950, WithBatchPolicy("greedy", 64)).NewSession(WithMaxConcurrent(3))
+	submit(s)
+	first, ok := s.Step()
+	if !ok {
+		t.Fatal("session refused its first step")
+	}
+	if first.BatchSize != 3 {
+		t.Fatalf("first iteration merged %d requests, want all 3 in flight", first.BatchSize)
+	}
+	got := s.Reclaim()
+	if len(got) != 2 || got[0].ID != 20 || got[1].ID != 21 {
+		t.Fatalf("reclaimed %+v, want the future arrivals 20 then 21", got)
+	}
+	if !s.HasEmission() {
+		t.Fatal("Reclaim dropped the batch's queued events")
+	}
+	evs := []StepEvent{first}
+	for i := 0; i < 2; i++ {
+		ev, ok := s.Step()
+		if !ok {
+			t.Fatal("Step refused a queued emission")
+		}
+		if ev.Batch != first.Batch {
+			t.Fatalf("trailing event %d carries batch %d, want %d", i, ev.Batch, first.Batch)
+		}
+		evs = append(evs, ev)
+	}
+	if !reflect.DeepEqual(evs, want) {
+		t.Fatalf("events after Reclaim diverged from the twin:\n  got:  %+v\n  want: %+v", evs, want)
 	}
 }
 

@@ -177,45 +177,23 @@ func (r *sessionRequest) done() bool {
 	return !r.prefillNext() && r.decoded >= r.req.DecodeTokens
 }
 
-// sessionEvent is one entry on the Session's unified event timeline.
-type sessionEvent struct {
-	kind sessionEventKind
-	req  *sessionRequest // evArrival payload
-	ev   StepEvent       // evEmit payload
-}
-
-// sessionEventKind discriminates the timeline's event kinds.
-type sessionEventKind uint8
-
-const (
-	// evArrival fires when the clock reaches a submitted request's
-	// arrival stamp; the request joins the admission queue.
-	evArrival sessionEventKind = iota
-	// evEmit is a completed iteration's pending StepEvent (the trailing
-	// members of a merged batch) or an admission shed/deferral record,
-	// stamped at the clock instant it was produced and drained one per
-	// Step call.
-	evEmit
-	// evPrefetchDone marks the instant an iteration's in-flight
-	// prefetch transfers complete on the link frontiers — bookkeeping
-	// only: popping one emits nothing and (being stamped off the link
-	// timeline, not the compute clock) never moves an observable stamp.
-	evPrefetchDone
-)
-
-// Session is the streaming run loop, driven by a discrete-event
-// timeline: submitted requests are scheduled as arrival events, each
-// Step pops the queue's minimum — an arrival firing into the admission
-// queue, a pending emission, or (implicitly, when nothing is runnable)
-// the next arrival the clock jumps to — so open-loop idle gaps are
-// skipped by construction rather than by scanning for the next arrival.
+// Session is the streaming run loop, a discrete-event simulation over
+// two queues. Submitted requests wait on an arrival heap keyed by their
+// arrival stamps: once the clock reaches a stamp the request joins the
+// admission queue, and when nothing is runnable the clock jumps to the
+// next stamp, so open-loop idle gaps are skipped by construction rather
+// than by scanning. Events produced but not yet returned — a merged
+// batch's trailing members, admission shed and deferral records — wait
+// in an emission FIFO, and Step returns them one per call ahead of new
+// compute. They are produced at the current clock, which never
+// decreases, so FIFO order is also stamp order.
+//
 // Admitted requests enter the active set up to the concurrency limit;
 // each iteration runs the batch the batch former builds around the
 // request scheduler's pick (the pick alone when unbatched), a prefill
-// forward or a decode step per member, with a StepEvent emitted for
-// each member. The expert cache, trace generator and device clocks
-// carry state across requests, the state a long-running server would
-// have.
+// forward or a decode step per member, with a StepEvent for each
+// member. The expert cache, trace generator and device clocks carry
+// state across requests, the state a long-running server would have.
 type Session struct {
 	e             *Engine
 	active        []*sessionRequest
@@ -229,19 +207,20 @@ type Session struct {
 	// batches counts engine iterations (one-member batches included);
 	// StepEvent.Batch carries the ordinal.
 	batches int
-	// events is the unified timeline: scheduled arrivals (stamped at
-	// the request's arrival), queued emissions (stamped at the clock
-	// when produced) and prefetch-completion markers, popped in
-	// (stamp, push order) order.
-	events sim.Queue[sessionEvent]
-	// arrived holds requests whose arrival event has fired, kept in
+	// arrivals holds submitted requests the clock has not reached yet,
+	// keyed by arrival stamp (FIFO among equal stamps).
+	arrivals sim.Queue[*sessionRequest]
+	// emits holds produced events awaiting delivery, oldest first.
+	// emitHead is the pop cursor: Step zeroes the head slot and advances
+	// it, and once drained the buffer resets to length zero for reuse.
+	emits    []StepEvent
+	emitHead int
+	// arrived holds requests whose arrival the clock has reached, kept in
 	// submission order — the admission queue. Admission is order-
 	// preserving over submission order, not arrival order, so trace
 	// replays with interleaved stamps admit the way the trace was
 	// offered.
 	arrived []*sessionRequest
-	// future counts arrival events still scheduled on the timeline.
-	future int
 	// tally folds every event as Step returns it; admission snapshots
 	// read its TTFT and TBT samples. An admission pass runs only once
 	// every event produced so far has been emitted, so it sees each
@@ -328,13 +307,13 @@ func (e *Engine) NewSession(opts ...SessionOption) *Session {
 	return s
 }
 
-// Submit schedules requests on the event timeline. It may be called
+// Submit schedules requests on the arrival heap. It may be called
 // before the first Step or at any point during the run (a live request
 // stream). A request with PromptTokens <= 0 skips prefill (a
 // decode-only burst); one with DecodeTokens <= 0 stops after prefill. A
 // request with neither — no work at all — is dropped immediately: it
 // emits no event and never counts toward Pending. Each kept request
-// becomes an arrival event at its Arrival stamp (0 for closed-queue
+// arrives at its Arrival stamp (0 for closed-queue
 // requests, which fire on the first Step; stamps behind the clock fire
 // immediately, the live-stream case).
 func (s *Session) Submit(reqs ...workload.Request) {
@@ -344,14 +323,13 @@ func (s *Session) Submit(reqs ...workload.Request) {
 		}
 		sr := &sessionRequest{req: r, submitSeq: s.nextSubmit}
 		s.nextSubmit++
-		s.future++
-		s.events.Push(r.Arrival, sessionEvent{kind: evArrival, req: sr})
+		s.arrivals.Push(r.Arrival, sr)
 	}
 }
 
 // SubmitPrefilled adopts checkpointed requests mid-life: each entered
 // some other session, ran its prefill there, and arrives here carrying
-// the exported Checkpoint. The request joins the timeline decode-only —
+// the exported Checkpoint. The request joins the arrival heap decode-only —
 // prefill marked complete, context warm at the checkpoint's length, no
 // fresh queue wait or TTFT stamp (the prefill replica already accrued
 // both) — at the later of its Arrival and the checkpoint's ReadyAt
@@ -368,12 +346,11 @@ func (s *Session) SubmitPrefilled(reqs ...workload.Request) {
 		}
 		sr := &sessionRequest{req: r, prefilled: true, adopted: true, submitSeq: s.nextSubmit}
 		s.nextSubmit++
-		s.future++
 		at := r.Arrival
 		if r.Checkpoint.ReadyAt > at {
 			at = r.Checkpoint.ReadyAt
 		}
-		s.events.Push(at, sessionEvent{kind: evArrival, req: sr})
+		s.arrivals.Push(at, sr)
 	}
 }
 
@@ -399,13 +376,13 @@ func (s *Session) ExportPrefilled() []workload.Request {
 // checkpoints not yet drained included, shed and zero-work submissions
 // (dropped at Submit) not.
 func (s *Session) Pending() int {
-	return s.future + len(s.arrived) + len(s.active) + len(s.exported)
+	return s.arrivals.Len() + len(s.arrived) + len(s.active) + len(s.exported)
 }
 
 // Reclaim removes and returns every submitted request that has not yet
-// run a compute step — scheduled arrivals still on the timeline, the
-// arrived admission queue (deferred requests included), and admitted
-// requests the scheduler never picked — in submission order, with their
+// run a compute step — arrivals still on the heap, the arrived
+// admission queue (deferred requests included), and admitted requests
+// the scheduler never picked — in submission order, with their
 // original fields (Arrival stamps included) intact. Requests whose first
 // compute step has run stay in flight and are not returned: their state
 // (KV context, partial decode) lives in this engine and cannot move.
@@ -424,31 +401,13 @@ func (s *Session) Reclaim() []workload.Request {
 	}
 	var out []taken
 
-	// Scheduled arrivals: rebuild the timeline without them. Popping in
-	// (stamp, push) order and re-pushing preserves the relative order of
-	// the surviving entries.
-	if s.future > 0 {
-		type kept struct {
-			at float64
-			ev sessionEvent
-		}
-		var keep []kept
-		for {
-			at, e, ok := s.events.PopMin()
-			if !ok {
-				break
-			}
-			if e.kind == evArrival {
-				s.future--
-				out = append(out, taken{e.req.submitSeq, e.req.req})
-				continue
-			}
-			keep = append(keep, kept{at, e})
-		}
-		for _, k := range keep {
-			s.events.Push(k.at, k.ev)
-		}
-	}
+	// Arrivals the clock has not reached. Queued emissions stay: they
+	// report steps that already ran and verdicts already given, and the
+	// next Steps still deliver them.
+	s.arrivals.Scan(func(_ float64, r *sessionRequest) {
+		out = append(out, taken{r.submitSeq, r.req})
+	})
+	s.arrivals.Reset()
 
 	// The arrived admission queue: nothing in it has started compute.
 	for _, r := range s.arrived {
@@ -513,9 +472,9 @@ func (s *Session) Batcher() string { return s.batch.Name() }
 func (s *Session) Batches() int { return s.batches }
 
 // snapshot assembles the live-quantile view an admission decision sees.
-// arrived is the real queue depth: arrivals still scheduled on the
-// timeline are invisible — counting them would leak arrivals the server
-// cannot know about yet.
+// arrived is the real queue depth: arrivals still on the heap are
+// invisible — counting them would leak arrivals the server cannot know
+// about yet.
 func (s *Session) snapshot() SLOSnapshot {
 	return SLOSnapshot{
 		Now:    s.e.clock,
@@ -526,19 +485,25 @@ func (s *Session) snapshot() SLOSnapshot {
 	}
 }
 
-// arrive moves a fired arrival into the admission queue, keeping it
-// sorted by submission order (arrival events fire in stamp order, so
-// trace replays with interleaved stamps need the re-sort; in-order
-// streams append).
-func (s *Session) arrive(r *sessionRequest) {
-	s.future--
-	i := len(s.arrived)
-	for i > 0 && s.arrived[i-1].submitSeq > r.submitSeq {
-		i--
+// arrive moves every arrival the clock has reached into the admission
+// queue, keeping it sorted by submission order (arrivals fire in stamp
+// order, so trace replays with interleaved stamps need the re-sort;
+// in-order streams append).
+func (s *Session) arrive() {
+	for {
+		at, r, ok := s.arrivals.PeekMin()
+		if !ok || at > s.e.clock {
+			return
+		}
+		s.arrivals.PopMin()
+		i := len(s.arrived)
+		for i > 0 && s.arrived[i-1].submitSeq > r.submitSeq {
+			i--
+		}
+		s.arrived = append(s.arrived, nil)
+		copy(s.arrived[i+1:], s.arrived[i:])
+		s.arrived[i] = r
 	}
-	s.arrived = append(s.arrived, nil)
-	copy(s.arrived[i+1:], s.arrived[i:])
-	s.arrived[i] = r
 }
 
 // dropArrivedHead removes the admission queue's head in place, keeping
@@ -549,47 +514,17 @@ func (s *Session) dropArrivedHead() {
 	s.arrived = s.arrived[:len(s.arrived)-1]
 }
 
-// pushEmit queues a StepEvent for emission at the current clock.
+// pushEmit queues a StepEvent for delivery by a later Step.
 func (s *Session) pushEmit(ev StepEvent) {
-	s.events.Push(s.e.clock, sessionEvent{kind: evEmit, ev: ev})
+	s.emits = append(s.emits, ev)
 }
 
 // HasEmission reports whether a produced StepEvent is queued for the
 // next Step: a merged batch's trailing members, or an admission shed or
 // deferral record. Pending does not count these (their requests have
 // finished or been shed), so a driver that steps only while Pending is
-// positive must deliver them separately. Emissions are stamped at (a
-// past value of) the clock and fired arrivals are drained through it,
-// so a queued emission is always the timeline's minimum — modulo
-// prefetch markers, which order between but emit nothing.
-func (s *Session) HasEmission() bool {
-	for {
-		_, e, ok := s.events.PeekMin()
-		if ok && e.kind == evPrefetchDone {
-			s.events.PopMin()
-			continue
-		}
-		return ok && e.kind == evEmit
-	}
-}
-
-// notePrefetchHorizon schedules a completion marker for transfers the
-// iteration just issued that are still in flight on a link past the
-// compute clock — the prefetch-completion event kind. It carries no
-// emission; it exists so the timeline is a complete account of the
-// simulated machine's future (arrivals, iteration completions,
-// transfer completions).
-func (s *Session) notePrefetchHorizon() {
-	var frontier float64
-	for _, busy := range s.e.linkBusy {
-		if busy > frontier {
-			frontier = busy
-		}
-	}
-	if frontier > s.e.clock {
-		s.events.Push(frontier, sessionEvent{kind: evPrefetchDone})
-	}
-}
+// positive must deliver them separately.
+func (s *Session) HasEmission() bool { return s.emitHead < len(s.emits) }
 
 // admit moves arrived requests into the active set up to the
 // concurrency limit, consulting the admission policy when one is
@@ -668,14 +603,14 @@ func (s *Session) schedView() []reqsched.Request {
 	return view
 }
 
-// Step pops the event timeline: a queued emission is returned (one per
-// call, ahead of new compute); fired arrivals join the admission queue;
-// then one admission pass runs and one engine iteration executes for
-// the batch the batch former builds around the scheduler's pick. When
-// nothing is runnable but arrivals are still scheduled (the open-loop
-// idle gap), popping the next arrival IS the clock jump — the gap is
-// skipped by construction. ok is false when every submitted request has
-// finished or been shed.
+// Step returns the next event. A queued emission goes first, one per
+// call, ahead of new compute. Otherwise the arrivals the clock has
+// reached join the admission queue, one admission pass runs, and one
+// engine iteration executes for the batch the batch former builds
+// around the scheduler's pick. When nothing is runnable but arrivals
+// are still scheduled (the open-loop idle gap), the clock jumps to the
+// next arrival stamp, so the gap is skipped by construction. ok is
+// false when every submitted request has finished or been shed.
 func (s *Session) Step() (ev StepEvent, ok bool) {
 	ev, ok = s.next()
 	if ok {
@@ -687,61 +622,37 @@ func (s *Session) Step() (ev StepEvent, ok bool) {
 
 // next produces the event Step returns; see Step.
 func (s *Session) next() (ev StepEvent, ok bool) {
-	// Drain the timeline up to the clock: emissions return (one per
-	// call), arrivals fire into the admission queue, prefetch markers
-	// are retired. Stamp order interleaves them correctly — an arrival
-	// during a drained batch's span fires before the batch's trailing
-	// emissions pop, and joining the admission queue early is
-	// unobservable until the admission pass below.
-	for {
-		at, e, popped := s.events.PeekMin()
-		if !popped {
-			break
-		}
-		if e.kind == evEmit {
-			s.events.PopMin()
-			return e.ev, true
-		}
-		if at > s.e.clock {
-			break
-		}
-		s.events.PopMin()
-		if e.kind == evArrival {
-			s.arrive(e.req)
-		}
-	}
-	s.admit()
-	// Open-loop idle gap: the active set is drained and no admission
-	// record is waiting, yet arrivals are still scheduled. Pop the next
-	// one — the pop advances the clock to its stamp — fire any
-	// co-arrivals the new clock covers, and re-admit; each round
-	// consumes at least one scheduled request (admit, shed or promoted
-	// deferral), so the loop terminates.
-	for len(s.active) == 0 && !s.HasEmission() {
-		at, e, popped := s.events.PopMin()
-		if !popped {
-			break
-		}
-		if e.kind != evArrival {
-			continue
-		}
-		if at > s.e.clock {
-			s.e.clock = at
-		}
-		s.arrive(e.req)
-		for {
-			at, e, peeked := s.events.PeekMin()
-			if !peeked || e.kind != evArrival || at > s.e.clock {
+	// Arrivals are fired only once the emissions are drained: joining
+	// the admission queue is unobservable until an admission pass, and
+	// none runs while an emission is waiting.
+	if !s.HasEmission() {
+		s.arrive()
+		s.admit()
+		// Open-loop idle gap: the active set is drained and no admission
+		// record is waiting, yet arrivals are still scheduled. Jump the
+		// clock to the next stamp, fire every arrival it covers and
+		// re-admit; each round consumes at least one scheduled request
+		// (admit, shed or promoted deferral), so the loop terminates.
+		for len(s.active) == 0 && !s.HasEmission() {
+			at, _, scheduled := s.arrivals.PeekMin()
+			if !scheduled {
 				break
 			}
-			s.events.PopMin()
-			s.arrive(e.req)
+			if at > s.e.clock {
+				s.e.clock = at
+			}
+			s.arrive()
+			s.admit()
 		}
-		s.admit()
 	}
 	if s.HasEmission() {
-		_, e, _ := s.events.PopMin()
-		return e.ev, true
+		ev = s.emits[s.emitHead]
+		s.emits[s.emitHead] = StepEvent{}
+		s.emitHead++
+		if s.emitHead == len(s.emits) {
+			s.emits, s.emitHead = s.emits[:0], 0
+		}
+		return ev, true
 	}
 	if len(s.active) == 0 {
 		return StepEvent{}, false
@@ -906,8 +817,6 @@ func (s *Session) runBatch(batch []int, lead int) StepEvent {
 	gpu := advances(s.gpuAdv, s.e.gpuBusy)
 	link := advances(s.linkAdv, s.e.linkBusy)
 	end := s.e.clock
-	s.e.stats.CacheHitRate = s.e.cache.HitRate()
-	s.notePrefetchHorizon()
 
 	var first StepEvent
 	cum := 0
@@ -1053,15 +962,7 @@ func (e *Engine) RunDecode(steps int) Result {
 	if steps <= 0 {
 		panic(fmt.Sprintf("engine: non-positive decode steps %d", steps))
 	}
-	s := e.NewSession()
-	s.Submit(workload.Request{DecodeTokens: steps})
-	res := Result{Framework: e.fw.Name, Model: e.cfg.Name}
-	s.Run(func(ev StepEvent) {
-		res.StepLatencies = append(res.StepLatencies, ev.Latency)
-		res.Total += ev.Latency
-	})
-	res.Stats = e.stats
-	return res
+	return e.runOne(workload.Request{DecodeTokens: steps})
 }
 
 // RunPrefill measures a single prefill forward over the given prompt
@@ -1071,13 +972,20 @@ func (e *Engine) RunPrefill(tokens int) Result {
 	if tokens <= 0 {
 		panic(fmt.Sprintf("engine: non-positive prefill tokens %d", tokens))
 	}
+	return e.runOne(workload.Request{PromptTokens: tokens})
+}
+
+// runOne serves req alone on a fresh Session and reports every step's
+// latency, the engine's counters and the cache hit rate at the end.
+func (e *Engine) runOne(req workload.Request) Result {
 	s := e.NewSession()
-	s.Submit(workload.Request{PromptTokens: tokens})
+	s.Submit(req)
 	res := Result{Framework: e.fw.Name, Model: e.cfg.Name}
 	s.Run(func(ev StepEvent) {
 		res.StepLatencies = append(res.StepLatencies, ev.Latency)
 		res.Total += ev.Latency
 	})
 	res.Stats = e.stats
+	res.Stats.CacheHitRate = e.cache.HitRate()
 	return res
 }
