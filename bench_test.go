@@ -283,51 +283,124 @@ func BenchmarkCacheInsertEvict(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheInsertAllLayer reproduces Engine.applyPlan's cache
-// update: a full MRS cache at DeepSeek's 25% capacity (416 experts)
-// inserts one decode layer's missed experts as one batch under that
-// layer's guard, then observes the layer's scores as the engine does
-// next. Routing is drawn before timing, and the warm-up replays four
-// decode steps so the timed layers evict from a settled cache.
-func BenchmarkCacheInsertAllLayer(b *testing.B) {
+// cacheLayerReplay is the cache's share of a decode step: a full cache
+// at DeepSeek's 25% capacity (416 experts) replaying decode layers whose
+// routing is drawn up front, as Engine.applyPlan and the score update
+// after it drive the cache.
+type cacheLayerReplay struct {
+	cache *cache.Multi
+	acts  []trace.LayerActivation
+	// cur is the layer being replayed, guard the eviction guard over its
+	// routed experts, and missed its experts that were not resident.
+	cur    trace.LayerActivation
+	guard  func(moe.ExpertID) bool
+	missed []moe.ExpertID
+}
+
+func newCacheLayerReplay(policy cache.Policy, steps int) *cacheLayerReplay {
 	cfg := moe.DeepSeek()
 	g := trace.New(cfg, trace.DefaultOptions(benchTraceSeed))
-	const warmSteps, steps = 4, 8
-	var acts []trace.LayerActivation
-	for s := 0; s < steps; s++ {
-		acts = append(acts, trace.DecodeStepInto(nil, g)...)
+	r := &cacheLayerReplay{
+		cache:  cache.NewMulti(cache.New(cfg.CacheCapacity(0.25), policy)),
+		missed: make([]moe.ExpertID, 0, cfg.RoutedExperts),
 	}
-	c := cache.NewMulti(cache.New(cfg.CacheCapacity(0.25),
-		cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts)))
+	for s := 0; s < steps; s++ {
+		r.acts = append(r.acts, trace.DecodeStepInto(nil, g)...)
+	}
 	all := make([]moe.ExpertID, 0, cfg.TotalRoutedExperts())
 	for l := 0; l < cfg.Layers; l++ {
 		for x := 0; x < cfg.RoutedExperts; x++ {
 			all = append(all, moe.ExpertID{Layer: l, Index: x})
 		}
 	}
-	c.Warm(all)
-	var cur trace.LayerActivation
-	guard := func(id moe.ExpertID) bool { return id.Layer == cur.Layer && cur.Loads[id.Index] > 0 }
-	dest := func(moe.ExpertID) int { return 0 }
-	missed := make([]moe.ExpertID, 0, cfg.RoutedExperts)
-	layer := func(i int) {
-		cur = acts[i%len(acts)]
-		missed = missed[:0]
-		for x, load := range cur.Loads {
-			if id := (moe.ExpertID{Layer: cur.Layer, Index: x}); load > 0 && !c.Contains(id) {
-				missed = append(missed, id)
-			}
+	r.cache.Warm(all)
+	r.guard = func(id moe.ExpertID) bool { return id.Layer == r.cur.Layer && r.cur.Loads[id.Index] > 0 }
+	return r
+}
+
+// layer replays activation i, wrapping around: it inserts the layer's
+// missed experts one at a time under the layer's guard, then observes
+// the layer's scores.
+func (r *cacheLayerReplay) layer(i int) {
+	r.cur = r.acts[i%len(r.acts)]
+	r.missed = r.missed[:0]
+	for x, load := range r.cur.Loads {
+		if id := (moe.ExpertID{Layer: r.cur.Layer, Index: x}); load > 0 && !r.cache.Contains(id) {
+			r.missed = append(r.missed, id)
 		}
-		c.InsertAll(missed, dest, guard)
-		c.ObserveScores(cur.Layer, cur.Scores)
 	}
-	warm := warmSteps * cfg.Layers
+	for _, id := range r.missed {
+		r.cache.Insert(id, 0, r.guard)
+	}
+	r.cache.ObserveScores(r.cur.Layer, r.cur.Scores)
+}
+
+// BenchmarkCacheInsertAllLayer times one layer of cacheLayerReplay under
+// MRS over eight decode steps. The warm-up replays four of them so the
+// timed layers evict from a settled cache.
+func BenchmarkCacheInsertAllLayer(b *testing.B) {
+	cfg := moe.DeepSeek()
+	r := newCacheLayerReplay(cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts), 8)
+	warm := 4 * cfg.Layers
 	for i := 0; i < warm; i++ {
-		layer(i)
+		r.layer(i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		layer(warm + i)
+		r.layer(warm + i)
+	}
+}
+
+// victimCounter counts the candidates offered to a policy's Victim.
+type victimCounter struct {
+	cache.Policy
+	candidates int64
+}
+
+func (p *victimCounter) Victim(cs []moe.ExpertID) moe.ExpertID {
+	p.candidates += int64(len(cs))
+	return p.Policy.Victim(cs)
+}
+
+// TestVictimScanIsPerLayer pins the shape of the victim search on
+// BenchmarkCacheInsertAllLayer's workload: after four warm decode
+// steps, the candidates offered to Victim over the next twenty total at
+// most a quarter of what scanning every evictable resident on each
+// eviction offers. Every insert here evicts exactly one expert, and
+// such a scan offers every resident except the layer's protected ones:
+// its routed experts that hit, and the misses inserted before.
+func TestVictimScanIsPerLayer(t *testing.T) {
+	cfg := moe.DeepSeek()
+	const warmSteps, steps = 4, 20
+	counter := &victimCounter{Policy: cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts)}
+	r := newCacheLayerReplay(counter, warmSteps+steps)
+	warm := warmSteps * cfg.Layers
+	for i := 0; i < warm; i++ {
+		r.layer(i)
+	}
+	counter.candidates = 0
+	capacity := int64(r.cache.Capacity())
+	var fullScan int64
+	for i := warm; i < warm+steps*cfg.Layers; i++ {
+		r.layer(i)
+		var hits int64
+		for _, load := range r.cur.Loads {
+			if load > 0 {
+				hits++
+			}
+		}
+		hits -= int64(len(r.missed))
+		for j := range r.missed {
+			fullScan += capacity - hits - int64(j)
+		}
+	}
+	if fullScan == 0 {
+		t.Fatal("the replay never evicted")
+	}
+	share := float64(counter.candidates) / float64(fullScan)
+	t.Logf("Victim was offered %d candidates, %.1f%% of a full scan's %d", counter.candidates, 100*share, fullScan)
+	if share > 0.25 {
+		t.Fatalf("the victim search offered %.1f%% of a full scan's candidates; want at most 25%%", 100*share)
 	}
 }
 

@@ -74,6 +74,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"serve -deadline Inf",
 		"serve -sched exhaustive -requests 2",
 		"serve -model Qwen2 -sched exhaustive -requests 2",
+		"serve -arrivals bursty -rate Inf -requests 3",
+		"serve -arrivals bursty -rate 5e-324 -requests 3",
+		"serve -arrivals uniform -rate 5e-324 -requests 3",
+		"serve -arrivals poisson -rate Inf -requests 3",
 	} {
 		var buf bytes.Buffer
 		if err := run(strings.Fields(args), &buf); err == nil {

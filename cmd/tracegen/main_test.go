@@ -68,6 +68,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-mode requests -requests 0", "-requests"},
 		{"-mode requests -decode-cap -1", "-decode-cap"},
 		{"-mode requests -arrivals bogus", "bogus"},
+		{"-mode requests -arrivals bursty -rate Inf", "rate"},
+		{"-mode requests -arrivals uniform -rate 5e-324", "rate"},
 		{"-bogus", "bogus"},
 		{"-mode decode extra", "extra"},
 	}

@@ -15,26 +15,37 @@ import (
 type Cache struct {
 	capacity int
 	policy   Policy
-	// resident lists the resident experts; slot maps each one to its
-	// position plus one (0 = absent), so eviction is a swap-remove.
-	// pins counts the pinned experts, so the partition can skip the
-	// pinned table when there are none.
-	resident []moe.ExpertID
-	slot     table[int32]
-	pinned   table[bool]
-	pins     int
-	// split partitions resident for the insert call in progress: once
-	// an eviction has needed it, resident[:split] are the pinned and
-	// protected experts and resident[split:] the victim candidates. -1
-	// until then; every call starts without it, since its guard may
-	// differ from the last call's.
-	split int
-	// evicted backs Insert's result.
+	// layers holds the residents by layer; slot maps each resident to
+	// its position in its layer's list plus one (0 = absent), so
+	// eviction is a swap-remove within the layer. n counts them all.
+	layers []layerSet
+	slot   table[int32]
+	n      int
+	// scratch backs a layer's Victim candidates and winners the final
+	// Victim call of an eviction; evicted backs Insert's result.
+	scratch []moe.ExpertID
+	winners []moe.ExpertID
 	evicted []moe.ExpertID
 
 	hits   int64
 	misses int64
 }
+
+// layerSet is one layer's residents by expert index, pinned experts
+// first: idx[:pins] are pinned and idx[pins:] are the layer's eviction
+// candidates. victim remembers the policy's Victim over the candidates
+// while fresh is set. Every call that can change the candidates or
+// their order under the policy (place, evict, pin, touch, score
+// observation) clears it.
+type layerSet struct {
+	idx    []int32
+	pins   int
+	victim moe.ExpertID
+	fresh  bool
+}
+
+// expertAt names expert x of layer l.
+func expertAt(l int, x int32) moe.ExpertID { return moe.ExpertID{Layer: l, Index: int(x)} }
 
 // New returns an empty cache. Capacity 0 is a valid degenerate cache
 // (every lookup misses, every insert fails) — the zero-cache baseline.
@@ -53,32 +64,55 @@ func New(capacity int, policy Policy) *Cache {
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len reports the current resident expert count (including pinned).
-func (c *Cache) Len() int { return len(c.resident) }
+func (c *Cache) Len() int { return c.n }
 
 // Contains reports residency without touching hit/miss accounting.
 func (c *Cache) Contains(id moe.ExpertID) bool { return c.slot.get(id) != 0 }
 
 // full reports whether the cache is at capacity.
-func (c *Cache) full() bool { return len(c.resident) >= c.capacity }
+func (c *Cache) full() bool { return c.n >= c.capacity }
+
+// stale forgets layer's remembered victim. A layer the cache has never
+// held has none.
+func (c *Cache) stale(layer int) {
+	if layer >= 0 && layer < len(c.layers) {
+		c.layers[layer].fresh = false
+	}
+}
 
 // place makes id resident (it must be absent and the cache not full) and
 // tells the policy.
 func (c *Cache) place(id moe.ExpertID) {
-	c.resident = append(c.resident, id)
-	c.slot.set(id, int32(len(c.resident)))
+	for len(c.layers) <= id.Layer {
+		c.layers = append(c.layers, layerSet{})
+	}
+	ls := &c.layers[id.Layer]
+	ls.idx = append(ls.idx, int32(id.Index))
+	ls.fresh = false
+	c.slot.set(id, int32(len(ls.idx)))
+	c.n++
 	c.policy.Admit(id)
 }
 
-// evict removes resident id by moving the last resident into its slot,
-// and tells the policy.
+// evict removes unpinned resident id by moving its layer's last
+// resident into its slot, and tells the policy.
 func (c *Cache) evict(id moe.ExpertID) {
+	ls := &c.layers[id.Layer]
 	i := c.slot.get(id) - 1
-	last := c.resident[len(c.resident)-1]
-	c.resident[i] = last
-	c.slot.set(last, i+1)
-	c.resident = c.resident[:len(c.resident)-1]
+	last := ls.idx[len(ls.idx)-1]
+	ls.idx[i] = last
+	c.slot.set(expertAt(id.Layer, last), i+1)
+	ls.idx = ls.idx[:len(ls.idx)-1]
+	ls.fresh = false
 	c.slot.set(id, 0)
+	c.n--
 	c.policy.Forget(id)
+}
+
+// touch records an access to id in the policy.
+func (c *Cache) touch(id moe.ExpertID) {
+	c.stale(id.Layer)
+	c.policy.Touch(id)
 }
 
 // Lookup reports residency and updates hit/miss statistics and the
@@ -87,7 +121,7 @@ func (c *Cache) evict(id moe.ExpertID) {
 func (c *Cache) Lookup(id moe.ExpertID) bool {
 	if c.Contains(id) {
 		c.hits++
-		c.policy.Touch(id)
+		c.touch(id)
 		return true
 	}
 	c.misses++
@@ -101,65 +135,64 @@ func (c *Cache) Lookup(id moe.ExpertID) bool {
 // every resident expert is pinned or protected. The evicted slice is
 // reused by the next Insert on this cache.
 func (c *Cache) Insert(id moe.ExpertID, protected func(moe.ExpertID) bool) (evicted []moe.ExpertID, ok bool) {
-	c.split = -1
-	return c.insert(id, protected)
-}
-
-// insert is Insert inside a call that may insert several ids under one
-// guard, reusing the call's partition. The partition stays exact for
-// the whole call: the guard and the pins do not change, a victim
-// leaves the candidate suffix through a swap-remove that moves another
-// candidate into its slot, and a placed expert joins the candidates
-// unless the guard protects it. So every Victim call is offered the
-// set a fresh scan would build, in a different order, which Victim
-// ignores.
-func (c *Cache) insert(id moe.ExpertID, protected func(moe.ExpertID) bool) ([]moe.ExpertID, bool) {
 	if c.Contains(id) {
 		return nil, true
 	}
 	c.evicted = c.evicted[:0]
 	for c.full() {
-		if c.split < 0 {
-			c.partition(protected)
-		}
-		candidates := c.resident[c.split:]
-		if len(candidates) == 0 {
+		victim, ok := c.victim(protected)
+		if !ok {
 			return c.evicted, false
 		}
-		victim := c.policy.Victim(candidates)
 		c.evict(victim)
 		c.evicted = append(c.evicted, victim)
 	}
 	c.place(id)
-	if c.split >= 0 && protected != nil && protected(id) {
-		c.swap(len(c.resident)-1, c.split)
-		c.split++
-	}
 	return c.evicted, true
 }
 
-// partition moves the pinned and protected residents to the front of
-// the resident list and sets split past them.
-func (c *Cache) partition(protected func(moe.ExpertID) bool) {
-	k := 0
-	for i, id := range c.resident {
-		if (c.pins > 0 && c.pinned.get(id)) || (protected != nil && protected(id)) {
-			c.swap(i, k)
-			k++
+// victim picks the policy's victim among the unpinned residents that
+// protected does not cover, or reports false when there are none. Each
+// layer offers its remembered victim when that is fresh and
+// unprotected. Otherwise the layer offers Victim over its unprotected
+// candidates, which becomes the remembered victim when the guard
+// covered none of them. One Victim call over the layers' offers then
+// picks the eviction. That is the victim a scan of every candidate
+// finds, because Victim is an argmin under a total order (see Policy):
+// the least of a union is the least of its parts' leasts, and a subset
+// that holds a set's least has the same least.
+func (c *Cache) victim(protected func(moe.ExpertID) bool) (moe.ExpertID, bool) {
+	c.winners = c.winners[:0]
+	for l := range c.layers {
+		ls := &c.layers[l]
+		cands := ls.idx[ls.pins:]
+		if len(cands) == 0 {
+			continue
 		}
+		if ls.fresh && (protected == nil || !protected(ls.victim)) {
+			c.winners = append(c.winners, ls.victim)
+			continue
+		}
+		offer := c.scratch[:0]
+		for _, x := range cands {
+			if id := expertAt(l, x); protected == nil || !protected(id) {
+				offer = append(offer, id)
+			}
+		}
+		c.scratch = offer
+		if len(offer) == 0 {
+			continue
+		}
+		v := c.policy.Victim(offer)
+		if len(offer) == len(cands) {
+			ls.victim, ls.fresh = v, true
+		}
+		c.winners = append(c.winners, v)
 	}
-	c.split = k
-}
-
-// swap exchanges two positions of the resident list.
-func (c *Cache) swap(i, j int) {
-	if i == j {
-		return
+	if len(c.winners) == 0 {
+		return moe.ExpertID{}, false
 	}
-	a, b := c.resident[i], c.resident[j]
-	c.resident[i], c.resident[j] = b, a
-	c.slot.set(b, int32(i+1))
-	c.slot.set(a, int32(j+1))
+	return c.policy.Victim(c.winners), true
 }
 
 // Pin marks id as permanently resident, inserting it if absent. It
@@ -170,19 +203,29 @@ func (c *Cache) Pin(id moe.ExpertID) bool {
 			return false
 		}
 	}
-	if !c.pinned.get(id) {
-		c.pinned.set(id, true)
-		c.pins++
+	ls := &c.layers[id.Layer]
+	if i := c.slot.get(id) - 1; int(i) >= ls.pins {
+		j := int32(ls.pins)
+		other := ls.idx[j]
+		ls.idx[i], ls.idx[j] = other, int32(id.Index)
+		c.slot.set(expertAt(id.Layer, other), i+1)
+		c.slot.set(id, j+1)
+		ls.pins++
+		ls.fresh = false
 	}
 	return true
 }
 
 // Pinned reports whether id is pinned.
-func (c *Cache) Pinned(id moe.ExpertID) bool { return c.pinned.get(id) }
+func (c *Cache) Pinned(id moe.ExpertID) bool {
+	s := c.slot.get(id)
+	return s != 0 && int(s) <= c.layers[id.Layer].pins
+}
 
 // ObserveScores forwards one iteration's routing scores for a layer to
 // the policy (MRS uses them; LRU/LFU ignore them).
 func (c *Cache) ObserveScores(layer int, scores []float64) {
+	c.stale(layer)
 	c.policy.ObserveScores(layer, scores)
 }
 
@@ -191,7 +234,7 @@ func (c *Cache) ObserveScores(layer int, scores []float64) {
 // history window through it so frequency/recency policies start with
 // the state a long-running server would have, instead of treating every
 // warm expert as a one-hit wonder.
-func (c *Cache) TouchHistorical(id moe.ExpertID) { c.policy.Touch(id) }
+func (c *Cache) TouchHistorical(id moe.ExpertID) { c.touch(id) }
 
 // Hits reports the lookup hit count.
 func (c *Cache) Hits() int64 { return c.hits }
@@ -215,7 +258,13 @@ func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
 // Resident returns a copy of the resident expert set (order
 // unspecified).
 func (c *Cache) Resident() []moe.ExpertID {
-	return append([]moe.ExpertID(nil), c.resident...)
+	out := make([]moe.ExpertID, 0, c.n)
+	for l, ls := range c.layers {
+		for _, x := range ls.idx {
+			out = append(out, expertAt(l, x))
+		}
+	}
+	return out
 }
 
 // Warm fills the cache with ids (stopping at capacity) without counting

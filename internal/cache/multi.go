@@ -64,9 +64,7 @@ func (m *Multi) Contains(id moe.ExpertID) bool {
 func (m *Multi) Lookup(id moe.ExpertID, home int) bool {
 	for _, s := range m.shards {
 		if s.Contains(id) {
-			s.hits++
-			s.policy.Touch(id)
-			return true
+			return s.Lookup(id)
 		}
 	}
 	m.shards[home].misses++
@@ -81,22 +79,6 @@ func (m *Multi) Insert(id moe.ExpertID, d int, protected func(moe.ExpertID) bool
 		return nil, true
 	}
 	return m.shards[d].Insert(id, protected)
-}
-
-// InsertAll inserts ids in order, each with Insert's semantics on
-// device dest(id), under one guard. It is one Insert call per id with
-// the victim scan's partition kept: each shard partitions its residents
-// at most once for the whole call, so protected must answer the same
-// for every expert until InsertAll returns.
-func (m *Multi) InsertAll(ids []moe.ExpertID, dest func(moe.ExpertID) int, protected func(moe.ExpertID) bool) {
-	for _, s := range m.shards {
-		s.split = -1
-	}
-	for _, id := range ids {
-		if !m.Contains(id) {
-			m.shards[dest(id)].insert(id, protected)
-		}
-	}
 }
 
 // Pin permanently places id, striping across shards round-robin. It
@@ -149,7 +131,7 @@ func (m *Multi) Warm(ids []moe.ExpertID) int {
 // shard's policy (each shard ranks its own residents by them).
 func (m *Multi) ObserveScores(layer int, scores []float64) {
 	for _, s := range m.shards {
-		s.policy.ObserveScores(layer, scores)
+		s.ObserveScores(layer, scores)
 	}
 }
 
@@ -158,7 +140,7 @@ func (m *Multi) ObserveScores(layer int, scores []float64) {
 // touching residency or hit/miss statistics.
 func (m *Multi) TouchHistorical(id moe.ExpertID) {
 	d, _ := m.Owner(id)
-	m.shards[d].policy.Touch(id)
+	m.shards[d].TouchHistorical(id)
 }
 
 // Capacity reports the summed capacity across devices.

@@ -16,6 +16,20 @@ import (
 
 // Policy decides which resident expert to evict. Implementations keep
 // their own bookkeeping, driven by the cache's callbacks.
+//
+// A Cache remembers each layer's victim between evictions and asks the
+// policy again only after a call that can change it, so every policy
+// keeps this contract:
+//   - Victim is an argmin of the candidate set under a total order on
+//     experts, never depending on the slice's order. The built-in
+//     policies end theirs in the expert-ID tie-break. So the least of a
+//     union of candidate sets is the least of the sets' leasts.
+//   - The order between two experts changes only through Touch, Admit
+//     or Forget naming one of them, or through ObserveScores naming
+//     their layer. State shared across experts, such as the clock LRU
+//     and LFU stamp touches with, moves only the named expert's rank.
+//   - The cache that owns the policy makes every one of those calls;
+//     give each Cache its own policy.
 type Policy interface {
 	// Name identifies the policy in experiment tables.
 	Name() string
@@ -25,13 +39,9 @@ type Policy interface {
 	Admit(id moe.ExpertID)
 	// Forget records id leaving the cache.
 	Forget(id moe.ExpertID)
-	// Victim picks the eviction victim among candidates (never empty).
-	// The choice must depend only on the candidate set and the policy's
-	// state, never on the slice's order: the cache hands over a slice
-	// of its resident list, whose order swap-removals and partitioning
-	// shuffle. The built-in policies take an argmin under a total order
-	// ending in the expert-ID tie-break. The slice is the cache's own:
-	// read it, do not modify or retain it.
+	// Victim picks the eviction victim among candidates (never empty),
+	// the least of them under the policy's order. The slice is the
+	// cache's own: read it, do not modify or retain it.
 	Victim(candidates []moe.ExpertID) moe.ExpertID
 	// ObserveScores feeds one iteration's routing scores for a layer.
 	// Score-agnostic policies ignore it. The engine reuses the slice for

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -250,18 +251,46 @@ func (m *refMulti) touchHistorical(id moe.ExpertID) {
 	m.shards[d].policy.touch(id)
 }
 
-// countingPolicy counts the Victim calls and the candidates they are
-// offered, the figures a traced run reports as cache.victim_calls and
-// cache.victim_candidates.
+// countingPolicy counts the Victim calls. Bound to a shard, it also
+// checks every call's offer: each candidate resident on the shard,
+// unpinned, unprotected under guard (the guard of the insert in
+// progress) and listed once. err keeps the first violation.
 type countingPolicy struct {
 	Policy
-	calls, candidates int64
+	calls int64
+	shard *Cache
+	guard func(moe.ExpertID) bool
+	err   error
 }
 
 func (p *countingPolicy) Victim(cs []moe.ExpertID) moe.ExpertID {
 	p.calls++
-	p.candidates += int64(len(cs))
+	if p.shard != nil && p.err == nil {
+		p.err = p.checkOffer(cs)
+	}
 	return p.Policy.Victim(cs)
+}
+
+// checkOffer reports the first candidate of cs that Victim must not be
+// offered.
+func (p *countingPolicy) checkOffer(cs []moe.ExpertID) error {
+	for i, x := range cs {
+		var why string
+		switch {
+		case !p.shard.Contains(x):
+			why = "is not resident"
+		case p.shard.Pinned(x):
+			why = "is pinned"
+		case p.guard != nil && p.guard(x):
+			why = "is protected"
+		case slices.Contains(cs[:i], x):
+			why = "is listed twice"
+		default:
+			continue
+		}
+		return fmt.Errorf("candidate %v of Victim(%v) %s", x, cs, why)
+	}
+	return nil
 }
 
 func newPolicyPair(name string, topP int) (Policy, refPolicy) {
@@ -275,16 +304,17 @@ func newPolicyPair(name string, topP int) (Policy, refPolicy) {
 	}
 }
 
-// TestCacheMatchesReference drives the dense cache and the map-based
-// reference through identical seeded random sequences of every
-// operation the engine issues — lookups, inserts under random
-// protection sets, pins, warm fills, score observations with frequent
-// ties, historical touches and batched inserts — on one and two
-// shards, under all three policies, and requires identical evictions,
-// residency, statistics, victim calls and candidate counts and MRS
-// priorities after every operation. The reference inserts a batch one
-// id at a time, rebuilding its candidates for every eviction.
-func TestCacheMatchesReference(t *testing.T) {
+// matchReference drives a Multi of shards caches of the given capacity
+// under the named policy, and the map-based reference, through
+// identical operations, and returns the first divergence. intn draws
+// every choice in [0, n); more reports whether to run operation op.
+// The mix is every operation the engine issues: lookups, inserts under
+// random protection sets, pins, warm fills, score observations with
+// frequent ties, historical touches, and batches of inserts under one
+// guard. After each operation the driver requires identical evictions,
+// residency, statistics and MRS priorities, and it requires every
+// Victim call to have been offered only evictable residents, each once.
+func matchReference(name string, shards, capacity int, intn func(n int) int, more func(op int) bool) error {
 	const layers, experts, topP = 4, 8, 3
 	all := make([]moe.ExpertID, 0, layers*experts)
 	for l := 0; l < layers; l++ {
@@ -292,117 +322,142 @@ func TestCacheMatchesReference(t *testing.T) {
 			all = append(all, id(l, e))
 		}
 	}
+	var cs []*Cache
+	var counters []*countingPolicy
+	ref := &refMulti{}
+	for d := 0; d < shards; d++ {
+		p, rp := newPolicyPair(name, topP)
+		cp := &countingPolicy{Policy: p}
+		cs = append(cs, New(capacity, cp))
+		cp.shard = cs[d]
+		counters = append(counters, cp)
+		ref.shards = append(ref.shards, newRefCache(capacity, rp))
+	}
+	m := NewMulti(cs...)
+	pick := func() moe.ExpertID { return all[intn(len(all))] }
+	// insert runs one Insert on both sides under guard, which the
+	// counters check Victim's offers against.
+	insert := func(x moe.ExpertID, d int, guard func(moe.ExpertID) bool) error {
+		for _, cp := range counters {
+			cp.guard = guard
+		}
+		gotEv, gotOK := m.Insert(x, d, guard)
+		gotEv = append([]moe.ExpertID(nil), gotEv...)
+		for _, cp := range counters {
+			cp.guard = nil
+		}
+		wantEv, wantOK := ref.insert(x, d, guard)
+		if gotOK != wantOK || fmt.Sprint(gotEv) != fmt.Sprint(wantEv) {
+			return fmt.Errorf("inserting %v on shard %d evicted %v (ok %v), reference %v (ok %v)", x, d, gotEv, gotOK, wantEv, wantOK)
+		}
+		return nil
+	}
+	for op := 0; more(op); op++ {
+		var what string
+		var err error
+		switch k := intn(23); {
+		case k < 6:
+			x, home := pick(), intn(shards)
+			what = fmt.Sprintf("Lookup(%v,%d)", x, home)
+			if got, want := m.Lookup(x, home), ref.lookup(x, home); got != want {
+				err = fmt.Errorf("= %v, reference %v", got, want)
+			}
+		case k < 12:
+			x, d := pick(), intn(shards)
+			prot := map[moe.ExpertID]bool{}
+			for n := intn(4); n > 0; n-- {
+				prot[pick()] = true
+			}
+			what = fmt.Sprintf("Insert(%v,%d,protect %d)", x, d, len(prot))
+			err = insert(x, d, func(y moe.ExpertID) bool { return prot[y] })
+		case k == 12:
+			x := pick()
+			what = fmt.Sprintf("Pin(%v)", x)
+			if got, want := m.Pin(x), ref.pin(x); got != want {
+				err = fmt.Errorf("= %v, reference %v", got, want)
+			}
+		case k == 13:
+			ids := make([]moe.ExpertID, intn(6))
+			for i := range ids {
+				ids[i] = pick()
+			}
+			what = fmt.Sprintf("Warm(%v)", ids)
+			if got, want := m.Warm(ids), ref.warm(ids); got != want {
+				err = fmt.Errorf("= %d, reference %d", got, want)
+			}
+		case k < 18:
+			layer := intn(layers)
+			scores := make([]float64, experts)
+			for i := range scores {
+				// Coarse levels force ties at the top-p boundary.
+				scores[i] = float64(intn(4)) / 8
+			}
+			what = fmt.Sprintf("ObserveScores(%d,%v)", layer, scores)
+			m.ObserveScores(layer, scores)
+			ref.observe(layer, scores)
+		case k < 20:
+			x := pick()
+			what = fmt.Sprintf("TouchHistorical(%v)", x)
+			m.TouchHistorical(x)
+			ref.touchHistorical(x)
+		default:
+			ids, dests, prot := insertBatch(intn, m, pick)
+			what = fmt.Sprintf("batch(%v,dest %v,protect %d)", ids, dests, len(prot))
+			guard := func(y moe.ExpertID) bool { return prot[y] }
+			for _, x := range ids {
+				if err = insert(x, dests[x], guard); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("op %d %s: %v", op, what, err)
+		}
+		for d := 0; d < shards; d++ {
+			s, r := m.Shard(d), ref.shards[d]
+			if s.Hits() != r.hits || s.Misses() != r.misses || s.Len() != len(r.resident) {
+				return fmt.Errorf("op %d %s: shard %d hits/misses/len %d/%d/%d, reference %d/%d/%d",
+					op, what, d, s.Hits(), s.Misses(), s.Len(), r.hits, r.misses, len(r.resident))
+			}
+			if err := counters[d].err; err != nil {
+				return fmt.Errorf("op %d %s: shard %d: %v", op, what, d, err)
+			}
+		}
+		for _, x := range all {
+			gd, gok := m.Owner(x)
+			wd, wok := ref.owner(x)
+			if gd != wd || gok != wok {
+				return fmt.Errorf("op %d %s: Owner(%v) = %d,%v, reference %d,%v", op, what, x, gd, gok, wd, wok)
+			}
+			if gp, wp := m.Shard(gd).Pinned(x), ref.shards[wd].pinned[x]; gp != wp {
+				return fmt.Errorf("op %d %s: Pinned(%v) = %v, reference %v", op, what, x, gp, wp)
+			}
+			for d := 0; d < shards; d++ {
+				mrs, ok := counters[d].Policy.(*MRS)
+				if !ok {
+					continue
+				}
+				if got, want := mrs.Priority(x), ref.shards[d].policy.(*refMRS).prio[x]; got != want {
+					return fmt.Errorf("op %d %s: shard %d Priority(%v) = %v, reference %v", op, what, d, x, got, want)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestCacheMatchesReference runs matchReference on seeded random
+// sequences of 1500 operations, on one and two shards under all three
+// policies. The reference rebuilds its candidates for every eviction.
+func TestCacheMatchesReference(t *testing.T) {
 	for _, name := range []string{"LRU", "LFU", "MRS"} {
 		for _, shards := range []int{1, 2} {
 			for seed := uint64(1); seed <= 4; seed++ {
 				t.Run(fmt.Sprintf("%s/%dshard/seed%d", name, shards, seed), func(t *testing.T) {
 					rng := stats.NewRNG(seed)
 					capacity := 2 + rng.Intn(6)
-					var cs []*Cache
-					var counters []*countingPolicy
-					ref := &refMulti{}
-					for d := 0; d < shards; d++ {
-						p, rp := newPolicyPair(name, topP)
-						cp := &countingPolicy{Policy: p}
-						counters = append(counters, cp)
-						cs = append(cs, New(capacity, cp))
-						ref.shards = append(ref.shards, newRefCache(capacity, rp))
-					}
-					m := NewMulti(cs...)
-					pick := func() moe.ExpertID { return all[rng.Intn(len(all))] }
-					for op := 0; op < 1500; op++ {
-						var what string
-						switch k := rng.Intn(23); {
-						case k < 6:
-							x, home := pick(), rng.Intn(shards)
-							what = fmt.Sprintf("Lookup(%v,%d)", x, home)
-							if got, want := m.Lookup(x, home), ref.lookup(x, home); got != want {
-								t.Fatalf("op %d %s = %v, reference %v", op, what, got, want)
-							}
-						case k < 12:
-							x, d := pick(), rng.Intn(shards)
-							prot := map[moe.ExpertID]bool{}
-							for n := rng.Intn(4); n > 0; n-- {
-								prot[pick()] = true
-							}
-							guard := func(y moe.ExpertID) bool { return prot[y] }
-							what = fmt.Sprintf("Insert(%v,%d,protect %d)", x, d, len(prot))
-							gotEv, gotOK := m.Insert(x, d, guard)
-							gotEv = append([]moe.ExpertID(nil), gotEv...)
-							wantEv, wantOK := ref.insert(x, d, guard)
-							if gotOK != wantOK || fmt.Sprint(gotEv) != fmt.Sprint(wantEv) {
-								t.Fatalf("op %d %s = %v,%v, reference %v,%v", op, what, gotEv, gotOK, wantEv, wantOK)
-							}
-						case k == 12:
-							x := pick()
-							what = fmt.Sprintf("Pin(%v)", x)
-							if got, want := m.Pin(x), ref.pin(x); got != want {
-								t.Fatalf("op %d %s = %v, reference %v", op, what, got, want)
-							}
-						case k == 13:
-							ids := make([]moe.ExpertID, rng.Intn(6))
-							for i := range ids {
-								ids[i] = pick()
-							}
-							what = fmt.Sprintf("Warm(%v)", ids)
-							if got, want := m.Warm(ids), ref.warm(ids); got != want {
-								t.Fatalf("op %d %s = %d, reference %d", op, what, got, want)
-							}
-						case k < 18:
-							layer := rng.Intn(layers)
-							scores := make([]float64, experts)
-							for i := range scores {
-								// Coarse levels force ties at the top-p
-								// boundary.
-								scores[i] = float64(rng.Intn(4)) / 8
-							}
-							what = fmt.Sprintf("ObserveScores(%d,%v)", layer, scores)
-							m.ObserveScores(layer, scores)
-							ref.observe(layer, scores)
-						case k < 20:
-							x := pick()
-							what = fmt.Sprintf("TouchHistorical(%v)", x)
-							m.TouchHistorical(x)
-							ref.touchHistorical(x)
-						default:
-							ids, dests, prot := insertBatch(rng, m, pick)
-							what = fmt.Sprintf("InsertAll(%v,dest %v,protect %d)", ids, dests, len(prot))
-							m.InsertAll(ids, func(y moe.ExpertID) int { return dests[y] },
-								func(y moe.ExpertID) bool { return prot[y] })
-							for _, x := range ids {
-								ref.insert(x, dests[x], func(y moe.ExpertID) bool { return prot[y] })
-							}
-						}
-						for d := 0; d < shards; d++ {
-							s, r := m.Shard(d), ref.shards[d]
-							if s.Hits() != r.hits || s.Misses() != r.misses || s.Len() != len(r.resident) {
-								t.Fatalf("op %d %s: shard %d hits/misses/len %d/%d/%d, reference %d/%d/%d",
-									op, what, d, s.Hits(), s.Misses(), s.Len(), r.hits, r.misses, len(r.resident))
-							}
-							if counters[d].calls != r.victimCalls || counters[d].candidates != r.victimCandidates {
-								t.Fatalf("op %d %s: shard %d made %d victim calls offering %d candidates, reference %d offering %d",
-									op, what, d, counters[d].calls, counters[d].candidates, r.victimCalls, r.victimCandidates)
-							}
-						}
-						for _, x := range all {
-							gd, gok := m.Owner(x)
-							wd, wok := ref.owner(x)
-							if gd != wd || gok != wok {
-								t.Fatalf("op %d %s: Owner(%v) = %d,%v, reference %d,%v", op, what, x, gd, gok, wd, wok)
-							}
-							if gp, wp := m.Shard(gd).Pinned(x), ref.shards[wd].pinned[x]; gp != wp {
-								t.Fatalf("op %d %s: Pinned(%v) = %v, reference %v", op, what, x, gp, wp)
-							}
-							for d := 0; d < shards; d++ {
-								mrs, ok := counters[d].Policy.(*MRS)
-								if !ok {
-									continue
-								}
-								if got, want := mrs.Priority(x), ref.shards[d].policy.(*refMRS).prio[x]; got != want {
-									t.Fatalf("op %d %s: shard %d Priority(%v) = %v, reference %v", op, what, d, x, got, want)
-								}
-							}
-						}
+					if err := matchReference(name, shards, capacity, rng.Intn, func(op int) bool { return op < 1500 }); err != nil {
+						t.Fatal(err)
 					}
 				})
 			}
@@ -410,21 +465,59 @@ func TestCacheMatchesReference(t *testing.T) {
 	}
 }
 
-// insertBatch draws an InsertAll batch for the reference test: 0–8 ids
-// mixing fresh picks, repeats within the batch and residents, each with
-// a random destination shard, and a guard that protects some batch ids
-// and leaves others to rejoin the candidates once placed. One batch in
-// four also guards every resident, so a full shard has nothing to evict
-// and every insert into it fails.
-func insertBatch(rng *stats.RNG, m *Multi, pick func() moe.ExpertID) ([]moe.ExpertID, map[moe.ExpertID]int, map[moe.ExpertID]bool) {
-	ids := make([]moe.ExpertID, rng.Intn(9))
+// FuzzCacheMatchesReference runs matchReference on operations decoded
+// from the input: the first three bytes pick the policy, one or two
+// shards and a capacity of 1–8, and each later byte makes one choice of
+// the operation mix, until the input runs out.
+func FuzzCacheMatchesReference(f *testing.F) {
+	// Each seed fails a cache that keeps a layer's remembered victim
+	// across one of the calls that change the layer:
+	//   - a hit's Touch, under LRU;
+	//   - a hit's Touch, under LFU;
+	//   - ObserveScores, under MRS;
+	//   - a Pin, under LRU;
+	//   - an eviction.
+	for _, seed := range []string{
+		"01C701107110$92\xcd07(110$2007710000$90000m0#1781",
+		"102B200001101\x9e0180000001000000071000\xde070000000",
+		"20CB20080000000000190000000100%000000000B0008000000000000000000A0$2Z07 00%7200000007001",
+		"01%BX00001\xfc0110120170180190000100000100020007A007B011#<7",
+		"001$21078007",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		intn := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := int(data[0]) % n
+			data = data[1:]
+			return v
+		}
+		name := []string{"LRU", "LFU", "MRS"}[intn(3)]
+		shards, capacity := 1+intn(2), 1+intn(8)
+		if err := matchReference(name, shards, capacity, intn, func(int) bool { return len(data) > 0 }); err != nil {
+			t.Fatalf("%s, %d shards, capacity %d: %v", name, shards, capacity, err)
+		}
+	})
+}
+
+// insertBatch draws a batch for the reference test: 0–8 ids mixing
+// fresh picks, repeats within the batch and residents, each with a
+// random destination shard, and a guard that protects some batch ids
+// and leaves others evictable once placed. One batch in four also
+// guards every resident, so a full shard has nothing to evict and every
+// insert into it fails.
+func insertBatch(intn func(int) int, m *Multi, pick func() moe.ExpertID) ([]moe.ExpertID, map[moe.ExpertID]int, map[moe.ExpertID]bool) {
+	ids := make([]moe.ExpertID, intn(9))
 	for i := range ids {
-		s := m.Shard(rng.Intn(m.Devices()))
-		switch r := rng.Intn(4); {
+		s := m.Shard(intn(m.Devices()))
+		switch r := intn(4); {
 		case r == 0 && i > 0:
-			ids[i] = ids[rng.Intn(i)]
+			ids[i] = ids[intn(i)]
 		case r == 1 && s.Len() > 0:
-			ids[i] = s.Resident()[rng.Intn(s.Len())]
+			ids[i] = s.Resident()[intn(s.Len())]
 		default:
 			ids[i] = pick()
 		}
@@ -433,14 +526,14 @@ func insertBatch(rng *stats.RNG, m *Multi, pick func() moe.ExpertID) ([]moe.Expe
 	prot := map[moe.ExpertID]bool{}
 	for _, x := range ids {
 		if _, ok := dests[x]; !ok {
-			dests[x] = rng.Intn(m.Devices())
+			dests[x] = intn(m.Devices())
 		}
-		prot[x] = rng.Intn(2) == 0
+		prot[x] = intn(2) == 0
 	}
-	for n := rng.Intn(4); n > 0; n-- {
+	for n := intn(4); n > 0; n-- {
 		prot[pick()] = true
 	}
-	if rng.Intn(4) == 0 {
+	if intn(4) == 0 {
 		for d := 0; d < m.Devices(); d++ {
 			for _, x := range m.Shard(d).Resident() {
 				prot[x] = true
@@ -518,7 +611,6 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		m.ObserveScores(3, scores)
 		m.Warm(pool)
 		batch := make([]moe.ExpertID, 3)
-		dest := func(x moe.ExpertID) int { return x.Index % shards }
 		guard := func(x moe.ExpertID) bool { return x == batch[0] }
 		e := 0
 		// AllocsPerRun's own warm-up call is the one the batch needs.
@@ -527,13 +619,15 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 				batch[i] = pool[(5*e+i)%len(pool)]
 			}
 			e++
-			m.InsertAll(batch, dest, guard)
+			for _, x := range batch {
+				m.Insert(x, x.Index%shards, guard)
+			}
 		}); a != 0 {
-			t.Errorf("evicting Multi.InsertAll on %d shards allocated %.1f times per call", shards, a)
+			t.Errorf("evicting batch of Multi.Insert on %d shards allocated %.1f times per call", shards, a)
 		}
 		for d, cp := range counters {
 			if cp.calls == 0 {
-				t.Errorf("Multi.InsertAll on %d shards never evicted from shard %d", shards, d)
+				t.Errorf("batch of Multi.Insert on %d shards never evicted from shard %d", shards, d)
 			}
 		}
 	}

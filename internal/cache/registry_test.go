@@ -64,17 +64,45 @@ func TestPolicyRegisterThirdParty(t *testing.T) {
 	}
 }
 
-// TestVictimIgnoresCandidateOrder pins the contract the cache's victim
-// partition relies on: every registered policy's Victim depends on the
-// candidate set, never on its order. The states are tie-heavy — few
-// touches, forgotten experts, coarse score levels — so the tie-break,
-// not the policy's ranking, decides among many candidates.
+// TestVictimIgnoresCandidateOrder pins the contract the cache's
+// remembered per-layer victims rely on, for every registered policy:
+//   - Victim depends on the candidate set, never on its order;
+//   - the victim of a union of two disjoint sets is the victim of the
+//     two sets' victims;
+//   - a layer's victim does not move when Touch, Admit or Forget name
+//     another layer's experts, or ObserveScores another layer.
+//
+// The states are tie-heavy — few touches, forgotten experts, coarse
+// score levels — so the tie-break, not the policy's ranking, decides
+// among many candidates.
 func TestVictimIgnoresCandidateOrder(t *testing.T) {
 	const layers, experts = 3, 6
 	var all []moe.ExpertID
 	for l := 0; l < layers; l++ {
 		for e := 0; e < experts; e++ {
 			all = append(all, id(l, e))
+		}
+	}
+	scores := func(rng *stats.RNG) []float64 {
+		s := make([]float64, experts)
+		for i := range s {
+			s[i] = float64(rng.Intn(3)) / 4
+		}
+		return s
+	}
+	// mutate applies one random policy call naming an expert of, or
+	// observing scores for, a layer drawn from layerOf.
+	mutate := func(p Policy, rng *stats.RNG, layerOf func() int) {
+		x := id(layerOf(), rng.Intn(experts))
+		switch rng.Intn(4) {
+		case 0:
+			p.Admit(x)
+		case 1:
+			p.Touch(x)
+		case 2:
+			p.Forget(x)
+		default:
+			p.ObserveScores(x.Layer, scores(rng))
 		}
 	}
 	for _, name := range Names() {
@@ -84,22 +112,9 @@ func TestVictimIgnoresCandidateOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			anyLayer := func() int { return rng.Intn(layers) }
 			for op := 0; op < 30; op++ {
-				x := all[rng.Intn(len(all))]
-				switch rng.Intn(4) {
-				case 0:
-					p.Admit(x)
-				case 1:
-					p.Touch(x)
-				case 2:
-					p.Forget(x)
-				default:
-					scores := make([]float64, experts)
-					for i := range scores {
-						scores[i] = float64(rng.Intn(3)) / 4
-					}
-					p.ObserveScores(rng.Intn(layers), scores)
-				}
+				mutate(p, rng, anyLayer)
 			}
 			cands := make([]moe.ExpertID, 0, len(all))
 			for _, i := range rng.Perm(len(all))[:2+rng.Intn(len(all)-1)] {
@@ -110,6 +125,26 @@ func TestVictimIgnoresCandidateOrder(t *testing.T) {
 				rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 				if got := p.Victim(cands); got != want {
 					t.Fatalf("%s seed %d: Victim(%v) = %v, %v in another order", name, seed, cands, got, want)
+				}
+				// cands is freshly shuffled, so any cut splits it into
+				// random disjoint non-empty sets.
+				k := 1 + rng.Intn(len(cands)-1)
+				a, b := cands[:k], cands[k:]
+				parts := []moe.ExpertID{p.Victim(a), p.Victim(b)}
+				if got := p.Victim(parts); got != want {
+					t.Fatalf("%s seed %d: Victim(%v ∪ %v) = %v, but the victim of the parts' victims %v is %v",
+						name, seed, a, b, want, parts, got)
+				}
+			}
+			layer := rng.Intn(layers)
+			own := all[layer*experts : (layer+1)*experts]
+			wantLayer := p.Victim(own)
+			otherLayer := func() int { return (layer + 1 + rng.Intn(layers-1)) % layers }
+			for op := 0; op < 30; op++ {
+				mutate(p, rng, otherLayer)
+				if got := p.Victim(own); got != wantLayer {
+					t.Fatalf("%s seed %d: layer %d's victim moved from %v to %v after op %d on another layer",
+						name, seed, layer, wantLayer, got, op)
 				}
 			}
 		}

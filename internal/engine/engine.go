@@ -66,7 +66,7 @@ type Engine struct {
 	//   - active: the current layer's routed experts, activeLayer that
 	//     layer, and protect the eviction guard reading them, bound once;
 	//   - dest: a transferred expert's destination shard, by index (a
-	//     plan covers one layer), and destOf its reader, bound once;
+	//     plan covers one layer);
 	//   - gpuFrees/linkFrees: the plan's per-device Resources;
 	//   - budgets: the prefetch link budgets;
 	//   - loadScores/loadIdx: predictedLoads' top-k selection;
@@ -75,7 +75,6 @@ type Engine struct {
 	activeLayer         int
 	protect             func(moe.ExpertID) bool
 	dest                []int
-	destOf              func(moe.ExpertID) int
 	gpuFrees, linkFrees []float64
 	budgets             []float64
 	loadScores          []float64
@@ -233,7 +232,6 @@ func New(cfg *moe.Config, platform *hw.Platform, fw Framework, opts ...Option) (
 	e.active = make([]bool, cfg.RoutedExperts)
 	e.dest = make([]int, cfg.RoutedExperts)
 	e.protect = e.isActive
-	e.destOf = func(id moe.ExpertID) int { return e.dest[id.Index] }
 	e.pfTarget = e.homeDevice
 	e.pfIsCached = e.isCached
 	e.pfPredictLoads = func(l int) []int { return e.predictedLoads(e.pfLayer, l) }
@@ -511,9 +509,9 @@ func (e *Engine) applyPlan(plan *sched.Plan, layerStart float64) {
 			e.dest[op.Expert.Index] = d
 		}
 	}
-	// One batch under one guard: each shard partitions its victim
-	// candidates once for the layer, not once per eviction.
-	e.placeCache.InsertAll(plan.Transferred, e.destOf, e.protect)
+	for _, id := range plan.Transferred {
+		e.placeCache.Insert(id, e.dest[id.Index], e.protect)
+	}
 }
 
 // prefetchInto spends PCIe idle time until layerEnd on upcoming layers,

@@ -23,10 +23,10 @@ type ArrivalProcess interface {
 // Poisson returns the memoryless arrival process with the given mean
 // rate in requests per second: gaps are exponential with mean 1/rate,
 // the standard open-loop load model serving evaluations replay. It
-// panics on a non-positive rate.
+// panics on a rate that is not positive and finite.
 func Poisson(rate float64) ArrivalProcess {
-	if rate <= 0 || math.IsNaN(rate) {
-		panic(fmt.Sprintf("workload: Poisson rate %v must be positive", rate))
+	if !positiveFinite(rate) {
+		panic(fmt.Sprintf("workload: Poisson rate %v must be positive and finite", rate))
 	}
 	return poissonProcess{rate: rate}
 }
@@ -40,10 +40,11 @@ func (p poissonProcess) Gap(rng *stats.RNG) float64 { return rng.Exp(p.rate) }
 // Uniform returns the evenly spaced arrival process: every gap is
 // exactly 1/rate seconds, the zero-variance baseline that isolates
 // queueing caused by service-time variation from queueing caused by
-// arrival burstiness. It panics on a non-positive rate.
+// arrival burstiness. It panics on a rate that is not positive and
+// finite.
 func Uniform(rate float64) ArrivalProcess {
-	if rate <= 0 || math.IsNaN(rate) {
-		panic(fmt.Sprintf("workload: Uniform rate %v must be positive", rate))
+	if !positiveFinite(rate) {
+		panic(fmt.Sprintf("workload: Uniform rate %v must be positive and finite", rate))
 	}
 	return uniformProcess{gap: 1 / rate}
 }
@@ -60,17 +61,17 @@ func (u uniformProcess) Gap(*stats.RNG) float64 { return u.gap }
 // and meanOff seconds. It is the bursty open-loop load shape that makes
 // admission control earn its keep — sustained quiet stretches followed
 // by arrival clumps far above the long-run mean rate. offRate may be 0
-// (a pure on/off process); onRate, meanOn and meanOff must be positive
-// or the constructor panics.
+// (a pure on/off process); onRate, meanOn and meanOff must be positive.
+// Every parameter must be finite, or the constructor panics.
 func Bursty(onRate, offRate, meanOn, meanOff float64) ArrivalProcess {
-	if onRate <= 0 || math.IsNaN(onRate) {
-		panic(fmt.Sprintf("workload: Bursty on-rate %v must be positive", onRate))
+	if !positiveFinite(onRate) {
+		panic(fmt.Sprintf("workload: Bursty on-rate %v must be positive and finite", onRate))
 	}
-	if offRate < 0 || math.IsNaN(offRate) {
-		panic(fmt.Sprintf("workload: Bursty off-rate %v must be non-negative", offRate))
+	if offRate != 0 && !positiveFinite(offRate) {
+		panic(fmt.Sprintf("workload: Bursty off-rate %v must be non-negative and finite", offRate))
 	}
-	if meanOn <= 0 || meanOff <= 0 {
-		panic(fmt.Sprintf("workload: Bursty phase means on=%v off=%v must be positive", meanOn, meanOff))
+	if !positiveFinite(meanOn) || !positiveFinite(meanOff) {
+		panic(fmt.Sprintf("workload: Bursty phase means on=%v off=%v must be positive and finite", meanOn, meanOff))
 	}
 	return &burstyProcess{onRate: onRate, offRate: offRate, meanOn: meanOn, meanOff: meanOff}
 }
@@ -123,12 +124,13 @@ func (b *burstyProcess) Gap(rng *stats.RNG) float64 {
 // rate in requests per second: "poisson", "uniform", or "bursty" (an
 // on/off process at 2×rate during on phases and silent during off
 // phases, equal mean phase lengths of four mean inter-arrival times, so
-// its long-run rate matches rate). Unknown names and non-positive rates
-// return descriptive errors rather than panicking — this is the flag
-// parsing path.
+// its long-run rate matches rate). Unknown names and rates whose
+// derived values overflow — rate, 2×rate, 1/rate and 4/rate must all be
+// positive and finite — return descriptive errors rather than
+// panicking: this is the flag parsing path.
 func NewArrivals(name string, rate float64) (ArrivalProcess, error) {
-	if rate <= 0 || math.IsNaN(rate) {
-		return nil, fmt.Errorf("workload: arrival rate %v must be positive", rate)
+	if !positiveFinite(rate) || !positiveFinite(2*rate) || !positiveFinite(1/rate) || !positiveFinite(4/rate) {
+		return nil, fmt.Errorf("workload: arrival rate %v must be positive, with rate, 2×rate, 1/rate and 4/rate finite", rate)
 	}
 	switch name {
 	case "poisson":
@@ -141,3 +143,6 @@ func NewArrivals(name string, rate float64) (ArrivalProcess, error) {
 		return nil, fmt.Errorf("workload: unknown arrival process %q (have bursty, poisson, uniform)", name)
 	}
 }
+
+// positiveFinite reports whether x is positive and finite (NaN is not).
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }

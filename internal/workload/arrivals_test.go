@@ -102,11 +102,19 @@ func TestBurstyRateAndBurstiness(t *testing.T) {
 func TestArrivalConstructorsPanicOnBadParams(t *testing.T) {
 	cases := map[string]func(){
 		"poisson zero rate":    func() { Poisson(0) },
+		"poisson Inf rate":     func() { Poisson(math.Inf(1)) },
 		"uniform negative":     func() { Uniform(-1) },
+		"uniform Inf rate":     func() { Uniform(math.Inf(1)) },
 		"bursty zero on-rate":  func() { Bursty(0, 1, 1, 1) },
+		"bursty Inf on-rate":   func() { Bursty(math.Inf(1), 0, 1, 1) },
 		"bursty neg off-rate":  func() { Bursty(1, -1, 1, 1) },
+		"bursty Inf off-rate":  func() { Bursty(1, math.Inf(1), 1, 1) },
+		"bursty NaN off-rate":  func() { Bursty(1, math.NaN(), 1, 1) },
 		"bursty zero on-mean":  func() { Bursty(1, 0, 0, 1) },
+		"bursty Inf on-mean":   func() { Bursty(1, 0, math.Inf(1), 1) },
 		"bursty zero off-mean": func() { Bursty(1, 0, 1, 0) },
+		"bursty Inf off-mean":  func() { Bursty(1, 0, 1, math.Inf(1)) },
+		"bursty NaN off-mean":  func() { Bursty(1, 0, 1, math.NaN()) },
 		"nil process attached": func() { NewStream(1, MTBench()).WithArrivals(nil) },
 	}
 	for name, f := range cases {
@@ -134,8 +142,14 @@ func TestNewArrivalsResolvesNames(t *testing.T) {
 	if _, err := NewArrivals("psychic", 4); err == nil || !strings.Contains(err.Error(), "psychic") {
 		t.Fatalf("unknown process error %v should name the offender", err)
 	}
-	if _, err := NewArrivals("poisson", 0); err == nil {
-		t.Fatal("non-positive rate must error")
+	// Rates whose derived values overflow: +Inf itself, 5e-324 (1/rate
+	// and 4/rate overflow) and 1e308 (2×rate overflows).
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), 5e-324, 1e308} {
+		for _, name := range []string{"poisson", "uniform", "bursty"} {
+			if _, err := NewArrivals(name, rate); err == nil {
+				t.Errorf("NewArrivals(%q, %v) succeeded, want an error", name, rate)
+			}
+		}
 	}
 }
 
