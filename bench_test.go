@@ -714,13 +714,15 @@ func benchParallelFleetRequests() []workload.Request {
 }
 
 // BenchmarkFleetParallelStep times the same 4-replica drain at 1, 2 and
-// 4 cluster workers (cluster.WithWorkers — the horizon-batched parallel
-// execution mode, byte-identical event stream at any count), so the
-// serial and parallel ns/op land in BENCH_<sha>.json side by side. The
-// parallel sub-benchmarks also wall-clock a serial twin in untimed
-// setup and report the speedup as a gated custom metric, tracking the
-// scaling win per commit; the events metric pins determinism — it must
-// never move between worker counts or commits.
+// 4 cluster workers (cluster.WithWorkers — the goroutines each horizon
+// window fans replicas out to, byte-identical event stream at any
+// count), so the ns/op at each count land in BENCH_<sha>.json side by
+// side. The multi-worker sub-benchmarks also wall-clock a one-worker
+// twin in untimed setup and report the speedup as a gated custom
+// metric (speedup-vs-serial: one worker runs every window on the
+// caller's goroutine), tracking the scaling win per commit; the events
+// metric pins determinism — it must never move between worker counts
+// or commits.
 func BenchmarkFleetParallelStep(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {

@@ -74,7 +74,7 @@ func run(args []string, w io.Writer) error {
 	quick := fs.Bool("quick", false, "reduced iteration counts")
 	short := fs.Bool("short", false, "alias for -quick (CI smoke runs)")
 	workers := fs.Int("workers", 0, "sweep-runner parallelism for grid studies (0 = all CPUs)")
-	clusterWorkers := fs.Int("cluster-workers", 1, "replica-stepping parallelism inside each fleet (1 = serial; output is identical at any count)")
+	clusterWorkers := fs.Int("cluster-workers", 1, "goroutines each fleet's horizon windows fan replicas out to (output is identical at any count)")
 
 	switch cmd {
 	case "list":
@@ -95,11 +95,10 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		p, err := params(*seed, *steps, *workers, *quick || *short)
+		p, err := params(*seed, *steps, *workers, *clusterWorkers, *quick || *short)
 		if err != nil {
 			return err
 		}
-		p.ClusterWorkers = *clusterWorkers
 		e.Run(p).Render(w)
 		return nil
 
@@ -107,11 +106,10 @@ func run(args []string, w io.Writer) error {
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		p, err := params(*seed, *steps, *workers, *quick || *short)
+		p, err := params(*seed, *steps, *workers, *clusterWorkers, *quick || *short)
 		if err != nil {
 			return err
 		}
-		p.ClusterWorkers = *clusterWorkers
 		exp.RunAll(w, p)
 		return nil
 
@@ -278,8 +276,8 @@ func serve(w io.Writer, sc serveConfig) error {
 	if sc.replicas < 1 {
 		return fmt.Errorf("-replicas %d must be at least 1", sc.replicas)
 	}
-	if sc.clusterWorkers < 1 {
-		return fmt.Errorf("-cluster-workers %d must be at least 1", sc.clusterWorkers)
+	if err := checkClusterWorkers(sc.clusterWorkers); err != nil {
+		return err
 	}
 	reqs, err := serveRequests(sc)
 	if err != nil {
@@ -445,12 +443,10 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 		cluster.WithBuilder(build),
 		cluster.WithSeed(sc.seed),
 		cluster.WithMaxConcurrent(sc.concurrent),
+		cluster.WithWorkers(sc.clusterWorkers),
 	}
 	if poolSpec.Pooled() {
 		opts = append(opts, cluster.WithPools(poolSpec))
-	}
-	if sc.clusterWorkers > 1 {
-		opts = append(opts, cluster.WithWorkers(sc.clusterWorkers))
 	}
 	admitting := sc.sloTTFT > 0 || sc.sloTBT > 0
 	if admitting {
@@ -578,12 +574,15 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 }
 
 // params resolves the experiment scale the run and all subcommands use.
-func params(seed uint64, steps, workers int, quick bool) (exp.Params, error) {
+func params(seed uint64, steps, workers, clusterWorkers int, quick bool) (exp.Params, error) {
 	if err := checkSteps(steps); err != nil {
 		return exp.Params{}, err
 	}
 	if workers < 0 {
 		return exp.Params{}, fmt.Errorf("-workers %d must be non-negative (0 = all CPUs)", workers)
+	}
+	if err := checkClusterWorkers(clusterWorkers); err != nil {
+		return exp.Params{}, err
 	}
 	p := exp.DefaultParams()
 	if quick {
@@ -591,6 +590,7 @@ func params(seed uint64, steps, workers int, quick bool) (exp.Params, error) {
 	}
 	p.Seed = seed
 	p.Workers = workers
+	p.ClusterWorkers = clusterWorkers
 	p.DecodeSteps = steps
 	if quick && steps == 50 {
 		p.DecodeSteps = 8
@@ -603,6 +603,13 @@ func params(seed uint64, steps, workers int, quick bool) (exp.Params, error) {
 func checkSteps(steps int) error {
 	if steps < 1 {
 		return fmt.Errorf("-steps %d must be at least 1", steps)
+	}
+	return nil
+}
+
+func checkClusterWorkers(n int) error {
+	if n < 1 {
+		return fmt.Errorf("-cluster-workers %d must be at least 1", n)
 	}
 	return nil
 }

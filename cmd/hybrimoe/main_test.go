@@ -60,6 +60,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"run fig8 -workers -1",
 		"all -steps -1",
 		"all -workers -3",
+		"run fleet -cluster-workers -1 -quick",
+		"all -cluster-workers -3 -quick",
 		"demo -steps 0",
 		"serve -model Bogus",
 		"serve -cache 1.5",

@@ -266,17 +266,15 @@ func WithRouteLog(n int) Option {
 	}
 }
 
-// WithWorkers bounds the horizon-batched parallel execution mode: with
-// n > 1, Step advances independent replicas concurrently on up to n
-// goroutines between fleet synchronisation points (the next undispatched
-// arrival, in-transit handoff completion, or lifecycle stamp) and merges
-// the per-replica event runs back into the serial interleave, so the
-// emitted Event sequence is byte-identical to the default n = 1 serial
-// path at any worker count — the knob trades CPU for wall-clock, never
-// output. Disaggregated fleets (WithPools) always run serially: an
-// export-mode prefill step creates a handoff whose transfer-completion
-// stamp cannot be known before the step runs, so no safe horizon exists
-// ahead of it. n < 1 errors.
+// WithWorkers bounds how many goroutines each horizon window fans its
+// replicas out to (default 1, which runs them on the caller's
+// goroutine). Step advances independent replicas between fleet
+// synchronisation points (the next undispatched arrival or in-transit
+// handoff completion, the next lifecycle stamp, and the clock of every
+// prefill-pool replica with work) and merges their event runs back into
+// the lockstep interleave, so the emitted Event sequence is
+// byte-identical at any worker count, pooled fleets included — the knob
+// trades CPU for wall-clock, never output. n < 1 errors.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -304,18 +302,20 @@ type replica struct {
 	// would allocate a closure per replica per dispatch.
 	hasExpert func(layer, index int) bool
 	// runEvs/runClocks are the replica's horizon-window scratch: the
-	// batched StepEvents and their pre-step clocks (the merge keys)
-	// from the latest parallel window. Reused across windows.
+	// StepEvents and their pre-step clocks (the merge keys) from the
+	// latest window. Reused across windows.
 	runEvs    []engine.StepEvent
 	runClocks []float64
 }
 
 // Cluster owns N replica stacks and a router, and advances the fleet in
-// lockstep: each Step dispatches every arrival the shared clock has
-// reached, then runs one session step on the replica whose clock trails
-// the fleet. Equal-seed runs are byte-stable — the router is the only
-// coupling between replicas, and every stochastic component draws from
-// its own seeded stream.
+// lockstep order: dispatch routes every arrival the shared clock has
+// reached, then the replica whose clock trails the fleet computes next.
+// Step runs that order in horizon windows — every replica that trails
+// the next synchronisation point runs to it, and the runs merge by
+// (pre-step clock, replica index). Equal-seed runs are byte-stable at
+// any worker count — the router is the only coupling between replicas,
+// and every stochastic component draws from its own seeded stream.
 type Cluster struct {
 	replicas      []*replica
 	router        Router
@@ -333,11 +333,11 @@ type Cluster struct {
 	pending sim.Queue[*fleetRequest]
 	// queue holds events awaiting emission ahead of replica compute:
 	// fleet-level admission and lifecycle records, and the merged run
-	// of a parallel window. qhead is the pop cursor: Step drops the
+	// of a horizon window. qhead is the pop cursor: Step drops the
 	// head by advancing it (zeroing the slot) instead of re-slicing, so
 	// the drained prefix never pins the backing array; once drained the
 	// buffer resets to length zero for reuse. Appends only ever happen
-	// on a drained queue (dispatch, lifecycle and parallel windows run
+	// on a drained queue (dispatch, lifecycle and horizon windows run
 	// only then), so the cursor never wraps.
 	queue []Event
 	qhead int
@@ -361,9 +361,9 @@ type Cluster struct {
 	handoffs        int
 	migratedExperts int
 	warmAdmitted    int
-	// workers caps the goroutines a horizon-batched parallel window
-	// fans steppable replicas out to; 1 is the streaming serial path.
-	// cands and cursors are per-window scratch.
+	// workers caps the goroutines a horizon window fans its replicas
+	// out to; at 1 they run on the caller's goroutine. cands and
+	// cursors are per-window scratch.
 	workers int
 	cands   []int
 	cursors []int
@@ -864,14 +864,13 @@ func (c *Cluster) exportPrefilled(i int) {
 
 // Step advances the fleet by one event: a queued record if one is
 // waiting (a fleet admission, lifecycle or handoff record, or a step of
-// the latest parallel window), else one session step on the
-// steppable replica whose clock trails the fleet (ties to the lowest
-// index — the deterministic lockstep order), after firing any lifecycle
-// action that clock has reached. When nothing is steppable the timeline
-// jumps to the next lifecycle action (a stalled fleet waits for its
-// doctor). ok is false when every submitted request has finished, been
-// shed, or been stranded on a fleet with no serving capacity left and
-// no lifecycle action that could restore it.
+// the latest horizon window), else, after firing any lifecycle action
+// the trailing replica's clock has reached, the next window's merged
+// run (see advanceWindow). When nothing is steppable the timeline jumps
+// to the next lifecycle action (a stalled fleet waits for its doctor).
+// ok is false when every submitted request has finished, been shed, or
+// been stranded on a fleet with no serving capacity left and no
+// lifecycle action that could restore it.
 func (c *Cluster) Step() (ev Event, ok bool) {
 	for {
 		if c.qhead == len(c.queue) {
@@ -887,31 +886,16 @@ func (c *Cluster) Step() (ev Event, ok bool) {
 			c.steps++
 			return ev, true
 		}
-		if c.workers > 1 && !c.pools.Pooled() && c.advanceWindow() {
-			continue
-		}
 		if pick, now := c.frontier(); pick >= 0 {
 			if at, _, peek := c.life.PeekMin(); peek && at <= now {
-				// The lockstep clock has reached a lifecycle stamp:
-				// apply it before compute — the step about to run may
-				// be on the very replica the action stalls or kills.
+				// The fleet clock has reached a lifecycle stamp: apply it
+				// before compute — the step about to run may be on the
+				// very replica the action stalls or kills.
 				c.tickLife(now)
 				continue
 			}
-			r := c.replicas[pick]
-			sev, sok := r.ses.Step()
-			if !sok {
-				// Pending() > 0 guarantees the session has a step to run; a
-				// refusal is an accounting bug, not a drained fleet.
-				panic(fmt.Sprintf("cluster: replica %d session refused to step with %d pending",
-					pick, r.ses.Pending()))
-			}
-			r.lease = r.eng.Clock()
-			c.tally.Add(sev)
-			c.exportPrefilled(pick)
-			c.retireDrained(pick, r.eng.Clock())
-			c.steps++
-			return Event{Replica: pick, StepEvent: sev}, true
+			c.advanceWindow(pick, now)
+			continue
 		}
 		// Nothing steppable: a stalled replica holding the only work
 		// waits for its detection, warming replicas for their promotion.

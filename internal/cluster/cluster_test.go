@@ -412,9 +412,9 @@ func TestClusterDropsZeroWork(t *testing.T) {
 // TestClusterDeliversFinalBatchEvents is the regression pin for trailing
 // batch members: when a replica's last iteration is a merged batch, its
 // session queues the other members' events (Done included) after
-// Pending has already reached 0. Cluster.Step alone — serially or in
-// parallel windows, and on a replica retiring by scale-down — must
-// still deliver exactly one Done per request.
+// Pending has already reached 0. Cluster.Step alone — at one worker or
+// two, and on a replica retiring by scale-down — must still deliver
+// exactly one Done per request.
 func TestClusterDeliversFinalBatchEvents(t *testing.T) {
 	const n = 8
 	reqs := make([]workload.Request, n)

@@ -247,9 +247,9 @@ func (c *Cluster) retireDrained(i int, at float64) {
 // flushEmissions queues the events replica i's session has produced but
 // not yet delivered — the trailing members of its last merged batch, or
 // an admission record — folding each into the fleet tally as a stepped
-// event would be. The session's Pending does not count them, so the
-// lockstep loop never steps a replica for them alone: they leave here,
-// before the replica retires or the fleet reports exhaustion.
+// event would be. The session's Pending does not count them, so no
+// window steps a replica for them alone: they leave here, before the
+// replica retires or the fleet reports exhaustion.
 func (c *Cluster) flushEmissions(i int) {
 	r := c.replicas[i]
 	for r.ses.HasEmission() {

@@ -11,21 +11,26 @@ import (
 	"hybrimoe/internal/workload"
 )
 
-// parallelScenario is one fleet shape the serial ≡ parallel contract is
-// pinned over. Every scenario is rebuilt from scratch per worker count
-// so no state leaks between runs.
+// parallelScenario is one fleet shape the window ≡ lockstep contract is
+// pinned over. Every scenario is rebuilt from scratch per run so no
+// state leaks between runs. needs names a counter that must be positive
+// in the reference run, or the scenario lost its point; wide requires
+// some window to run more than one replica.
 type parallelScenario struct {
-	name string
-	opts func(t *testing.T) []Option
-	reqs func() []workload.Request
+	name  string
+	opts  func(t *testing.T) []Option
+	reqs  func() []workload.Request
+	needs string
+	wide  bool
 }
 
-// parallelScenarios spans the coupling surfaces a parallel window must
-// not perturb: plain routing, stateful affinity routing, fleet
-// admission (shed/defer + the tally-fed quantiles), failure churn
-// with re-routes, elastic scale-down draining, merged batches whose
-// trailing events outlive Pending, and a disaggregated fleet (which must
-// silently fall back to the serial path).
+// parallelScenarios spans the coupling surfaces a window must not
+// perturb: plain routing, stateful affinity routing, fleet admission
+// (shed/defer + the tally-fed quantiles, and deferred heads that shrink
+// a window to one step), failure churn with re-routes, elastic
+// scale-down draining, merged batches whose trailing events outlive
+// Pending, and disaggregated fleets whose prefill clocks bound the
+// horizon, with and without churn.
 func parallelScenarios() []parallelScenario {
 	return []parallelScenario{
 		{
@@ -37,6 +42,7 @@ func parallelScenarios() []parallelScenario {
 				}
 			},
 			reqs: func() []workload.Request { return burstRequests(900, 24, 10) },
+			wide: true,
 		},
 		{
 			name: "burst-affinity",
@@ -57,7 +63,8 @@ func parallelScenarios() []parallelScenario {
 					WithAdmission(&engine.SLOAdmission{TTFTp95: 0.05, MinSamples: 2, ShedFactor: 1.2}),
 				}
 			},
-			reqs: func() []workload.Request { return burstRequests(920, 24, 16) },
+			reqs:  func() []workload.Request { return burstRequests(920, 24, 16) },
+			needs: "shed",
 		},
 		{
 			name: "churn-stall-scale-up",
@@ -69,7 +76,8 @@ func parallelScenarios() []parallelScenario {
 					WithScalePlan(ScaleEvent{At: 0.35, Delta: 1}),
 				}
 			},
-			reqs: func() []workload.Request { return burstRequests(800, 20, 12) },
+			reqs:  func() []workload.Request { return burstRequests(800, 20, 12) },
+			needs: "rerouted",
 		},
 		{
 			name: "scale-down-drain",
@@ -113,14 +121,85 @@ func parallelScenarios() []parallelScenario {
 					WithPools(PoolSpec{Prefill: 1, Decode: 2}),
 				}
 			},
-			reqs: func() []workload.Request { return burstRequests(840, 10, 12) },
+			reqs:  func() []workload.Request { return burstRequests(840, 10, 12) },
+			needs: "handoffs",
+		},
+		{
+			// A deferred fleet-door head holds the horizon at or behind
+			// the trailing clock, so the window shrinks to one step and
+			// dispatch judges the head again after it.
+			name: "deferring",
+			opts: func(t *testing.T) []Option {
+				return []Option{
+					WithReplicas(3), WithRouter("affinity"), WithSeed(970),
+					WithBuilder(buildReplica(t, 970)), WithMaxConcurrent(2),
+					WithAdmission(&engine.SLOAdmission{TTFTp95: 0.05, MinSamples: 2, ShedFactor: 100}),
+				}
+			},
+			reqs:  func() []workload.Request { return burstRequests(970, 24, 16) },
+			needs: "deferred",
+		},
+		{
+			name: "pooled-deferring",
+			opts: func(t *testing.T) []Option {
+				return []Option{
+					WithReplicas(4), WithRouter("least-loaded"), WithSeed(980),
+					WithBuilder(buildReplica(t, 980)), WithMaxConcurrent(2),
+					WithPools(PoolSpec{Prefill: 2, Decode: 2}),
+					WithAdmission(&engine.SLOAdmission{TTFTp95: 0.05, MinSamples: 2, ShedFactor: 3}),
+				}
+			},
+			reqs:  func() []workload.Request { return burstRequests(980, 24, 16) },
+			needs: "deferred",
+		},
+		{
+			// Churn on both pools: a stalled decode replica, a prefill
+			// replica's death, mixed scale-up joins and a drain, over
+			// merged batches.
+			name: "pooled-churn",
+			opts: func(t *testing.T) []Option {
+				return []Option{
+					WithReplicas(4), WithRouter("affinity"), WithSeed(990),
+					WithBuilder(buildReplica(t, 990, engine.WithBatchPolicy("greedy", 64))),
+					WithMaxConcurrent(3),
+					WithPools(PoolSpec{Prefill: 2, Decode: 2}),
+					WithFailure(3, 0.25, FailStall),
+					WithFailure(0, 0.5, FailDeath),
+					WithScalePlan(ScaleEvent{At: 0.3, Delta: 2}, ScaleEvent{At: 0.7, Delta: -1}),
+				}
+			},
+			reqs:  func() []workload.Request { return burstRequests(990, 40, 20) },
+			needs: "handoffs",
+			wide:  true,
+		},
+		{
+			name: "pooled-1-3",
+			opts: func(t *testing.T) []Option {
+				return []Option{
+					WithReplicas(4), WithRouter("round-robin"), WithSeed(991),
+					WithBuilder(buildReplica(t, 991)), WithMaxConcurrent(2),
+					WithPools(PoolSpec{Prefill: 1, Decode: 3}),
+				}
+			},
+			reqs:  func() []workload.Request { return burstRequests(991, 30, 8) },
+			needs: "handoffs",
 		},
 	}
 }
 
-// runScenario drains one freshly-built cluster and returns its
-// serialised event log plus the counters a divergent merge would skew.
-func runScenario(t *testing.T, sc parallelScenario, workers int) ([]byte, map[string]int) {
+// scenarioRun is one drained scenario: its serialised event log, the
+// counters a divergent merge would skew, and the most replicas any one
+// window ran.
+type scenarioRun struct {
+	log      []byte
+	counters map[string]int
+	widest   int
+}
+
+// runScenario drains one freshly-built cluster at the given worker
+// count, taking each event from step: Cluster.Step, or the lockstep
+// reference.
+func runScenario(t *testing.T, sc parallelScenario, workers int, step func(*Cluster) (Event, bool)) scenarioRun {
 	t.Helper()
 	opts := append(sc.opts(t), WithWorkers(workers))
 	c, err := New(opts...)
@@ -128,8 +207,16 @@ func runScenario(t *testing.T, sc parallelScenario, workers int) ([]byte, map[st
 		t.Fatal(err)
 	}
 	c.Submit(sc.reqs()...)
+	var run scenarioRun
 	var events []Event
-	c.Run(func(ev Event) { events = append(events, ev) })
+	for {
+		ev, ok := step(c)
+		if !ok {
+			break
+		}
+		events = append(events, ev)
+		run.widest = max(run.widest, len(c.cands))
+	}
 	if len(events) == 0 {
 		t.Fatalf("%s emitted no events", sc.name)
 	}
@@ -137,7 +224,8 @@ func runScenario(t *testing.T, sc parallelScenario, workers int) ([]byte, map[st
 	if err := WriteEventLog(&buf, events); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), map[string]int{
+	run.log = buf.Bytes()
+	run.counters = map[string]int{
 		"steps":    c.Steps(),
 		"shed":     c.Shed(),
 		"deferred": c.Deferred(),
@@ -145,26 +233,90 @@ func runScenario(t *testing.T, sc parallelScenario, workers int) ([]byte, map[st
 		"lost":     c.Lost(),
 		"handoffs": c.Handoffs(),
 	}
+	return run
+}
+
+// lockstepStep is the fleet's reference stepping rule, kept for tests
+// the way internal/sched and internal/cache keep theirs: each compute
+// event is one Session.Step on the steppable replica whose clock trails
+// the fleet (ties to the lowest index), after firing any lifecycle
+// action that clock has reached, with dispatch re-run between steps.
+// Step's horizon windows must reproduce its stream event for event.
+func (c *Cluster) lockstepStep() (ev Event, ok bool) {
+	for {
+		if c.qhead == len(c.queue) {
+			c.dispatch()
+		}
+		if c.qhead < len(c.queue) {
+			ev = c.queue[c.qhead]
+			c.queue[c.qhead] = Event{}
+			c.qhead++
+			if c.qhead == len(c.queue) {
+				c.queue, c.qhead = c.queue[:0], 0
+			}
+			c.steps++
+			return ev, true
+		}
+		if pick, now := c.frontier(); pick >= 0 {
+			if at, _, peek := c.life.PeekMin(); peek && at <= now {
+				c.tickLife(now)
+				continue
+			}
+			r := c.replicas[pick]
+			sev, sok := r.ses.Step()
+			if !sok {
+				panic(fmt.Sprintf("cluster: replica %d session refused to step with %d pending",
+					pick, r.ses.Pending()))
+			}
+			r.lease = r.eng.Clock()
+			c.tally.Add(sev)
+			c.exportPrefilled(pick)
+			c.retireDrained(pick, r.eng.Clock())
+			c.steps++
+			return Event{Replica: pick, StepEvent: sev}, true
+		}
+		if at, a, more := c.life.PopMin(); more {
+			c.applyLife(a, at)
+			continue
+		}
+		for i, r := range c.replicas {
+			if r.state != StateDead {
+				c.flushEmissions(i)
+			}
+		}
+		if c.qhead < len(c.queue) {
+			continue
+		}
+		return Event{}, false
+	}
 }
 
 // TestParallelMatchesSerial is the determinism contract: at every
-// worker count, over every fleet shape, the emitted event stream is
-// byte-identical to the serial path's and every fleet counter agrees.
-// This is the test CI runs under -race — the worker pool's only shared
-// mutable state must be the per-replica stacks it partitions.
+// worker count, 1 included, over every fleet shape, Step's windowed
+// stream is byte-identical to the lockstep reference's and every fleet
+// counter agrees. Wide scenarios, a pooled one among them, must also
+// run some window over more than one replica, or the horizon has
+// collapsed to lockstep. This is the test CI runs under -race — the worker pool's only shared mutable
+// state must be the per-replica stacks it partitions.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, sc := range parallelScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			want, wantCounters := runScenario(t, sc, 1)
-			for _, workers := range []int{2, 4, 8} {
-				got, gotCounters := runScenario(t, sc, workers)
-				if diff := diffJSONL(want, got); diff != "" {
-					t.Fatalf("workers=%d stream diverged from serial:\n%s", workers, diff)
+			ref := runScenario(t, sc, 1, (*Cluster).lockstepStep)
+			if sc.needs != "" && ref.counters[sc.needs] == 0 {
+				t.Fatalf("reference run has no %s; the scenario lost its point", sc.needs)
+			}
+			for _, workers := range []int{1, 2, 4, 8} {
+				got := runScenario(t, sc, workers, (*Cluster).Step)
+				if diff := diffJSONL(ref.log, got.log); diff != "" {
+					t.Fatalf("workers=%d stream diverged from lockstep:\n%s", workers, diff)
 				}
-				for k, v := range wantCounters {
-					if gotCounters[k] != v {
-						t.Fatalf("workers=%d %s = %d, serial %d", workers, k, gotCounters[k], v)
+				for k, v := range ref.counters {
+					if got.counters[k] != v {
+						t.Fatalf("workers=%d %s = %d, lockstep %d", workers, k, got.counters[k], v)
 					}
+				}
+				if sc.wide && got.widest < 2 {
+					t.Fatalf("workers=%d: no window ran more than one replica", workers)
 				}
 			}
 		})
@@ -172,9 +324,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestParallelGoldensUnregenerated reruns the committed fleet goldens
-// with WithWorkers(4): the parallel mode must reproduce the exact bytes
-// the serial path committed, with no regeneration. (The two engine-level
-// goldens never touch cluster code and are pinned by their own test.)
+// with WithWorkers(4): windows fanned out over goroutines must
+// reproduce the exact committed bytes, with no regeneration. (The two
+// engine-level goldens never touch cluster code and are pinned by their
+// own test.)
 func TestParallelGoldensUnregenerated(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -304,17 +457,22 @@ func TestClusterWorkersValidation(t *testing.T) {
 
 // TestParallelSingleReplica pins the degenerate window: one replica,
 // many workers — every window has exactly one candidate, runs inline,
-// and still reproduces the bare-session stream the 1-replica cluster
-// contract promises.
+// and still reproduces the lockstep reference's stream.
 func TestParallelSingleReplica(t *testing.T) {
 	const seed, n, rate = 600, 14, 6.0
-	serial, err := New(WithBuilder(buildReplica(t, seed)), WithMaxConcurrent(3))
+	ref, err := New(WithBuilder(buildReplica(t, seed)), WithMaxConcurrent(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial.Submit(burstRequests(seed, n, rate)...)
+	ref.Submit(burstRequests(seed, n, rate)...)
 	var want []Event
-	serial.Run(func(ev Event) { want = append(want, ev) })
+	for {
+		ev, ok := ref.lockstepStep()
+		if !ok {
+			break
+		}
+		want = append(want, ev)
+	}
 
 	par, err := New(WithBuilder(buildReplica(t, seed)), WithMaxConcurrent(3), WithWorkers(4))
 	if err != nil {
@@ -324,14 +482,14 @@ func TestParallelSingleReplica(t *testing.T) {
 	i := 0
 	par.Run(func(ev Event) {
 		if i >= len(want) {
-			t.Fatalf("parallel emitted extra event %d: %+v", i, ev)
+			t.Fatalf("windows emitted extra event %d: %+v", i, ev)
 		}
 		if fmt.Sprintf("%+v", ev) != fmt.Sprintf("%+v", want[i]) {
-			t.Fatalf("event %d diverged:\n  serial:   %+v\n  parallel: %+v", i, want[i], ev)
+			t.Fatalf("event %d diverged:\n  lockstep: %+v\n  window:   %+v", i, want[i], ev)
 		}
 		i++
 	})
 	if i != len(want) {
-		t.Fatalf("parallel emitted %d events, serial %d", i, len(want))
+		t.Fatalf("windows emitted %d events, lockstep %d", i, len(want))
 	}
 }

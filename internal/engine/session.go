@@ -669,29 +669,6 @@ func (s *Session) next() (ev StepEvent, ok bool) {
 	return s.runBatch(batch, idx), true
 }
 
-// StepUntilClocked advances the session the way a lockstep fleet driver
-// does — while its clock trails t and Pending is positive — recording,
-// aligned with each returned event, the session clock observed
-// immediately before the Step call that produced it: the merge key the
-// driver interleaves replica runs by (the clock it would have seen when
-// picking this session to step). It stops once Pending reaches 0, leaving
-// any emissions still queued (HasEmission) for the caller to deliver
-// with Step. Events and clocks are appended to evs and clocks, which are
-// returned; pass reusable backing to keep the loop allocation-free.
-// Pre-step clocks are non-decreasing within one call.
-func (s *Session) StepUntilClocked(t float64, evs []StepEvent, clocks []float64) ([]StepEvent, []float64) {
-	for s.e.clock < t && s.Pending() > 0 {
-		pre := s.e.clock
-		ev, ok := s.Step()
-		if !ok {
-			break
-		}
-		evs = append(evs, ev)
-		clocks = append(clocks, pre)
-	}
-	return evs, clocks
-}
-
 // checkBatch validates a batch former's output the way scheduler picks
 // are validated: programming errors in a policy panic immediately
 // instead of corrupting the accounting.

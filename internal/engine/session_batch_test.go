@@ -348,3 +348,70 @@ func TestLoneMemberBusyIsFrontierAdvance(t *testing.T) {
 		t.Fatal("no frontier advance where x*n/n != x; the scenario lost its point")
 	}
 }
+
+// TestStepPreClocksAreMonotone pins the merge-key invariant the
+// cluster's (clock, replica) interleave depends on: stepped while
+// Pending is positive, as a fleet window steps a replica, a session's
+// pre-step clock never decreases — across merged batches, their
+// trailing emissions and open-loop idle gaps.
+func TestStepPreClocksAreMonotone(t *testing.T) {
+	const seed = 4300
+	stream := workload.NewStream(seed, workload.AllDatasets()...).
+		WithArrivals(workload.Poisson(6))
+	reqs := stream.NextN(12)
+	workload.CapDecode(reqs, 4)
+	e := newEngineOpts(t, seed, WithBatchPolicy("greedy", 64))
+	s := e.NewSession(WithMaxConcurrent(3))
+	s.Submit(reqs...)
+
+	prev := math.Inf(-1)
+	for s.Pending() > 0 {
+		pre := e.Clock()
+		if pre < prev {
+			t.Fatalf("step %d starts at clock %v, after one that started at %v", s.Steps(), pre, prev)
+		}
+		if _, ok := s.Step(); !ok {
+			t.Fatalf("Step refused with %d pending", s.Pending())
+		}
+		prev = pre
+	}
+	if s.Steps() == s.Batches() {
+		t.Fatal("no step delivered a queued emission; the scenario lost its point")
+	}
+}
+
+// TestPendingStepLoopStopsAtDrain pins the fleet-driver half of the
+// contract: a loop that steps only while requests are pending, as a
+// fleet window does, leaves a final merged batch's trailing events
+// queued — reported by HasEmission and delivered by Step, which is how
+// the cluster flushes them.
+func TestPendingStepLoopStopsAtDrain(t *testing.T) {
+	e := newEngineOpts(t, 4400, WithBatchPolicy("greedy", 64))
+	s := e.NewSession(WithMaxConcurrent(4))
+	for i := 0; i < 4; i++ {
+		s.Submit(workload.Request{ID: i, DecodeTokens: 2})
+	}
+	stepped := 0
+	for s.Pending() > 0 {
+		if _, ok := s.Step(); !ok {
+			t.Fatalf("Step refused with %d pending", s.Pending())
+		}
+		stepped++
+	}
+	trailing := 0
+	for s.HasEmission() {
+		if _, ok := s.Step(); !ok {
+			t.Fatal("Step refused a queued emission")
+		}
+		trailing++
+	}
+	if trailing == 0 {
+		t.Fatal("final merged batch left no trailing events; the scenario lost its point")
+	}
+	if got := stepped + trailing; got != 8 {
+		t.Fatalf("%d events in all, want one per decode token (8)", got)
+	}
+	if _, ok := s.Step(); ok {
+		t.Fatal("drained session still stepping")
+	}
+}

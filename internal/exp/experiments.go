@@ -32,12 +32,12 @@ type Params struct {
 	// per available CPU. Results are worker-count independent — the knob
 	// trades wall-clock for CPU, never output.
 	Workers int
-	// ClusterWorkers bounds the horizon-batched replica-level
-	// parallelism inside each fleet cell (cluster.WithWorkers); 0 or 1
-	// keeps the serial path. Like Workers, the event streams and every
-	// derived number are worker-count independent, so the two levels
-	// compose: cells fan out across Workers, replicas within a cell
-	// across ClusterWorkers.
+	// ClusterWorkers bounds the goroutines each fleet cell's horizon
+	// windows fan replicas out to (cluster.WithWorkers); 0 or 1 runs
+	// them on the cell's own goroutine. Like Workers, the event
+	// streams and every derived number are worker-count independent,
+	// so the two levels compose: cells fan out across Workers, replicas
+	// within a cell across ClusterWorkers.
 	ClusterWorkers int
 }
 

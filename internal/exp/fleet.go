@@ -51,7 +51,7 @@ func NewFleet(n int, routerName string, seed uint64, ratio float64,
 }
 
 // workerOpts resolves Params.ClusterWorkers into cluster options — nil
-// at 0/1 so serial-path configurations stay untouched.
+// at 0 or 1, where the cluster's default of one worker applies.
 func workerOpts(p Params) []cluster.Option {
 	if p.ClusterWorkers > 1 {
 		return []cluster.Option{cluster.WithWorkers(p.ClusterWorkers)}
