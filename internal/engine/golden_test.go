@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"hybrimoe/internal/hw"
+	"hybrimoe/internal/moe"
 	"hybrimoe/internal/workload"
 )
 
@@ -70,7 +72,40 @@ func goldenScenarios() []goldenScenario {
 				return events
 			},
 		},
+		{
+			// Two GPUs under the device-aware planner: residency, plans,
+			// transfers and prefetch budgets spread over both devices.
+			name: "dual-gpu-expert-parallel",
+			run: func(t *testing.T) []StepEvent {
+				return dualGPUGolden(t, expertParallelFramework())
+			},
+		},
+		{
+			// The same platform under the single-GPU hybrimoe planner,
+			// which the engine confines to GPU0.
+			name: "dual-gpu-confined",
+			run: func(t *testing.T) []StepEvent {
+				return dualGPUGolden(t, HybriMoEFramework())
+			},
+		},
 	}
+}
+
+// dualGPUGolden serves ten Poisson(4) requests on a 2-GPU DeepSeek
+// engine through a continuously-batched session.
+func dualGPUGolden(t *testing.T, fw Framework) []StepEvent {
+	e, err := New(moe.DeepSeek(), hw.MultiA6000Platform(2), fw,
+		WithCacheRatio(0.25), WithSeed(520), WithBatchPolicy("greedy", 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.NewSession(WithMaxConcurrent(3))
+	stream := workload.NewStream(520, workload.AllDatasets()...).
+		WithArrivals(workload.Poisson(4))
+	reqs := stream.NextN(10)
+	workload.CapDecode(reqs, 4)
+	s.Submit(reqs...)
+	return collect(s)
 }
 
 // TestGoldenEventStream re-runs each scenario and diffs its serialised
