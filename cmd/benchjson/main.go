@@ -140,11 +140,18 @@ func load(path string) (Output, error) {
 		return Output{}, err
 	}
 	defer f.Close()
-	var o Output
-	if err := json.NewDecoder(f).Decode(&o); err != nil {
+	o, err := decode(f)
+	if err != nil {
 		return Output{}, fmt.Errorf("%s: %v", path, err)
 	}
 	return o, nil
+}
+
+// decode reads one snapshot's JSON.
+func decode(r io.Reader) (Output, error) {
+	var o Output
+	err := json.NewDecoder(r).Decode(&o)
+	return o, err
 }
 
 func fatal(msg string) {

@@ -433,18 +433,16 @@ func (e *Engine) runStep(b *stepBuffers, tokens, context int, perLoadLookups boo
 				e.placeCache.Lookup(id, e.homeDevice(id).GPUIndex())
 			}
 		}
-		b.tasks = sched.TasksFromLoadsOnInto(b.tasks, e.cfg, act.Layer, act.Loads, e.residentOn)
+		b.tasks = sched.TasksFromLoads(b.tasks, e.cfg, act.Layer, act.Loads, e.residentOn)
 		tasks := b.tasks
 		res := sched.Resources{
-			CPUFree:   maxF(0, e.cpuBusy-layerStart),
-			GPUFree:   maxF(0, e.gpuBusy[0]-layerStart),
-			LinkFree:  maxF(0, e.linkBusy[0]-layerStart),
-			GPUFrees:  e.gpuFrees,
-			LinkFrees: e.linkFrees,
+			CPUFree:  maxF(0, e.cpuBusy-layerStart),
+			GPUFree:  e.gpuFrees,
+			LinkFree: e.linkFrees,
 		}
 		for d := range e.gpuBusy {
-			res.GPUFrees[d] = maxF(0, e.gpuBusy[d]-layerStart)
-			res.LinkFrees[d] = maxF(0, e.linkBusy[d]-layerStart)
+			res.GPUFree[d] = maxF(0, e.gpuBusy[d]-layerStart)
+			res.LinkFree[d] = maxF(0, e.linkBusy[d]-layerStart)
 		}
 		plan := e.scheduler.Plan(tasks, e.platform, res)
 		if e.set.validatePlans {
@@ -538,7 +536,6 @@ func (e *Engine) prefetchInto(layer int, layerEnd float64) {
 		Cfg:            e.cfg,
 		Platform:       e.platform,
 		Layer:          layer,
-		Budget:         budgets[0],
 		Budgets:        budgets,
 		Target:         e.pfTarget,
 		PredictedLoads: e.pfPredictLoads,

@@ -16,12 +16,18 @@ import (
 type placementRun struct {
 	engine.Tally
 	hitRate float64
-	// gpuBusy sums each device's busy seconds across the run (from the
-	// per-device StepEvent vectors).
+	// gpuBusy sums each device's StepEvent.GPUBusyByDevice across the
+	// run. Those are frontier advances, not busy seconds: the sum
+	// telescopes to the device's last frontier, so every GPU the run
+	// uses reads about the makespan. Under QuickParams the 1-GPU
+	// hybrimoe run at 25% cache reads 100% here, while its recorded GPU
+	// timeline is busy for 21.8% of its 2.348 s makespan.
 	gpuBusy []float64
 }
 
-// utilisation renders each GPU's busy fraction as "u0/u1/…".
+// utilisation renders each GPU's summed frontier advance over the
+// makespan as "u0/u1/…": which devices the run reaches, not how busy
+// they are.
 func (r *placementRun) utilisation() string {
 	if r.Makespan == 0 {
 		return "-"
@@ -63,7 +69,7 @@ var PlacementTopologies = []int{1, 2, 4}
 // placementStudy sweeps GPU topologies × intra-layer schedulers ×
 // cache ratios on one fixed mixed-corpus stream served by the HybriMoE
 // stack, reporting decode throughput, TBT percentiles, the aggregate
-// expert-cache hit rate and each device's busy fraction. The
+// expert-cache hit rate and which devices each run reaches. The
 // single-GPU hybrimoe row is the pre-refactor baseline; expert-parallel
 // on the dual/quad presets should beat it on decode throughput — the
 // per-device caches double (quadruple) total residency, and cached

@@ -12,6 +12,7 @@ package prefetch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hybrimoe/internal/hw"
@@ -30,18 +31,15 @@ type Context struct {
 	// Layer is the layer whose execution is about to start/run; layers
 	// Layer+1 … Layer+Window are prefetch targets.
 	Layer int
-	// Budget is the PCIe idle time (seconds) available before the next
-	// layer's own transfers need the link. Prefetchers must keep the
-	// summed transfer time of their picks within it. On multi-GPU
-	// platforms it describes GPU0's link; Budgets carries the rest.
-	Budget float64
-	// Budgets, when non-nil, carries the idle time of every device's
-	// host link (index 0 takes precedence over Budget). Each pick spends
-	// its target device's budget, priced by that device's link model.
+	// Budgets holds the idle time (seconds) of each GPU's host link,
+	// indexed by device, before the next layer's own transfers need it.
+	// Each pick spends its target device's budget, priced by that
+	// device's link model; a device past the end has none. Prefetchers
+	// keep the summed transfer time of their picks within each budget.
 	Budgets []float64
 	// Target reports the destination device for a candidate expert —
 	// whose link the transfer would ride and whose budget it spends.
-	// Nil means everything targets GPU0 (the single-link engine).
+	// It must be set.
 	Target func(moe.ExpertID) hw.Device
 	// PredictedLoads estimates per-expert token loads for a future
 	// layer (absolute index). Entries of zero mean "not predicted
@@ -53,33 +51,15 @@ type Context struct {
 	Scheduler sched.Scheduler
 }
 
-// target resolves a candidate's destination device.
-func (ctx Context) target(id moe.ExpertID) hw.Device {
-	if ctx.Target == nil {
-		return hw.GPU
-	}
-	return ctx.Target(id)
-}
-
-// budgets materialises the per-link budget vector the selection loops
-// draw down — a copy, so Select never mutates the caller's slice.
-func (ctx Context) budgets() []float64 {
-	if ctx.Budgets == nil {
-		return []float64{ctx.Budget}
-	}
-	out := make([]float64, len(ctx.Budgets))
-	copy(out, ctx.Budgets)
-	return out
-}
-
-// take spends one transfer of bytes to device d from the budget vector,
-// reporting whether it fit.
-func take(ctx Context, budgets []float64, d hw.Device, bytes int64) bool {
+// take spends one transfer of expert id to its target device from the
+// budget vector, a copy of ctx.Budgets, reporting whether it fit.
+func take(ctx Context, budgets []float64, id moe.ExpertID) bool {
+	d := ctx.Target(id)
 	i := d.GPUIndex()
 	if i >= len(budgets) {
 		return false
 	}
-	xfer := ctx.Platform.LinkOf(d).TransferTime(bytes)
+	xfer := ctx.Platform.LinkOf(d).TransferTime(ctx.Cfg.ExpertBytes())
 	if budgets[i] < xfer {
 		return false
 	}
@@ -92,7 +72,8 @@ type Prefetcher interface {
 	// Name identifies the policy in experiment tables.
 	Name() string
 	// Select returns the expert IDs to transfer, in transfer order,
-	// with summed transfer time within ctx.Budget.
+	// with summed transfer time on each link within its ctx.Budgets
+	// entry.
 	Select(ctx Context) []moe.ExpertID
 }
 
@@ -142,10 +123,10 @@ func (NextLayerTopK) Select(ctx Context) []moe.ExpertID {
 		cands = append(cands, cand{id, load})
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].load > cands[j].load })
-	budgets := ctx.budgets()
+	budgets := slices.Clone(ctx.Budgets)
 	var out []moe.ExpertID
 	for _, c := range cands {
-		if take(ctx, budgets, ctx.target(c.id), ctx.Cfg.ExpertBytes()) {
+		if take(ctx, budgets, c.id) {
 			out = append(out, c.id)
 		}
 	}
@@ -174,10 +155,9 @@ func (p *ImpactDriven) Select(ctx Context) []moe.ExpertID {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	budgets := ctx.budgets()
 	canAfford := false
-	for d := range budgets {
-		if budgets[d] >= ctx.Platform.Links[d].TransferTime(ctx.Cfg.ExpertBytes()) {
+	for d, budget := range ctx.Budgets {
+		if budget >= ctx.Platform.Links[d].TransferTime(ctx.Cfg.ExpertBytes()) {
 			canAfford = true
 			break
 		}
@@ -191,24 +171,34 @@ func (p *ImpactDriven) Select(ctx Context) []moe.ExpertID {
 		gain float64
 	}
 	var cands []scored
+	// What-ifs keep cached experts on GPU0 and plan on an idle platform.
+	residentOn := func(id moe.ExpertID) (hw.Device, bool) { return hw.GPU, ctx.IsCached(id) }
+	var tasks, whatIf []sched.Task
+	// makespan plans a fresh copy of the layer's tasks, the candidate at
+	// index cached (if any) marked resident: a scheduler may reorder or
+	// edit the list it plans, so it never sees tasks itself.
+	makespan := func(cached int) float64 {
+		whatIf = append(whatIf[:0], tasks...)
+		if cached >= 0 {
+			whatIf[cached].Cached = true
+		}
+		return ctx.Scheduler.Plan(whatIf, ctx.Platform, sched.Resources{}).Makespan
+	}
 	for d := 1; d <= window; d++ {
 		layer := ctx.Layer + d
 		if layer >= ctx.Cfg.Layers {
 			break
 		}
-		loads := ctx.PredictedLoads(layer)
-		tasks := sched.TasksFromLoads(ctx.Cfg, layer, loads, ctx.IsCached)
+		tasks = sched.TasksFromLoads(tasks, ctx.Cfg, layer, ctx.PredictedLoads(layer), residentOn)
 		if len(tasks) == 0 {
 			continue
 		}
-		base := sched.SimulateMakespan(ctx.Scheduler, tasks, ctx.Platform, sched.Resources{}, nil)
-		for _, task := range tasks {
+		base := makespan(-1)
+		for i, task := range tasks {
 			if task.Cached {
 				continue
 			}
-			with := sched.SimulateMakespan(ctx.Scheduler, tasks, ctx.Platform, sched.Resources{},
-				map[moe.ExpertID]bool{task.ID: true})
-			gain := base - with
+			gain := base - makespan(i)
 			if gain <= 0 {
 				continue
 			}
@@ -220,9 +210,10 @@ func (p *ImpactDriven) Select(ctx Context) []moe.ExpertID {
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].gain > cands[j].gain })
 
+	budgets := slices.Clone(ctx.Budgets)
 	var out []moe.ExpertID
 	for _, c := range cands {
-		if take(ctx, budgets, ctx.target(c.id), ctx.Cfg.ExpertBytes()) {
+		if take(ctx, budgets, c.id) {
 			out = append(out, c.id)
 		}
 	}

@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"hybrimoe/internal/hw"
@@ -19,7 +21,8 @@ func testCtx(layer int, budget float64, loads map[int][]int, cached map[moe.Expe
 		Cfg:      cfg,
 		Platform: hw.A6000Platform(),
 		Layer:    layer,
-		Budget:   budget,
+		Budgets:  []float64{budget},
+		Target:   func(moe.ExpertID) hw.Device { return hw.GPU },
 		PredictedLoads: func(l int) []int {
 			if v, ok := loads[l]; ok {
 				return v
@@ -183,5 +186,39 @@ func TestSelectSpendsPerDeviceBudgets(t *testing.T) {
 	}
 	if perDev[hw.GPUAt(0)] != 1 || perDev[hw.GPUAt(1)] != 2 {
 		t.Fatalf("picks per device = %v (selection %v), want 1 on GPU0 and 2 on GPU1", perDev, got)
+	}
+}
+
+// scrambler plans like HybriMoE, then flips every task's residency and
+// reverses the list: the Scheduler contract forbids only retaining
+// tasks, so a planner may leave its input in any state.
+type scrambler struct{ sched.Scheduler }
+
+func (s scrambler) Plan(tasks []sched.Task, p *hw.Platform, res sched.Resources) *sched.Plan {
+	plan := s.Scheduler.Plan(tasks, p, res)
+	for i := range tasks {
+		tasks[i].Cached = !tasks[i].Cached
+	}
+	slices.Reverse(tasks)
+	return plan
+}
+
+// ImpactDriven prices every what-if on its own copy of the layer's
+// tasks, so a scheduler that edits its input cannot turn cached experts
+// into candidates or hide the uncached ones.
+func TestImpactDrivenSurvivesSchedulerEditingTasks(t *testing.T) {
+	cfg := moe.DeepSeek()
+	loads := map[int][]int{
+		1: loadsWith(cfg, map[int]int{3: 40, 5: 30, 7: 20, 9: 10}),
+		2: loadsWith(cfg, map[int]int{1: 25, 2: 15, 6: 35}),
+	}
+	cached := map[moe.ExpertID]bool{{Layer: 1, Index: 3}: true, {Layer: 2, Index: 2}: true}
+	const want = "[L1.E5 L1.E7 L1.E9 L2.E1 L2.E6]"
+	for _, s := range []sched.Scheduler{sched.NewHybriMoE(), scrambler{sched.NewHybriMoE()}} {
+		ctx := testCtx(0, 100, loads, cached)
+		ctx.Scheduler = s
+		if got := fmt.Sprint(NewImpactDriven().Select(ctx)); got != want {
+			t.Fatalf("pricing on %T: Select = %s, want %s", s, got, want)
+		}
 	}
 }

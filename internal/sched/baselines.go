@@ -28,7 +28,7 @@ func (s *KTransStatic) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	s.plan.reset()
 	// Order only affects intra-layer progress, not the makespan.
 	cpu, gpu := b.mapStatic(tasks)
-	runGPU(&s.plan, gpu, p, res.GPUFree)
+	runGPU(&s.plan, gpu, p, res.gpuAt(0))
 	runCPU(&s.plan, cpu, p, res.CPUFree)
 	return &s.plan
 }
@@ -91,7 +91,7 @@ func (s *GPUCentric) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	// Highest-load misses transfer first so the GPU's biggest work
 	// arrives earliest.
 	slices.SortStableFunc(missed, loadDescending)
-	linkBusy := res.LinkFree
+	linkBusy := res.linkAt(0)
 	for _, t := range missed {
 		end := linkBusy + p.Links[0].TransferTime(t.Bytes)
 		s.plan.add(Op{Expert: t.ID, Kind: OpTransfer, Load: t.Load, Start: linkBusy, End: end})
@@ -103,7 +103,7 @@ func (s *GPUCentric) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	// each miss as its transfer lands.
 	slices.SortStableFunc(cached, loadDescending)
 	slices.Reverse(cached)
-	gpuBusy := runGPU(&s.plan, cached, p, res.GPUFree)
+	gpuBusy := runGPU(&s.plan, cached, p, res.gpuAt(0))
 	for i, t := range missed {
 		start := maxFloat(gpuBusy, s.plan.Ops[i].End)
 		gpuBusy = start + p.GPUs[0].ExpertTime(t.Flops, t.Bytes)
@@ -146,7 +146,7 @@ func (s *StaticSplit) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	b.ordered = ordered
 	slices.SortStableFunc(ordered, loadDescending)
 	if s.GPULayer != nil && s.GPULayer(tasks[0].ID.Layer) {
-		runGPU(&s.plan, ordered, p, res.GPUFree)
+		runGPU(&s.plan, ordered, p, res.gpuAt(0))
 	} else {
 		runCPU(&s.plan, ordered, p, res.CPUFree)
 	}

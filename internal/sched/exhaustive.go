@@ -77,7 +77,7 @@ func buildAssignment(tasks []Task, p *hw.Platform, res Resources, onCPU func(int
 		cpuBusy = end
 	}
 
-	linkBusy := res.LinkFree
+	linkBusy := res.linkAt(0)
 	type ready struct {
 		task Task
 		at   float64
@@ -95,7 +95,7 @@ func buildAssignment(tasks []Task, p *hw.Platform, res Resources, onCPU func(int
 	}
 	// GPU list-schedules: at each step run the ready highest-load task,
 	// or wait for the earliest arrival.
-	gpuBusy := res.GPUFree
+	gpuBusy := res.gpuAt(0)
 	for len(queue) > 0 {
 		bestIdx := -1
 		var bestStart float64

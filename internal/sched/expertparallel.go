@@ -99,8 +99,8 @@ func greedy(plan *Plan, b *planBuffers, tasks []Task, p *hw.Platform, res Resour
 	cpuBusy, cpuFirst := res.CPUFree, true
 	gpuBusy, linkBusy := b.gpuBusy[:0], b.linkBusy[:0]
 	for d := 0; d < n; d++ {
-		gpuBusy = append(gpuBusy, res.GPUFreeAt(hw.GPUAt(d)))
-		linkBusy = append(linkBusy, res.LinkFreeAt(hw.GPUAt(d)))
+		gpuBusy = append(gpuBusy, res.gpuAt(d))
+		linkBusy = append(linkBusy, res.linkAt(d))
 	}
 	b.gpuBusy, b.linkBusy = gpuBusy, linkBusy
 

@@ -44,14 +44,12 @@ func TestExpertParallelPlanAlwaysValid(t *testing.T) {
 		p := platforms[trial%len(platforms)]
 		gpus := p.NumGPUs()
 		tasks := randomTasks(rng, cfg, trial%32, 1+rng.Intn(10), gpus)
-		res := Resources{CPUFree: rng.Float64() * 1e-3}
-		res.GPUFrees = make([]float64, gpus)
-		res.LinkFrees = make([]float64, gpus)
+		res := Resources{CPUFree: rng.Float64() * 1e-3,
+			GPUFree: make([]float64, gpus), LinkFree: make([]float64, gpus)}
 		for d := 0; d < gpus; d++ {
-			res.GPUFrees[d] = rng.Float64() * 1e-3
-			res.LinkFrees[d] = rng.Float64() * 1e-3
+			res.GPUFree[d] = rng.Float64() * 1e-3
+			res.LinkFree[d] = rng.Float64() * 1e-3
 		}
-		res.GPUFree, res.LinkFree = res.GPUFrees[0], res.LinkFrees[0]
 		plan := NewExpertParallel().Plan(tasks, p, res)
 		if err := plan.Validate(tasks, res); err != nil {
 			t.Fatalf("trial %d on %s: %v", trial, p.Name, err)
@@ -59,10 +57,10 @@ func TestExpertParallelPlanAlwaysValid(t *testing.T) {
 	}
 }
 
-// Pin the 1-GPU degenerate case: on a single-GPU platform with scalar
-// resources, expert-parallel produces exactly the HybriMoE greedy
-// schedule, op for op. The greedy pass is the test-only reference copy
-// in reference_test.go, since HybriMoE now runs expert-parallel's loop.
+// Pin the 1-GPU degenerate case: on a single-GPU platform,
+// expert-parallel produces exactly the HybriMoE greedy schedule, op for
+// op. The greedy pass is the test-only reference copy in
+// reference_test.go, since HybriMoE now runs expert-parallel's loop.
 func TestExpertParallelSingleGPUMatchesHybriMoEGreedy(t *testing.T) {
 	rng := stats.NewRNG(99)
 	cfg := moe.Mixtral()
@@ -70,8 +68,8 @@ func TestExpertParallelSingleGPUMatchesHybriMoEGreedy(t *testing.T) {
 		tasks := randomTasks(rng, cfg, trial%32, 1+rng.Intn(10), 1)
 		res := Resources{
 			CPUFree:  rng.Float64() * 1e-3,
-			GPUFree:  rng.Float64() * 1e-3,
-			LinkFree: rng.Float64() * 1e-3,
+			GPUFree:  []float64{rng.Float64() * 1e-3},
+			LinkFree: []float64{rng.Float64() * 1e-3},
 		}
 		got := NewExpertParallel().Plan(tasks, hw.A6000Platform(), res)
 		want := refHybriMoEGreedy(tasks, hw.A6000Platform(), res)

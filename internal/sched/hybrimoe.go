@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"hybrimoe/internal/hw"
-	"hybrimoe/internal/moe"
-)
+import "hybrimoe/internal/hw"
 
 // HybriMoE is the paper's dynamic intra-layer scheduler (§IV-B). It
 // turns the NP-hard mapping problem into a greedy simulation constrained
@@ -40,8 +37,6 @@ func (s *HybriMoE) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	res.validate()
 	b := borrowBuffers()
 	defer planPool.Put(b)
-	// A single-GPU planner reads GPU0's scalar frontiers.
-	res.GPUFrees, res.LinkFrees = nil, nil
 	greedy(&s.plan, b, tasks, p, res, 1)
 
 	// The fallback's ops are built only when it finishes strictly first.
@@ -51,34 +46,14 @@ func (s *HybriMoE) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 		static = runCPU(nil, cpu, p, res.CPUFree)
 	}
 	if len(gpu) > 0 {
-		static = max(static, runGPU(nil, gpu, p, res.GPUFree))
+		static = max(static, runGPU(nil, gpu, p, res.gpuAt(0)))
 	}
 	if static < s.plan.Makespan {
 		s.plan.reset()
 		runCPU(&s.plan, cpu, p, res.CPUFree)
-		runGPU(&s.plan, gpu, p, res.GPUFree)
+		runGPU(&s.plan, gpu, p, res.gpuAt(0))
 	}
 	return &s.plan
 }
 
 var _ Scheduler = (*HybriMoE)(nil)
-
-// SimulateMakespan predicts the makespan of scheduling tasks under the
-// given resources — the cheap what-if query the impact-driven
-// prefetcher issues (§IV-C). cached overrides task residency: experts in
-// the set are treated as already on the GPU. It plans on s, so the plan
-// s returned last is no longer valid afterwards; like any Plan call, it
-// must come from the goroutine that owns s.
-func SimulateMakespan(s Scheduler, tasks []Task, p *hw.Platform, res Resources, cached map[moe.ExpertID]bool) float64 {
-	if cached != nil {
-		adjusted := make([]Task, len(tasks))
-		copy(adjusted, tasks)
-		for i := range adjusted {
-			if cached[adjusted[i].ID] {
-				adjusted[i].Cached = true
-			}
-		}
-		tasks = adjusted
-	}
-	return s.Plan(tasks, p, res).Makespan
-}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hybrimoe/internal/hw"
@@ -140,8 +141,9 @@ func TestHybriMoERespectsResourceOffsets(t *testing.T) {
 	tasks := []Task{unitTask(0, 2, true)}
 	// GPU busy until t=10 (attention/shared experts): the CPU should
 	// steal the single cached expert rather than wait.
-	plan := NewHybriMoE().Plan(tasks, p, Resources{GPUFree: 10})
-	if err := plan.Validate(tasks, Resources{GPUFree: 10}); err != nil {
+	res := Resources{GPUFree: []float64{10}}
+	plan := NewHybriMoE().Plan(tasks, p, res)
+	if err := plan.Validate(tasks, res); err != nil {
 		t.Fatal(err)
 	}
 	if plan.Makespan > 2+1e-9 {
@@ -153,12 +155,20 @@ func TestHybriMoERespectsResourceOffsets(t *testing.T) {
 }
 
 func TestHybriMoENegativeResourcesPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative resources should panic")
-		}
-	}()
-	NewHybriMoE().Plan(nil, hw.UnitPlatform(), Resources{CPUFree: -1})
+	for _, res := range []Resources{
+		{CPUFree: -1},
+		{GPUFree: []float64{0, -1}},
+		{LinkFree: []float64{-1}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("negative resources %+v should panic", res)
+				}
+			}()
+			NewHybriMoE().Plan(nil, hw.UnitPlatform(), res)
+		}()
+	}
 }
 
 func TestHybriMoECPUWarmupAppliedOnce(t *testing.T) {
@@ -246,8 +256,8 @@ func TestHybriMoEPlanAlwaysValid(t *testing.T) {
 		}
 		res := Resources{
 			CPUFree:  rng.Float64() * 1e-3,
-			GPUFree:  rng.Float64() * 1e-3,
-			LinkFree: rng.Float64() * 1e-3,
+			GPUFree:  []float64{rng.Float64() * 1e-3},
+			LinkFree: []float64{rng.Float64() * 1e-3},
 		}
 		plan := NewHybriMoE().Plan(tasks, p, res)
 		if err := plan.Validate(tasks, res); err != nil {
@@ -265,7 +275,7 @@ func TestHybriMoEStaticFallbackWins(t *testing.T) {
 	p := hw.A6000Platform()
 	cfg := moe.DeepSeek()
 	tasks := []Task{{ID: id(0, 0), Load: 1, Flops: cfg.ExpertFlops(1), Bytes: cfg.ExpertBytes()}}
-	res := Resources{GPUFree: 0.44e-3}
+	res := Resources{GPUFree: []float64{0.44e-3}}
 	s := NewHybriMoE()
 	s.Plan(randomTasks(stats.NewRNG(1), cfg, 1, 40, 1), p, res)
 	plan := s.Plan(tasks, p, res)
@@ -280,43 +290,35 @@ func TestHybriMoEStaticFallbackWins(t *testing.T) {
 	}
 }
 
-func TestSimulateMakespanCachedOverride(t *testing.T) {
-	p := hw.UnitPlatform()
-	tasks := []Task{unitTask(0, 3, false)}
-	base := SimulateMakespan(NewHybriMoE(), tasks, p, Resources{}, nil)
-	// Pretend the expert were cached: makespan should drop to 1 GPU unit
-	// (or the CPU steal at 3 — GPU is faster).
-	cached := SimulateMakespan(NewHybriMoE(), tasks, p, Resources{},
-		map[moe.ExpertID]bool{id(0, 0): true})
-	if cached >= base {
-		t.Fatalf("caching override should shrink makespan: %v vs %v", cached, base)
-	}
-	if math.Abs(cached-1) > 1e-9 {
-		t.Fatalf("cached makespan = %v, want 1", cached)
-	}
-	// The override must not mutate the caller's tasks.
-	if tasks[0].Cached {
-		t.Fatal("SimulateMakespan mutated input tasks")
-	}
-}
-
+// TasksFromLoads skips unrouted experts and sizes the rest; a cached
+// task carries the device holding its copy, and an uncached one GPU0.
 func TestTasksFromLoads(t *testing.T) {
 	cfg := moe.DeepSeek()
 	loads := make([]int, cfg.RoutedExperts)
 	loads[3] = 5
+	loads[6] = 2
 	loads[7] = 1
-	tasks := TasksFromLoads(cfg, 2, loads, func(e moe.ExpertID) bool { return e.Index == 3 })
-	if len(tasks) != 2 {
-		t.Fatalf("tasks = %d, want 2", len(tasks))
+	residentOn := func(e moe.ExpertID) (hw.Device, bool) {
+		switch e.Index {
+		case 3:
+			return hw.GPUAt(1), true
+		case 6:
+			return hw.GPU, true
+		}
+		return hw.GPUAt(1), false
 	}
-	if tasks[0].ID != id(2, 3) || !tasks[0].Cached || tasks[0].Load != 5 {
-		t.Fatalf("task[0] = %+v", tasks[0])
+	stale := make([]Task, 5)
+	tasks := TasksFromLoads(stale, cfg, 2, loads, residentOn)
+	want := []Task{
+		{ID: id(2, 3), Load: 5, Flops: cfg.ExpertFlops(5), Bytes: cfg.ExpertBytes(), Cached: true, Device: hw.GPUAt(1)},
+		{ID: id(2, 6), Load: 2, Flops: cfg.ExpertFlops(2), Bytes: cfg.ExpertBytes(), Cached: true, Device: hw.GPU},
+		{ID: id(2, 7), Load: 1, Flops: cfg.ExpertFlops(1), Bytes: cfg.ExpertBytes(), Device: hw.GPU},
 	}
-	if tasks[1].ID != id(2, 7) || tasks[1].Cached {
-		t.Fatalf("task[1] = %+v", tasks[1])
+	if !slices.Equal(tasks, want) {
+		t.Fatalf("tasks = %+v\nwant %+v", tasks, want)
 	}
-	if tasks[0].Flops != cfg.ExpertFlops(5) || tasks[0].Bytes != cfg.ExpertBytes() {
-		t.Fatal("task sizing wrong")
+	if &tasks[0] != &stale[0] {
+		t.Fatal("TasksFromLoads did not reuse dst")
 	}
 }
 

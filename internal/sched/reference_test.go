@@ -48,7 +48,7 @@ func refHybriMoEGreedy(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	sort.SliceStable(cpuQ, func(i, j int) bool { return cpuQ[i].Load < cpuQ[j].Load })
 	sort.SliceStable(gpuQ, func(i, j int) bool { return gpuQ[i].task.Load > gpuQ[j].task.Load })
 
-	cpuBusy, gpuBusy, linkBusy := res.CPUFree, res.GPUFree, res.LinkFree
+	cpuBusy, gpuBusy, linkBusy := res.CPUFree, res.gpuAt(0), res.linkAt(0)
 	cpuFirst := true
 	appendOp := func(op Op) {
 		plan.Ops = append(plan.Ops, op)
@@ -168,7 +168,7 @@ func refBuildAssignment(tasks []Task, p *hw.Platform, res Resources, onCPU func(
 		plan.Ops = append(plan.Ops, Op{Expert: t.ID, Kind: OpComputeCPU, Load: t.Load, Start: cpuBusy, End: end})
 		cpuBusy = end
 	}
-	linkBusy := res.LinkFree
+	linkBusy := res.linkAt(0)
 	type ready struct {
 		task Task
 		at   float64
@@ -184,7 +184,7 @@ func refBuildAssignment(tasks []Task, p *hw.Platform, res Resources, onCPU func(
 		linkBusy = end
 		queue = append(queue, ready{task: t, at: end})
 	}
-	gpuBusy := res.GPUFree
+	gpuBusy := res.gpuAt(0)
 	for len(queue) > 0 {
 		bestIdx := -1
 		var bestStart float64
@@ -256,8 +256,8 @@ func refExpertParallel(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	gpuBusy := make([]float64, n)
 	linkBusy := make([]float64, n)
 	for d := 0; d < n; d++ {
-		gpuBusy[d] = res.GPUFreeAt(hw.GPUAt(d))
-		linkBusy[d] = res.LinkFreeAt(hw.GPUAt(d))
+		gpuBusy[d] = res.gpuAt(d)
+		linkBusy[d] = res.linkAt(d)
 	}
 	cpuFirst := true
 	appendOp := func(op Op) {
@@ -408,7 +408,7 @@ func refKTransStatic(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	}
 	sort.SliceStable(gpuTasks, func(i, j int) bool { return gpuTasks[i].Load > gpuTasks[j].Load })
 	sort.SliceStable(cpuTasks, func(i, j int) bool { return cpuTasks[i].Load < cpuTasks[j].Load })
-	gpuBusy := res.GPUFree
+	gpuBusy := res.gpuAt(0)
 	for _, t := range gpuTasks {
 		end := gpuBusy + p.GPUs[0].ExpertTime(t.Flops, t.Bytes)
 		plan.Ops = append(plan.Ops, Op{Expert: t.ID, Kind: OpComputeGPU, Load: t.Load, Start: gpuBusy, End: end})
@@ -446,7 +446,7 @@ func refGPUCentric(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	}
 	sort.SliceStable(cached, func(i, j int) bool { return cached[i].Load > cached[j].Load })
 	sort.SliceStable(missed, func(i, j int) bool { return missed[i].Load > missed[j].Load })
-	linkBusy := res.LinkFree
+	linkBusy := res.linkAt(0)
 	type ready struct {
 		task Task
 		at   float64
@@ -463,7 +463,7 @@ func refGPUCentric(tasks []Task, p *hw.Platform, res Resources) *Plan {
 		pend = append([]ready{{task: t}}, pend...)
 	}
 	sort.SliceStable(pend, func(i, j int) bool { return pend[i].at < pend[j].at })
-	gpuBusy := res.GPUFree
+	gpuBusy := res.gpuAt(0)
 	for _, r := range pend {
 		start := maxFloat(gpuBusy, r.at)
 		end := start + p.GPUs[0].ExpertTime(r.task.Flops, r.task.Bytes)
@@ -488,7 +488,7 @@ func refStaticSplit(gpuLayer func(int) bool, tasks []Task, p *hw.Platform, res R
 	copy(ordered, tasks)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Load > ordered[j].Load })
 	if onGPU {
-		gpuBusy := res.GPUFree
+		gpuBusy := res.gpuAt(0)
 		for _, t := range ordered {
 			end := gpuBusy + p.GPUs[0].ExpertTime(t.Flops, t.Bytes)
 			plan.Ops = append(plan.Ops, Op{Expert: t.ID, Kind: OpComputeGPU, Load: t.Load, Start: gpuBusy, End: end})
@@ -557,8 +557,8 @@ func referenceTasks(rng *stats.RNG, p *hw.Platform, cfg *moe.Config, layer, n, m
 }
 
 // referenceResources draws the timeline offsets at layer start, a
-// quarter of them zero, with per-device vectors whose GPU0 entries
-// match the scalars (as the engine builds them).
+// quarter of them zero, with one GPU and one link frontier per device
+// (as the engine builds them).
 func referenceResources(rng *stats.RNG, p *hw.Platform) Resources {
 	scale := 1e-3
 	if p.Name == "unit" {
@@ -574,12 +574,17 @@ func referenceResources(rng *stats.RNG, p *hw.Platform) Resources {
 		return rng.Float64() * scale
 	}
 	gpus := p.NumGPUs()
-	res := Resources{CPUFree: offset(), GPUFrees: make([]float64, gpus), LinkFrees: make([]float64, gpus)}
+	res := Resources{CPUFree: offset(), GPUFree: make([]float64, gpus), LinkFree: make([]float64, gpus)}
 	for d := 0; d < gpus; d++ {
-		res.GPUFrees[d], res.LinkFrees[d] = offset(), offset()
+		res.GPUFree[d], res.LinkFree[d] = offset(), offset()
 	}
-	res.GPUFree, res.LinkFree = res.GPUFrees[0], res.LinkFrees[0]
 	return res
+}
+
+// clonePlan copies a scheduler-owned plan, which the scheduler's next
+// Plan call overwrites.
+func clonePlan(pl *Plan) *Plan {
+	return &Plan{Ops: slices.Clone(pl.Ops), Makespan: pl.Makespan, Transferred: slices.Clone(pl.Transferred)}
 }
 
 func samePlan(got, want *Plan) bool {
@@ -594,7 +599,10 @@ func samePlan(got, want *Plan) bool {
 // would show; half the small sets have decode-like loads of 1–4, where
 // HybriMoE's static fallback sometimes wins. On single-GPU platforms
 // expert-parallel must also equal the reference HybriMoE greedy pass,
-// the loop the two now share.
+// the loop the two now share. Each trial is also planned on an idle
+// platform twice, as Resources{} and as zero frontiers for every
+// device, and the two plans must agree: a device past the end of a
+// vector is free.
 func TestSchedulersMatchReference(t *testing.T) {
 	platforms := []*hw.Platform{
 		hw.UnitPlatform(), hw.LaptopPlatform(), hw.A6000Platform(),
@@ -660,6 +668,13 @@ func TestSchedulersMatchReference(t *testing.T) {
 						trial, p.Name, got, want)
 				}
 			}
+			idle := clonePlan(s.Plan(tasks, p, Resources{}))
+			gpus := p.NumGPUs()
+			zeros := s.Plan(tasks, p, Resources{GPUFree: make([]float64, gpus), LinkFree: make([]float64, gpus)})
+			if !samePlan(idle, zeros) {
+				t.Fatalf("%s trial %d on %s: Resources{} planned differently from zero frontiers\n got %+v\nwant %+v",
+					name, trial, p.Name, idle, zeros)
+			}
 		}
 		if _, ok := s.(*HybriMoE); ok && fallbacks == 0 {
 			t.Errorf("%s: no trial took the static fallback; the draw no longer covers it", name)
@@ -681,7 +696,7 @@ func TestPlanDoesNotAllocate(t *testing.T) {
 	dual := hw.MultiA6000Platform(2)
 	dualDecode := referenceTasks(rng, dual, moe.DeepSeek(), 0, 6, 1, 0.5, true)
 	dualPrefill := referenceTasks(rng, dual, moe.Qwen2(), 1, 64, 30, 0.25, true)
-	res := Resources{CPUFree: 1e-4, GPUFree: 3e-4, LinkFree: 5e-5}
+	res := Resources{CPUFree: 1e-4, GPUFree: []float64{3e-4}, LinkFree: []float64{5e-5}}
 	cases := []struct {
 		name            string
 		s               Scheduler

@@ -15,6 +15,7 @@ package sched
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -137,70 +138,40 @@ func loadDescending(a, b Task) int { return cmp.Compare(b.Load, a.Load) }
 
 // Resources carries the occupancy of the device timelines at the moment
 // the layer starts, as offsets ≥ 0 relative to the layer start. GPUFree
-// is typically positive (attention + shared experts run first); LinkFree
-// is positive when a prefetch from an earlier layer still occupies PCIe.
-// On multi-GPU platforms GPUFrees/LinkFrees carry every device's
-// frontier; the scalar GPUFree/LinkFree remain GPU0's, so single-GPU
-// schedulers (and their callers) are untouched by the N-device model.
+// and LinkFree hold one frontier per GPU and per host link, indexed by
+// device; a device past the end of a slice is free, so Resources{} is an
+// idle platform. GPU0's frontier is typically positive (attention and
+// the shared experts run first); a link's is positive when a prefetch
+// from an earlier layer still occupies it. Single-GPU planners read
+// index 0.
 type Resources struct {
 	CPUFree  float64
-	GPUFree  float64
-	LinkFree float64
-	// GPUFrees and LinkFrees, when non-nil, carry the per-device
-	// frontiers; index 0 takes precedence over the scalars. Nil means a
-	// single device described by the scalars.
-	GPUFrees  []float64
-	LinkFrees []float64
+	GPUFree  []float64
+	LinkFree []float64
 }
 
-// GPUFreeAt reports device d's occupancy offset: the per-device vector
-// when present, the scalar for GPU0 otherwise, and 0 for devices the
-// caller never mentioned.
-func (r Resources) GPUFreeAt(d hw.Device) float64 {
-	i := d.GPUIndex()
-	if r.GPUFrees != nil {
-		if i < len(r.GPUFrees) {
-			return r.GPUFrees[i]
-		}
-		return 0
-	}
-	if i == 0 {
-		return r.GPUFree
-	}
-	return 0
-}
+// gpuAt reports GPU d's frontier.
+func (r Resources) gpuAt(d int) float64 { return frontier(r.GPUFree, d) }
 
-// LinkFreeAt reports the occupancy offset of device d's host link, with
-// GPUFreeAt's fallback rules.
-func (r Resources) LinkFreeAt(d hw.Device) float64 {
-	i := d.GPUIndex()
-	if r.LinkFrees != nil {
-		if i < len(r.LinkFrees) {
-			return r.LinkFrees[i]
-		}
-		return 0
-	}
-	if i == 0 {
-		return r.LinkFree
+// linkAt reports the frontier of GPU d's host link.
+func (r Resources) linkAt(d int) float64 { return frontier(r.LinkFree, d) }
+
+// frontier reads entry d of a per-device vector: a device past its end
+// is free.
+func frontier(v []float64, d int) float64 {
+	if d < len(v) {
+		return v[d]
 	}
 	return 0
 }
 
 func (r Resources) validate() {
-	if r.CPUFree < 0 || r.GPUFree < 0 || r.LinkFree < 0 {
+	if r.CPUFree < 0 || slices.ContainsFunc(r.GPUFree, negative) || slices.ContainsFunc(r.LinkFree, negative) {
 		panic(fmt.Sprintf("sched: negative resource offsets %+v", r))
 	}
-	for _, v := range r.GPUFrees {
-		if v < 0 {
-			panic(fmt.Sprintf("sched: negative GPU resource offsets %+v", r))
-		}
-	}
-	for _, v := range r.LinkFrees {
-		if v < 0 {
-			panic(fmt.Sprintf("sched: negative link resource offsets %+v", r))
-		}
-	}
 }
+
+func negative(v float64) bool { return v < 0 }
 
 // Scheduler plans one layer. An instance serves one goroutine at a
 // time, as each engine owns its own.
@@ -214,11 +185,12 @@ type Scheduler interface {
 }
 
 // DeviceAware marks schedulers that understand multi-GPU device
-// identity: they read Task.Device and the per-device Resources vectors
-// and emit ops targeting any GPU. Schedulers without the marker are
-// single-GPU planners — on an N-GPU platform the engine confines their
-// residency, placement and transfers to GPU0, since a plan that runs a
-// GPU1-resident expert on GPU0 without a transfer is not physical.
+// identity: they read Task.Device and every entry of the Resources
+// vectors, and emit ops targeting any GPU. Schedulers without the
+// marker are single-GPU planners — on an N-GPU platform the engine
+// confines their residency, placement and transfers to GPU0, since a
+// plan that runs a GPU1-resident expert on GPU0 without a transfer is
+// not physical.
 type DeviceAware interface {
 	Scheduler
 	// PlansDevices is a marker; implementations need no behaviour.
@@ -325,12 +297,12 @@ func (pl *Plan) Validate(tasks []Task, res Resources) error {
 		return err
 	}
 	for dev, ops := range gpuOps {
-		if err := checkSerial(ops, res.GPUFreeAt(dev), dev.String()); err != nil {
+		if err := checkSerial(ops, res.gpuAt(dev.GPUIndex()), dev.String()); err != nil {
 			return err
 		}
 	}
 	for dev, ops := range xferOps {
-		if err := checkSerial(ops, res.LinkFreeAt(dev), "PCIe:"+dev.String()); err != nil {
+		if err := checkSerial(ops, res.linkAt(dev.GPUIndex()), "PCIe:"+dev.String()); err != nil {
 			return err
 		}
 	}
@@ -352,26 +324,12 @@ func (pl *Plan) Validate(tasks []Task, res Resources) error {
 type Residency func(moe.ExpertID) (hw.Device, bool)
 
 // TasksFromLoads builds the task list for one layer from per-expert
-// token loads, using cfg for sizing and isCached for residency. Experts
-// with zero load are skipped. Cached experts are attributed to GPU0 —
-// the single-GPU convention; use TasksFromLoadsOn when residency is
-// spread across devices.
-func TasksFromLoads(cfg *moe.Config, layer int, loads []int, isCached func(moe.ExpertID) bool) []Task {
-	return TasksFromLoadsOn(cfg, layer, loads, func(id moe.ExpertID) (hw.Device, bool) {
-		return hw.GPU, isCached(id)
-	})
-}
-
-// TasksFromLoadsOn builds the task list with per-device residency:
-// cached tasks carry the device holding their copy.
-func TasksFromLoadsOn(cfg *moe.Config, layer int, loads []int, residentOn Residency) []Task {
-	return TasksFromLoadsOnInto(nil, cfg, layer, loads, residentOn)
-}
-
-// TasksFromLoadsOnInto is TasksFromLoadsOn appending to dst[:0], for
-// callers that reuse one task buffer across layers (schedulers never
-// retain their tasks).
-func TasksFromLoadsOnInto(dst []Task, cfg *moe.Config, layer int, loads []int, residentOn Residency) []Task {
+// token loads, appending to dst[:0] so callers can reuse one buffer
+// across layers (schedulers never retain their tasks). cfg sizes each
+// task, and residentOn says where its weights are cached: a cached task
+// carries that device, an uncached one GPU0. Experts with zero load are
+// skipped.
+func TasksFromLoads(dst []Task, cfg *moe.Config, layer int, loads []int, residentOn Residency) []Task {
 	tasks := dst[:0]
 	for e, load := range loads {
 		if load == 0 {
