@@ -144,10 +144,11 @@ func runDecode(b *testing.B, fw engine.Framework, steps int) float64 {
 // 30% capacity) and reports the MRS-over-LRU hit-rate gain.
 func BenchmarkFig9CacheHitRate(b *testing.B) {
 	cfg := moe.DeepSeek()
+	opts := trace.DefaultOptions(5)
 	var delta float64
 	for i := 0; i < b.N; i++ {
-		lru := exp.CacheHitRate(cfg, cache.NewLRU(), 0.30, 100, 5)
-		mrs := exp.CacheHitRate(cfg, cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts), 0.30, 100, 5)
+		lru := exp.CacheHitRate(cfg, cache.NewLRU(), 0.30, 100, opts)
+		mrs := exp.CacheHitRate(cfg, cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts), 0.30, 100, opts)
 		delta = mrs - lru
 	}
 	b.ReportMetric(delta, "hit-rate-gain")
@@ -268,8 +269,8 @@ func BenchmarkMRSObserveScores(b *testing.B) {
 func BenchmarkCacheInsertEvict(b *testing.B) {
 	c := cache.New(256, cache.NewLRU())
 	insertPair := func(i int) {
-		c.Insert(moe.ExpertID{Layer: i % 26, Index: i % 64}, nil)
-		c.Insert(moe.ExpertID{Layer: (i + 13) % 26, Index: (i + 31) % 64}, nil)
+		c.Insert(moe.ExpertID{Layer: i % 26, Index: i % 64}, cache.Guard{})
+		c.Insert(moe.ExpertID{Layer: (i + 13) % 26, Index: (i + 31) % 64}, cache.Guard{})
 	}
 	start := 0
 	for ; c.Len() < c.Capacity(); start++ {
@@ -290,10 +291,9 @@ func BenchmarkCacheInsertEvict(b *testing.B) {
 type cacheLayerReplay struct {
 	cache *cache.Multi
 	acts  []trace.LayerActivation
-	// cur is the layer being replayed, guard the eviction guard over its
-	// routed experts, and missed its experts that were not resident.
+	// cur is the layer being replayed and missed its experts that were
+	// not resident.
 	cur    trace.LayerActivation
-	guard  func(moe.ExpertID) bool
 	missed []moe.ExpertID
 }
 
@@ -314,7 +314,6 @@ func newCacheLayerReplay(policy cache.Policy, steps int) *cacheLayerReplay {
 		}
 	}
 	r.cache.Warm(all)
-	r.guard = func(id moe.ExpertID) bool { return id.Layer == r.cur.Layer && r.cur.Loads[id.Index] > 0 }
 	return r
 }
 
@@ -329,8 +328,9 @@ func (r *cacheLayerReplay) layer(i int) {
 			r.missed = append(r.missed, id)
 		}
 	}
+	guard := cache.Guard{Layer: r.cur.Layer, Loads: r.cur.Loads}
 	for _, id := range r.missed {
-		r.cache.Insert(id, 0, r.guard)
+		r.cache.Insert(id, 0, guard)
 	}
 	r.cache.ObserveScores(r.cur.Layer, r.cur.Scores)
 }

@@ -17,6 +17,7 @@ import (
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
 	"hybrimoe/internal/report"
+	"hybrimoe/internal/trace"
 )
 
 func main() {
@@ -47,9 +48,10 @@ func main() {
 	fmt.Println()
 	hit := report.NewTable("Cache policy at 30% capacity (steady-state hit rate)",
 		"model", "LRU", "MRS", "gain")
+	opts := trace.DefaultOptions(seed)
 	for _, cfg := range moe.AllModels() {
-		lru := exp.CacheHitRate(cfg, cache.NewLRU(), 0.30, 200, seed)
-		mrs := exp.CacheHitRate(cfg, cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts), 0.30, 200, seed)
+		lru := exp.CacheHitRate(cfg, cache.NewLRU(), 0.30, 200, opts)
+		mrs := exp.CacheHitRate(cfg, cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts), 0.30, 200, opts)
 		hit.AddRow(cfg.Name, lru, mrs, mrs-lru)
 	}
 	hit.Render(os.Stdout)

@@ -6,6 +6,7 @@ import (
 
 	"hybrimoe/internal/cache"
 	"hybrimoe/internal/engine"
+	"hybrimoe/internal/exp"
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
 	"hybrimoe/internal/sim"
@@ -136,42 +137,12 @@ func TestServingSessionThroughEngine(t *testing.T) {
 func TestTraceStatisticsFeedCacheWins(t *testing.T) {
 	cfg := moe.DeepSeek()
 	run := func(opts trace.Options) (mrs, lru float64) {
-		// Mirror exp.CacheHitRate but with custom trace options.
 		measure := func(policyName string) float64 {
-			g := trace.New(cfg, opts)
 			pol, err := cache.NewPolicy(policyName, cfg.ActivatedExperts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := cache.New(cfg.CacheCapacity(0.3), pol)
-			var warm []moe.ExpertID
-			for l := 0; l < cfg.Layers; l++ {
-				for e := 0; e < cfg.RoutedExperts; e++ {
-					warm = append(warm, moe.ExpertID{Layer: l, Index: e})
-				}
-			}
-			c.Warm(warm)
-			for i := 0; i < 150; i++ {
-				g.Advance()
-				for l := 0; l < cfg.Layers; l++ {
-					acts := g.Activated(l)
-					active := make(map[moe.ExpertID]bool, len(acts))
-					for _, e := range acts {
-						active[moe.ExpertID{Layer: l, Index: e}] = true
-					}
-					for _, e := range acts {
-						id := moe.ExpertID{Layer: l, Index: e}
-						if !c.Lookup(id) {
-							c.Insert(id, func(x moe.ExpertID) bool { return active[x] })
-						}
-					}
-					c.ObserveScores(l, g.Scores(l))
-				}
-				if i == 37 {
-					c.ResetStats()
-				}
-			}
-			return c.HitRate()
+			return exp.CacheHitRate(cfg, pol, 0.3, 150, opts)
 		}
 		return measure("MRS"), measure("LRU")
 	}

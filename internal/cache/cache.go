@@ -128,19 +128,32 @@ func (c *Cache) Lookup(id moe.ExpertID) bool {
 	return false
 }
 
-// Insert makes id resident, evicting victims as needed. protected, when
-// non-nil, marks experts that must not be evicted right now (e.g. the
-// current layer's activated experts). It returns the evicted experts
-// and reports whether the insert succeeded; inserting fails only when
-// every resident expert is pinned or protected. The evicted slice is
-// reused by the next Insert on this cache.
-func (c *Cache) Insert(id moe.ExpertID, protected func(moe.ExpertID) bool) (evicted []moe.ExpertID, ok bool) {
+// Guard names the experts an eviction must spare: those of Layer whose
+// Loads entry is positive, i.e. the experts the layer being executed
+// routes tokens to. The zero Guard spares nothing.
+type Guard struct {
+	Layer int
+	Loads []int
+}
+
+// covers reports whether g spares expert x of layer l. Every layer but
+// g.Layer costs one comparison.
+func (g Guard) covers(l, x int) bool {
+	return l == g.Layer && x < len(g.Loads) && g.Loads[x] > 0
+}
+
+// Insert makes id resident, evicting victims as needed; g spares the
+// experts it covers. It returns the evicted experts and reports whether
+// the insert succeeded; inserting fails only when every resident expert
+// is pinned or covered by g. The evicted slice is reused by the next
+// Insert on this cache.
+func (c *Cache) Insert(id moe.ExpertID, g Guard) (evicted []moe.ExpertID, ok bool) {
 	if c.Contains(id) {
 		return nil, true
 	}
 	c.evicted = c.evicted[:0]
 	for c.full() {
-		victim, ok := c.victim(protected)
+		victim, ok := c.victim(g)
 		if !ok {
 			return c.evicted, false
 		}
@@ -151,17 +164,17 @@ func (c *Cache) Insert(id moe.ExpertID, protected func(moe.ExpertID) bool) (evic
 	return c.evicted, true
 }
 
-// victim picks the policy's victim among the unpinned residents that
-// protected does not cover, or reports false when there are none. Each
-// layer offers its remembered victim when that is fresh and
-// unprotected. Otherwise the layer offers Victim over its unprotected
-// candidates, which becomes the remembered victim when the guard
-// covered none of them. One Victim call over the layers' offers then
-// picks the eviction. That is the victim a scan of every candidate
-// finds, because Victim is an argmin under a total order (see Policy):
-// the least of a union is the least of its parts' leasts, and a subset
-// that holds a set's least has the same least.
-func (c *Cache) victim(protected func(moe.ExpertID) bool) (moe.ExpertID, bool) {
+// victim picks the policy's victim among the unpinned residents that g
+// does not cover, or reports false when there are none. Each layer
+// offers its remembered victim when that is fresh and uncovered.
+// Otherwise the layer offers Victim over its uncovered candidates,
+// which becomes the remembered victim when g covered none of them. One
+// Victim call over the layers' offers then picks the eviction. That is
+// the victim a scan of every candidate finds, because Victim is an
+// argmin under a total order (see Policy): the least of a union is the
+// least of its parts' leasts, and a subset that holds a set's least has
+// the same least.
+func (c *Cache) victim(g Guard) (moe.ExpertID, bool) {
 	c.winners = c.winners[:0]
 	for l := range c.layers {
 		ls := &c.layers[l]
@@ -169,14 +182,14 @@ func (c *Cache) victim(protected func(moe.ExpertID) bool) (moe.ExpertID, bool) {
 		if len(cands) == 0 {
 			continue
 		}
-		if ls.fresh && (protected == nil || !protected(ls.victim)) {
+		if ls.fresh && !g.covers(l, ls.victim.Index) {
 			c.winners = append(c.winners, ls.victim)
 			continue
 		}
 		offer := c.scratch[:0]
 		for _, x := range cands {
-			if id := expertAt(l, x); protected == nil || !protected(id) {
-				offer = append(offer, id)
+			if !g.covers(l, int(x)) {
+				offer = append(offer, expertAt(l, x))
 			}
 		}
 		c.scratch = offer
@@ -199,7 +212,7 @@ func (c *Cache) victim(protected func(moe.ExpertID) bool) (moe.ExpertID, bool) {
 // fails (returns false) when the cache is full of other pinned experts.
 func (c *Cache) Pin(id moe.ExpertID) bool {
 	if !c.Contains(id) {
-		if _, ok := c.Insert(id, nil); !ok {
+		if _, ok := c.Insert(id, Guard{}); !ok {
 			return false
 		}
 	}

@@ -36,7 +36,7 @@ func TestZeroCapacityCache(t *testing.T) {
 	if c.Lookup(id(0, 1)) {
 		t.Fatal("zero-capacity cache cannot hit")
 	}
-	if _, ok := c.Insert(id(0, 1), nil); ok {
+	if _, ok := c.Insert(id(0, 1), Guard{}); ok {
 		t.Fatal("zero-capacity cache cannot admit")
 	}
 	if c.Pin(id(0, 1)) {
@@ -55,7 +55,7 @@ func TestInsertAndLookup(t *testing.T) {
 	if c.Lookup(id(0, 1)) {
 		t.Fatal("empty cache should miss")
 	}
-	if _, ok := c.Insert(id(0, 1), nil); !ok {
+	if _, ok := c.Insert(id(0, 1), Guard{}); !ok {
 		t.Fatal("insert into empty cache failed")
 	}
 	if !c.Lookup(id(0, 1)) {
@@ -71,8 +71,8 @@ func TestInsertAndLookup(t *testing.T) {
 
 func TestInsertIdempotent(t *testing.T) {
 	c := New(2, NewLRU())
-	c.Insert(id(0, 1), nil)
-	ev, ok := c.Insert(id(0, 1), nil)
+	c.Insert(id(0, 1), Guard{})
+	ev, ok := c.Insert(id(0, 1), Guard{})
 	if !ok || len(ev) != 0 {
 		t.Fatal("re-inserting resident expert should be a no-op")
 	}
@@ -83,10 +83,10 @@ func TestInsertIdempotent(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := New(2, NewLRU())
-	c.Insert(id(0, 1), nil)
-	c.Insert(id(0, 2), nil)
+	c.Insert(id(0, 1), Guard{})
+	c.Insert(id(0, 2), Guard{})
 	c.Lookup(id(0, 1)) // 1 is now more recent than 2
-	ev, ok := c.Insert(id(0, 3), nil)
+	ev, ok := c.Insert(id(0, 3), Guard{})
 	if !ok || len(ev) != 1 || ev[0] != id(0, 2) {
 		t.Fatalf("LRU should evict 0.2: evicted=%v ok=%v", ev, ok)
 	}
@@ -97,12 +97,12 @@ func TestLRUEviction(t *testing.T) {
 
 func TestLFUEviction(t *testing.T) {
 	c := New(2, NewLFU())
-	c.Insert(id(0, 1), nil)
-	c.Insert(id(0, 2), nil)
+	c.Insert(id(0, 1), Guard{})
+	c.Insert(id(0, 2), Guard{})
 	c.Lookup(id(0, 1))
 	c.Lookup(id(0, 1))
 	c.Lookup(id(0, 2))
-	ev, _ := c.Insert(id(0, 3), nil)
+	ev, _ := c.Insert(id(0, 3), Guard{})
 	if len(ev) != 1 || ev[0] != id(0, 2) {
 		t.Fatalf("LFU should evict less-used 0.2, got %v", ev)
 	}
@@ -119,15 +119,17 @@ func TestLFUTieBreaksByRecency(t *testing.T) {
 
 func TestProtectedNeverEvicted(t *testing.T) {
 	c := New(2, NewLRU())
-	c.Insert(id(0, 1), nil)
-	c.Insert(id(0, 2), nil)
-	protect := func(e moe.ExpertID) bool { return e == id(0, 1) }
-	ev, ok := c.Insert(id(0, 3), protect)
+	c.Insert(id(0, 1), Guard{})
+	c.Insert(id(0, 2), Guard{})
+	// The guard covers 0.1, the least recently used resident.
+	one := Guard{Layer: 0, Loads: []int{0, 2}}
+	ev, ok := c.Insert(id(0, 3), one)
 	if !ok || len(ev) != 1 || ev[0] != id(0, 2) {
 		t.Fatalf("protected expert evicted: %v", ev)
 	}
-	// Everything protected: insert must fail gracefully.
-	all := func(moe.ExpertID) bool { return true }
+	// A guard over every resident (0.1 and 0.3): insert must fail
+	// gracefully.
+	all := Guard{Layer: 0, Loads: []int{0, 1, 0, 1}}
 	if _, ok := c.Insert(id(0, 4), all); ok {
 		t.Fatal("insert should fail when all residents are protected")
 	}
@@ -141,8 +143,8 @@ func TestPinnedNeverEvicted(t *testing.T) {
 	if !c.Pin(id(0, 1)) {
 		t.Fatal("pin failed")
 	}
-	c.Insert(id(0, 2), nil)
-	ev, ok := c.Insert(id(0, 3), nil)
+	c.Insert(id(0, 2), Guard{})
+	ev, ok := c.Insert(id(0, 3), Guard{})
 	if !ok || len(ev) != 1 || ev[0] != id(0, 2) {
 		t.Fatalf("pinned expert should survive: %v", ev)
 	}
@@ -155,7 +157,7 @@ func TestPinnedNeverEvicted(t *testing.T) {
 	if c2.Pin(id(0, 2)) {
 		t.Fatal("pin into pin-full cache should fail")
 	}
-	if _, ok := c2.Insert(id(0, 3), nil); ok {
+	if _, ok := c2.Insert(id(0, 3), Guard{}); ok {
 		t.Fatal("insert into pin-full cache should fail")
 	}
 }
@@ -183,8 +185,8 @@ func TestResetStats(t *testing.T) {
 
 func TestResidentSnapshot(t *testing.T) {
 	c := New(4, NewLRU())
-	c.Insert(id(0, 1), nil)
-	c.Insert(id(1, 2), nil)
+	c.Insert(id(0, 1), Guard{})
+	c.Insert(id(1, 2), Guard{})
 	rs := c.Resident()
 	if len(rs) != 2 {
 		t.Fatalf("resident = %v", rs)
@@ -214,7 +216,7 @@ func TestCacheInvariantsQuick(t *testing.T) {
 			case 0:
 				c.Lookup(e)
 			case 1:
-				c.Insert(e, nil)
+				c.Insert(e, Guard{})
 			case 2:
 				if len(pinned) < cap-1 && c.Pin(e) {
 					pinned = append(pinned, e)

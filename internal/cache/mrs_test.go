@@ -115,19 +115,21 @@ func TestMRSBeatsLRUOnSyntheticTrace(t *testing.T) {
 		}
 		c.Warm(warm)
 		const iters = 200
+		loads := make([]int, cfg.RoutedExperts)
 		for i := 0; i < iters; i++ {
 			g.Advance()
 			for l := 0; l < cfg.Layers; l++ {
 				scores := g.Scores(l)
 				active := g.Activated(l)
-				protected := make(map[moe.ExpertID]bool, len(active))
+				clear(loads)
 				for _, e := range active {
-					protected[id(l, e)] = true
+					loads[e] = 1
 				}
+				guard := Guard{Layer: l, Loads: loads}
 				for _, e := range active {
 					eid := id(l, e)
 					if !c.Lookup(eid) {
-						c.Insert(eid, func(x moe.ExpertID) bool { return protected[x] })
+						c.Insert(eid, guard)
 					}
 				}
 				c.ObserveScores(l, scores)

@@ -73,12 +73,12 @@ func (m *Multi) Lookup(id moe.ExpertID, home int) bool {
 
 // Insert makes id resident on device d (a no-op when it is already
 // resident anywhere — experts are never replicated across shards),
-// with Cache.Insert's eviction and protection semantics.
-func (m *Multi) Insert(id moe.ExpertID, d int, protected func(moe.ExpertID) bool) (evicted []moe.ExpertID, ok bool) {
+// with Cache.Insert's eviction and guard semantics.
+func (m *Multi) Insert(id moe.ExpertID, d int, g Guard) (evicted []moe.ExpertID, ok bool) {
 	if _, resident := m.Owner(id); resident {
 		return nil, true
 	}
-	return m.shards[d].Insert(id, protected)
+	return m.shards[d].Insert(id, g)
 }
 
 // Pin permanently places id, striping across shards round-robin. It

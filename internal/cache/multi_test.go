@@ -46,8 +46,8 @@ func TestMultiSingleShardMatchesCache(t *testing.T) {
 				t.Fatalf("op %d: Lookup(%v) = %v, cache says %v", op, x, got, want)
 			}
 		case 1:
-			_, gotOK := multi.Insert(x, 0, nil)
-			_, wantOK := single.Insert(x, nil)
+			_, gotOK := multi.Insert(x, 0, Guard{})
+			_, wantOK := single.Insert(x, Guard{})
 			if gotOK != wantOK {
 				t.Fatalf("op %d: Insert(%v) ok = %v, cache says %v", op, x, gotOK, wantOK)
 			}
@@ -74,10 +74,10 @@ func TestMultiOwnerAndAttribution(t *testing.T) {
 	m := NewMulti(New(2, NewLRU()), New(2, NewLRU()))
 	a := moe.ExpertID{Layer: 0, Index: 0}
 	b := moe.ExpertID{Layer: 0, Index: 1}
-	if _, ok := m.Insert(a, 0, nil); !ok {
+	if _, ok := m.Insert(a, 0, Guard{}); !ok {
 		t.Fatal("insert on shard 0 failed")
 	}
-	if _, ok := m.Insert(b, 1, nil); !ok {
+	if _, ok := m.Insert(b, 1, Guard{}); !ok {
 		t.Fatal("insert on shard 1 failed")
 	}
 	if d, ok := m.Owner(a); !ok || d != 0 {
@@ -103,7 +103,7 @@ func TestMultiOwnerAndAttribution(t *testing.T) {
 
 	// Re-inserting a resident expert on the other device must not
 	// replicate it.
-	if _, ok := m.Insert(a, 1, nil); !ok {
+	if _, ok := m.Insert(a, 1, Guard{}); !ok {
 		t.Fatal("idempotent insert failed")
 	}
 	if m.Shard(1).Contains(a) {

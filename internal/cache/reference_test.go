@@ -128,7 +128,13 @@ func newRefCache(capacity int, p refPolicy) *refCache {
 		resident: map[moe.ExpertID]bool{}, pinned: map[moe.ExpertID]bool{}}
 }
 
-func (c *refCache) insert(id moe.ExpertID, protected func(moe.ExpertID) bool) ([]moe.ExpertID, bool) {
+// spares is the reference reading of a guard: it covers id when id is
+// on the guard's layer and has a positive load there.
+func spares(g Guard, id moe.ExpertID) bool {
+	return id.Layer == g.Layer && id.Index < len(g.Loads) && g.Loads[id.Index] > 0
+}
+
+func (c *refCache) insert(id moe.ExpertID, g Guard) ([]moe.ExpertID, bool) {
 	if c.resident[id] {
 		return nil, true
 	}
@@ -136,7 +142,7 @@ func (c *refCache) insert(id moe.ExpertID, protected func(moe.ExpertID) bool) ([
 	for len(c.resident) >= c.capacity {
 		var cands []moe.ExpertID
 		for r := range c.resident {
-			if !c.pinned[r] && (protected == nil || !protected(r)) {
+			if !c.pinned[r] && !spares(g, r) {
 				cands = append(cands, r)
 			}
 		}
@@ -157,7 +163,7 @@ func (c *refCache) insert(id moe.ExpertID, protected func(moe.ExpertID) bool) ([
 
 func (c *refCache) pin(id moe.ExpertID) bool {
 	if !c.resident[id] {
-		if _, ok := c.insert(id, nil); !ok {
+		if _, ok := c.insert(id, Guard{}); !ok {
 			return false
 		}
 	}
@@ -192,11 +198,11 @@ func (m *refMulti) lookup(id moe.ExpertID, home int) bool {
 	return false
 }
 
-func (m *refMulti) insert(id moe.ExpertID, d int, protected func(moe.ExpertID) bool) ([]moe.ExpertID, bool) {
+func (m *refMulti) insert(id moe.ExpertID, d int, g Guard) ([]moe.ExpertID, bool) {
 	if _, ok := m.owner(id); ok {
 		return nil, true
 	}
-	return m.shards[d].insert(id, protected)
+	return m.shards[d].insert(id, g)
 }
 
 func (m *refMulti) pin(id moe.ExpertID) bool {
@@ -253,13 +259,13 @@ func (m *refMulti) touchHistorical(id moe.ExpertID) {
 
 // countingPolicy counts the Victim calls. Bound to a shard, it also
 // checks every call's offer: each candidate resident on the shard,
-// unpinned, unprotected under guard (the guard of the insert in
-// progress) and listed once. err keeps the first violation.
+// unpinned, not spared by guard (the guard of the insert in progress)
+// and listed once. err keeps the first violation.
 type countingPolicy struct {
 	Policy
 	calls int64
 	shard *Cache
-	guard func(moe.ExpertID) bool
+	guard Guard
 	err   error
 }
 
@@ -281,8 +287,8 @@ func (p *countingPolicy) checkOffer(cs []moe.ExpertID) error {
 			why = "is not resident"
 		case p.shard.Pinned(x):
 			why = "is pinned"
-		case p.guard != nil && p.guard(x):
-			why = "is protected"
+		case spares(p.guard, x):
+			why = "is guarded"
 		case slices.Contains(cs[:i], x):
 			why = "is listed twice"
 		default:
@@ -309,9 +315,9 @@ func newPolicyPair(name string, topP int) (Policy, refPolicy) {
 // identical operations, and returns the first divergence. intn draws
 // every choice in [0, n); more reports whether to run operation op.
 // The mix is every operation the engine issues: lookups, inserts under
-// random protection sets, pins, warm fills, score observations with
-// frequent ties, historical touches, and batches of inserts under one
-// guard. After each operation the driver requires identical evictions,
+// random guards, pins, warm fills, score observations with frequent
+// ties, historical touches, and batches of inserts under one guard.
+// After each operation the driver requires identical evictions,
 // residency, statistics and MRS priorities, and it requires every
 // Victim call to have been offered only evictable residents, each once.
 func matchReference(name string, shards, capacity int, intn func(n int) int, more func(op int) bool) error {
@@ -335,18 +341,18 @@ func matchReference(name string, shards, capacity int, intn func(n int) int, mor
 	}
 	m := NewMulti(cs...)
 	pick := func() moe.ExpertID { return all[intn(len(all))] }
-	// insert runs one Insert on both sides under guard, which the
-	// counters check Victim's offers against.
-	insert := func(x moe.ExpertID, d int, guard func(moe.ExpertID) bool) error {
+	// insert runs one Insert on both sides under g, which the counters
+	// check Victim's offers against.
+	insert := func(x moe.ExpertID, d int, g Guard) error {
 		for _, cp := range counters {
-			cp.guard = guard
+			cp.guard = g
 		}
-		gotEv, gotOK := m.Insert(x, d, guard)
+		gotEv, gotOK := m.Insert(x, d, g)
 		gotEv = append([]moe.ExpertID(nil), gotEv...)
 		for _, cp := range counters {
-			cp.guard = nil
+			cp.guard = Guard{}
 		}
-		wantEv, wantOK := ref.insert(x, d, guard)
+		wantEv, wantOK := ref.insert(x, d, g)
 		if gotOK != wantOK || fmt.Sprint(gotEv) != fmt.Sprint(wantEv) {
 			return fmt.Errorf("inserting %v on shard %d evicted %v (ok %v), reference %v (ok %v)", x, d, gotEv, gotOK, wantEv, wantOK)
 		}
@@ -364,12 +370,9 @@ func matchReference(name string, shards, capacity int, intn func(n int) int, mor
 			}
 		case k < 12:
 			x, d := pick(), intn(shards)
-			prot := map[moe.ExpertID]bool{}
-			for n := intn(4); n > 0; n-- {
-				prot[pick()] = true
-			}
-			what = fmt.Sprintf("Insert(%v,%d,protect %d)", x, d, len(prot))
-			err = insert(x, d, func(y moe.ExpertID) bool { return prot[y] })
+			g := drawGuard(intn, layers, experts)
+			what = fmt.Sprintf("Insert(%v,%d,%v)", x, d, g)
+			err = insert(x, d, g)
 		case k == 12:
 			x := pick()
 			what = fmt.Sprintf("Pin(%v)", x)
@@ -401,11 +404,10 @@ func matchReference(name string, shards, capacity int, intn func(n int) int, mor
 			m.TouchHistorical(x)
 			ref.touchHistorical(x)
 		default:
-			ids, dests, prot := insertBatch(intn, m, pick)
-			what = fmt.Sprintf("batch(%v,dest %v,protect %d)", ids, dests, len(prot))
-			guard := func(y moe.ExpertID) bool { return prot[y] }
+			ids, dests, g := insertBatch(intn, m, pick, layers, experts)
+			what = fmt.Sprintf("batch(%v,dest %v,%v)", ids, dests, g)
 			for _, x := range ids {
-				if err = insert(x, dests[x], guard); err != nil {
+				if err = insert(x, dests[x], g); err != nil {
 					break
 				}
 			}
@@ -470,19 +472,24 @@ func TestCacheMatchesReference(t *testing.T) {
 // shards and a capacity of 1–8, and each later byte makes one choice of
 // the operation mix, until the input runs out.
 func FuzzCacheMatchesReference(f *testing.F) {
-	// Each seed fails a cache that keeps a layer's remembered victim
-	// across one of the calls that change the layer:
+	// Each of the first five seeds fails a cache that keeps a layer's
+	// remembered victim across one of the calls that change the layer:
 	//   - a hit's Touch, under LRU;
 	//   - a hit's Touch, under LFU;
 	//   - ObserveScores, under MRS;
 	//   - a Pin, under LRU;
 	//   - an eviction.
+	// The last two fail a cache that remembers a victim it picked while
+	// the guard hid some of the layer's candidates, and one that offers
+	// a remembered victim the guard covers.
 	for _, seed := range []string{
-		"01C701107110$92\xcd07(110$2007710000$90000m0#1781",
-		"102B200001101\x9e0180000001000000071000\xde070000000",
-		"20CB20080000000000190000000100%000000000B0008000000000000000000A0$2Z07 00%7200000007001",
-		"01%BX00001\xfc0110120170180190000100000100020007A007B011#<7",
-		"001$21078007",
+		"00m[s00005=0qk0u:0000sU0bj000000009c00;;00000y0000000000000k0YP00:0000wx0>",
+		"10c000000:sBP0m00J00Ry0oX0000jE02y0000000000090000Y0",
+		"20zPy00n0900Y0S00c<004Q0I00000000Vk0S000000000b00[0lPC00D0",
+		"00G000RYm0g0`;F7500[000_0nF0000000000000000000M400lK00000000QGn0Pe",
+		"00lRRDA0n0F00t0Yq00Q0000W\\0c",
+		"00ZL]00L00q0z00000PW00dN08:ge0000t0U0000000000m07",
+		"00SB0003000000000000ReW0000X0Pc0q0z00000f;00000r0",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -503,13 +510,28 @@ func FuzzCacheMatchesReference(f *testing.F) {
 	})
 }
 
+// drawGuard draws an insert's guard: the zero guard one time in three,
+// otherwise a random one of layers with 0 to experts loads, each -1, 0
+// or 1, so a guard may cover none of its layer or stop short of it.
+func drawGuard(intn func(int) int, layers, experts int) Guard {
+	if intn(3) == 0 {
+		return Guard{}
+	}
+	g := Guard{Layer: intn(layers), Loads: make([]int, intn(experts+1))}
+	for i := range g.Loads {
+		g.Loads[i] = intn(3) - 1
+	}
+	return g
+}
+
 // insertBatch draws a batch for the reference test: 0–8 ids mixing
 // fresh picks, repeats within the batch and residents, each with a
-// random destination shard, and a guard that protects some batch ids
-// and leaves others evictable once placed. One batch in four also
-// guards every resident, so a full shard has nothing to evict and every
-// insert into it fails.
-func insertBatch(intn func(int) int, m *Multi, pick func() moe.ExpertID) ([]moe.ExpertID, map[moe.ExpertID]int, map[moe.ExpertID]bool) {
+// random destination shard, and one guard for the whole batch. Batch
+// ids the guard does not cover are evictable once placed. One batch in
+// four guards every expert of its layer, so a full shard holding only
+// that layer's residents has nothing to evict and every insert into it
+// fails.
+func insertBatch(intn func(int) int, m *Multi, pick func() moe.ExpertID, layers, experts int) ([]moe.ExpertID, map[moe.ExpertID]int, Guard) {
 	ids := make([]moe.ExpertID, intn(9))
 	for i := range ids {
 		s := m.Shard(intn(m.Devices()))
@@ -523,24 +545,15 @@ func insertBatch(intn func(int) int, m *Multi, pick func() moe.ExpertID) ([]moe.
 		}
 	}
 	dests := map[moe.ExpertID]int{}
-	prot := map[moe.ExpertID]bool{}
 	for _, x := range ids {
 		if _, ok := dests[x]; !ok {
 			dests[x] = intn(m.Devices())
 		}
-		prot[x] = intn(2) == 0
-	}
-	for n := intn(4); n > 0; n-- {
-		prot[pick()] = true
 	}
 	if intn(4) == 0 {
-		for d := 0; d < m.Devices(); d++ {
-			for _, x := range m.Shard(d).Resident() {
-				prot[x] = true
-			}
-		}
+		return ids, dests, Guard{Layer: intn(layers), Loads: slices.Repeat([]int{1}, experts)}
 	}
-	return ids, dests, prot
+	return ids, dests, drawGuard(intn, layers, experts)
 }
 
 // TestMRSTopPTieAtBoundary pins the tie rule where it decides
@@ -586,11 +599,11 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	c := New(4, NewMRS(DefaultAlpha, 4))
 	c.ObserveScores(3, scores)
 	for e := 0; e < 6; e++ {
-		c.Insert(id(3, e), nil)
+		c.Insert(id(3, e), Guard{})
 	}
 	e := 0
 	if a := testing.AllocsPerRun(100, func() {
-		c.Insert(id(3, e%6), nil)
+		c.Insert(id(3, e%6), Guard{})
 		e++
 	}); a != 0 {
 		t.Errorf("evicting Cache.Insert allocated %.1f times per call", a)
@@ -611,7 +624,8 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 		m.ObserveScores(3, scores)
 		m.Warm(pool)
 		batch := make([]moe.ExpertID, 3)
-		guard := func(x moe.ExpertID) bool { return x == batch[0] }
+		// The guard covers the batch's first expert.
+		guard := Guard{Layer: 3, Loads: make([]int, len(pool))}
 		e := 0
 		// AllocsPerRun's own warm-up call is the one the batch needs.
 		if a := testing.AllocsPerRun(100, func() {
@@ -619,6 +633,8 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 				batch[i] = pool[(5*e+i)%len(pool)]
 			}
 			e++
+			clear(guard.Loads)
+			guard.Loads[batch[0].Index] = 1
 			for _, x := range batch {
 				m.Insert(x, x.Index%shards, guard)
 			}

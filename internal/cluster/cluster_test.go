@@ -413,8 +413,9 @@ func TestClusterDropsZeroWork(t *testing.T) {
 // batch members: when a replica's last iteration is a merged batch, its
 // session queues the other members' events (Done included) after
 // Pending has already reached 0. Cluster.Step alone — at one worker or
-// two, and on a replica retiring by scale-down — must still deliver
-// exactly one Done per request.
+// two, on a replica retiring by scale-down, and on a replica that dies
+// or stalls after its last batch — must still deliver exactly one Done
+// per request.
 func TestClusterDeliversFinalBatchEvents(t *testing.T) {
 	const n = 8
 	reqs := make([]workload.Request, n)
@@ -430,6 +431,8 @@ func TestClusterDeliversFinalBatchEvents(t *testing.T) {
 		{"serial", nil},
 		{"parallel", []Option{WithWorkers(2)}},
 		{"scale-down", []Option{WithScalePlan(ScaleEvent{At: 1e-9, Delta: -1})}},
+		{"death", []Option{WithFailure(1, 10, FailDeath)}},
+		{"stall", []Option{WithFailure(1, 10, FailStall)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := append([]Option{

@@ -148,13 +148,15 @@ func (c *Cluster) applyLife(a lifeAction, at float64) {
 	}
 }
 
-// kill declares a replica dead at simulated time at: its undelivered
-// queue is reclaimed back into the dispatch queue (one Rerouted event
-// per request, original arrival stamps intact — the wait on the dead
-// box lands in queue-inclusive TTFT when the request finally runs),
-// its in-flight requests are abandoned (counted by Lost; their state
-// cannot move), and a ReplicaDead event records the moment with the
-// abandoned count in Tokens.
+// kill declares a replica dead at simulated time at: the events its
+// session has produced but not delivered leave first (they report
+// iterations that already ran), its undelivered queue is reclaimed back
+// into the dispatch queue (one Rerouted event per request, original
+// arrival stamps intact — the wait on the dead box lands in
+// queue-inclusive TTFT when the request finally runs), its in-flight
+// requests are abandoned (counted by Lost; their state cannot move),
+// and a ReplicaDead event records the moment with the abandoned count
+// in Tokens.
 func (c *Cluster) kill(i int, at float64) {
 	r := c.replicas[i]
 	if r.state == StateDead {
@@ -164,6 +166,7 @@ func (c *Cluster) kill(i int, at float64) {
 	reclaimed := r.ses.Reclaim()
 	lost := r.ses.Pending()
 	c.lost += lost
+	c.flushEmissions(i)
 	c.queue = append(c.queue, Event{Replica: i, Kind: EventReplicaDead, StepEvent: engine.StepEvent{
 		Start: at, End: at, Tokens: lost,
 	}})

@@ -63,17 +63,12 @@ type Engine struct {
 
 	// Per-layer scratch of runStep and the cache refreshes after it,
 	// reused across layers and steps; none of it outlives a layer:
-	//   - active: the current layer's routed experts, activeLayer that
-	//     layer, and protect the eviction guard reading them, bound once;
 	//   - dest: a transferred expert's destination shard, by index (a
 	//     plan covers one layer);
 	//   - gpuFrees/linkFrees: the plan's per-device Resources;
 	//   - budgets: the prefetch link budgets;
 	//   - loadScores/loadIdx: predictedLoads' top-k selection;
 	//   - misses: missInsert's candidates.
-	active              []bool
-	activeLayer         int
-	protect             func(moe.ExpertID) bool
 	dest                []int
 	gpuFrees, linkFrees []float64
 	budgets             []float64
@@ -229,9 +224,7 @@ func New(cfg *moe.Config, platform *hw.Platform, fw Framework, opts ...Option) (
 	e.gpuFrees = make([]float64, gpus)
 	e.linkFrees = make([]float64, gpus)
 	e.budgets = make([]float64, e.placeGPUs)
-	e.active = make([]bool, cfg.RoutedExperts)
 	e.dest = make([]int, cfg.RoutedExperts)
-	e.protect = e.isActive
 	e.pfTarget = e.homeDevice
 	e.pfIsCached = e.isCached
 	e.pfPredictLoads = func(l int) []int { return e.predictedLoads(e.pfLayer, l) }
@@ -412,8 +405,9 @@ func (e *Engine) runStep(b *stepBuffers, tokens, context int, perLoadLookups boo
 		}
 
 		// Routed experts: look up residency (with hit accounting), plan
-		// and apply.
-		e.markActive(act)
+		// and apply. Every insert of this layer spares its routed
+		// experts.
+		guard := cache.Guard{Layer: act.Layer, Loads: act.Loads}
 		for x, load := range act.Loads {
 			if load <= 0 {
 				continue
@@ -450,7 +444,7 @@ func (e *Engine) runStep(b *stepBuffers, tokens, context int, perLoadLookups boo
 				panic(fmt.Sprintf("engine: invalid plan at layer %d: %v", act.Layer, err))
 			}
 		}
-		e.applyPlan(plan, layerStart)
+		e.applyPlan(plan, layerStart, guard)
 
 		layerEnd := maxF(attEnd, layerStart+plan.Makespan)
 		e.clock = layerEnd
@@ -460,28 +454,13 @@ func (e *Engine) runStep(b *stepBuffers, tokens, context int, perLoadLookups boo
 
 		// Spend PCIe idle time: prefetch upcoming layers, then refresh
 		// the cache with this layer's misses if the framework does so.
-		e.prefetchInto(act.Layer, layerEnd)
-		e.missInsert(act, layerEnd)
+		e.prefetchInto(act.Layer, layerEnd, guard)
+		e.missInsert(act, layerEnd, guard)
 	}
 	return e.clock - stepStart
 }
 
-// markActive records act's routed experts as the current layer's, the
-// set the eviction guard protects.
-func (e *Engine) markActive(act trace.LayerActivation) {
-	e.activeLayer = act.Layer
-	for x, load := range act.Loads {
-		e.active[x] = load > 0
-	}
-}
-
-// isActive is the eviction guard: it reports whether id is routed in
-// the layer being executed.
-func (e *Engine) isActive(id moe.ExpertID) bool {
-	return id.Layer == e.activeLayer && e.active[id.Index]
-}
-
-func (e *Engine) applyPlan(plan *sched.Plan, layerStart float64) {
+func (e *Engine) applyPlan(plan *sched.Plan, layerStart float64, guard cache.Guard) {
 	// Transfer destinations: the op's device says which shard receives
 	// the weights the plan moved.
 	for _, id := range plan.Transferred {
@@ -508,13 +487,13 @@ func (e *Engine) applyPlan(plan *sched.Plan, layerStart float64) {
 		}
 	}
 	for _, id := range plan.Transferred {
-		e.placeCache.Insert(id, e.dest[id.Index], e.protect)
+		e.placeCache.Insert(id, e.dest[id.Index], guard)
 	}
 }
 
 // prefetchInto spends PCIe idle time until layerEnd on upcoming layers,
 // each pick riding its target device's own host link.
-func (e *Engine) prefetchInto(layer int, layerEnd float64) {
+func (e *Engine) prefetchInto(layer int, layerEnd float64, guard cache.Guard) {
 	// Only the links placement can target count: a confined single-GPU
 	// planner on an N-GPU platform must not see the idle extra links,
 	// or the prefetcher would price candidates it can never afford.
@@ -545,10 +524,10 @@ func (e *Engine) prefetchInto(layer int, layerEnd float64) {
 	picks := e.pref.Select(ctx)
 	for _, id := range picks {
 		d := e.homeDevice(id).GPUIndex()
-		// A shard full of protected residents only blocks its own
+		// A shard full of guarded residents only blocks its own
 		// device's picks; on one device the failure repeats, matching
 		// the old early exit.
-		if _, ok := e.placeCache.Insert(id, d, e.protect); !ok {
+		if _, ok := e.placeCache.Insert(id, d, guard); !ok {
 			continue
 		}
 		xfer := e.platform.Links[d].TransferTime(e.cfg.ExpertBytes())
@@ -585,7 +564,7 @@ func (e *Engine) predictedLoads(curLayer, layer int) []int {
 
 // missInsert refreshes the cache with this layer's missed experts in
 // leftover PCIe idle time (static-scheduler frameworks' cache path).
-func (e *Engine) missInsert(act trace.LayerActivation, layerEnd float64) {
+func (e *Engine) missInsert(act trace.LayerActivation, layerEnd float64, guard cache.Guard) {
 	if !e.fw.OnMissInsert {
 		return
 	}
@@ -615,7 +594,7 @@ func (e *Engine) missInsert(act trace.LayerActivation, layerEnd float64) {
 		if e.linkBusy[d]+xfer > layerEnd {
 			continue
 		}
-		if _, ok := e.placeCache.Insert(id, d, e.protect); !ok {
+		if _, ok := e.placeCache.Insert(id, d, guard); !ok {
 			continue
 		}
 		start := e.linkBusy[d]
@@ -733,8 +712,8 @@ func (e *Engine) IsResident(layer, index int) bool {
 // stages the checkpoint's predicted experts (from its own host copy,
 // concurrent with the KV transfer the interconnect prices) so the
 // request's first decode steps hit instead of faulting. Inserts go
-// through the normal placement path with nothing protected, so a full
-// shard of protected residents simply declines. It reports how many of
+// through the normal placement path under the zero guard, so only a
+// full shard of pinned residents declines. It reports how many of
 // the refs ended up resident (already-present ones count — they are
 // warm, which is what the caller is asking). Layer-mapped frameworks
 // have static residency and adopt nothing.
@@ -747,7 +726,6 @@ func (e *Engine) AdoptWorkingSet(experts []workload.ExpertRef) (warm int) {
 		}
 		return warm
 	}
-	unprotected := func(moe.ExpertID) bool { return false }
 	for _, ref := range experts {
 		if ref.Layer < 0 || ref.Layer >= e.cfg.Layers || ref.Index < 0 || ref.Index >= e.cfg.RoutedExperts {
 			continue
@@ -757,7 +735,7 @@ func (e *Engine) AdoptWorkingSet(experts []workload.ExpertRef) (warm int) {
 			warm++
 			continue
 		}
-		if _, ok := e.placeCache.Insert(id, e.homeDevice(id).GPUIndex(), unprotected); ok {
+		if _, ok := e.placeCache.Insert(id, e.homeDevice(id).GPUIndex(), cache.Guard{}); ok {
 			warm++
 		}
 	}

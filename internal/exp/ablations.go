@@ -9,6 +9,7 @@ import (
 	"hybrimoe/internal/report"
 	"hybrimoe/internal/sched"
 	"hybrimoe/internal/stats"
+	"hybrimoe/internal/trace"
 )
 
 // AblationGreedyVsExhaustive measures the cost of scheduling greedily:
@@ -67,14 +68,15 @@ func AblationMRSTopP(p Params) *report.Table {
 	t := report.NewTable("Ablation: MRS top-p width (DeepSeek, 40% cache)",
 		"p/K", "hit-rate")
 	cfg := moe.DeepSeek()
+	opts := trace.DefaultOptions(p.Seed)
 	for _, mult := range []int{1, 2, 4, 8} {
 		hr := CacheHitRate(cfg, cache.NewMRS(cache.DefaultAlpha, mult*cfg.ActivatedExperts),
-			0.40, p.HitRateIters, p.Seed)
+			0.40, p.HitRateIters, opts)
 		t.AddRow(mult, hr)
 	}
 	// Full-width accumulation (p = N) as the degenerate case.
 	hr := CacheHitRate(cfg, cache.NewMRS(cache.DefaultAlpha, cfg.RoutedExperts),
-		0.40, p.HitRateIters, p.Seed)
+		0.40, p.HitRateIters, opts)
 	t.AddRow(cfg.RoutedExperts/cfg.ActivatedExperts, hr)
 	return t
 }

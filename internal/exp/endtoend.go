@@ -158,8 +158,9 @@ func fig9Cells(p Params) []Cell {
 		for _, pctCap := range []int{30, 40, 50, 60, 70, 75} {
 			cells = append(cells, func() []Row {
 				ratio := float64(pctCap) / 100
-				lru := CacheHitRate(cfg, cache.NewLRU(), ratio, p.HitRateIters, p.Seed)
-				mrs := CacheHitRate(cfg, cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts), ratio, p.HitRateIters, p.Seed)
+				opts := trace.DefaultOptions(p.Seed)
+				lru := CacheHitRate(cfg, cache.NewLRU(), ratio, p.HitRateIters, opts)
+				mrs := CacheHitRate(cfg, cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts), ratio, p.HitRateIters, opts)
 				return []Row{{cfg.Name, pctCap, lru, mrs, mrs - lru}}
 			})
 		}
@@ -168,13 +169,13 @@ func fig9Cells(p Params) []Cell {
 }
 
 // CacheHitRate drives a cache with policy through iters decode
-// iterations of cfg's synthetic trace at the given capacity ratio and
-// returns the steady-state hit rate (first quarter excluded as warm-up).
-// Like the engine's, the eviction guard protects the current layer's
-// activated experts; they are looked up and inserted in descending
-// score order, which LRU recency depends on.
-func CacheHitRate(cfg *moe.Config, policy cache.Policy, ratio float64, iters int, seed uint64) float64 {
-	g := trace.New(cfg, trace.DefaultOptions(seed))
+// iterations of cfg's synthetic trace, generated under opts, at the
+// given capacity ratio and returns the steady-state hit rate (first
+// quarter excluded as warm-up). Like the engine's, the eviction guard
+// spares the current layer's activated experts; they are looked up and
+// inserted in descending score order, which LRU recency depends on.
+func CacheHitRate(cfg *moe.Config, policy cache.Policy, ratio float64, iters int, opts trace.Options) float64 {
+	g := trace.New(cfg, opts)
 	c := cache.New(cfg.CacheCapacity(ratio), policy)
 	var warm []moe.ExpertID
 	for l := 0; l < cfg.Layers; l++ {
@@ -183,22 +184,20 @@ func CacheHitRate(cfg *moe.Config, policy cache.Policy, ratio float64, iters int
 		}
 	}
 	c.Warm(warm)
-	active := make([]bool, cfg.RoutedExperts)
-	activeLayer := 0
-	isActive := func(x moe.ExpertID) bool { return x.Layer == activeLayer && active[x.Index] }
+	loads := make([]int, cfg.RoutedExperts)
 	for i := 0; i < iters; i++ {
 		g.Advance()
 		for l := 0; l < cfg.Layers; l++ {
 			acts := g.Activated(l)
-			activeLayer = l
-			clear(active)
+			clear(loads)
 			for _, e := range acts {
-				active[e] = true
+				loads[e] = 1
 			}
+			guard := cache.Guard{Layer: l, Loads: loads}
 			for _, e := range acts {
 				id := moe.ExpertID{Layer: l, Index: e}
 				if !c.Lookup(id) {
-					c.Insert(id, isActive)
+					c.Insert(id, guard)
 				}
 			}
 			c.ObserveScores(l, g.Scores(l))

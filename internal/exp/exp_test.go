@@ -6,6 +6,7 @@ import (
 
 	"hybrimoe/internal/cache"
 	"hybrimoe/internal/moe"
+	"hybrimoe/internal/trace"
 )
 
 func render(t *testing.T, r Renderable) string {
@@ -151,15 +152,16 @@ func TestFig8HybriMoEBeatsKTransformers(t *testing.T) {
 
 func TestCacheHitRateMRSBeatsLRUTightCache(t *testing.T) {
 	cfg := moe.DeepSeek()
-	lru := CacheHitRate(cfg, cache.NewLRU(), 0.3, 150, 9)
-	mrs := CacheHitRate(cfg, cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts), 0.3, 150, 9)
+	opts := trace.DefaultOptions(9)
+	lru := CacheHitRate(cfg, cache.NewLRU(), 0.3, 150, opts)
+	mrs := CacheHitRate(cfg, cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts), 0.3, 150, opts)
 	t.Logf("30%% capacity: LRU=%.3f MRS=%.3f", lru, mrs)
 	if mrs <= lru {
 		t.Fatalf("MRS %.3f should beat LRU %.3f at 30%% capacity", mrs, lru)
 	}
 	// The gap narrows at high capacity (Fig 9's convergence).
-	lruHi := CacheHitRate(cfg, cache.NewLRU(), 0.75, 150, 9)
-	mrsHi := CacheHitRate(cfg, cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts), 0.75, 150, 9)
+	lruHi := CacheHitRate(cfg, cache.NewLRU(), 0.75, 150, opts)
+	mrsHi := CacheHitRate(cfg, cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts), 0.75, 150, opts)
 	if (mrsHi - lruHi) >= (mrs - lru) {
 		t.Fatalf("MRS advantage should narrow at 75%%: low %.3f hi %.3f", mrs-lru, mrsHi-lruHi)
 	}
