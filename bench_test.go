@@ -815,16 +815,17 @@ func BenchmarkDisaggHandoff(b *testing.B) {
 
 // BenchmarkMillionRequests is a microbenchmark of the event queue: 2^20
 // seeded Poisson arrivals flow through one sim.Queue, each popped
-// arrival reserving deterministic service on the least-busy of eight
-// no-trace resource timelines and scheduling its completion back onto
-// the queue (so the heap constantly interleaves arrivals and
-// completions, the Session's event mix). It never touches an engine,
-// a Session or a cluster, so its sim-req/s (simulated requests per
-// wall-clock second) bounds the event loop's own overhead and says
-// nothing about serving throughput; bench/'s engine-backed workloads
-// measure that. The queue and timelines are reused across iterations,
-// so the steady-state loop is allocation-free (gated by the -benchmem
-// allocs/op column in the bench trend).
+// arrival booking deterministic service on the least-busy of eight
+// servers (each a float64 busy frontier, as the engine keeps its
+// resources) and scheduling its completion back onto the queue (so the
+// heap constantly interleaves arrivals and completions, the Session's
+// event mix). It never touches an engine, a Session or a cluster, so
+// its sim-req/s (simulated requests per wall-clock second) bounds the
+// event loop's own overhead and says nothing about serving throughput;
+// bench/'s engine-backed workloads measure that. The queue and
+// frontiers are reused across iterations, so the steady-state loop is
+// allocation-free (gated by the -benchmem allocs/op column in the bench
+// trend).
 func BenchmarkMillionRequests(b *testing.B) {
 	const (
 		requests = 1 << 20
@@ -842,20 +843,15 @@ func BenchmarkMillionRequests(b *testing.B) {
 		arrivals[i] = clock
 		service[i] = (1 + rng.Float64()) / rate * servers / 2
 	}
-	var q sim.Queue[int32] // payload: request index, or ^index for a completion
-	var tls [servers]*sim.Timeline
-	for i := range tls {
-		tls[i] = sim.NewTimelineNoTrace(fmt.Sprintf("srv%d", i))
-	}
+	var q sim.Queue[int32]    // payload: request index, or ^index for a completion
+	var busy [servers]float64 // when each server frees up
 	var done int
 	var makespan float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		q.Reset()
-		for _, tl := range tls {
-			tl.Reset()
-		}
+		busy = [servers]float64{}
 		done, makespan = 0, 0
 		next := 0
 		// Sliding arrival window: pushing the next arrival when one pops
@@ -877,11 +873,12 @@ func BenchmarkMillionRequests(b *testing.B) {
 			}
 			least := 0
 			for s := 1; s < servers; s++ {
-				if tls[s].BusyUntil() < tls[least].BusyUntil() {
+				if busy[s] < busy[least] {
 					least = s
 				}
 			}
-			_, end := tls[least].Reserve(at, service[v], "")
+			end := max(at, busy[least]) + service[v]
+			busy[least] = end
 			q.Push(end, ^v)
 			if next < requests {
 				q.Push(arrivals[next], int32(next))

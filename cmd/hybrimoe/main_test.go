@@ -25,26 +25,37 @@ var serveGoldens = []struct {
 
 func TestServeGolden(t *testing.T) {
 	for _, g := range serveGoldens {
-		t.Run(g.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := run(strings.Fields(g.args), &buf); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join("testdata", g.name+".golden")
-			if os.Getenv("UPDATE_GOLDEN") != "" {
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
-			}
-			if diff := diffLines(want, buf.Bytes()); diff != "" {
-				t.Fatalf("`hybrimoe %s` drifted from %s:\n%s", g.args, path, diff)
-			}
-		})
+		t.Run(g.name, func(t *testing.T) { checkGolden(t, g.name, g.args) })
+	}
+}
+
+// TestDemoGolden pins the traced decode summary and its Gantt timeline,
+// the only CLI output that draws the engine's recorded spans.
+func TestDemoGolden(t *testing.T) {
+	checkGolden(t, "demo", "demo -steps 5")
+}
+
+// checkGolden runs `hybrimoe args` and compares its output with
+// testdata/<name>.golden, rewriting the file under UPDATE_GOLDEN=1.
+func checkGolden(t *testing.T, name, args string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(strings.Fields(args), &buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", name+".golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if diff := diffLines(want, buf.Bytes()); diff != "" {
+		t.Fatalf("`hybrimoe %s` drifted from %s:\n%s", args, path, diff)
 	}
 }
 

@@ -38,6 +38,6 @@ func main() {
 	fmt.Printf("transfers       : %d on-demand, %d prefetched\n",
 		res.Stats.DemandTransfers, res.Stats.PrefetchTransfers)
 
-	fmt.Println("\nexecution timeline (G=attention, L=experts, p=prefetch):")
+	fmt.Println("\nexecution timeline (a=attention, L=experts, p=prefetch, m=miss insert):")
 	fmt.Print(e.Gantt(100))
 }

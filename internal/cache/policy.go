@@ -8,10 +8,8 @@
 package cache
 
 import (
-	"fmt"
-	"sort"
-
 	"hybrimoe/internal/moe"
+	"hybrimoe/internal/registry"
 )
 
 // Policy decides which resident expert to evict. Implementations keep
@@ -157,44 +155,26 @@ var (
 // accumulation windows (MRS takes top-p = 2k); others ignore it.
 type Factory func(k int) Policy
 
-var registry = map[string]Factory{}
+var policies = registry.New[Factory]("cache: Register", "cache: unknown policy")
 
 // Register makes a policy constructible by name through NewPolicy.
 // Registering a duplicate name or a nil factory panics: both are
 // programming errors in plugin wiring, caught at init time.
-func Register(name string, f Factory) {
-	if name == "" {
-		panic("cache: Register with empty name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("cache: Register(%q) with nil factory", name))
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("cache: Register(%q) called twice", name))
-	}
-	registry[name] = f
-}
+func Register(name string, f Factory) { policies.Add(name, f) }
 
 // NewPolicy builds the named replacement policy, or returns a
 // descriptive error for an unknown name. k is the model's activation
 // count (see Factory).
 func NewPolicy(name string, k int) (Policy, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("cache: unknown policy %q (have %v)", name, Names())
+	f, err := policies.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(k), nil
 }
 
 // Names lists the registered policies in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return policies.Names() }
 
 func init() {
 	Register("LRU", func(int) Policy { return NewLRU() })

@@ -98,7 +98,6 @@ type RouteRecord struct {
 type config struct {
 	replicas      int
 	routerName    string
-	router        Router
 	build         func(i int) (*engine.Engine, error)
 	seed          uint64
 	maxConcurrent int
@@ -134,27 +133,7 @@ func WithRouter(name string) Option {
 		if name == "" {
 			return fmt.Errorf("cluster: WithRouter with empty name")
 		}
-		if c.router != nil {
-			return fmt.Errorf("cluster: WithRouter(%q) conflicts with WithRouterInstance", name)
-		}
 		c.routerName = name
-		return nil
-	}
-}
-
-// WithRouterInstance installs a caller-built Router, bypassing the
-// registry — the escape hatch for routers configured beyond what a
-// RouterConfig carries (custom caps, test doubles). Conflicts with
-// WithRouter.
-func WithRouterInstance(r Router) Option {
-	return func(c *config) error {
-		if r == nil {
-			return fmt.Errorf("cluster: WithRouterInstance(nil)")
-		}
-		if c.routerName != "" {
-			return fmt.Errorf("cluster: WithRouterInstance conflicts with WithRouter(%q)", c.routerName)
-		}
-		c.router = r
 		return nil
 	}
 }
@@ -380,6 +359,7 @@ type Cluster struct {
 func New(opts ...Option) (*Cluster, error) {
 	cfg := config{
 		replicas:      1,
+		routerName:    "round-robin",
 		maxConcurrent: 1,
 		workers:       1,
 	}
@@ -418,21 +398,13 @@ func New(opts ...Option) (*Cluster, error) {
 			}
 		}
 	}
-	router := cfg.router
-	if router == nil {
-		name := cfg.routerName
-		if name == "" {
-			name = "round-robin"
-		}
-		var err error
-		router, err = NewRouter(name, RouterConfig{
-			Replicas: cfg.replicas,
-			Seed:     cfg.seed,
-			LeaseTTL: DefaultLeaseTTL,
-		})
-		if err != nil {
-			return nil, err
-		}
+	router, err := NewRouter(cfg.routerName, RouterConfig{
+		Replicas: cfg.replicas,
+		Seed:     cfg.seed,
+		LeaseTTL: DefaultLeaseTTL,
+	})
+	if err != nil {
+		return nil, err
 	}
 	c := &Cluster{
 		router:        router,

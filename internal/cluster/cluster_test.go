@@ -337,11 +337,6 @@ func TestClusterRejectsBadInputs(t *testing.T) {
 		{"nil builder", []Option{WithBuilder(nil)}},
 		{"unknown router", []Option{WithBuilder(build), WithRouter("warp-drive")}},
 		{"empty router name", []Option{WithBuilder(build), WithRouter("")}},
-		{"nil router instance", []Option{WithBuilder(build), WithRouterInstance(nil)}},
-		{"router name and instance", []Option{
-			WithBuilder(build), WithRouter("affinity"), WithRouterInstance(NewRoundRobin())}},
-		{"instance then name", []Option{
-			WithBuilder(build), WithRouterInstance(NewRoundRobin()), WithRouter("affinity")}},
 		{"zero concurrency", []Option{WithBuilder(build), WithMaxConcurrent(0)}},
 		{"failure out of range", []Option{
 			WithReplicas(2), WithBuilder(build), WithFailure(2, 0.5, FailStall)}},
@@ -381,12 +376,14 @@ func (badRouter) Pick(workload.Request, []ReplicaView) int { return 99 }
 
 // TestClusterPanicsOnBadPick pins the scheduler-bug convention: a
 // router pick outside the eligible views panics instead of corrupting
-// accounting.
+// accounting. The double replaces the built router directly, because
+// a registration would outlive the test.
 func TestClusterPanicsOnBadPick(t *testing.T) {
-	c, err := New(WithReplicas(2), WithRouterInstance(badRouter{}), WithBuilder(buildReplica(t, 660)))
+	c, err := New(WithReplicas(2), WithBuilder(buildReplica(t, 660)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.router = badRouter{}
 	c.Submit(workload.Request{ID: 0, PromptTokens: 16, DecodeTokens: 1})
 	defer func() {
 		if recover() == nil {

@@ -1,11 +1,5 @@
 package cluster
 
-import (
-	"bufio"
-	"encoding/json"
-	"io"
-)
-
 // EventKind discriminates fleet events: ordinary replica compute steps
 // (the zero value, omitted from JSON so step records keep the engine
 // event schema plus a Replica tag) from first-class lifecycle records.
@@ -38,20 +32,3 @@ const (
 	// Migrated prefill event carries the same request ID.
 	EventHandoff EventKind = "handoff"
 )
-
-// WriteEventLog serialises a fleet Event stream as JSONL — one JSON
-// object per event, byte-stable for identical streams, the same
-// contract as engine.WriteEventLog. Step events omit the Kind field, so
-// a lifecycle-free fleet log is the engine schema plus a Replica tag;
-// lifecycle records carry their kind explicitly.
-func WriteEventLog(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range events {
-		// Encode appends the newline that terminates each record.
-		if err := enc.Encode(&events[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

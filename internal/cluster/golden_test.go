@@ -66,7 +66,7 @@ func TestGoldenFleetChurnStream(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteEventLog(&buf, events); err != nil {
+	if err := engine.WriteEventLog(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "golden_fleet-churn.jsonl")

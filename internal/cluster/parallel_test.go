@@ -221,7 +221,7 @@ func runScenario(t *testing.T, sc parallelScenario, workers int, step func(*Clus
 		t.Fatalf("%s emitted no events", sc.name)
 	}
 	var buf bytes.Buffer
-	if err := WriteEventLog(&buf, events); err != nil {
+	if err := engine.WriteEventLog(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	run.log = buf.Bytes()
@@ -370,7 +370,7 @@ func TestParallelGoldensUnregenerated(t *testing.T) {
 			var events []Event
 			c.Run(func(ev Event) { events = append(events, ev) })
 			var buf bytes.Buffer
-			if err := WriteEventLog(&buf, events); err != nil {
+			if err := engine.WriteEventLog(&buf, events); err != nil {
 				t.Fatal(err)
 			}
 			if diff := diffJSONL(want, buf.Bytes()); diff != "" {

@@ -282,7 +282,7 @@ func TestGoldenDisaggHandoffStream(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteEventLog(&buf, events); err != nil {
+	if err := engine.WriteEventLog(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "golden_disagg-handoff.jsonl")

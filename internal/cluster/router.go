@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"fmt"
-	"sort"
-
+	"hybrimoe/internal/registry"
 	"hybrimoe/internal/stats"
 	"hybrimoe/internal/workload"
 )
@@ -288,43 +286,25 @@ type RouterConfig struct {
 // Factory builds one router instance for a cluster from its config.
 type Factory func(cfg RouterConfig) Router
 
-var registry = map[string]Factory{}
+var routers = registry.New[Factory]("cluster: RegisterRouter", "cluster: unknown router")
 
 // RegisterRouter makes a router constructible by name through NewRouter.
 // Duplicate names and nil factories panic — plugin wiring bugs, caught
-// at init time like the sched/cache/reqsched registries.
-func RegisterRouter(name string, f Factory) {
-	if name == "" {
-		panic("cluster: RegisterRouter with empty name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("cluster: RegisterRouter(%q) with nil factory", name))
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("cluster: RegisterRouter(%q) called twice", name))
-	}
-	registry[name] = f
-}
+// at init time.
+func RegisterRouter(name string, f Factory) { routers.Add(name, f) }
 
 // NewRouter builds the named router from cfg, or returns a descriptive
 // error for an unknown name.
 func NewRouter(name string, cfg RouterConfig) (Router, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown router %q (have %v)", name, RouterNames())
+	f, err := routers.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(cfg), nil
 }
 
 // RouterNames lists the registered routers in sorted order.
-func RouterNames() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func RouterNames() []string { return routers.Names() }
 
 func init() {
 	RegisterRouter("round-robin", func(RouterConfig) Router { return NewRoundRobin() })

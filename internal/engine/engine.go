@@ -395,12 +395,12 @@ func (e *Engine) runStep(b *stepBuffers, tokens, context int, perLoadLookups boo
 		if e.attentionDevice(act.Layer) == hw.GPU {
 			start := maxF(e.gpuBusy[0], layerStart)
 			attEnd = start + e.platform.GPUs[0].ExpertTime(attFlops, attBytes)
-			e.reserveTL(e.gpuTL(0), start, attEnd, "attn")
+			e.recordSpan(e.gpuTL(0), start, attEnd, "attn")
 			e.gpuBusy[0] = attEnd
 		} else {
 			start := maxF(e.cpuBusy, layerStart)
 			attEnd = start + e.platform.CPU.ExpertTime(attFlops, attBytes, true)
-			e.reserveTL(e.cpuTL, start, attEnd, "attn")
+			e.recordSpan(e.cpuTL, start, attEnd, "attn")
 			e.cpuBusy = attEnd
 		}
 
@@ -471,17 +471,17 @@ func (e *Engine) applyPlan(plan *sched.Plan, layerStart float64, guard cache.Gua
 		switch op.Kind {
 		case sched.OpComputeCPU:
 			e.stats.CPUOps++
-			e.reserveOp(e.cpuTL, absStart, absEnd, "", op.Expert)
+			e.recordOp(e.cpuTL, absStart, absEnd, "", op.Expert)
 			e.cpuBusy = maxF(e.cpuBusy, absEnd)
 		case sched.OpComputeGPU:
 			d := op.Device.GPUIndex()
 			e.stats.GPUOps++
-			e.reserveOp(e.gpuTL(d), absStart, absEnd, "", op.Expert)
+			e.recordOp(e.gpuTL(d), absStart, absEnd, "", op.Expert)
 			e.gpuBusy[d] = maxF(e.gpuBusy[d], absEnd)
 		case sched.OpTransfer:
 			d := op.Device.GPUIndex()
 			e.stats.DemandTransfers++
-			e.reserveOp(e.linkTL(d), absStart, absEnd, "", op.Expert)
+			e.recordOp(e.linkTL(d), absStart, absEnd, "", op.Expert)
 			e.linkBusy[d] = maxF(e.linkBusy[d], absEnd)
 			e.dest[op.Expert.Index] = d
 		}
@@ -532,7 +532,7 @@ func (e *Engine) prefetchInto(layer int, layerEnd float64, guard cache.Guard) {
 		}
 		xfer := e.platform.Links[d].TransferTime(e.cfg.ExpertBytes())
 		start := e.linkBusy[d]
-		e.reserveOp(e.linkTL(d), start, start+xfer, "pf:", id)
+		e.recordOp(e.linkTL(d), start, start+xfer, "pf:", id)
 		e.linkBusy[d] = start + xfer
 		e.stats.PrefetchTransfers++
 	}
@@ -598,26 +598,28 @@ func (e *Engine) missInsert(act trace.LayerActivation, layerEnd float64, guard c
 			continue
 		}
 		start := e.linkBusy[d]
-		e.reserveOp(e.linkTL(d), start, start+xfer, "mi:", id)
+		e.recordOp(e.linkTL(d), start, start+xfer, "mi:", id)
 		e.linkBusy[d] = start + xfer
 		e.stats.MissInserts++
 	}
 }
 
-func (e *Engine) reserveTL(tl *sim.Timeline, start, end float64, name string) {
+// recordSpan books [start, end) on tl, a no-op without
+// WithTraceRecording.
+func (e *Engine) recordSpan(tl *sim.Timeline, start, end float64, name string) {
 	if tl == nil {
 		return
 	}
-	tl.Reserve(start, end-start, name)
+	tl.Add(start, end, name)
 }
 
-// reserveOp is reserveTL for an expert's span, labelled prefix+id; the
+// recordOp is recordSpan for an expert's span, labelled prefix+id; the
 // label is formatted only when the timeline is recorded.
-func (e *Engine) reserveOp(tl *sim.Timeline, start, end float64, prefix string, id moe.ExpertID) {
+func (e *Engine) recordOp(tl *sim.Timeline, start, end float64, prefix string, id moe.ExpertID) {
 	if tl == nil {
 		return
 	}
-	tl.Reserve(start, end-start, prefix+id.String())
+	tl.Add(start, end, prefix+id.String())
 }
 
 // gpuTL and linkTL return device d's recorded timeline (nil without

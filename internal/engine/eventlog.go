@@ -6,14 +6,14 @@ import (
 	"io"
 )
 
-// WriteEventLog serialises a StepEvent stream as JSONL — one JSON object
-// per event, fields in StepEvent declaration order, no extra whitespace.
-// The encoding is byte-stable for identical streams (encoding/json emits
-// struct fields in order and shortest-round-trip floats), which is what
-// the golden-scenario harness diffs: a committed golden file re-compared
-// against a re-run catches any drift in either the event schema or the
-// simulation that feeds it.
-func WriteEventLog(w io.Writer, events []StepEvent) error {
+// WriteEventLog serialises an event stream (engine StepEvents or fleet
+// cluster.Events) as JSONL — one JSON object per event, fields in
+// declaration order, no extra whitespace. The encoding is byte-stable
+// for identical streams (encoding/json emits struct fields in order and
+// shortest-round-trip floats), which is what the golden-scenario harness
+// diffs: a committed golden file re-compared against a re-run catches
+// any drift in either the event schema or the simulation that feeds it.
+func WriteEventLog[E any](w io.Writer, events []E) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for i := range events {

@@ -11,12 +11,12 @@
 package prefetch
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
+	"hybrimoe/internal/registry"
 	"hybrimoe/internal/sched"
 )
 
@@ -229,43 +229,25 @@ var (
 // Factory builds one prefetcher instance for an engine run.
 type Factory func() Prefetcher
 
-var registry = map[string]Factory{}
+var prefetchers = registry.New[Factory]("prefetch: Register", "prefetch: unknown prefetcher")
 
 // Register makes a prefetcher constructible by name through New.
 // Registering a duplicate name or a nil factory panics: both are
 // programming errors in plugin wiring, caught at init time.
-func Register(name string, f Factory) {
-	if name == "" {
-		panic("prefetch: Register with empty name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("prefetch: Register(%q) with nil factory", name))
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("prefetch: Register(%q) called twice", name))
-	}
-	registry[name] = f
-}
+func Register(name string, f Factory) { prefetchers.Add(name, f) }
 
 // New builds the named prefetcher, or returns a descriptive error for
 // an unknown name.
 func New(name string) (Prefetcher, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("prefetch: unknown prefetcher %q (have %v)", name, Names())
+	f, err := prefetchers.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(), nil
 }
 
 // Names lists the registered prefetchers in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return prefetchers.Names() }
 
 func init() {
 	Register("none", func() Prefetcher { return NewNone() })

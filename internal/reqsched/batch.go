@@ -2,7 +2,8 @@ package reqsched
 
 import (
 	"fmt"
-	"sort"
+
+	"hybrimoe/internal/registry"
 )
 
 // Decoding reports whether the request's next step is a decode
@@ -40,44 +41,26 @@ type BatchPolicy interface {
 // return a descriptive error for values the policy cannot work with.
 type BatchFactory func(budget int) (BatchPolicy, error)
 
-var batchRegistry = map[string]BatchFactory{}
+var batchFormers = registry.New[BatchFactory]("reqsched: RegisterBatch", "reqsched: unknown batch policy")
 
 // RegisterBatch makes a batch former constructible by name through
 // NewBatch. Registering a duplicate name or a nil factory panics: both
 // are programming errors in plugin wiring, caught at init time.
-func RegisterBatch(name string, f BatchFactory) {
-	if name == "" {
-		panic("reqsched: RegisterBatch with empty name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("reqsched: RegisterBatch(%q) with nil factory", name))
-	}
-	if _, dup := batchRegistry[name]; dup {
-		panic(fmt.Sprintf("reqsched: RegisterBatch(%q) called twice", name))
-	}
-	batchRegistry[name] = f
-}
+func RegisterBatch(name string, f BatchFactory) { batchFormers.Add(name, f) }
 
 // NewBatch builds the named batch former with the given token budget,
 // or returns a descriptive error for an unknown name or a budget the
 // policy rejects.
 func NewBatch(name string, budget int) (BatchPolicy, error) {
-	f, ok := batchRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("reqsched: unknown batch policy %q (have %v)", name, BatchNames())
+	f, err := batchFormers.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(budget)
 }
 
 // BatchNames lists the registered batch formers in sorted order.
-func BatchNames() []string {
-	out := make([]string, 0, len(batchRegistry))
-	for name := range batchRegistry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func BatchNames() []string { return batchFormers.Names() }
 
 func init() {
 	RegisterBatch("none", func(int) (BatchPolicy, error) { return NoBatch{}, nil })

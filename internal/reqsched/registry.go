@@ -1,52 +1,31 @@
 package reqsched
 
-import (
-	"fmt"
-	"sort"
-)
+import "hybrimoe/internal/registry"
 
 // Factory builds one scheduler instance for a Session. Stateful policies
 // (the round-robin cursor) need a fresh instance per session, so the
 // registry hands out factories rather than shared singletons.
 type Factory func() Scheduler
 
-var registry = map[string]Factory{}
+var schedulers = registry.New[Factory]("reqsched: Register", "reqsched: unknown request scheduler")
 
 // Register makes a request scheduler constructible by name through New.
 // Registering a duplicate name or a nil factory panics: both are
 // programming errors in plugin wiring, caught at init time.
-func Register(name string, f Factory) {
-	if name == "" {
-		panic("reqsched: Register with empty name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("reqsched: Register(%q) with nil factory", name))
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("reqsched: Register(%q) called twice", name))
-	}
-	registry[name] = f
-}
+func Register(name string, f Factory) { schedulers.Add(name, f) }
 
 // New builds the named scheduler, or returns a descriptive error for an
 // unknown name.
 func New(name string) (Scheduler, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("reqsched: unknown request scheduler %q (have %v)", name, Names())
+	f, err := schedulers.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(), nil
 }
 
 // Names lists the registered schedulers in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return schedulers.Names() }
 
 func init() {
 	Register("fcfs", func() Scheduler { return NewFCFS() })

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"sort"
-)
+import "hybrimoe/internal/registry"
 
 // Config carries the environment a scheduler factory may consult.
 // Factories that need none of it ignore the argument.
@@ -17,43 +14,25 @@ type Config struct {
 // Factory builds one scheduler instance for an engine run.
 type Factory func(Config) Scheduler
 
-var registry = map[string]Factory{}
+var schedulers = registry.New[Factory]("sched: Register", "sched: unknown scheduler")
 
 // Register makes a scheduler constructible by name through New.
 // Registering a duplicate name or a nil factory panics: both are
 // programming errors in plugin wiring, caught at init time.
-func Register(name string, f Factory) {
-	if name == "" {
-		panic("sched: Register with empty name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("sched: Register(%q) with nil factory", name))
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("sched: Register(%q) called twice", name))
-	}
-	registry[name] = f
-}
+func Register(name string, f Factory) { schedulers.Add(name, f) }
 
 // New builds the named scheduler, or returns a descriptive error for an
 // unknown name.
 func New(name string, c Config) (Scheduler, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown scheduler %q (have %v)", name, Names())
+	f, err := schedulers.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(c), nil
 }
 
 // Names lists the registered schedulers in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return schedulers.Names() }
 
 func init() {
 	Register("hybrimoe", func(Config) Scheduler { return NewHybriMoE() })

@@ -44,7 +44,8 @@ func TestTwoSessionsInterleaveDeterministically(t *testing.T) {
 			if n == 0 {
 				return
 			}
-			_, end := tls[w].Reserve(now, durs[w], fmt.Sprintf("s%d-step", w))
+			end := now + durs[w]
+			tls[w].Add(now, end, fmt.Sprintf("s%d-step", w))
 			q.Push(end, func() { step(w, n-1) })
 		}
 		q.Push(0, func() { step(0, 6) })

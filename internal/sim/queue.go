@@ -1,7 +1,7 @@
 // Package sim provides the discrete-event simulation core the hardware
-// substrate runs on: a deterministic timestamped event queue, resource
-// timelines that serialise work on a device, and span traces that record
-// what ran where (the simulated equivalent of a CUDA-stream timeline).
+// substrate runs on: a deterministic timestamped event queue and
+// per-resource span timelines that record what ran where (the simulated
+// equivalent of a CUDA-stream timeline).
 //
 // Time is modelled in float64 seconds. Determinism matters more than
 // wall-clock fidelity: events at equal timestamps fire in push order.

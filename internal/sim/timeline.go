@@ -16,58 +16,39 @@ type Span struct {
 // Duration reports the span length.
 func (s Span) Duration() float64 { return s.End - s.Start }
 
-// Timeline serialises work on one exclusive resource (a CPU pool, the
-// GPU, the PCIe link). Work items are appended back-to-back: a
-// reservation starts at max(readyAt, busyUntil). Spans are recorded for
-// trace inspection and utilisation accounting.
+// Timeline records the work executed on one exclusive resource (a CPU
+// pool, the GPU, the PCIe link) as spans, for trace inspection and
+// utilisation accounting. The caller owns the resource's busy frontier
+// and books each span at the start it computed from it.
 type Timeline struct {
-	Name      string
-	busyUntil float64
-	spans     []Span
-	record    bool
+	Name  string
+	spans []Span
 }
 
-// NewTimeline returns an empty timeline that records spans.
+// NewTimeline returns an empty timeline.
 func NewTimeline(name string) *Timeline {
-	return &Timeline{Name: name, record: true}
-}
-
-// NewTimelineNoTrace returns a timeline that skips span recording; the
-// scheduler's inner simulation loop uses this to avoid allocation.
-func NewTimelineNoTrace(name string) *Timeline {
 	return &Timeline{Name: name}
 }
 
-// BusyUntil reports when the resource frees up.
-func (t *Timeline) BusyUntil() float64 { return t.busyUntil }
-
-// Reserve books dur seconds of exclusive time, starting no earlier than
-// readyAt, and returns the [start, end) interval. A negative duration
-// panics.
-func (t *Timeline) Reserve(readyAt, dur float64, name string) (start, end float64) {
-	if dur < 0 {
-		panic(fmt.Sprintf("sim: negative duration %v for %q", dur, name))
+// Add records the span [start, end). An empty span records nothing, and
+// end < start panics.
+func (t *Timeline) Add(start, end float64, name string) {
+	if end < start {
+		panic(fmt.Sprintf("sim: span %q ends at %v before its start %v", name, end, start))
 	}
-	start = t.busyUntil
-	if readyAt > start {
-		start = readyAt
-	}
-	end = start + dur
-	t.busyUntil = end
-	if t.record && dur > 0 {
+	if end > start {
 		t.spans = append(t.spans, Span{Name: name, Start: start, End: end})
 	}
-	return start, end
 }
 
-// Spans returns the recorded spans in execution order.
+// Spans returns the recorded spans in the order they were added.
 func (t *Timeline) Spans() []Span {
 	out := make([]Span, len(t.spans))
 	copy(out, t.spans)
 	return out
 }
 
-// BusyTime reports total reserved seconds.
+// BusyTime reports the total recorded seconds.
 func (t *Timeline) BusyTime() float64 {
 	var sum float64
 	for _, s := range t.spans {
@@ -76,13 +57,13 @@ func (t *Timeline) BusyTime() float64 {
 	return sum
 }
 
-// Reset clears reservations and spans, rewinding the busy frontier to
-// zero. Span storage is retained (truncated, not freed), so a timeline
-// reused across runs reaches a steady state where recording allocates
-// nothing.
-func (t *Timeline) Reset() {
-	t.busyUntil = 0
-	t.spans = t.spans[:0]
+// end reports the latest span end, 0 for an empty timeline.
+func (t *Timeline) end() float64 {
+	var end float64
+	for _, s := range t.spans {
+		end = max(end, s.End)
+	}
+	return end
 }
 
 // Gantt renders the spans of several timelines as aligned text rows, one
@@ -94,9 +75,7 @@ func Gantt(width int, timelines ...*Timeline) string {
 	}
 	var horizon float64
 	for _, tl := range timelines {
-		if tl.busyUntil > horizon {
-			horizon = tl.busyUntil
-		}
+		horizon = max(horizon, tl.end())
 	}
 	if horizon == 0 {
 		return ""
@@ -123,7 +102,7 @@ func Gantt(width int, timelines ...*Timeline) string {
 				cells[i] = label
 			}
 		}
-		fmt.Fprintf(&sb, "%-6s |%s| %.4gs\n", tl.Name, string(cells), tl.busyUntil)
+		fmt.Fprintf(&sb, "%-6s |%s| %.4gs\n", tl.Name, string(cells), tl.end())
 	}
 	return sb.String()
 }
