@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -323,14 +325,12 @@ func TestPrefillLoadsAllocationsFlatInTokens(t *testing.T) {
 // TestScratchSelectionMatchesTopK pins the routing selections to dense
 // reference loops on twin generators. DecodeStepInto must match the
 // allocating float32 TopK path. The pruned prefill draw must match
-// denseLoads, a copy of the per-token loop it replaced, on every layer:
-// the three models, an odd expert count, k = 1 and k = E; 30 seeds at
-// 1 to 513 tokens, with a cached normal at the row start on alternate
-// calls; and options where every float32 row ties, where TokenNoise
-// swamps the latents, and where it is negative. Loads must match call
-// for call, and so must the draws that follow each call. The RNG
-// structs are not compared: the dense loop leaves a stale cached
-// variate behind that no later draw can observe.
+// denseLoads, a copy of the per-token loop it replaced, through
+// matchDense on every layer: the three models, an odd expert count,
+// k = 1, k = E and k = E-1, E = 2 and k = E/2; 30 seeds at 1 to 513
+// tokens, with a cached normal at the row start on alternate calls; and
+// options where every float32 row ties, where TokenNoise swamps the
+// latents, and where it is negative.
 func TestScratchSelectionMatchesTopK(t *testing.T) {
 	cfg := moe.DeepSeek()
 	k := cfg.ActivatedExperts
@@ -365,6 +365,9 @@ func TestScratchSelectionMatchesTopK(t *testing.T) {
 		{"E63k5", shape("E63k5", 6, 63, 5), nil},
 		{"E64k1", shape("E64k1", 6, 64, 1), nil},
 		{"E9k9", shape("E9k9", 6, 9, 9), nil},
+		{"E9k8", shape("E9k8", 6, 9, 8), nil},
+		{"E2k1", shape("E2k1", 6, 2, 1), nil},
+		{"E64k32", shape("E64k32", 6, 64, 32), nil},
 		{"ties", shape("ties", 4, 63, 5), func(o *Options) { o.BaseSpread, o.NoiseStd, o.TokenNoise = tiny, tiny, tiny }},
 		{"wide", shape("wide", 4, 64, 6), func(o *Options) { o.TokenNoise = 1e6 }},
 		{"negative", shape("negative", 4, 63, 5), func(o *Options) { o.TokenNoise = -1.3 }},
@@ -383,21 +386,94 @@ func TestScratchSelectionMatchesTopK(t *testing.T) {
 					b.Advance()
 					for l := 0; l < c.cfg.Layers; l++ {
 						call++
-						holdCached(a.rng, call%2 == 1)
-						holdCached(b.rng, call%2 == 1)
-						got, want := a.PrefillLoads(l, tokens), denseLoads(b, l, tokens)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("seed %d layer %d, %d tokens, cached start %v: loads %v, dense loop %v",
-								seed, l, tokens, call%2 == 1, got, want)
-						}
-						za, zb := a.rng.Norm(), b.rng.Norm()
-						if math.Float64bits(za) != math.Float64bits(zb) || a.rng.Uint64() != b.rng.Uint64() {
-							t.Fatalf("seed %d layer %d, %d tokens: the draws after the call diverged", seed, l, tokens)
+						if err := matchDense(a, b, l, tokens, call%2 == 1); err != nil {
+							t.Fatalf("seed %d layer %d, %d tokens, cached start %v: %v", seed, l, tokens, call%2 == 1, err)
 						}
 					}
 				}
 			}
 		})
+	}
+}
+
+// FuzzPrefillMatchesDense runs matchDense on a shape and options decoded
+// from the input: E from 1 to 80 experts, k from 1 to E, the seed, 1 to
+// 600 tokens, a TokenNoise of the default, -1.3, 1e-300, 1e6 or 0.05,
+// and whether the RNG holds a cached variate as each call starts. Both
+// layers of the model are routed.
+func FuzzPrefillMatchesDense(f *testing.F) {
+	f.Add(uint8(63), uint8(4), uint64(1), uint16(128), uint8(0), false)
+	f.Add(uint8(8), uint8(7), uint64(2), uint16(35), uint8(1), true)
+	f.Add(uint8(1), uint8(0), uint64(3), uint16(5), uint8(2), true)
+	f.Add(uint8(79), uint8(39), uint64(4), uint16(599), uint8(3), false)
+	f.Add(uint8(63), uint8(5), uint64(5), uint16(256), uint8(4), true)
+	noises := []float64{0, -1.3, 1e-300, 1e6, 0.05}
+	f.Fuzz(func(t *testing.T, e, k uint8, seed uint64, tokens uint16, noise uint8, cached bool) {
+		experts := 1 + int(e)%80
+		cfg := &moe.Config{Name: "fuzz", Layers: 2, RoutedExperts: experts,
+			ActivatedExperts: 1 + int(k)%experts, Hidden: 1, Intermediate: 1}
+		opts := DefaultOptions(seed)
+		opts.TokenNoise = noises[int(noise)%len(noises)]
+		n := 1 + int(tokens)%600
+		a, b := New(cfg, opts), New(cfg, opts)
+		for l := 0; l < cfg.Layers; l++ {
+			if err := matchDense(a, b, l, n, cached); err != nil {
+				t.Fatalf("E=%d k=%d seed %d TokenNoise %v, layer %d, %d tokens, cached start %v: %v",
+					experts, cfg.ActivatedExperts, seed, opts.TokenNoise, l, n, cached, err)
+			}
+		}
+	})
+}
+
+// matchDense routes tokens through layer on twin generators, a by
+// PrefillLoads and b by denseLoads, with each RNG holding a cached
+// variate at the start when cached is set. The loads must match, and so
+// must the draws that follow. The RNG structs are not compared: the
+// dense loop leaves a stale cached variate behind that no later draw can
+// observe.
+func matchDense(a, b *Generator, layer, tokens int, cached bool) error {
+	holdCached(a.rng, cached)
+	holdCached(b.rng, cached)
+	got, want := a.PrefillLoads(layer, tokens), denseLoads(b, layer, tokens)
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("loads %v, dense loop %v", got, want)
+	}
+	za, zb := a.rng.Norm(), b.rng.Norm()
+	if math.Float64bits(za) != math.Float64bits(zb) || a.rng.Uint64() != b.rng.Uint64() {
+		return errors.New("the draws after the call diverged")
+	}
+	return nil
+}
+
+// TestPrefillExactValuesPerRow pins the saving of the bounded selection
+// as a count. On seed-1, 256-token prefills over every layer of each
+// model, the exact Box-Muller radii and values computed per row outside
+// the dense fallback must stay within a third of what the selection
+// before it computed on the same rows. That one valued every entry
+// whose bucket bound reached τ after a re-check with the exact radius;
+// its counts are below.
+func TestPrefillExactValuesPerRow(t *testing.T) {
+	for _, c := range []struct {
+		cfg           *moe.Config
+		radii, values float64
+	}{
+		{moe.Qwen2(), 13.24, 14.95},
+		{moe.DeepSeek(), 9.94, 10.81},
+		{moe.Mixtral(), 3.08, 4.12},
+	} {
+		g := New(c.cfg, DefaultOptions(1))
+		g.Advance()
+		for l := 0; l < c.cfg.Layers; l++ {
+			g.PrefillLoads(l, 256)
+		}
+		rows := float64(c.cfg.Layers * 256)
+		radii, values := float64(g.draw.radii)/rows, float64(g.draw.values)/rows
+		t.Logf("%s: %.2f exact radii and %.2f exact values per row, %.2f and %.2f before",
+			c.cfg.Name, radii, values, c.radii, c.values)
+		if radii > c.radii/3 || values > c.values/3 {
+			t.Errorf("%s: %.2f exact radii and %.2f exact values per row; want at most a third of %.2f and %.2f",
+				c.cfg.Name, radii, values, c.radii, c.values)
+		}
 	}
 }
 
