@@ -262,6 +262,28 @@ func BenchmarkMRSObserveScores(b *testing.B) {
 	}
 }
 
+// BenchmarkMRSObserveScoresDecode times ObserveScores on the rows the
+// engine feeds it: 8 recorded DeepSeek decode steps, cycled over all 26
+// layers. BenchmarkMRSObserveScores repeats one row, so the branch
+// predictor learns its top-p selection.
+func BenchmarkMRSObserveScoresDecode(b *testing.B) {
+	cfg := moe.DeepSeek()
+	p := cache.NewMRS(cache.DefaultAlpha, 2*cfg.ActivatedExperts)
+	g := trace.New(cfg, trace.DefaultOptions(4))
+	var acts []trace.LayerActivation
+	for s := 0; s < 8; s++ {
+		acts = append(acts, trace.DecodeStepInto(nil, g)...)
+	}
+	for _, a := range acts {
+		p.ObserveScores(a.Layer, a.Scores)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := &acts[i%len(acts)]
+		p.ObserveScores(a.Layer, a.Scores)
+	}
+}
+
 // BenchmarkCacheInsertEvict times two inserts into a full LRU cache,
 // each evicting. The warm-up fills the cache along the id sequence the
 // timed loop continues, plus one evicting pair to grow the eviction

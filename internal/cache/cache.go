@@ -21,10 +21,17 @@ type Cache struct {
 	layers []layerSet
 	slot   table[int32]
 	n      int
-	// scratch backs a layer's Victim candidates and winners the final
-	// Victim call of an eviction; evicted backs Insert's result.
+	// offers holds the remembered victim of every layer that is not
+	// stale and has candidates, in no order: the final Victim call of an
+	// eviction picks among them. stale lists the stale layers, each
+	// once, for the next eviction to rescan.
+	offers []moe.ExpertID
+	stale  []int
+	// guarded remembers one layer's victim under a guard (see victim).
+	guarded guardedVictim
+	// scratch backs a layer's Victim candidates; evicted backs Insert's
+	// result.
 	scratch []moe.ExpertID
-	winners []moe.ExpertID
 	evicted []moe.ExpertID
 
 	hits   int64
@@ -33,15 +40,43 @@ type Cache struct {
 
 // layerSet is one layer's residents by expert index, pinned experts
 // first: idx[:pins] are pinned and idx[pins:] are the layer's eviction
-// candidates. victim remembers the policy's Victim over the candidates
-// while fresh is set. Every call that can change the candidates or
-// their order under the policy (place, evict, pin, touch, score
-// observation) clears it.
+// candidates. Unless the layer is stale, offers[offer-1] is the
+// policy's Victim over its candidates (offer 0: it has none). Every
+// call that can change the candidates or their order under the policy
+// (place, evict, pin, touch, score observation) makes it stale.
 type layerSet struct {
-	idx    []int32
-	pins   int
-	victim moe.ExpertID
-	fresh  bool
+	idx   []int32
+	pins  int
+	offer int
+	stale bool
+}
+
+// guardedVictim is, when ok, the policy's Victim over the candidates of
+// layer that a guard did not cover. covered lists the candidates that
+// guard covered, plus the experts placed in the layer since, so the
+// victim stays the least of the candidates outside covered. Any other
+// change to the layer forgets it.
+type guardedVictim struct {
+	layer   int
+	victim  moe.ExpertID
+	covered []int32
+	ok      bool
+}
+
+// reusable reports whether v is g's victim on g.Layer: g covers every
+// expert in v.covered, and not v itself. Then the candidates g leaves
+// are a subset of those outside v.covered that still holds v, so v is
+// their least.
+func (v *guardedVictim) reusable(g Guard) bool {
+	if !v.ok || v.layer != g.Layer || g.covers(v.layer, v.victim.Index) {
+		return false
+	}
+	for _, x := range v.covered {
+		if !g.covers(v.layer, int(x)) {
+			return false
+		}
+	}
+	return true
 }
 
 // expertAt names expert x of layer l.
@@ -72,23 +107,50 @@ func (c *Cache) Contains(id moe.ExpertID) bool { return c.slot.get(id) != 0 }
 // full reports whether the cache is at capacity.
 func (c *Cache) full() bool { return c.n >= c.capacity }
 
-// stale forgets layer's remembered victim. A layer the cache has never
-// held has none.
-func (c *Cache) stale(layer int) {
+// changed forgets both of layer's remembered victims. A layer the cache
+// has never held has none.
+func (c *Cache) changed(layer int) {
 	if layer >= 0 && layer < len(c.layers) {
-		c.layers[layer].fresh = false
+		c.markStale(layer)
+		if c.guarded.layer == layer {
+			c.guarded.ok = false
+		}
+	}
+}
+
+// markStale forgets layer l's remembered victim over all its
+// candidates, dropping it from offers, and lists the layer for a
+// rescan.
+func (c *Cache) markStale(l int) {
+	ls := &c.layers[l]
+	if ls.stale {
+		return
+	}
+	ls.stale = true
+	c.stale = append(c.stale, l)
+	if ls.offer > 0 {
+		i, last := ls.offer-1, c.offers[len(c.offers)-1]
+		c.offers[i] = last
+		c.layers[last.Layer].offer = i + 1
+		c.offers = c.offers[:len(c.offers)-1]
+		ls.offer = 0
 	}
 }
 
 // place makes id resident (it must be absent and the cache not full) and
-// tells the policy.
+// tells the policy. Admit can change only id's rank, so a guarded victim
+// of id's layer survives with id among the experts its reuse must
+// cover.
 func (c *Cache) place(id moe.ExpertID) {
 	for len(c.layers) <= id.Layer {
 		c.layers = append(c.layers, layerSet{})
 	}
 	ls := &c.layers[id.Layer]
 	ls.idx = append(ls.idx, int32(id.Index))
-	ls.fresh = false
+	c.markStale(id.Layer)
+	if gv := &c.guarded; gv.ok && gv.layer == id.Layer {
+		gv.covered = append(gv.covered, int32(id.Index))
+	}
 	c.slot.set(id, int32(len(ls.idx)))
 	c.n++
 	c.policy.Admit(id)
@@ -103,7 +165,7 @@ func (c *Cache) evict(id moe.ExpertID) {
 	ls.idx[i] = last
 	c.slot.set(expertAt(id.Layer, last), i+1)
 	ls.idx = ls.idx[:len(ls.idx)-1]
-	ls.fresh = false
+	c.changed(id.Layer)
 	c.slot.set(id, 0)
 	c.n--
 	c.policy.Forget(id)
@@ -111,7 +173,7 @@ func (c *Cache) evict(id moe.ExpertID) {
 
 // touch records an access to id in the policy.
 func (c *Cache) touch(id moe.ExpertID) {
-	c.stale(id.Layer)
+	c.changed(id.Layer)
 	c.policy.Touch(id)
 }
 
@@ -165,47 +227,77 @@ func (c *Cache) Insert(id moe.ExpertID, g Guard) (evicted []moe.ExpertID, ok boo
 }
 
 // victim picks the policy's victim among the unpinned residents that g
-// does not cover, or reports false when there are none. Each layer
-// offers its remembered victim when that is fresh and uncovered.
-// Otherwise the layer offers Victim over its uncovered candidates,
-// which becomes the remembered victim when g covered none of them. One
-// Victim call over the layers' offers then picks the eviction. That is
-// the victim a scan of every candidate finds, because Victim is an
-// argmin under a total order (see Policy): the least of a union is the
-// least of its parts' leasts, and a subset that holds a set's least has
-// the same least.
+// does not cover, or reports false when there are none. It rescans only
+// the stale layers: each offers Victim its candidates that g does not
+// cover, and the result becomes the layer's remembered victim when g
+// covered none of them, or else the guarded victim. A guarded victim
+// that g can reuse (see reusable) spares g's layer the rescan, and a
+// remembered victim that g covers sends that layer to one. One Victim
+// call over the offers, plus the guarded victim, then picks the
+// eviction. That is the victim a scan of every candidate finds, because
+// Victim is an argmin under a total order (see Policy): the least of a
+// union is the least of its parts' leasts, and a subset that holds a
+// set's least has the same least.
 func (c *Cache) victim(g Guard) (moe.ExpertID, bool) {
-	c.winners = c.winners[:0]
-	for l := range c.layers {
-		ls := &c.layers[l]
-		cands := ls.idx[ls.pins:]
-		if len(cands) == 0 {
-			continue
+	if g.Layer >= 0 && g.Layer < len(c.layers) {
+		if ls := &c.layers[g.Layer]; ls.offer > 0 && g.covers(g.Layer, c.offers[ls.offer-1].Index) {
+			c.markStale(g.Layer)
 		}
-		if ls.fresh && !g.covers(l, ls.victim.Index) {
-			c.winners = append(c.winners, ls.victim)
-			continue
-		}
-		offer := c.scratch[:0]
-		for _, x := range cands {
-			if !g.covers(l, int(x)) {
-				offer = append(offer, expertAt(l, x))
-			}
-		}
-		c.scratch = offer
-		if len(offer) == 0 {
-			continue
-		}
-		v := c.policy.Victim(offer)
-		if len(offer) == len(cands) {
-			ls.victim, ls.fresh = v, true
-		}
-		c.winners = append(c.winners, v)
 	}
-	if len(c.winners) == 0 {
+	guarded := false
+	rest := c.stale[:0]
+	for _, l := range c.stale {
+		switch {
+		case l == g.Layer && c.guarded.reusable(g):
+			guarded = true
+		case c.rescan(l, g):
+			continue
+		default:
+			guarded = c.guarded.ok
+		}
+		rest = append(rest, l)
+	}
+	c.stale = rest
+	if guarded {
+		c.offers = append(c.offers, c.guarded.victim)
+		v := c.policy.Victim(c.offers)
+		c.offers = c.offers[:len(c.offers)-1]
+		return v, true
+	}
+	if len(c.offers) == 0 {
 		return moe.ExpertID{}, false
 	}
-	return c.policy.Victim(c.winners), true
+	return c.policy.Victim(c.offers), true
+}
+
+// rescan offers Victim stale layer l's candidates that g does not cover.
+// When g covers none of them, it remembers the result as the layer's
+// victim, clears the layer's staleness and reports true. Otherwise the
+// result is the guarded victim, and the layer stays stale.
+func (c *Cache) rescan(l int, g Guard) bool {
+	ls := &c.layers[l]
+	offer, covered := c.scratch[:0], c.guarded.covered[:0]
+	for _, x := range ls.idx[ls.pins:] {
+		if g.covers(l, int(x)) {
+			covered = append(covered, x)
+		} else {
+			offer = append(offer, expertAt(l, x))
+		}
+	}
+	c.scratch = offer
+	if len(covered) > 0 {
+		c.guarded = guardedVictim{layer: l, covered: covered, ok: len(offer) > 0}
+		if c.guarded.ok {
+			c.guarded.victim = c.policy.Victim(offer)
+		}
+		return false
+	}
+	ls.stale = false
+	if len(offer) > 0 {
+		c.offers = append(c.offers, c.policy.Victim(offer))
+		ls.offer = len(c.offers)
+	}
+	return true
 }
 
 // Pin marks id as permanently resident, inserting it if absent. It
@@ -224,7 +316,7 @@ func (c *Cache) Pin(id moe.ExpertID) bool {
 		c.slot.set(expertAt(id.Layer, other), i+1)
 		c.slot.set(id, j+1)
 		ls.pins++
-		ls.fresh = false
+		c.changed(id.Layer)
 	}
 	return true
 }
@@ -238,7 +330,7 @@ func (c *Cache) Pinned(id moe.ExpertID) bool {
 // ObserveScores forwards one iteration's routing scores for a layer to
 // the policy (MRS uses them; LRU/LFU ignore them).
 func (c *Cache) ObserveScores(layer int, scores []float64) {
-	c.stale(layer)
+	c.changed(layer)
 	c.policy.ObserveScores(layer, scores)
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -135,6 +136,46 @@ func TestProtectedNeverEvicted(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Fatalf("failed insert changed cache size: %d", c.Len())
+	}
+}
+
+// layerScans counts the Victim calls that scan one layer: every
+// candidate offered is of that layer.
+type layerScans struct {
+	Policy
+	layer int
+	scans int
+}
+
+func (p *layerScans) Victim(cs []moe.ExpertID) moe.ExpertID {
+	if !slices.ContainsFunc(cs, func(x moe.ExpertID) bool { return x.Layer != p.layer }) {
+		p.scans++
+	}
+	return p.Policy.Victim(cs)
+}
+
+// TestGuardedLayerScannedOncePerGuard pins the guarded-victim rule's
+// saving: six inserts into layer 0 under one unchanged guard, each
+// evicting from layers 1 and 2, offer layer 0's candidates to Victim
+// once, not once per eviction. The guard covers two residents and
+// every inserted expert.
+func TestGuardedLayerScannedOncePerGuard(t *testing.T) {
+	p := &layerScans{Policy: NewLRU()}
+	c := New(12, p)
+	// Layers 1 and 2 are older under LRU, so they lose every eviction.
+	for _, l := range []int{1, 2, 0} {
+		for e := 0; e < 4; e++ {
+			c.Insert(id(l, e), Guard{})
+		}
+	}
+	g := Guard{Layer: 0, Loads: []int{1, 1, 0, 0, 1, 1, 1, 1, 1, 1}}
+	for e := 4; e < 10; e++ {
+		if ev, ok := c.Insert(id(0, e), g); !ok || len(ev) != 1 || ev[0].Layer == 0 {
+			t.Fatalf("Insert(%v) evicted %v (ok %v), want one expert of layer 1 or 2", id(0, e), ev, ok)
+		}
+	}
+	if p.scans != 1 {
+		t.Fatalf("six evictions under one guard scanned layer 0 %d times, want 1", p.scans)
 	}
 }
 

@@ -25,10 +25,8 @@ type MRS struct {
 	alpha float64
 	topP  int
 	prio  table[float64]
-	// top and inTop are ObserveScores' top-p selection and mask, reused
-	// across calls.
-	top   []int
-	inTop []bool
+	// top is ObserveScores' top-p selection, reused across calls.
+	top []int
 }
 
 // NewMRS returns an MRS policy with averaging coefficient alpha and the
@@ -85,24 +83,21 @@ func (p *MRS) ObserveScores(layer int, scores []float64) {
 		topP = len(scores)
 	}
 	// Top-p over the float64 scores at full precision, ties to the lower
-	// index: exactly the first p of a stable descending sort. (Ranking a
-	// float32 copy could merge distinct scores and flip the tie-break.)
-	p.top = tensor.TopKInto(p.top, scores, topP)
-	if cap(p.inTop) < len(scores) {
-		p.inTop = make([]bool, len(scores))
+	// index: exactly the first p of a stable descending sort. (Selecting
+	// on a float32 copy could merge distinct scores and flip the
+	// tie-break.) Each expert's update is independent, so only the set
+	// matters, not its order.
+	p.top = tensor.TopKSetInto(p.top, scores, topP)
+	// Every expert decays to (1-α)·S, and the top p then add α·s. That
+	// is α·s + (1-α)·S bit for bit, because IEEE addition and
+	// multiplication commute, and adding α·0 to the others would change
+	// no comparison.
+	prio := p.prio.row(layer, len(scores))[:len(scores)]
+	for e := range prio {
+		prio[e] *= 1 - p.alpha
 	}
-	inTop := p.inTop[:len(scores)]
-	clear(inTop)
 	for _, e := range p.top {
-		inTop[e] = true
-	}
-	prio := p.prio.row(layer, len(scores))
-	for e := range scores {
-		s := 0.0
-		if inTop[e] {
-			s = scores[e]
-		}
-		prio[e] = p.alpha*s + (1-p.alpha)*prio[e]
+		prio[e] = p.alpha*scores[e] + prio[e]
 	}
 }
 

@@ -341,6 +341,16 @@ func matchReference(name string, shards, capacity int, intn func(n int) int, mor
 	}
 	m := NewMulti(cs...)
 	pick := func() moe.ExpertID { return all[intn(len(all))] }
+	// Every guard's loads are rewritten into one slice, as the engine
+	// rewrites its routing buffers, so a cache that keys a remembered
+	// victim on the slice rather than on its contents diverges.
+	loads := make([]int, 0, experts)
+	reuse := func(g Guard) Guard {
+		if g.Loads != nil {
+			g.Loads = append(loads[:0], g.Loads...)
+		}
+		return g
+	}
 	// insert runs one Insert on both sides under g, which the counters
 	// check Victim's offers against.
 	insert := func(x moe.ExpertID, d int, g Guard) error {
@@ -370,7 +380,7 @@ func matchReference(name string, shards, capacity int, intn func(n int) int, mor
 			}
 		case k < 12:
 			x, d := pick(), intn(shards)
-			g := drawGuard(intn, layers, experts)
+			g := reuse(drawGuard(intn, layers, experts))
 			what = fmt.Sprintf("Insert(%v,%d,%v)", x, d, g)
 			err = insert(x, d, g)
 		case k == 12:
@@ -405,6 +415,7 @@ func matchReference(name string, shards, capacity int, intn func(n int) int, mor
 			ref.touchHistorical(x)
 		default:
 			ids, dests, g := insertBatch(intn, m, pick, layers, experts)
+			g = reuse(g)
 			what = fmt.Sprintf("batch(%v,dest %v,%v)", ids, dests, g)
 			for _, x := range ids {
 				if err = insert(x, dests[x], g); err != nil {
@@ -479,9 +490,14 @@ func FuzzCacheMatchesReference(f *testing.F) {
 	//   - ObserveScores, under MRS;
 	//   - a Pin, under LRU;
 	//   - an eviction.
-	// The last two fail a cache that remembers a victim it picked while
+	// The next two fail a cache that remembers a victim it picked while
 	// the guard hid some of the layer's candidates, and one that offers
-	// a remembered victim the guard covers.
+	// a remembered victim the guard covers. The last three fail a cache
+	// that reuses a guarded victim while the guard's Loads slice is the
+	// same, although its contents changed; one that reuses it under a
+	// guard that no longer covers a candidate the victim's guard
+	// covered; and one that keeps it across a placement in its layer
+	// without requiring the guard to cover the placed expert.
 	for _, seed := range []string{
 		"00m[s00005=0qk0u:0000sU0bj000000009c00;;00000y0000000000000k0YP00:0000wx0>",
 		"10c000000:sBP0m00J00Ry0oX0000jE02y0000000000090000Y0",
@@ -490,6 +506,9 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		"00lRRDA0n0F00t0Yq00Q0000W\\0c",
 		"00ZL]00L00q0z00000PW00dN08:ge0000t0U0000000000m07",
 		"00SB0003000000000000ReW0000X0Pc0q0z00000f;00000r0",
+		"00C78000007000000000000A0000$2917201772B1000010011027000007",
+		"01C$X0*71BY00200002102700001002(028100010110Y0000000079111Y0020000071111",
+		"20$78010200000%0000000007A00%1000000007900BX01002701102102000000000000112002",
 	} {
 		f.Add([]byte(seed))
 	}

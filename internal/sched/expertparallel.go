@@ -1,11 +1,6 @@
 package sched
 
-import (
-	"cmp"
-	"slices"
-
-	"hybrimoe/internal/hw"
-)
+import "hybrimoe/internal/hw"
 
 // ExpertParallel generalises the paper's greedy hybrid scheduler to
 // N-GPU platforms: experts are placed across the GPUs by load ×
@@ -33,7 +28,8 @@ func (s *ExpertParallel) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan
 	res.validate()
 	b := borrowBuffers()
 	defer planPool.Put(b)
-	greedy(&s.plan, b, tasks, p, res, max(p.NumGPUs(), 1))
+	cpu, gpu := b.mapStatic(tasks)
+	greedy(&s.plan, b, cpu, gpu, p, res, max(p.NumGPUs(), 1))
 	return &s.plan
 }
 
@@ -47,8 +43,6 @@ type gpuEntry struct {
 	// CPU must not steal them (the weights are already in flight).
 	viaTransfer bool
 }
-
-func entryLoadDescending(a, b gpuEntry) int { return cmp.Compare(b.task.Load, a.task.Load) }
 
 // Candidate operations in the greedy loop.
 const (
@@ -64,10 +58,11 @@ const (
 // the lightest cached one when it has nothing else; each GPU computes
 // its cached experts heaviest first; the links pull the heaviest
 // uncached expert to the GPU that would have it compute-ready earliest.
-func greedy(plan *Plan, b *planBuffers, tasks []Task, p *hw.Platform, res Resources, n int) {
+// cpuQ and gpu are mapStatic's sorted queues, which it only reads.
+func greedy(plan *Plan, b *planBuffers, cpuQ, gpu []Task, p *hw.Platform, res Resources, n int) {
 	plan.reset()
-	// CPU queue: uncached, ascending load. Per-GPU queues: cached on
-	// that device, descending load.
+	// Per-GPU queues: cached on that device, descending load (gpu's
+	// order restricted to the device).
 	for len(b.queues) < n {
 		b.queues = append(b.queues, nil)
 	}
@@ -75,12 +70,7 @@ func greedy(plan *Plan, b *planBuffers, tasks []Task, p *hw.Platform, res Resour
 	for d := range gpuQ {
 		gpuQ[d] = gpuQ[d][:0]
 	}
-	cpuQ := b.uncached[:0]
-	for _, t := range tasks {
-		if !t.Cached {
-			cpuQ = append(cpuQ, t)
-			continue
-		}
+	for _, t := range gpu {
 		d := t.Device.GPUIndex()
 		if d >= n {
 			// Residency on a device the platform does not carry is a
@@ -89,11 +79,6 @@ func greedy(plan *Plan, b *planBuffers, tasks []Task, p *hw.Platform, res Resour
 			d = 0
 		}
 		gpuQ[d] = append(gpuQ[d], gpuEntry{task: t})
-	}
-	b.uncached = cpuQ
-	slices.SortStableFunc(cpuQ, loadAscending)
-	for _, q := range gpuQ {
-		slices.SortStableFunc(q, entryLoadDescending)
 	}
 
 	cpuBusy, cpuFirst := res.CPUFree, true
@@ -106,7 +91,7 @@ func greedy(plan *Plan, b *planBuffers, tasks []Task, p *hw.Platform, res Resour
 
 	const none = -1
 	const eps = 1e-15
-	for left := len(tasks); left > 0; {
+	for left := len(cpuQ) + len(gpu); left > 0; {
 		// Each resource proposes its next op and the earliest-finishing
 		// one commits. Ties prefer the CPU, then GPUs in device order,
 		// then the transfer (the paper's walk-through keeps the CPU busy

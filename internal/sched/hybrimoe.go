@@ -33,14 +33,16 @@ func (s *HybriMoE) Name() string { return "HybriMoE" }
 // cached→GPU / uncached→CPU mapping and returns whichever plan finishes
 // first. The greedy pass wins whenever rebalancing helps; the fallback
 // guarantees HybriMoE never does worse than the kTransformers mapping.
+// Both run from one split and sort of the tasks: the greedy pass only
+// reads the queues, and the fallback reuses them as they are.
 func (s *HybriMoE) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	res.validate()
 	b := borrowBuffers()
 	defer planPool.Put(b)
-	greedy(&s.plan, b, tasks, p, res, 1)
+	cpu, gpu := b.mapStatic(tasks)
+	greedy(&s.plan, b, cpu, gpu, p, res, 1)
 
 	// The fallback's ops are built only when it finishes strictly first.
-	cpu, gpu := b.mapStatic(tasks)
 	var static float64
 	if len(cpu) > 0 {
 		static = runCPU(nil, cpu, p, res.CPUFree)

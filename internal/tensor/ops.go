@@ -84,6 +84,92 @@ func TopKInto[T float32 | float64](dst []int, xs []T, k int) []int {
 	return dst
 }
 
+// TopKSetInto returns the indices TopKInto(dst, xs, k) selects, in no
+// particular order, in dst's backing array (grown to 2·len(xs)): for
+// callers that use only which values are in the top k. It buckets the
+// values linearly between their least and greatest. Rounding is
+// monotone, so a greater value never lands in a lower bucket: every
+// value in a bucket above the one holding the k-th greatest is in the
+// set, every value below it is out, and only that bucket's members are
+// ranked, by TopKInto's rule. A row holding a NaN or an infinity, all
+// equal, or spread too narrowly or widely to scale in float64, is
+// ranked by TopKInto itself.
+func TopKSetInto[T float32 | float64](dst []int, xs []T, k int) []int {
+	n := len(xs)
+	if k <= 0 || k > n {
+		panic(fmt.Sprintf("tensor: TopKSetInto k=%d with %d values", k, n))
+	}
+	lo, hi := xs[0], xs[0]
+	for _, v := range xs {
+		if v != v {
+			return TopKInto(dst, xs, k)
+		}
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	span := float64(hi) - float64(lo)
+	scale := float64(n) / span
+	if !(span <= math.MaxFloat64 && scale <= math.MaxFloat64) {
+		return TopKInto(dst, xs, k)
+	}
+	// dst[:n] holds each value's bucket, then the set; dst[n:] holds the
+	// bucket counts, then the members of the k-th's bucket.
+	if cap(dst) < 2*n {
+		dst = make([]int, 2*n)
+	}
+	dst = dst[:2*n]
+	count := dst[n:]
+	clear(count)
+	for i, v := range xs {
+		b := min(int((float64(v)-float64(lo))*scale), n-1)
+		dst[i] = b
+		count[b]++
+	}
+	cut, above := n-1, 0
+	for above+count[cut] < k {
+		above += count[cut]
+		cut--
+	}
+	// Each member above the cut is written at or before the entry its
+	// bucket is read from, so the set overwrites only consumed buckets.
+	in, tied := 0, n
+	for i, b := range dst[:n] {
+		if b > cut {
+			dst[in] = i
+			in++
+		} else if b == cut {
+			dst[tied] = i
+			tied++
+		}
+	}
+	// TopKInto's insertion ranks the k-th's bucket, whose members come in
+	// index order, into dst[in:k]. (Sharing one helper with TopKInto
+	// slowed TopKInto's loop.)
+	r := k - in
+	top := dst[in:in]
+	for _, i := range dst[n:tied] {
+		v := xs[i]
+		j := len(top)
+		if j == r {
+			if !(v > xs[top[r-1]]) {
+				continue
+			}
+			j--
+		} else {
+			top = top[:j+1]
+		}
+		for ; j > 0 && xs[top[j-1]] < v; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = i
+	}
+	return dst[:k]
+}
+
 // SoftmaxTopK implements the MoE gating combination from Eq. (1) of the
 // paper: select the top-k logits, then softmax over only those k values.
 // It returns the selected expert indices (descending logit order) and
