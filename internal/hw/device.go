@@ -18,10 +18,7 @@
 // runs before inference.
 package hw
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Device identifies a compute resource in schedules and traces. The
 // CPU pool is the single negative value; every non-negative value
@@ -83,7 +80,7 @@ type CPUModel struct {
 // ExpertTime predicts seconds to execute one expert with the given FLOP
 // count and weight footprint. first marks the first expert of a burst.
 func (m CPUModel) ExpertTime(flops float64, bytes int64, first bool) float64 {
-	t := m.ExpertOverhead + math.Max(flops/m.PeakFlops, float64(bytes)/m.MemBandwidth)
+	t := m.ExpertOverhead + max(flops/m.PeakFlops, float64(bytes)/m.MemBandwidth)
 	if first {
 		t += m.WarmupPenalty
 	}
@@ -118,7 +115,7 @@ type GPUModel struct {
 
 // ExpertTime predicts seconds for one expert kernel on the GPU.
 func (m GPUModel) ExpertTime(flops float64, bytes int64) float64 {
-	return m.KernelLaunch + math.Max(flops/m.PeakFlops, float64(bytes)/m.MemBandwidth)
+	return m.KernelLaunch + max(flops/m.PeakFlops, float64(bytes)/m.MemBandwidth)
 }
 
 // Validate reports an error for non-physical parameters.

@@ -182,3 +182,44 @@ func TestAttentionFlopsGrowsWithContext(t *testing.T) {
 		t.Fatal("attention flops must be linear in tokens")
 	}
 }
+
+// TestExpertTimeMatchesMathMax pins both ExpertTime models, which take
+// the builtin max of the compute and the memory term, to the same
+// formula with math.Max, bit for bit. The language gives the builtin
+// math.Max's NaN and ±0 rules; the inputs include zero flops, zero
+// bytes, both zero, equal terms and each term the larger, on a unit
+// model and every preset platform's devices.
+func TestExpertTimeMatchesMathMax(t *testing.T) {
+	cpu := CPUModel{Name: "unit", PeakFlops: 2, MemBandwidth: 4, ExpertOverhead: 0.5, WarmupPenalty: 0.25}
+	gpu := GPUModel{Name: "unit", PeakFlops: 2, MemBandwidth: 4, KernelLaunch: 0.125}
+	cpus, gpus := []CPUModel{cpu}, []GPUModel{gpu}
+	for _, p := range []*Platform{A6000Platform(), LaptopPlatform(), UnitPlatform()} {
+		cpus, gpus = append(cpus, p.CPU), append(gpus, p.GPUs...)
+	}
+	flops1 := ExpertFlops(4096, 14336, 1)
+	for _, in := range []struct {
+		flops float64
+		bytes int64
+	}{
+		{0, 0}, {0, 100 << 20}, {flops1, 0}, {1, 2}, {6, 12}, {8, 4}, {2, 16},
+		{flops1, 100 << 20}, {64 * flops1, 100 << 20}, {1e5 * flops1, 1 << 30},
+	} {
+		for _, m := range cpus {
+			for _, first := range []bool{false, true} {
+				want := m.ExpertOverhead + math.Max(in.flops/m.PeakFlops, float64(in.bytes)/m.MemBandwidth)
+				if first {
+					want += m.WarmupPenalty
+				}
+				if got := m.ExpertTime(in.flops, in.bytes, first); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("CPU %s ExpertTime(%v, %d, %v) = %v, math.Max gives %v", m.Name, in.flops, in.bytes, first, got, want)
+				}
+			}
+		}
+		for _, m := range gpus {
+			want := m.KernelLaunch + math.Max(in.flops/m.PeakFlops, float64(in.bytes)/m.MemBandwidth)
+			if got := m.ExpertTime(in.flops, in.bytes); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("GPU %s ExpertTime(%v, %d) = %v, math.Max gives %v", m.Name, in.flops, in.bytes, got, want)
+			}
+		}
+	}
+}

@@ -39,23 +39,34 @@ func (r *RNG) Reseed(seed uint64) {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// xoshiro is one xoshiro256** step from the state (s0, s1, s2, s3): it
+// returns the step's 64 output bits and the next state. Uint64 and
+// UniformPairs both step through it, so a batch draws Uint64's stream.
+func xoshiro(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return out, s0, s1, s2, rotl(s3, 45)
+}
+
+// unit maps 64 random bits to a multiple of 2⁻⁵³ in [0, 1).
+func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
 	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	var out uint64
+	out, s[0], s[1], s[2], s[3] = xoshiro(s[0], s[1], s[2], s[3])
+	return out
 }
 
 // Float64 returns a uniform sample in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return unit(r.Uint64())
 }
 
 // Intn returns a uniform sample in [0, n). It panics when n <= 0.
@@ -100,6 +111,26 @@ func (r *RNG) UniformPair() (u, v float64) {
 		u = r.Float64()
 	}
 	return u, r.Float64()
+}
+
+// UniformPairs fills us[i] and vs[i] with the pairs that len(us)
+// successive UniformPair calls would return, zero u redraws included,
+// and leaves r where those calls would; it panics when vs is shorter
+// than us. The state stays in locals across the loop, so a batch makes
+// no call per draw.
+func (r *RNG) UniformPairs(us, vs []float64) {
+	vs = vs[:len(us)]
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range us {
+		var x uint64
+		for x>>11 == 0 { // unit(x) == 0: redraw u
+			x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		}
+		us[i] = unit(x)
+		x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		vs[i] = unit(x)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // TakeCached removes and returns the cached second variate of the last

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -199,4 +200,109 @@ func TestCachedVariateRoundTrip(t *testing.T) {
 	if z, ok := a.TakeCached(); ok {
 		t.Fatalf("Norm left variate %v cached after returning both halves", z)
 	}
+}
+
+// checkUniformPairs draws n pairs from a by UniformPairs and from b by
+// successive UniformPair calls, and reports the first difference in
+// the pairs' bits, in the next Uint64 or in the cached variate.
+func checkUniformPairs(a, b *RNG, n int) error {
+	us, vs := make([]float64, n), make([]float64, n)
+	a.UniformPairs(us, vs)
+	for i := range n {
+		u, v := b.UniformPair()
+		if math.Float64bits(us[i]) != math.Float64bits(u) || math.Float64bits(vs[i]) != math.Float64bits(v) {
+			return fmt.Errorf("pair %d of %d: batch (%v, %v), UniformPair (%v, %v)", i, n, us[i], vs[i], u, v)
+		}
+	}
+	if x, y := a.Uint64(), b.Uint64(); x != y {
+		return fmt.Errorf("after %d pairs: next Uint64 %#x, UniformPair's %#x", n, x, y)
+	}
+	za, oka := a.TakeCached()
+	zb, okb := b.TakeCached()
+	if oka != okb || math.Float64bits(za) != math.Float64bits(zb) {
+		return fmt.Errorf("after %d pairs: cached (%v, %v), UniformPair's (%v, %v)", n, za, oka, zb, okb)
+	}
+	return nil
+}
+
+// TestUniformPairsMatchesUniformPair pins the batch draw to successive
+// UniformPair calls, bit for bit, at every length from 0 to 70 over 40
+// seeds, with and without a cached variate (which neither touches). Two
+// states no seeded run reaches are set by hand: s[1] = 0 makes the next
+// output exactly 0, so the first u must be redrawn, and s[1] = s[0]^s[2]
+// makes the output after it 0, so the first v is 0 and must be kept.
+func TestUniformPairsMatchesUniformPair(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		for n := 0; n <= 70; n++ {
+			a, b := NewRNG(seed), NewRNG(seed)
+			if n%2 == 1 {
+				a.PutCached(0.5)
+				b.PutCached(0.5)
+			}
+			if err := checkUniformPairs(a, b, n); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		set  func(s *[4]uint64)
+		u, v bool // whether the first u is redrawn, whether the first v is 0
+	}{
+		{"zero-u", func(s *[4]uint64) { s[1] = 0 }, true, false},
+		{"zero-v", func(s *[4]uint64) { s[1] = s[0] ^ s[2] }, false, true},
+	} {
+		for n := 1; n <= 3; n++ {
+			a, b := NewRNG(7), NewRNG(7)
+			c.set(&a.s)
+			b.s = a.s
+			first, pair := *a, *a
+			if got := first.Uint64() == 0; got != c.u {
+				t.Fatalf("%s: first output 0 is %v, want %v", c.name, got, c.u)
+			}
+			if _, v := pair.UniformPair(); (v == 0) != c.v {
+				t.Fatalf("%s: first v = %v", c.name, v)
+			}
+			if err := checkUniformPairs(a, b, n); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+	}
+}
+
+// TestUniformPairsPanicsOnShortVs pins the length contract.
+func TestUniformPairsPanicsOnShortVs(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("UniformPairs with len(vs) < len(us) should panic")
+		}
+	}()
+	NewRNG(1).UniformPairs(make([]float64, 3), make([]float64, 2))
+}
+
+// FuzzUniformPairsMatchesUniformPair runs checkUniformPairs on a seed,
+// a length from 0 to 70, whether a variate is cached, and a state edit:
+// none, s[1] = 0 (the first u is redrawn) or s[1] = s[0]^s[2] (the
+// first v is 0).
+func FuzzUniformPairsMatchesUniformPair(f *testing.F) {
+	f.Add(uint64(1), uint8(0), false, uint8(0))
+	f.Add(uint64(2), uint8(33), true, uint8(0))
+	f.Add(uint64(3), uint8(70), false, uint8(1))
+	f.Add(uint64(4), uint8(5), true, uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, cached bool, edit uint8) {
+		a := NewRNG(seed)
+		switch edit % 3 {
+		case 1:
+			a.s[1] = 0
+		case 2:
+			a.s[1] = a.s[0] ^ a.s[2]
+		}
+		if cached {
+			a.PutCached(-1.5)
+		}
+		b := *a
+		if err := checkUniformPairs(a, &b, int(n)%71); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -10,25 +10,34 @@ import (
 	"hybrimoe/internal/stats"
 )
 
-// checkTopKSet reports whether TopKSetInto selects TopKInto's set from
-// xs at k, and leaves no duplicate.
+// checkTopKSet reports whether TopKSetInto and its bucket kernel, at
+// any row length, both select TopKInto's set from xs at k, and leave no
+// duplicate.
 func checkTopKSet[T float32 | float64](xs []T, k int) error {
 	want := slices.Clone(TopKInto(nil, xs, k))
-	got := slices.Clone(TopKSetInto(nil, xs, k))
 	slices.Sort(want)
-	slices.Sort(got)
-	if !slices.Equal(got, want) {
-		return fmt.Errorf("xs=%v k=%d: TopKSetInto selected %v, TopKInto %v", xs, k, got, want)
+	for _, sel := range []struct {
+		name string
+		fn   func([]int, []T, int) []int
+	}{{"TopKSetInto", TopKSetInto[T]}, {"topKBuckets", topKBuckets[T]}} {
+		got := slices.Clone(sel.fn(nil, xs, k))
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			return fmt.Errorf("xs=%v k=%d: %s selected %v, TopKInto %v", xs, k, sel.name, got, want)
+		}
 	}
 	return nil
 }
 
-// TestTopKSetMatchesTopKInto compares the unranked selection with
-// TopKInto's set, for float32 and float64, on rows that reach each of
-// its branches: the k-th alone in its bucket, ties straddling the k-th
-// place inside one bucket, a boundary bucket holding all but one value,
-// all-equal rows, infinities, NaNs, spans too narrow or too wide to
-// scale, and both ends of k.
+// TestTopKSetMatchesTopKInto compares the unranked selection and its
+// bucket kernel with TopKInto's set, for float32 and float64, on rows
+// that reach each of the kernel's branches: the k-th alone in its
+// bucket, ties straddling the k-th place inside one bucket, a boundary
+// bucket holding all but one value, all-equal rows, infinities, NaNs,
+// spans too narrow or too wide to scale, and both ends of k. Random
+// rows run at lengths 1 to 96 and at each length from two below
+// topKSetMinLen to two above, where TopKSetInto switches from TopKInto
+// to the kernel.
 func TestTopKSetMatchesTopKInto(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	rows := []struct {
@@ -53,8 +62,12 @@ func TestTopKSetMatchesTopKInto(t *testing.T) {
 	// Random rows: softmax-like skew (a few large values over many
 	// small ones), and coarse levels that tie often.
 	rng := stats.NewRNG(12)
-	for trial := 0; trial < 40; trial++ {
-		xs := make([]float64, 1+rng.Intn(96))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(96)
+		if trial >= 40 {
+			n = topKSetMinLen - 2 + (trial-40)/2
+		}
+		xs := make([]float64, n)
 		for i := range xs {
 			xs[i] = math.Exp(rng.NormMeanStd(0, 2))
 			if trial%2 == 1 {
@@ -96,12 +109,18 @@ func TestTopKSetIntoPanics(t *testing.T) {
 	}
 }
 
-// TestTopKSetIntoDoesNotAllocate pins the warm-scratch contract.
+// TestTopKSetIntoDoesNotAllocate pins the warm-scratch contract on a
+// row TopKInto ranks and one the bucket kernel selects from.
 func TestTopKSetIntoDoesNotAllocate(t *testing.T) {
-	xs := []float64{0.1, 0.9, 0.5, 0.7, 0.5, 0.05, 0.6}
-	dst := TopKSetInto(nil, xs, 3)
-	if a := testing.AllocsPerRun(100, func() { dst = TopKSetInto(dst, xs, 3) }); a != 0 {
-		t.Fatalf("TopKSetInto allocated %.1f times per call with warm scratch", a)
+	long := make([]float64, 64)
+	for i := range long {
+		long[i] = float64(i*37%64) / 64
+	}
+	for _, xs := range [][]float64{{0.1, 0.9, 0.5, 0.7, 0.5, 0.05, 0.6}, long} {
+		dst := TopKSetInto(nil, xs, 3)
+		if a := testing.AllocsPerRun(100, func() { dst = TopKSetInto(dst, xs, 3) }); a != 0 {
+			t.Fatalf("TopKSetInto allocated %.1f times per call on %d values with warm scratch", a, len(xs))
+		}
 	}
 }
 

@@ -104,6 +104,9 @@ type Generator struct {
 	// selection.
 	row []float32
 	top []int
+	// us and vs hold the uniform pairs of the latest batch draw and z
+	// the variates of the latest norms call, each reused across calls.
+	us, vs, z []float64
 	// draw is the pruned prefill routing draw's scratch (prefill.go).
 	draw prefillDraw
 }
@@ -121,10 +124,12 @@ func New(cfg *moe.Config, opts Options) *Generator {
 	for l := 0; l < cfg.Layers; l++ {
 		g.base[l] = make([]float64, cfg.RoutedExperts)
 		g.latent[l] = make([]float64, cfg.RoutedExperts)
+		// Each expert draws its preference, then its start at the
+		// stationary distribution around it.
+		z := g.norms(g.rng, 2*cfg.RoutedExperts)
 		for e := range g.base[l] {
-			g.base[l][e] = g.rng.NormMeanStd(0, opts.BaseSpread)
-			// Start at the stationary distribution.
-			g.latent[l][e] = g.base[l][e] + g.rng.NormMeanStd(0, opts.NoiseStd)
+			g.base[l][e] = 0 + opts.BaseSpread*z[2*e]
+			g.latent[l][e] = g.base[l][e] + (0 + opts.NoiseStd*z[2*e+1])
 		}
 	}
 	return g
@@ -146,8 +151,9 @@ func (g *Generator) ForkHistory(seed uint64) *Generator {
 	for l := range g.base {
 		h.base[l] = append([]float64(nil), g.base[l]...)
 		h.latent[l] = make([]float64, len(g.latent[l]))
+		z := h.norms(h.rng, len(h.latent[l]))
 		for e := range h.latent[l] {
-			h.latent[l][e] = h.base[l][e] + h.rng.NormMeanStd(0, h.opts.NoiseStd)
+			h.latent[l][e] = h.base[l][e] + (0 + h.opts.NoiseStd*z[e])
 		}
 	}
 	return h
@@ -162,13 +168,54 @@ func (g *Generator) Iteration() int { return g.iter }
 func (g *Generator) Advance() {
 	rho := g.opts.TemporalCorr
 	innov := g.opts.NoiseStd * math.Sqrt(1-rho*rho)
-	for l := range g.latent {
-		for e := range g.latent[l] {
-			dev := g.latent[l][e] - g.base[l][e]
-			g.latent[l][e] = g.base[l][e] + rho*dev + g.rng.NormMeanStd(0, innov)
+	for l, lat := range g.latent {
+		z := g.norms(g.rng, len(lat))
+		for e, b := range g.base[l] {
+			lat[e] = b + rho*(lat[e]-b) + (0 + innov*z[e])
 		}
 	}
 	g.iter++
+}
+
+// norms returns the next n ≥ 1 standard normals of r, bit for bit what
+// n successive r.Norm calls return, and leaves r as they would; the
+// slice is scratch, valid until the next call. It pairs as Norm does: a
+// variate r holds cached comes first, each uniform pair of one batch
+// draw then gives an entry its cosine half and the next its sine half,
+// and a pair opened by the last entry leaves its sine half cached.
+// Callers add NormMeanStd's arithmetic, mean + (0 + std·z).
+func (g *Generator) norms(r *stats.RNG, n int) []float64 {
+	if cap(g.z) < n {
+		g.z = make([]float64, n)
+	}
+	z := g.z[:n]
+	e := 0
+	if c, ok := r.TakeCached(); ok {
+		z[0], e = c, 1
+	}
+	us, vs := g.uniformPairs(r, (n-e+1)/2)
+	for p, u := range us {
+		c, s := stats.BoxMuller(u, vs[p])
+		z[e] = c
+		if e+1 < n {
+			z[e+1] = s
+		} else {
+			r.PutCached(s)
+		}
+		e += 2
+	}
+	return z
+}
+
+// uniformPairs draws the next n uniform pairs of r in one batch into
+// the generator's scratch, valid until the next draw.
+func (g *Generator) uniformPairs(r *stats.RNG, n int) (us, vs []float64) {
+	if cap(g.us) < n {
+		g.us, g.vs = make([]float64, n), make([]float64, n)
+	}
+	us, vs = g.us[:n], g.vs[:n]
+	r.UniformPairs(us, vs)
+	return us, vs
 }
 
 // Scores returns the current softmax-normalised routing scores of a
@@ -213,10 +260,11 @@ func (g *Generator) PredictedScoresInto(dst []float64, layer, lookahead int) []f
 	h = h*0x100000001b3 ^ uint64(layer+1)
 	h = h*0x100000001b3 ^ uint64(lookahead)
 	g.predRNG.Reseed(h)
+	z := g.norms(&g.predRNG, len(g.latent[layer]))
 	noisy := append(dst[:0], g.latent[layer]...)
 	sigma := g.opts.PredNoise * float64(lookahead)
 	for e := range noisy {
-		noisy[e] += g.predRNG.NormMeanStd(0, sigma)
+		noisy[e] += 0 + sigma*z[e]
 	}
 	softmax64InPlace(noisy)
 	return noisy

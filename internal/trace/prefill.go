@@ -16,7 +16,9 @@ import (
 //
 //   - An entry whose cheap upper bound is below a per-call threshold τ
 //     has a value at most float32(τ). Every other entry is a candidate,
-//     with float32 bounds lo ≤ x ≤ hi on its value x.
+//     with float32 bounds lo ≤ x ≤ hi on its value x from its radius
+//     bucket's edges and a first-order expansion of its cosine or sine
+//     about its angle bucket's middle.
 //   - A candidate is in when its lo beats float32(τ) and the (k+1)-th
 //     largest hi, so at most k-1 other entries can reach its value. It
 //     is out when its hi is below the least lo among the k highest his,
@@ -43,6 +45,12 @@ const (
 	// boundSlack absorbs the rounding of the computed radius, angle and
 	// trigonometric values, which lie within a few ulps of the exact ones.
 	boundSlack = 1e-9
+	// bucketAngle is an angle bucket's width. Within half of it of the
+	// bucket's middle, cos and sin differ from their first-order
+	// expansion about the middle by at most trigRemainder: the Taylor
+	// remainder, at most (bucketAngle/2)²/2, plus the slack.
+	bucketAngle   = 2 * math.Pi / angleBuckets
+	trigRemainder = bucketAngle*bucketAngle/8 + boundSlack
 	// The normal tail is tabulated at tailSteps points per unit over
 	// z ∈ [-tailZ, tailZ].
 	tailZ     = 8
@@ -62,12 +70,17 @@ type drawBounds struct {
 	// trigonometric bound times +Inf is NaN, and a NaN bound fails the
 	// comparison that makes an entry a candidate.
 	radius [radiusBuckets + 1]float64
-	// trig[j] bounds the cosine and the sine of BoxMullerAngle(v) for v
-	// in [j, j+1)/angleBuckets: their maxima, then their minima. The
-	// maxima are clamped at 0: below 0 a larger radius gives a smaller
+	// peak[j] bounds the cosine and the sine of BoxMullerAngle(v) for v
+	// in [j, j+1)/angleBuckets from above, for the pair loop's filter.
+	// Both are clamped at 0: below 0 a larger radius gives a smaller
 	// product, so the upper radius bound times a negative maximum would
 	// not bound the exact product.
-	trig [angleBuckets][4]float64
+	peak [angleBuckets][2]float64
+	// mid[j] holds the cosine and the sine at the middle of angle bucket
+	// j, then their derivatives there, -sin and cos, so that
+	// mid[h] + mid[2+h]·δ is the first-order value of the cosine (h = 0)
+	// or the sine (h = 1) at δ from the middle.
+	mid [angleBuckets][4]float64
 	// tail[i] = P(N > -tailZ + i/tailSteps) for a standard normal N.
 	tail [2*tailZ*tailSteps + 1]float64
 }
@@ -79,19 +92,18 @@ func newDrawBounds() *drawBounds {
 	for i := range radiusBuckets {
 		b.radius[i] = stats.BoxMullerRadius(max(float64(i)/radiusBuckets, 0x1p-53))
 	}
-	for j := range b.trig {
+	for j := range b.peak {
 		// The extremes of cos and sin lie on bucket edges (multiples of a
 		// quarter turn), so both are monotone within a bucket and peak at
 		// one of its edges.
 		lo := stats.BoxMullerAngle(float64(j) / angleBuckets)
 		hi := stats.BoxMullerAngle(float64(j+1) / angleBuckets)
-		cl, sl, ch, sh := math.Cos(lo), math.Sin(lo), math.Cos(hi), math.Sin(hi)
-		b.trig[j] = [4]float64{
-			max(cl+boundSlack, ch+boundSlack, 0),
-			max(sl+boundSlack, sh+boundSlack, 0),
-			min(cl, ch) - boundSlack,
-			min(sl, sh) - boundSlack,
+		b.peak[j] = [2]float64{
+			max(math.Cos(lo)+boundSlack, math.Cos(hi)+boundSlack, 0),
+			max(math.Sin(lo)+boundSlack, math.Sin(hi)+boundSlack, 0),
 		}
+		s, c := math.Sincos(stats.BoxMullerAngle((float64(j) + 0.5) / angleBuckets))
+		b.mid[j] = [4]float64{c, s, -s, c}
 	}
 	for i := range b.tail {
 		z := -tailZ + float64(i)/tailSteps
@@ -101,7 +113,8 @@ func newDrawBounds() *drawBounds {
 }
 
 // candidate is a row entry whose upper bound reaches τ, with float32
-// bounds on its value; lo == hi when the value is known exactly.
+// bounds on its value, which settle sets for an entry with a pair of
+// its own; lo == hi when the value is known exactly.
 type candidate struct {
 	e      int
 	lo, hi float32
@@ -120,12 +133,11 @@ type prefillDraw struct {
 	rHi, rLo   float64
 	tau32      float32
 	flip, k    int
-	// u and v record each uniform pair of the current token; cand holds
-	// its candidates in index order, then the ambiguous ones, his their
-	// upper bounds and top the positions of the k+1 highest; sel
-	// collects the chosen entries, and hit and val the ambiguous ones
-	// whose exact value exceeds float32(τ).
-	u, v []float64
+	// cand holds the current token's candidates in index order, then
+	// the ambiguous ones, his their upper bounds and top the positions of
+	// the k+1 highest; sel collects the chosen entries, and hit and val
+	// the ambiguous ones whose exact value exceeds float32(τ). The
+	// token's uniform pairs stay in the generator's pair scratch.
 	cand []candidate
 	his  []float32
 	top  []int
@@ -141,8 +153,6 @@ type prefillDraw struct {
 func (d *prefillDraw) begin(lat []float64, sigma float64, k int) {
 	n := len(lat)
 	if cap(d.cand) < n {
-		d.u = make([]float64, n/2+1)
-		d.v = make([]float64, n/2+1)
 		d.cand = make([]candidate, n)
 		d.his = make([]float32, n)
 		d.top = make([]int, 0, n)
@@ -200,17 +210,22 @@ func threshold(lat []float64, absSigma float64, k int) float64 {
 	return lo
 }
 
+// trigBounds bounds T, the cosine (h = 0) or the sine (h = 1) of v's
+// angle, turned half a turn by a flip of angleBuckets/2 (σ < 0), from
+// both sides: T lies within trigRemainder of its first-order value
+// about the angle bucket's middle.
+func trigBounds(v float64, h, flip int) (lo, hi float64) {
+	f := v * angleBuckets
+	j := int(f)
+	m := &bounds.mid[(j+flip)&(angleBuckets-1)]
+	t := m[h] + m[2+h]*((f-float64(j)-0.5)*bucketAngle)
+	return t - trigRemainder, t + trigRemainder
+}
+
 // tokenLogit is one dense-row entry, float32(l + NormMeanStd(0, sigma))
 // for the standard normal z, with NormMeanStd's arithmetic.
 func tokenLogit(l, sigma, z float64) float32 {
 	return float32(l + (0 + sigma*z))
-}
-
-// lowerBound bounds float32(l + |σ|·R·T) from below for |σ|·R in
-// [rLo, rHi] and T at least t.
-func lowerBound(l, rLo, rHi, t float64) float32 {
-	// A negative product falls as the radius grows.
-	return float32(l + min(rLo*t, rHi*t))
 }
 
 // tokenTopK draws one prompt token's routing row from the generator's
@@ -221,46 +236,43 @@ func (g *Generator) tokenTopK(d *prefillDraw) []int {
 	rHiScale, flip := d.rHi, d.flip
 	n := len(lat)
 	cand, nc := d.cand[:n], 0
-	e, off := 0, 0 // off: the entries before the first pair's
+	off := 0 // the entries before the first pair's
 	cached, hasCached := rng.TakeCached()
 	if hasCached {
 		if x := tokenLogit(lat[0], sigma, cached); x > d.tau32 {
 			cand[0] = candidate{0, x, x}
 			nc = 1
 		}
-		e, off = 1, 1
+		off = 1
 	}
-	us, vs := d.u, d.v
-	p := 0
-	for ; e+1 < n; p, e = p+1, e+2 {
-		u, v := rng.UniformPair()
-		us[p], vs[p] = u, v
+	us, vs := g.uniformPairs(rng, (n-off+1)/2)
+	full := n - (n-off)&1 // entries from off to full-1 have pairs of their own
+	e := off
+	for p, u := range us[:(full-off)/2] {
 		ui := int(u*radiusBuckets) & (radiusBuckets - 1)
-		tb := &bounds.trig[(int(v*angleBuckets)+flip)&(angleBuckets-1)]
+		tb := &bounds.peak[(int(vs[p]*angleBuckets)+flip)&(angleBuckets-1)]
 		rHi := rHiScale * bounds.radius[ui]
-		hiC, hiS := lat[e]+rHi*tb[0], lat[e+1]+rHi*tb[1]
-		// Both halves are written and kept only if they reach τ, which
-		// spares the branch a coin flip would mispredict. settle adds
-		// the lower bounds of the kept ones.
-		cand[nc].e, cand[nc].hi = e, float32(hiC)
-		if hiC >= tau {
+		// Both halves are written and kept only if their bound reaches τ,
+		// which spares the branch a coin flip would mispredict. settle
+		// bounds the kept ones.
+		cand[nc].e = e
+		if lat[e]+rHi*tb[0] >= tau {
 			nc++
 		}
-		cand[nc].e, cand[nc].hi = e+1, float32(hiS)
-		if hiS >= tau {
+		cand[nc].e = e + 1
+		if lat[e+1]+rHi*tb[1] >= tau {
 			nc++
 		}
+		e += 2
 	}
-	full := e // entries from off to full-1 have pairs of their own
-	if e < n {
+	if full < n {
 		// The row's last entry opens a pair, whose sine half outlives it.
-		u, v := rng.UniformPair()
-		us[p], vs[p] = u, v
-		mag := stats.BoxMullerRadius(u)
-		s, c := math.Sincos(stats.BoxMullerAngle(v))
+		p := len(us) - 1
+		mag := stats.BoxMullerRadius(us[p])
+		s, c := math.Sincos(stats.BoxMullerAngle(vs[p]))
 		rng.PutCached(mag * s)
-		if x := tokenLogit(lat[e], sigma, mag*c); x > d.tau32 {
-			cand[nc] = candidate{e, x, x}
+		if x := tokenLogit(lat[full], sigma, mag*c); x > d.tau32 {
+			cand[nc] = candidate{full, x, x}
 			nc++
 		}
 	}
@@ -272,12 +284,10 @@ func (g *Generator) tokenTopK(d *prefillDraw) []int {
 	}
 	// Fewer than k exact values clear float32(τ): rank the dense row.
 	row := g.rankRow(n)
-	e = 0
 	if hasCached {
 		row[0] = tokenLogit(lat[0], sigma, cached)
-		e = 1
 	}
-	for p := 0; e < n; p, e = p+1, e+2 {
+	for p, e := 0, off; e < n; p, e = p+1, e+2 {
 		c, s := stats.BoxMuller(us[p], vs[p])
 		row[e] = tokenLogit(lat[e], sigma, c)
 		if e+1 < n {
@@ -291,20 +301,29 @@ func (g *Generator) tokenTopK(d *prefillDraw) []int {
 // settle picks the row's top-k from at least k candidates, computing
 // exact values only for the ambiguous ones, or returns nil when fewer
 // than k values exceed float32(τ). Entries off to full-1 have pairs of
-// their own, entry e's being (e-off)/2; the others are known exactly. It
+// their own in the generator's pair scratch, entry e's being
+// (e-off)/2, and are bounded here; the others are known exactly. It
 // reuses cand's storage for the ambiguous candidates.
 func (g *Generator) settle(d *prefillDraw, cand []candidate, off, full int) []int {
-	k, his := d.k, d.his[:len(cand)]
-	for i, c := range cand {
-		his[i] = c.hi
-		if c.e < off || c.e >= full {
-			continue
+	k, his, us, vs := d.k, d.his[:len(cand)], g.us, g.vs
+	lat, flip, rHiScale, rLoScale := d.lat, d.flip, d.rHi, d.rLo
+	for i := range cand {
+		c := &cand[i]
+		if e := c.e; e >= off && e < full {
+			// The value is float32(l + |σ|·R·T) for the pair's radius R
+			// and its T, with |σ|·R between rLo and rHi. For a fixed R ≥ 0,
+			// R·T is at most R times T's upper bound, and that is linear in
+			// R, so it peaks at one edge: the larger radius for a
+			// non-negative bound, the smaller for a negative one. The lower
+			// bound mirrors it.
+			p := (e - off) >> 1
+			tLo, tHi := trigBounds(vs[p], (e-off)&1, flip)
+			ui := int(us[p]*radiusBuckets) & (radiusBuckets - 1)
+			rHi, rLo := rHiScale*bounds.radius[ui], rLoScale*bounds.radius[ui+1]
+			c.hi = float32(lat[e] + max(rHi*tHi, rLo*tHi))
+			c.lo = float32(lat[e] + min(rHi*tLo, rLo*tLo))
 		}
-		p, half := (c.e-off)>>1, (c.e-off)&1
-		ui := int(d.u[p]*radiusBuckets) & (radiusBuckets - 1)
-		tb := &bounds.trig[(int(d.v[p]*angleBuckets)+d.flip)&(angleBuckets-1)]
-		rHi, rLo := d.rHi*bounds.radius[ui], d.rLo*bounds.radius[ui+1]
-		cand[i].lo = lowerBound(d.lat[c.e], rLo, rHi, tb[2+half])
+		his[i] = c.hi
 	}
 	// An in entry's lo beats float32(τ) and every hi outside the k
 	// highest; an out entry's hi is below the least lo among them.
@@ -343,16 +362,16 @@ func (g *Generator) settle(d *prefillDraw, cand []candidate, off, full int) []in
 		if c.lo != c.hi {
 			p := (c.e - off) >> 1
 			if p != lastP {
-				lastP, mag = p, stats.BoxMullerRadius(d.u[p])
+				lastP, mag = p, stats.BoxMullerRadius(us[p])
 				d.radii++
 			}
 			var t float64
-			if theta := stats.BoxMullerAngle(d.v[p]); (c.e-off)&1 == 0 {
+			if theta := stats.BoxMullerAngle(vs[p]); (c.e-off)&1 == 0 {
 				t = math.Cos(theta)
 			} else {
 				t = math.Sin(theta)
 			}
-			x = tokenLogit(d.lat[c.e], d.sigma, mag*t)
+			x = tokenLogit(lat[c.e], d.sigma, mag*t)
 			d.values++
 		}
 		if x > d.tau32 {
