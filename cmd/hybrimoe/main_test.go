@@ -11,8 +11,13 @@ import (
 
 // serveGoldens are the CLI's serving smoke invocations, each pinned to a
 // committed report: one open-loop Session under SLO admission, one
-// affinity-routed fleet with admission at the fleet door, and one
-// disaggregated prefill/decode pool split. Regenerate with
+// affinity-routed fleet with admission at the fleet door, one
+// disaggregated prefill/decode pool split, one greedy-batched Session
+// whose admission both defers and sheds and whose deadlines are missed,
+// and one churning fleet (a scale-up join, a drain, a stall detected
+// with a lost request and re-routes, fleet-door sheds and a deferral).
+// Together they print every line format of the serve report.
+// Regenerate with
 // UPDATE_GOLDEN=1 go test ./cmd/hybrimoe -run TestServeGolden
 // and review the diff like any other code change.
 var serveGoldens = []struct {
@@ -21,6 +26,8 @@ var serveGoldens = []struct {
 	{"serve-bursty-slo", "serve -arrivals bursty -rate 8 -requests 6 -decode-cap 8 -slo-ttft-p95 0.25"},
 	{"serve-fleet-affinity", "serve -replicas 3 -router affinity -arrivals poisson -rate 12 -requests 8 -decode-cap 8 -slo-ttft-p95 0.6"},
 	{"serve-pools", "serve -pools 1:2 -arrivals poisson -rate 12 -requests 8 -decode-cap 8"},
+	{"serve-batched-slo", "serve -arrivals poisson -rate 10 -requests 10 -slo-ttft-p95 0.3 -deadline 0.01 -concurrent 3 -batch greedy -decode-cap 4"},
+	{"serve-fleet-churn", "serve -replicas 2 -router round-robin -arrivals poisson -rate 20 -requests 16 -decode-cap 2 -concurrent 1 -fail 1@0.6:stall -scale-plan +1@0.5,-1@1.2 -slo-ttft-p95 0.3 -deadline 0.015"},
 }
 
 func TestServeGolden(t *testing.T) {
