@@ -6,7 +6,7 @@
 //	hybrimoe run <id> [flags]     # run one experiment (fig3a..fig9, table3, ...)
 //	hybrimoe all [flags]          # run every experiment
 //	hybrimoe demo [flags]         # one decode run with a Gantt timeline (-cache 0 = no expert cache)
-//	hybrimoe serve [flags]        # stream a mixed request workload through a Session
+//	hybrimoe serve [flags]        # stream a mixed request workload through one replica or a fleet
 //
 // Flags:
 //
@@ -246,10 +246,15 @@ func serveRequests(sc serveConfig) ([]workload.Request, error) {
 
 // serve streams a request workload — sampled from the mixed corpora,
 // optionally under an open-loop arrival process, or replayed from a
-// JSONL trace — through the engine's Session loop under the selected
-// request scheduler and, when SLO targets are set, admission control,
-// and reports queue-inclusive TTFT and TBT percentiles plus
-// shed/deferral/violation accounting from the step events.
+// JSONL trace — through one cluster of engine replicas, each built from
+// the same serve knobs (model, GPUs, schedulers, batching) with its own
+// derived seed, and reports queue-inclusive TTFT and TBT percentiles
+// plus shed/deferral/violation accounting from the events. A plain run
+// is one replica whose session keeps SLO admission control, reported
+// without replica tags. More replicas, failures, a scale plan or pools
+// make a fleet: the named router picks a replica per arrival, and SLO
+// targets move admission to the fleet door, where requests are shed
+// against fleet-aggregate quantiles before any replica queues them.
 func serve(w io.Writer, sc serveConfig) error {
 	if sc.requests < 1 {
 		return fmt.Errorf("-requests %d must be at least 1", sc.requests)
@@ -299,108 +304,6 @@ func serve(w io.Writer, sc serveConfig) error {
 			return err
 		}
 	}
-	if sc.replicas > 1 || sc.fail != "" || sc.scalePlan != "" || sc.pools != "" {
-		// Lifecycle and disaggregation knobs only exist at fleet scope;
-		// a 1-replica fleet with churn is still a fleet.
-		return serveFleet(w, sc, reqs)
-	}
-	opts := []engine.Option{
-		engine.WithCacheRatio(sc.ratio),
-		engine.WithSeed(sc.seed),
-		engine.WithRequestScheduler(sc.reqSched),
-		engine.WithBatchPolicy(sc.batch, sc.batchBudget),
-	}
-	admitting := sc.sloTTFT > 0 || sc.sloTBT > 0
-	if admitting {
-		opts = append(opts, engine.WithAdmission(engine.NewSLOAdmission(sc.sloTTFT, sc.sloTBT)))
-	}
-	fw := engine.HybriMoEFramework()
-	if sc.sched != "" {
-		fw.Sched = sc.sched
-	}
-	e, err := engine.New(sc.cfg, hw.MultiA6000Platform(sc.gpus), fw, opts...)
-	if err != nil {
-		return err
-	}
-	s := e.NewSession(engine.WithMaxConcurrent(sc.concurrent))
-	s.Submit(reqs...)
-
-	fmt.Fprintf(w, "serving %d requests on %s (%.0f%% cache, ≤%d concurrent, %s scheduling",
-		len(reqs), sc.cfg.Name, sc.ratio*100, sc.concurrent, sc.reqSched)
-	if sc.gpus > 1 {
-		fmt.Fprintf(w, ", %d GPUs via %s", sc.gpus, sc.sched)
-	}
-	if sc.traceIn != "" {
-		fmt.Fprintf(w, ", replaying %s", sc.traceIn)
-	} else if sc.arrivals != "none" {
-		fmt.Fprintf(w, ", %s arrivals at %.3g req/s", sc.arrivals, sc.rate)
-	}
-	if sc.batch != "none" {
-		fmt.Fprintf(w, ", %s batching ≤%d tokens", sc.batch, sc.batchBudget)
-	}
-	if admitting {
-		fmt.Fprintf(w, ", SLO p95 TTFT %.3gs / TBT %.3gs", sc.sloTTFT, sc.sloTBT)
-	}
-	fmt.Fprint(w, ")\n\n")
-	var t engine.Tally
-	s.Run(func(ev engine.StepEvent) {
-		t.Add(ev)
-		switch ev.Phase {
-		case engine.PhasePrefill:
-			queued := ""
-			if ev.Queued > 0 {
-				queued = fmt.Sprintf(" (queued %.4fs)", ev.Queued)
-			}
-			fmt.Fprintf(w, "  t=%7.3fs req %2d prefill %4d tokens  TTFT %.4fs%s\n",
-				ev.End, ev.Request, ev.Tokens, ev.Queued+ev.Latency, queued)
-		case engine.PhaseShed:
-			fmt.Fprintf(w, "  t=%7.3fs req %2d SHED by admission control\n", ev.End, ev.Request)
-			return
-		case engine.PhaseDeferred:
-			fmt.Fprintf(w, "  t=%7.3fs req %2d deferred by admission control\n", ev.End, ev.Request)
-			return
-		}
-		// Done can ride a decode event or, for decode-free requests, the
-		// prefill itself.
-		if ev.Done {
-			late := ""
-			if ev.Deadline > 0 && ev.End > ev.Deadline {
-				late = fmt.Sprintf("  MISSED deadline %.3fs", ev.Deadline)
-			}
-			steps := ev.Index + 1
-			if ev.Phase == engine.PhasePrefill {
-				steps = 0
-			}
-			fmt.Fprintf(w, "  t=%7.3fs req %2d done after %d decode steps%s\n",
-				ev.End, ev.Request, steps, late)
-		}
-	})
-
-	fmt.Fprintf(w, "\nsteps: %d   cache hit rate: %.1f%%\n", s.Steps(), 100*e.Caches().HitRate())
-	if sc.batch != "none" {
-		meanBatch := 0.0
-		if s.Batches() > 0 {
-			meanBatch = float64(t.ComputeEvents) / float64(s.Batches())
-		}
-		fmt.Fprintf(w, "batching: %d iterations for %d request-steps (mean batch %.2f)\n",
-			s.Batches(), t.ComputeEvents, meanBatch)
-	}
-	if admitting || sc.deadline > 0 {
-		fmt.Fprintf(w, "admission: %d shed, %d deferral verdicts   deadline violations: %d\n",
-			s.Shed(), s.Deferred(), t.Violated)
-	}
-	fmt.Fprintf(w, "TTFT  %s\n", t.TTFT.Stats())
-	fmt.Fprintf(w, "TBT   %s\n", t.TBT.Stats())
-	return nil
-}
-
-// serveFleet streams the prepared request sequence through a
-// multi-replica cluster: each replica is a full engine stack built from
-// the same serve knobs (model, GPUs, schedulers, batching) with its own
-// derived seed, the named router picks a replica per arrival, and SLO
-// targets move admission to the fleet door — requests are shed against
-// fleet-aggregate quantiles before any replica queues them.
-func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 	failures, err := cluster.ParseFailures(sc.fail)
 	if err != nil {
 		return err
@@ -413,11 +316,18 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 	if err != nil {
 		return err
 	}
+	// Lifecycle and disaggregation knobs only exist at fleet scope; a
+	// 1-replica fleet with churn is still a fleet.
+	fleet := sc.replicas > 1 || sc.fail != "" || sc.scalePlan != "" || sc.pools != ""
 	replicas := sc.replicas
 	if n := poolSpec.Prefill + poolSpec.Decode; n > replicas {
 		// -pools P:D implies the fleet size; -replicas may still grow it
 		// (the surplus serves mixed).
 		replicas = n
+	}
+	var slo engine.AdmissionPolicy
+	if sc.sloTTFT > 0 || sc.sloTBT > 0 {
+		slo = engine.NewSLOAdmission(sc.sloTTFT, sc.sloTBT)
 	}
 	fw := engine.HybriMoEFramework()
 	if sc.sched != "" {
@@ -435,6 +345,9 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 			// the re-warm cost instead of pretending warmth.
 			eopts = append(eopts, engine.WithWarmupIters(0))
 		}
+		if slo != nil && !fleet {
+			eopts = append(eopts, engine.WithAdmission(slo))
+		}
 		return engine.New(sc.cfg, hw.MultiA6000Platform(sc.gpus), fw, eopts...)
 	}
 	opts := []cluster.Option{
@@ -448,9 +361,8 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 	if poolSpec.Pooled() {
 		opts = append(opts, cluster.WithPools(poolSpec))
 	}
-	admitting := sc.sloTTFT > 0 || sc.sloTBT > 0
-	if admitting {
-		opts = append(opts, cluster.WithAdmission(engine.NewSLOAdmission(sc.sloTTFT, sc.sloTBT)))
+	if slo != nil && fleet {
+		opts = append(opts, cluster.WithAdmission(slo))
 	}
 	for _, f := range failures {
 		opts = append(opts, cluster.WithFailure(f.Replica, f.At, f.Kind))
@@ -464,10 +376,15 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 	}
 	c.Submit(reqs...)
 
-	fmt.Fprintf(w, "serving %d requests across %d %s replicas (%s routing, %.0f%% cache, ≤%d concurrent each",
-		len(reqs), replicas, sc.cfg.Name, c.RouterName(), sc.ratio*100, sc.concurrent)
-	if poolSpec.Pooled() {
-		fmt.Fprintf(w, ", %s pools", poolSpec)
+	if fleet {
+		fmt.Fprintf(w, "serving %d requests across %d %s replicas (%s routing, %.0f%% cache, ≤%d concurrent each",
+			len(reqs), replicas, sc.cfg.Name, c.RouterName(), sc.ratio*100, sc.concurrent)
+		if poolSpec.Pooled() {
+			fmt.Fprintf(w, ", %s pools", poolSpec)
+		}
+	} else {
+		fmt.Fprintf(w, "serving %d requests on %s (%.0f%% cache, ≤%d concurrent, %s scheduling",
+			len(reqs), sc.cfg.Name, sc.ratio*100, sc.concurrent, sc.reqSched)
 	}
 	if sc.gpus > 1 {
 		fmt.Fprintf(w, ", %d GPUs via %s", sc.gpus, sc.sched)
@@ -480,8 +397,12 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 	if sc.batch != "none" {
 		fmt.Fprintf(w, ", %s batching ≤%d tokens", sc.batch, sc.batchBudget)
 	}
-	if admitting {
-		fmt.Fprintf(w, ", fleet SLO p95 TTFT %.3gs / TBT %.3gs", sc.sloTTFT, sc.sloTBT)
+	if slo != nil {
+		scope := "SLO"
+		if fleet {
+			scope = "fleet SLO"
+		}
+		fmt.Fprintf(w, ", %s p95 TTFT %.3gs / TBT %.3gs", scope, sc.sloTTFT, sc.sloTBT)
 	}
 	if sc.fail != "" {
 		fmt.Fprintf(w, ", failures %s", sc.fail)
@@ -493,84 +414,117 @@ func serveFleet(w io.Writer, sc serveConfig, reqs []workload.Request) error {
 
 	var t engine.Tally
 	c.Run(func(ev cluster.Event) {
-		switch ev.Kind {
-		case cluster.EventReplicaWarming:
-			fmt.Fprintf(w, "  t=%7.3fs r%d JOINED cold, warming\n", ev.End, ev.Replica)
-			return
-		case cluster.EventReplicaDraining:
-			fmt.Fprintf(w, "  t=%7.3fs r%d DRAINING, no new dispatches\n", ev.End, ev.Replica)
-			return
-		case cluster.EventReplicaDead:
-			if ev.Tokens > 0 {
-				fmt.Fprintf(w, "  t=%7.3fs r%d DEAD, %d in-flight requests lost\n", ev.End, ev.Replica, ev.Tokens)
-			} else {
-				fmt.Fprintf(w, "  t=%7.3fs r%d DEAD\n", ev.End, ev.Replica)
-			}
-			return
-		case cluster.EventRerouted:
-			fmt.Fprintf(w, "  t=%7.3fs    req %2d RE-ROUTED off dead r%d (arrived %.3fs)\n",
-				ev.End, ev.Request, ev.Replica, ev.Arrival)
-			return
-		case cluster.EventHandoff:
-			fmt.Fprintf(w, "  t=%7.3fs r%d req %2d HANDOFF landed: %d experts (%d warm), xfer %.4fs\n",
-				ev.End, ev.Replica, ev.Request, ev.Tokens, ev.Hits, ev.Latency)
-			return
+		if ev.Kind == cluster.EventStep {
+			t.Add(ev.StepEvent)
 		}
-		t.Add(ev.StepEvent)
-		switch ev.Phase {
-		case engine.PhasePrefill:
+		printEvent(w, ev, fleet)
+	})
+
+	if fleet {
+		fmt.Fprintf(w, "\nsteps: %d   routed per replica: %v\n", c.Steps(), c.Routed())
+		for i := 0; i < c.Replicas(); i++ {
+			role := ""
+			if c.Pools().Pooled() {
+				role = " " + c.Role(i).String()
+			}
+			fmt.Fprintf(w, "  replica %d: %-8s%s clock %.3fs, cache hit rate %.1f%%\n",
+				i, c.State(i), role, c.Engine(i).Clock(), 100*c.Engine(i).Caches().HitRate())
+		}
+		if c.Handoffs() > 0 {
+			warm, total := c.MigratedExperts()
+			fmt.Fprintf(w, "disaggregation: %d prefill→decode handoffs, %d/%d migrated experts landed warm\n",
+				c.Handoffs(), warm, total)
+		}
+		if c.Rerouted() > 0 || c.Lost() > 0 {
+			fmt.Fprintf(w, "churn: %d requests re-routed off dead replicas, %d in-flight lost\n",
+				c.Rerouted(), c.Lost())
+		}
+	} else {
+		fmt.Fprintf(w, "\nsteps: %d   cache hit rate: %.1f%%\n", c.Steps(), 100*c.Engine(0).Caches().HitRate())
+		if sc.batch != "none" {
+			batches, meanBatch := c.Session(0).Batches(), 0.0
+			if batches > 0 {
+				meanBatch = float64(t.ComputeEvents) / float64(batches)
+			}
+			fmt.Fprintf(w, "batching: %d iterations for %d request-steps (mean batch %.2f)\n",
+				batches, t.ComputeEvents, meanBatch)
+		}
+	}
+	if slo != nil || sc.deadline > 0 {
+		// Admission runs at one layer, the fleet door or the plain run's
+		// session; the other counts nothing.
+		shed, deferred := c.Shed(), c.Deferred()
+		for i := 0; i < c.Replicas(); i++ {
+			shed += c.Session(i).Shed()
+			deferred += c.Session(i).Deferred()
+		}
+		fmt.Fprintf(w, "admission: %d shed, %d deferral verdicts   deadline violations: %d\n",
+			shed, deferred, t.Violated)
+	}
+	fmt.Fprintf(w, "TTFT  %s\n", t.TTFT.Stats())
+	fmt.Fprintf(w, "TBT   %s\n", t.TBT.Stats())
+	return nil
+}
+
+// printEvent writes ev's line of the serve report: prefills,
+// completions, admission records and lifecycle records print, decode
+// steps that complete nothing do not. A fleet report tags each line
+// with the replica it happened on, or with blanks for the fleet's own
+// records; a plain run's report carries no tags.
+func printEvent(w io.Writer, ev cluster.Event, fleet bool) {
+	line := func(format string, args ...any) {
+		fmt.Fprintf(w, "  t=%7.3fs ", ev.End)
+		switch {
+		case !fleet:
+		case ev.Replica == cluster.FleetReplica || ev.Kind == cluster.EventRerouted:
+			fmt.Fprint(w, "   ")
+		default:
+			fmt.Fprintf(w, "r%d ", ev.Replica)
+		}
+		fmt.Fprintf(w, format+"\n", args...)
+	}
+	door := "by admission control"
+	if ev.Replica == cluster.FleetReplica {
+		door = "at the fleet door"
+	}
+	switch {
+	case ev.Kind == cluster.EventReplicaWarming:
+		line("JOINED cold, warming")
+	case ev.Kind == cluster.EventReplicaDraining:
+		line("DRAINING, no new dispatches")
+	case ev.Kind == cluster.EventReplicaDead && ev.Tokens > 0:
+		line("DEAD, %d in-flight requests lost", ev.Tokens)
+	case ev.Kind == cluster.EventReplicaDead:
+		line("DEAD")
+	case ev.Kind == cluster.EventRerouted:
+		line("req %2d RE-ROUTED off dead r%d (arrived %.3fs)", ev.Request, ev.Replica, ev.Arrival)
+	case ev.Kind == cluster.EventHandoff:
+		line("req %2d HANDOFF landed: %d experts (%d warm), xfer %.4fs",
+			ev.Request, ev.Tokens, ev.Hits, ev.Latency)
+	case ev.Phase == engine.PhaseShed:
+		line("req %2d SHED %s", ev.Request, door)
+	case ev.Phase == engine.PhaseDeferred:
+		line("req %2d deferred %s", ev.Request, door)
+	default:
+		steps := ev.Index + 1
+		if ev.Phase == engine.PhasePrefill {
+			steps = 0
 			queued := ""
 			if ev.Queued > 0 {
 				queued = fmt.Sprintf(" (queued %.4fs)", ev.Queued)
 			}
-			fmt.Fprintf(w, "  t=%7.3fs r%d req %2d prefill %4d tokens  TTFT %.4fs%s\n",
-				ev.End, ev.Replica, ev.Request, ev.Tokens, ev.Queued+ev.Latency, queued)
-		case engine.PhaseShed:
-			fmt.Fprintf(w, "  t=%7.3fs    req %2d SHED at the fleet door\n", ev.End, ev.Request)
-			return
-		case engine.PhaseDeferred:
-			fmt.Fprintf(w, "  t=%7.3fs    req %2d deferred at the fleet door\n", ev.End, ev.Request)
-			return
+			line("req %2d prefill %4d tokens  TTFT %.4fs%s", ev.Request, ev.Tokens, ev.Queued+ev.Latency, queued)
 		}
+		// Done can ride a decode event or, for decode-free requests,
+		// the prefill itself.
 		if ev.Done {
 			late := ""
 			if ev.Deadline > 0 && ev.End > ev.Deadline {
 				late = fmt.Sprintf("  MISSED deadline %.3fs", ev.Deadline)
 			}
-			steps := ev.Index + 1
-			if ev.Phase == engine.PhasePrefill {
-				steps = 0
-			}
-			fmt.Fprintf(w, "  t=%7.3fs r%d req %2d done after %d decode steps%s\n",
-				ev.End, ev.Replica, ev.Request, steps, late)
+			line("req %2d done after %d decode steps%s", ev.Request, steps, late)
 		}
-	})
-
-	fmt.Fprintf(w, "\nsteps: %d   routed per replica: %v\n", c.Steps(), c.Routed())
-	for i := 0; i < c.Replicas(); i++ {
-		role := ""
-		if c.Pools().Pooled() {
-			role = " " + c.Role(i).String()
-		}
-		fmt.Fprintf(w, "  replica %d: %-8s%s clock %.3fs, cache hit rate %.1f%%\n",
-			i, c.State(i), role, c.Engine(i).Clock(), 100*c.Engine(i).Caches().HitRate())
 	}
-	if c.Handoffs() > 0 {
-		warm, total := c.MigratedExperts()
-		fmt.Fprintf(w, "disaggregation: %d prefill→decode handoffs, %d/%d migrated experts landed warm\n",
-			c.Handoffs(), warm, total)
-	}
-	if c.Rerouted() > 0 || c.Lost() > 0 {
-		fmt.Fprintf(w, "churn: %d requests re-routed off dead replicas, %d in-flight lost\n",
-			c.Rerouted(), c.Lost())
-	}
-	if admitting || sc.deadline > 0 {
-		fmt.Fprintf(w, "admission: %d shed, %d deferral verdicts   deadline violations: %d\n",
-			c.Shed(), c.Deferred(), t.Violated)
-	}
-	fmt.Fprintf(w, "TTFT  %s\n", t.TTFT.Stats())
-	fmt.Fprintf(w, "TBT   %s\n", t.TBT.Stats())
-	return nil
 }
 
 // params resolves the experiment scale the run and all subcommands use.

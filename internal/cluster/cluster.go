@@ -296,9 +296,11 @@ type replica struct {
 // any worker count — the router is the only coupling between replicas,
 // and every stochastic component draws from its own seeded stream.
 type Cluster struct {
-	replicas      []*replica
-	router        Router
-	adm           engine.AdmissionPolicy
+	replicas []*replica
+	router   Router
+	// door is the fleet-level admission protocol (nil without a policy);
+	// it observes every replica event the fleet produces.
+	door          *engine.Door
 	build         func(i int) (*engine.Engine, error)
 	maxConcurrent int
 	// life schedules lifecycle transitions (failures, detections, scale
@@ -318,19 +320,13 @@ type Cluster struct {
 	// buffer resets to length zero for reuse. Appends only ever happen
 	// on a drained queue (dispatch, lifecycle and horizon windows run
 	// only then), so the cursor never wraps.
-	queue []Event
-	qhead int
-	// tally folds every replica event the fleet produces; fleet
-	// admission snapshots read its TTFT and TBT samples. Nil (and never
-	// fed) without a fleet admission policy.
-	tally     *engine.Tally
+	queue     []Event
+	qhead     int
 	routed    []int
 	routeLog  []RouteRecord
 	routeCap  int
 	routeHead int
 	steps     int
-	shed      int
-	deferred  int
 	rerouted  int
 	lost      int
 	// pools is the disaggregation spec (zero when unpooled); the
@@ -408,7 +404,7 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	c := &Cluster{
 		router:        router,
-		adm:           cfg.adm,
+		door:          engine.NewDoor(cfg.adm),
 		build:         cfg.build,
 		maxConcurrent: cfg.maxConcurrent,
 		routed:        make([]int, cfg.replicas),
@@ -418,9 +414,6 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	if cfg.routeLog > 0 {
 		c.routeLog = make([]RouteRecord, 0, cfg.routeLog)
-	}
-	if c.adm != nil {
-		c.tally = &engine.Tally{}
 	}
 	for i := 0; i < cfg.replicas; i++ {
 		eng, err := cfg.build(i)
@@ -528,12 +521,12 @@ func (c *Cluster) Steps() int { return c.steps }
 
 // Shed reports how many requests fleet-level admission dropped (replica
 // sessions count their own sheds separately).
-func (c *Cluster) Shed() int { return c.shed }
+func (c *Cluster) Shed() int { return c.door.Shed() }
 
 // Deferred reports how many fleet-level deferral verdicts admission
 // returned (one request deferred across n dispatch passes counts n
 // times; its PhaseDeferred event is emitted once).
-func (c *Cluster) Deferred() int { return c.deferred }
+func (c *Cluster) Deferred() int { return c.door.Deferred() }
 
 // Rerouted reports how many queued requests were reclaimed from dead
 // replicas and re-entered the dispatch queue.
@@ -643,28 +636,27 @@ func (c *Cluster) views(now float64, head *fleetRequest) []ReplicaView {
 	return views
 }
 
-// snapshot assembles the fleet-aggregate view a fleet admission
-// decision sees at dispatch time now.
+// snapshot assembles the fleet-aggregate queue depths a fleet
+// admission decision sees at dispatch time now; the door fills in the
+// latency quantiles.
 func (c *Cluster) snapshot(now float64) engine.SLOSnapshot {
-	active, queued := 0, 0
+	snap := engine.SLOSnapshot{Now: now}
 	for _, r := range c.replicas {
-		if r.state == StateDead {
-			continue
+		if r.state != StateDead {
+			snap.Active += r.ses.Pending()
 		}
-		active += r.ses.Pending()
 	}
 	c.pending.Scan(func(at float64, _ *fleetRequest) {
 		if at <= now {
-			queued++
+			snap.Queued++
 		}
 	})
-	return engine.SLOSnapshot{
-		Now:    now,
-		TTFT:   c.tally.TTFT.Stats(),
-		TBT:    c.tally.TBT.Stats(),
-		Active: active,
-		Queued: queued,
-	}
+	return snap
+}
+
+// emitFleet queues a fleet-level admission record.
+func (c *Cluster) emitFleet(ev engine.StepEvent) {
+	c.queue = append(c.queue, Event{Replica: FleetReplica, StepEvent: ev})
 }
 
 // record retains one dispatch decision when WithRouteLog opted in.
@@ -716,37 +708,17 @@ func (c *Cluster) dispatch() {
 		if head.at > horizon {
 			return
 		}
-		if c.adm != nil && !head.rerouted && !head.handoff {
+		if c.door != nil && !head.rerouted && !head.handoff {
 			// Re-routed requests were admitted once already, and so was
 			// every handoff (on its way into the prefill pool); the
-			// fleet door does not get a second chance to shed them.
-			switch d := c.adm.Decide(head.req, c.snapshot(horizon)); d {
+			// fleet door does not get a second chance to shed them. An
+			// idle fleet promotes a deferral, as an idle session does.
+			switch c.door.Admit(head.req, c.snapshot(horizon), !busy, &head.deferred, c.emitFleet) {
 			case engine.AdmissionShed:
 				c.pending.PopMin()
-				c.shed++
-				c.queue = append(c.queue, Event{Replica: FleetReplica, StepEvent: engine.StepEvent{
-					Request: head.req.ID, Phase: engine.PhaseShed,
-					Start: horizon, End: horizon,
-					Deadline: head.req.Deadline, Arrival: head.req.Arrival,
-					Class: head.req.Class, Done: true,
-				}})
 				continue
 			case engine.AdmissionDefer:
-				c.deferred++
-				if busy {
-					if !head.deferred {
-						head.deferred = true
-						c.queue = append(c.queue, Event{Replica: FleetReplica, StepEvent: engine.StepEvent{
-							Request: head.req.ID, Phase: engine.PhaseDeferred,
-							Start: horizon, End: horizon,
-							Deadline: head.req.Deadline, Arrival: head.req.Arrival,
-							Class: head.req.Class,
-						}})
-					}
-					return
-				}
-				// Idle-fleet promotion: the verdict counts, the wait is
-				// skipped, exactly as in Session.admit.
+				return
 			}
 		}
 		views := c.views(horizon, head)

@@ -38,6 +38,14 @@ func burstRequests(seed uint64, n int, rate float64) []workload.Request {
 	return reqs
 }
 
+// decideFunc adapts a function to engine.AdmissionPolicy.
+type decideFunc func(req workload.Request, snap engine.SLOSnapshot) engine.AdmissionDecision
+
+func (decideFunc) Name() string { return "func" }
+func (f decideFunc) Decide(req workload.Request, snap engine.SLOSnapshot) engine.AdmissionDecision {
+	return f(req, snap)
+}
+
 // ReplicaSeed must derive distinct seeds per replica, stable across
 // calls, with replica 0 keeping the base seed.
 func TestReplicaSeedDistinctAndStable(t *testing.T) {
@@ -64,45 +72,65 @@ func TestReplicaSeedDistinctAndStable(t *testing.T) {
 // The fleet dispatch gate (arrival ≤ busy-clock frontier, idle-fleet
 // promotion) must reproduce exactly when the session's own admit pass
 // would first see each request, and the idle lifecycle layer must not
-// perturb a single event.
+// perturb a single event. It holds with session-level admission too,
+// where the burst makes the replica's session both shed and defer: the
+// serve command runs a plain invocation as exactly this cluster.
 func TestClusterSingleReplicaMatchesSession(t *testing.T) {
 	const seed, n, rate = 600, 14, 6.0
+	for _, tc := range []struct {
+		name  string
+		extra []engine.Option
+	}{
+		{"unguarded", nil},
+		{"session-admission", []engine.Option{engine.WithAdmission(engine.NewSLOAdmission(0.2, 0))}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bare, err := buildReplica(t, seed, tc.extra...)(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ses := bare.NewSession(engine.WithMaxConcurrent(3))
+			ses.Submit(burstRequests(seed, n, rate)...)
+			var want []engine.StepEvent
+			ses.Run(func(ev engine.StepEvent) { want = append(want, ev) })
 
-	bare, err := buildReplica(t, seed)(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ses := bare.NewSession(engine.WithMaxConcurrent(3))
-	ses.Submit(burstRequests(seed, n, rate)...)
-	var want []engine.StepEvent
-	ses.Run(func(ev engine.StepEvent) { want = append(want, ev) })
+			c, err := New(WithBuilder(buildReplica(t, seed, tc.extra...)), WithMaxConcurrent(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Submit(burstRequests(seed, n, rate)...)
+			var got []engine.StepEvent
+			c.Run(func(ev Event) {
+				if ev.Kind != EventStep {
+					t.Fatalf("churn-free cluster emitted lifecycle event: %+v", ev)
+				}
+				if ev.Replica != 0 {
+					t.Fatalf("single-replica cluster emitted replica %d event: %+v", ev.Replica, ev)
+				}
+				got = append(got, ev.StepEvent)
+			})
 
-	c, err := New(WithBuilder(buildReplica(t, seed)), WithMaxConcurrent(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Submit(burstRequests(seed, n, rate)...)
-	var got []engine.StepEvent
-	c.Run(func(ev Event) {
-		if ev.Kind != EventStep {
-			t.Fatalf("churn-free cluster emitted lifecycle event: %+v", ev)
-		}
-		if ev.Replica != 0 {
-			t.Fatalf("single-replica cluster emitted replica %d event: %+v", ev.Replica, ev)
-		}
-		got = append(got, ev.StepEvent)
-	})
-
-	if len(got) != len(want) {
-		t.Fatalf("cluster emitted %d events, bare session %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("event %d diverged:\ncluster: %+v\nsession: %+v", i, got[i], want[i])
-		}
-	}
-	if c.Pending() != 0 {
-		t.Fatalf("%d pending after drain", c.Pending())
+			if len(got) != len(want) {
+				t.Fatalf("cluster emitted %d events, bare session %d", len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("event %d diverged:\ncluster: %+v\nsession: %+v", i, got[i], want[i])
+				}
+			}
+			if c.Pending() != 0 {
+				t.Fatalf("%d pending after drain", c.Pending())
+			}
+			r := c.Session(0)
+			if r.Shed() != ses.Shed() || r.Deferred() != ses.Deferred() {
+				t.Fatalf("replica session shed %d and deferred %d, bare session %d and %d",
+					r.Shed(), r.Deferred(), ses.Shed(), ses.Deferred())
+			}
+			if tc.extra != nil && (ses.Shed() == 0 || ses.Deferred() == 0) {
+				t.Fatalf("bare session shed %d and deferred %d; the guarded case needs both",
+					ses.Shed(), ses.Deferred())
+			}
+		})
 	}
 }
 
@@ -316,6 +344,145 @@ func TestClusterFleetAdmissionSheds(t *testing.T) {
 	}
 	if routed+shedEvents != offered {
 		t.Fatalf("routed %d + shed %d ≠ offered %d", routed, shedEvents, offered)
+	}
+}
+
+// TestAdmissionRecordContract runs one set of policies through both
+// admission sites, a session's admission pass and a cluster's fleet
+// door, and checks the record contract they share: each deferred
+// request gets exactly one PhaseDeferred record and still completes,
+// Deferred() counts at least every record, and each shed request gets
+// exactly one terminal PhaseShed record and runs nothing. Fleet-door
+// records are tagged FleetReplica.
+func TestAdmissionRecordContract(t *testing.T) {
+	const seed = 700
+	deferPair := []workload.Request{
+		{ID: 0, PromptTokens: 16, DecodeTokens: 3},
+		{ID: 1, PromptTokens: 16, DecodeTokens: 2},
+		{ID: 2, PromptTokens: 16, DecodeTokens: 2},
+	}
+	policies := []struct {
+		name   string
+		policy engine.AdmissionPolicy
+		reqs   []workload.Request
+	}{
+		// Defers request 1 while anything is in flight; idle promotion
+		// or the drained fleet lets it through.
+		{"defer-while-busy", decideFunc(func(req workload.Request, snap engine.SLOSnapshot) engine.AdmissionDecision {
+			if req.ID == 1 && snap.Active > 0 {
+				return engine.AdmissionDefer
+			}
+			return engine.AdmissionAdmit
+		}), deferPair},
+		// Defers request 1 on every pass: only the idle promotion lets it
+		// through, once nothing else is in flight.
+		{"defer-always", decideFunc(func(req workload.Request, _ engine.SLOSnapshot) engine.AdmissionDecision {
+			if req.ID == 1 {
+				return engine.AdmissionDefer
+			}
+			return engine.AdmissionAdmit
+		}), deferPair},
+		{"shed-all", decideFunc(func(workload.Request, engine.SLOSnapshot) engine.AdmissionDecision {
+			return engine.AdmissionShed
+		}), burstRequests(seed, 6, 8)},
+	}
+	sites := []struct {
+		name  string
+		fleet bool
+		// run serves reqs under policy and returns the events with the
+		// site's shed and deferral counters.
+		run func(t *testing.T, policy engine.AdmissionPolicy, reqs []workload.Request) ([]Event, int, int)
+	}{
+		{"session", false, func(t *testing.T, policy engine.AdmissionPolicy, reqs []workload.Request) ([]Event, int, int) {
+			e, err := buildReplica(t, seed, engine.WithAdmission(policy))(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := e.NewSession(engine.WithMaxConcurrent(2))
+			s.Submit(reqs...)
+			var evs []Event
+			s.Run(func(ev engine.StepEvent) { evs = append(evs, Event{StepEvent: ev}) })
+			return evs, s.Shed(), s.Deferred()
+		}},
+		{"fleet-door", true, func(t *testing.T, policy engine.AdmissionPolicy, reqs []workload.Request) ([]Event, int, int) {
+			c, err := New(WithReplicas(2), WithBuilder(buildReplica(t, seed)),
+				WithMaxConcurrent(2), WithAdmission(policy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Submit(reqs...)
+			var evs []Event
+			c.Run(func(ev Event) { evs = append(evs, ev) })
+			return evs, c.Shed(), c.Deferred()
+		}},
+	}
+	for _, p := range policies {
+		for _, site := range sites {
+			t.Run(p.name+"/"+site.name, func(t *testing.T) {
+				evs, shed, deferred := site.run(t, p.policy, p.reqs)
+				deferrals, sheds := map[int]int{}, map[int]int{}
+				done, computed := map[int]bool{}, map[int]bool{}
+				records := 0
+				for _, ev := range evs {
+					switch ev.Phase {
+					case engine.PhaseDeferred, engine.PhaseShed:
+						if site.fleet && ev.Replica != FleetReplica {
+							t.Fatalf("fleet-door record tagged replica %d: %+v", ev.Replica, ev)
+						}
+						if ev.Tokens != 0 || ev.Latency != 0 || ev.Batch != 0 {
+							t.Fatalf("admission record carries work: %+v", ev)
+						}
+						if ev.Phase == engine.PhaseShed {
+							if !ev.Done {
+								t.Fatalf("shed record must be terminal: %+v", ev)
+							}
+							sheds[ev.Request]++
+							continue
+						}
+						if ev.Done {
+							t.Fatalf("deferral record marked Done: %+v", ev)
+						}
+						deferrals[ev.Request]++
+						records++
+					default:
+						computed[ev.Request] = true
+						if ev.Done {
+							done[ev.Request] = true
+						}
+					}
+				}
+				for id, n := range deferrals {
+					if n != 1 {
+						t.Fatalf("request %d got %d PhaseDeferred records, want exactly 1", id, n)
+					}
+					if !done[id] {
+						t.Fatalf("deferred request %d never completed", id)
+					}
+				}
+				if deferred < records {
+					t.Fatalf("Deferred() = %d for %d deferral records", deferred, records)
+				}
+				for id, n := range sheds {
+					if n != 1 || computed[id] {
+						t.Fatalf("request %d got %d shed records, computed %v", id, n, computed[id])
+					}
+				}
+				if shed != len(sheds) {
+					t.Fatalf("Shed() = %d for %d shed requests", shed, len(sheds))
+				}
+				switch p.name {
+				case "defer-while-busy", "defer-always":
+					if records == 0 || shed != 0 || len(done) != len(p.reqs) {
+						t.Fatalf("%d deferral records, %d shed, %d of %d completed; want a deferral and every request served",
+							records, shed, len(done), len(p.reqs))
+					}
+				case "shed-all":
+					if len(sheds) != len(p.reqs) {
+						t.Fatalf("shed %d of %d requests", len(sheds), len(p.reqs))
+					}
+				}
+			})
+		}
 	}
 }
 

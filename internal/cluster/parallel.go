@@ -128,7 +128,7 @@ func (c *Cluster) runReplica(i int, h float64, limit int) {
 
 // mergeWindow interleaves the candidates' runs into c.queue, which
 // dispatch has just emptied, in (pre-step clock, replica index) order —
-// the lockstep pick order — folding each step into the fleet tally as
+// the lockstep pick order — letting the fleet door observe each step as
 // it lands. After a replica's last event it renews the lease, moves the
 // replica's exported checkpoints onto the migration timeline, and
 // retires the replica if it was draining and emptied (its ReplicaDead
@@ -159,7 +159,7 @@ func (c *Cluster) mergeWindow(cands []int) {
 		r := c.replicas[bi]
 		ev := r.runEvs[cursors[best]]
 		cursors[best]++
-		c.tally.Add(ev)
+		c.door.Observe(ev)
 		c.queue = append(c.queue, Event{Replica: bi, StepEvent: ev})
 		if cursors[best] == len(r.runEvs) {
 			r.lease = r.eng.Clock()

@@ -269,7 +269,7 @@ func (c *Cluster) lockstepStep() (ev Event, ok bool) {
 					pick, r.ses.Pending()))
 			}
 			r.lease = r.eng.Clock()
-			c.tally.Add(sev)
+			c.door.Observe(sev)
 			c.exportPrefilled(pick)
 			c.retireDrained(pick, r.eng.Clock())
 			c.steps++

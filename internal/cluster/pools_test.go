@@ -9,6 +9,7 @@ import (
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
+	"hybrimoe/internal/workload"
 )
 
 func TestPoolSpecRoles(t *testing.T) {
@@ -306,11 +307,23 @@ func TestGoldenDisaggHandoffStream(t *testing.T) {
 }
 
 // TestPooledAdmissionCountsEachFirstTokenOnce runs a disaggregated fleet
-// with fleet-door admission installed: the fleet's Tally must count one
+// with fleet-door admission installed: the door's Tally must count one
 // TTFT per prefill (on the prefill pool) and none for the adopted
-// decodes that continue those requests on the decode pool.
+// decodes that continue those requests on the decode pool. The door's
+// policy admits everything and checks the sample it is handed at each
+// decision: dispatch runs only on a drained queue, so the door has
+// observed exactly the events delivered so far. One arrival submitted
+// after the drain makes the door read the whole run's tally.
 func TestPooledAdmissionCountsEachFirstTokenOnce(t *testing.T) {
 	const seed = 840
+	prefills, adopted, read := 0, 0, -1
+	record := decideFunc(func(_ workload.Request, snap engine.SLOSnapshot) engine.AdmissionDecision {
+		if snap.TTFT.N != prefills {
+			t.Fatalf("fleet door reads %d TTFT observations after %d prefills", snap.TTFT.N, prefills)
+		}
+		read = snap.TTFT.N
+		return engine.AdmissionAdmit
+	})
 	c, err := New(
 		WithReplicas(3),
 		WithRouter("affinity"),
@@ -318,14 +331,12 @@ func TestPooledAdmissionCountsEachFirstTokenOnce(t *testing.T) {
 		WithBuilder(buildReplica(t, seed)),
 		WithMaxConcurrent(2),
 		WithPools(PoolSpec{Prefill: 1, Decode: 2}),
-		// Zero targets admit everything; the policy only installs the tally.
-		WithAdmission(engine.NewSLOAdmission(0, 0)))
+		WithAdmission(record))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Submit(burstRequests(seed, 10, 12)...)
-	prefills, adopted := 0, 0
-	c.Run(func(ev Event) {
+	count := func(ev Event) {
 		if ev.Kind != EventStep {
 			return
 		}
@@ -335,11 +346,15 @@ func TestPooledAdmissionCountsEachFirstTokenOnce(t *testing.T) {
 		if ev.Adopted {
 			adopted++
 		}
-	})
+	}
+	c.Run(count)
 	if c.Handoffs() == 0 || adopted == 0 {
 		t.Fatalf("%d handoffs, %d adopted decodes; the scenario must migrate work", c.Handoffs(), adopted)
 	}
-	if n := c.tally.TTFT.Stats().N; n != prefills {
-		t.Fatalf("fleet tally holds %d TTFT observations for %d prefills", n, prefills)
+	ran := prefills
+	c.Submit(workload.Request{ID: 100, PromptTokens: 8, DecodeTokens: 1, Arrival: 60})
+	c.Run(count)
+	if read != ran {
+		t.Fatalf("fleet tally holds %d TTFT observations for %d prefills", read, ran)
 	}
 }

@@ -46,8 +46,8 @@ func (d AdmissionDecision) String() string {
 type SLOSnapshot struct {
 	// Now is the simulation clock at the admission pass.
 	Now float64
-	// TTFT and TBT summarise the Tally of the session's (or, at the
-	// fleet door, the cluster's) event stream so far. TTFT observations
+	// TTFT and TBT summarise the Door's Tally of the session's (or, at
+	// the fleet door, the cluster's) event stream so far. TTFT observations
 	// are queue-inclusive — arrival → first token (StepEvent.Queued +
 	// Latency), so queueing pressure from open-loop bursts moves the
 	// quantiles; for closed-queue requests with no arrival stamp this
@@ -70,6 +70,98 @@ type AdmissionPolicy interface {
 	Name() string
 	// Decide returns the verdict for one pending request.
 	Decide(req workload.Request, snap SLOSnapshot) AdmissionDecision
+}
+
+// Door is the admission protocol, one implementation for both places a
+// request can be turned away: a Session's admission pass and a
+// Cluster's fleet door. It owns the Tally of the stream it guards, fills
+// the policy's TTFT/TBT quantiles from it, promotes a deferral when
+// nothing is in flight, builds the one shed record and the one
+// first-deferral record, and counts sheds and deferral verdicts. A nil
+// *Door admits everything and counts nothing.
+type Door struct {
+	policy AdmissionPolicy
+	// tally folds every event of the guarded stream (see Observe); the
+	// snapshots Admit hands the policy read its TTFT and TBT samples.
+	tally          Tally
+	shed, deferred int
+}
+
+// NewDoor returns a door judging with policy, or the nil door, which
+// admits everything, when policy is nil.
+func NewDoor(policy AdmissionPolicy) *Door {
+	if policy == nil {
+		return nil
+	}
+	return &Door{policy: policy}
+}
+
+// Observe folds one event of the guarded stream into the door's tally.
+// The owner observes every event it emits, before its next admission
+// pass, so each decision sees every completed iteration.
+func (d *Door) Observe(ev StepEvent) {
+	if d != nil {
+		d.tally.Add(ev)
+	}
+}
+
+// Admit judges req, the head of an order-preserving queue, at snap.Now
+// with the queue depths in snap; it fills snap's TTFT and TBT itself.
+// The verdict tells the owner what to do with req: admit it, drop it
+// (shed), or leave it at the head so everything behind it waits
+// (defer). idle reports that nothing the door guards is in flight: a
+// deferral then still counts, but is promoted to an admit, because
+// waiting cannot improve quantiles no one is producing. emit receives
+// the record a verdict produces: a shed's terminal PhaseShed record, or
+// the PhaseDeferred record of req's first deferral. *deferred is the
+// owner's per-request mark that the latter was emitted.
+func (d *Door) Admit(req workload.Request, snap SLOSnapshot, idle bool, deferred *bool, emit func(StepEvent)) AdmissionDecision {
+	if d == nil {
+		return AdmissionAdmit
+	}
+	snap.TTFT, snap.TBT = d.tally.TTFT.Stats(), d.tally.TBT.Stats()
+	verdict := d.policy.Decide(req, snap)
+	phase := PhaseShed
+	switch verdict {
+	case AdmissionShed:
+		d.shed++
+	case AdmissionDefer:
+		d.deferred++
+		if idle {
+			return AdmissionAdmit
+		}
+		if *deferred {
+			return verdict
+		}
+		*deferred, phase = true, PhaseDeferred
+	default:
+		return verdict
+	}
+	// The record runs nothing and echoes the request's labels.
+	emit(StepEvent{
+		Request: req.ID, Phase: phase, Start: snap.Now, End: snap.Now,
+		Deadline: req.Deadline, Arrival: req.Arrival, Class: req.Class,
+		Done: phase == PhaseShed,
+	})
+	return verdict
+}
+
+// Shed reports how many requests the door dropped.
+func (d *Door) Shed() int {
+	if d == nil {
+		return 0
+	}
+	return d.shed
+}
+
+// Deferred reports how many deferral verdicts the policy returned,
+// promoted ones included (a request deferred across n passes counts n
+// times; its PhaseDeferred record is emitted once).
+func (d *Door) Deferred() int {
+	if d == nil {
+		return 0
+	}
+	return d.deferred
 }
 
 // ClassTarget overrides the guard-wide budgets for one SLO class, so a

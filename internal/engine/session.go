@@ -199,7 +199,6 @@ type Session struct {
 	active        []*sessionRequest
 	sched         reqsched.Scheduler
 	batch         reqsched.BatchPolicy
-	adm           AdmissionPolicy
 	maxConcurrent int
 	steps         int
 	nextSeq       int
@@ -221,13 +220,11 @@ type Session struct {
 	// replays with interleaved stamps admit the way the trace was
 	// offered.
 	arrived []*sessionRequest
-	// tally folds every event as Step returns it; admission snapshots
-	// read its TTFT and TBT samples. An admission pass runs only once
-	// every event produced so far has been emitted, so it sees each
-	// completed iteration. Nil (and never fed) without a policy.
-	tally    *Tally
-	shed     int
-	deferred int
+	// door is the admission protocol (nil without a policy). Step has it
+	// observe every event it returns; an admission pass runs only once
+	// every event produced so far has been emitted, so each decision sees
+	// every completed iteration.
+	door *Door
 	// exportPrefill marks the prefill half of a disaggregated pair; see
 	// WithPrefillExport.
 	exportPrefill bool
@@ -297,10 +294,7 @@ func (e *Engine) NewSession(opts ...SessionOption) *Session {
 		// WithBatchPolicy validated name and budget at construction.
 		panic(fmt.Sprintf("engine: batch policy vanished from registry: %v", err))
 	}
-	s := &Session{e: e, sched: rs, batch: bp, adm: e.set.admission, maxConcurrent: 1}
-	if s.adm != nil {
-		s.tally = &Tally{}
-	}
+	s := &Session{e: e, sched: rs, batch: bp, door: NewDoor(e.set.admission), maxConcurrent: 1}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -451,12 +445,12 @@ func (s *Session) Reclaim() []workload.Request {
 func (s *Session) Steps() int { return s.steps }
 
 // Shed reports how many requests the admission policy dropped.
-func (s *Session) Shed() int { return s.shed }
+func (s *Session) Shed() int { return s.door.Shed() }
 
 // Deferred reports how many deferral verdicts the admission policy
 // returned (a single request deferred across n admission passes counts
 // n times; its PhaseDeferred event is emitted once).
-func (s *Session) Deferred() int { return s.deferred }
+func (s *Session) Deferred() int { return s.door.Deferred() }
 
 // Scheduler reports the request-scheduling policy driving this session.
 func (s *Session) Scheduler() string { return s.sched.Name() }
@@ -470,20 +464,6 @@ func (s *Session) Batcher() string { return s.batch.Name() }
 // same Batch ordinal). Steps()/Batches() exceeds 1 exactly when
 // batching merged work.
 func (s *Session) Batches() int { return s.batches }
-
-// snapshot assembles the live-quantile view an admission decision sees.
-// arrived is the real queue depth: arrivals still on the heap are
-// invisible — counting them would leak arrivals the server cannot know
-// about yet.
-func (s *Session) snapshot() SLOSnapshot {
-	return SLOSnapshot{
-		Now:    s.e.clock,
-		TTFT:   s.tally.TTFT.Stats(),
-		TBT:    s.tally.TBT.Stats(),
-		Active: len(s.active),
-		Queued: len(s.arrived),
-	}
-}
 
 // arrive moves every arrival the clock has reached into the admission
 // queue, keeping it sorted by submission order (arrivals fire in stamp
@@ -527,56 +507,26 @@ func (s *Session) pushEmit(ev StepEvent) {
 func (s *Session) HasEmission() bool { return s.emitHead < len(s.emits) }
 
 // admit moves arrived requests into the active set up to the
-// concurrency limit, consulting the admission policy when one is
-// installed. A deferred request stays at the head of the arrived queue
-// — admission is order-preserving, so later submissions wait behind it
-// — unless nothing is active, in which case it is admitted anyway: with
-// no work in flight the quantiles can never recover, and the loop must
-// make progress.
+// concurrency limit, each through the admission door. A deferred request
+// stays at the head of the arrived queue — admission is order-preserving,
+// so later submissions wait behind it — unless nothing is active, in
+// which case the door promotes it: with no work in flight the quantiles
+// can never recover, and the loop must make progress. The decision's
+// queue depth is the arrived queue: arrivals still on the heap are
+// invisible — counting them would leak arrivals the server cannot know
+// about yet.
 func (s *Session) admit() {
-	// The latency quantiles and clock are invariant across one admission
-	// pass (no step runs in between); snapshot them once and refresh
-	// only the queue depths per decision.
-	var snap SLOSnapshot
-	if s.adm != nil && len(s.arrived) > 0 {
-		snap = s.snapshot()
-	}
 	for len(s.active) < s.maxConcurrent && len(s.arrived) > 0 {
 		r := s.arrived[0]
-		if s.adm != nil {
-			snap.Active, snap.Queued = len(s.active), len(s.arrived)
-			d := s.adm.Decide(r.req, snap)
-			if d == AdmissionDefer && len(s.active) == 0 {
-				// The verdict still counts; only the wait is skipped.
-				s.deferred++
-				d = AdmissionAdmit
-			}
-			switch d {
-			case AdmissionShed:
-				s.dropArrivedHead()
-				s.shed++
-				s.pushEmit(StepEvent{
-					Request: r.req.ID, Phase: PhaseShed,
-					Start: s.e.clock, End: s.e.clock,
-					Deadline: r.req.Deadline, Arrival: r.req.Arrival,
-					Class: r.req.Class, Done: true,
-				})
-				continue
-			case AdmissionDefer:
-				s.deferred++
-				if !r.deferred {
-					r.deferred = true
-					s.pushEmit(StepEvent{
-						Request: r.req.ID, Phase: PhaseDeferred,
-						Start: s.e.clock, End: s.e.clock,
-						Deadline: r.req.Deadline, Arrival: r.req.Arrival,
-						Class: r.req.Class,
-					})
-				}
-				return
-			}
+		snap := SLOSnapshot{Now: s.e.clock, Active: len(s.active), Queued: len(s.arrived)}
+		verdict := s.door.Admit(r.req, snap, len(s.active) == 0, &r.deferred, s.pushEmit)
+		if verdict == AdmissionDefer {
+			return
 		}
 		s.dropArrivedHead()
+		if verdict == AdmissionShed {
+			continue
+		}
 		r.seq = s.nextSeq
 		s.nextSeq++
 		s.active = append(s.active, r)
@@ -615,7 +565,7 @@ func (s *Session) Step() (ev StepEvent, ok bool) {
 	ev, ok = s.next()
 	if ok {
 		s.steps++
-		s.tally.Add(ev)
+		s.door.Observe(ev)
 	}
 	return ev, ok
 }

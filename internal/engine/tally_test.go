@@ -50,13 +50,13 @@ func TestTallyFirstTokenRule(t *testing.T) {
 				}
 				fresh.Add(ev)
 			})
-			got := s.tally.TTFT.Stats()
+			got := s.door.tally.TTFT.Stats()
 			if got.N != tc.wantTTFT {
 				t.Fatalf("TTFT observations = %d, want %d", got.N, tc.wantTTFT)
 			}
-			if got != fresh.TTFT.Stats() || s.tally.TBT.Stats() != fresh.TBT.Stats() {
+			if got != fresh.TTFT.Stats() || s.door.tally.TBT.Stats() != fresh.TBT.Stats() {
 				t.Fatalf("session tally %+v / %+v disagrees with a fold of its stream %+v / %+v",
-					got, s.tally.TBT.Stats(), fresh.TTFT.Stats(), fresh.TBT.Stats())
+					got, s.door.tally.TBT.Stats(), fresh.TTFT.Stats(), fresh.TBT.Stats())
 			}
 			if tc.wantTTFT == 1 && got.Mean != first.Queued+first.Latency {
 				t.Fatalf("TTFT %v, want the first token's Queued+Latency %v", got.Mean, first.Queued+first.Latency)
