@@ -76,6 +76,9 @@ type fleetRequest struct {
 	// and rerouted submissions, the migration-complete instant for
 	// handoffs.
 	at float64
+	// reclaimed stamps when a rerouted request came back off its dead
+	// replica; it computes nowhere before then.
+	reclaimed float64
 	// xferStart stamps when a handoff's interconnect transfer began —
 	// the exporting replica's clock at the stage boundary.
 	xferStart float64
@@ -276,6 +279,10 @@ type replica struct {
 	// every step the replica runs, frozen when it stalls.
 	lease   float64
 	stalled bool
+	// since is when the replica began serving: 0 for replicas present at
+	// construction, the warm-up promotion for scale-up joins. Nothing
+	// dispatched to it computes before then.
+	since float64
 	// hasExpert is the engine's IsResident probe bound once at
 	// construction — materialising the method value per views() call
 	// would allocate a closure per replica per dispatch.
@@ -756,7 +763,7 @@ func (c *Cluster) dispatch() {
 			c.adoptHandoff(pick, head)
 			continue
 		}
-		c.replicas[pick].ses.Submit(head.req)
+		c.replicas[pick].ses.SubmitAt(max(head.reclaimed, c.replicas[pick].since), head.req)
 	}
 }
 

@@ -143,7 +143,7 @@ func (c *Cluster) applyLife(a lifeAction, at float64) {
 	case lifeServe:
 		r := c.replicas[a.replica]
 		if r.state == StateWarming {
-			r.state = StateServing
+			r.state, r.since = StateServing, at
 		}
 	}
 }
@@ -181,7 +181,7 @@ func (c *Cluster) kill(i int, at float64) {
 			Request: req.ID, Start: at, End: at,
 			Deadline: req.Deadline, Arrival: req.Arrival, Class: req.Class,
 		}})
-		c.pending.Push(req.Arrival, &fleetRequest{req: req, rerouted: true, at: req.Arrival})
+		c.pending.Push(req.Arrival, &fleetRequest{req: req, rerouted: true, at: req.Arrival, reclaimed: at})
 	}
 }
 

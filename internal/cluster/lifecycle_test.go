@@ -327,6 +327,51 @@ func TestClusterStrandedFleet(t *testing.T) {
 	}
 }
 
+// TestClusterDispatchNeverComputesInThePast pins when dispatched work
+// may start: a re-routed request computes nowhere before it was
+// reclaimed off its dead replica, and a scale-up replica computes
+// nothing before it began serving — even though the receiving replica's
+// clock can lag both (a joiner's clock starts at 0, an idle replica's
+// stays where its last step left it). The stall+standby shape, the
+// churn study's, re-routes part of the stalled replica's queue onto the
+// standby, so both floors are exercised.
+func TestClusterDispatchNeverComputesInThePast(t *testing.T) {
+	const seed, at = 2025, 0.5
+	c := churnCluster(t, seed, 3,
+		WithFailure(1, at, FailStall),
+		WithScalePlan(ScaleEvent{At: at, Delta: 1}))
+	c.Submit(burstRequests(seed, 20, 12)...)
+	reclaimed := map[int]float64{}
+	serving := map[int]float64{} // each scale-up join's promotion
+	c.Run(func(ev Event) {
+		switch {
+		case ev.Kind == EventReplicaWarming:
+			serving[ev.Replica] = ev.End + DefaultWarmup
+		case ev.Kind == EventRerouted:
+			reclaimed[ev.Request] = ev.End
+		case ev.Kind == EventStep && (ev.Phase == engine.PhasePrefill || ev.Phase == engine.PhaseDecode):
+			if at, ok := reclaimed[ev.Request]; ok && ev.Start < at {
+				t.Errorf("re-routed request %d computes on r%d at %.4f, before its reclaim at %.4f",
+					ev.Request, ev.Replica, ev.Start, at)
+			}
+			if at := serving[ev.Replica]; ev.Start < at {
+				t.Errorf("r%d computes request %d at %.4f, before it began serving at %.4f",
+					ev.Replica, ev.Request, ev.Start, at)
+			}
+		}
+	})
+	standby := 0
+	for _, rec := range c.RouteLog() {
+		if rec.Rerouted && rec.Replica == 3 {
+			standby++
+		}
+	}
+	if len(reclaimed) == 0 || standby == 0 {
+		t.Fatalf("%d re-routes, %d onto the standby; the scenario must re-route onto the joiner",
+			len(reclaimed), standby)
+	}
+}
+
 // TestClusterReroutedSkipsFleetAdmission pins the door policy: a
 // request the fleet already admitted is not re-judged (and possibly
 // shed) just because its replica died.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"hybrimoe/internal/reqsched"
@@ -311,13 +312,28 @@ func (e *Engine) NewSession(opts ...SessionOption) *Session {
 // requests, which fire on the first Step; stamps behind the clock fire
 // immediately, the live-stream case).
 func (s *Session) Submit(reqs ...workload.Request) {
+	s.SubmitAt(math.Inf(-1), reqs...)
+}
+
+// SubmitAt is Submit for requests that cannot arrive before at: each
+// kept request joins the arrival heap at the later of its Arrival and
+// at, while its queue wait (StepEvent.Queued, and so its TTFT) still
+// counts from Arrival. A fleet hands a re-routed request or a
+// just-joined replica's first work over this way, so the wait the
+// request served elsewhere lands in its latencies and no compute runs
+// before the request or the replica was available.
+func (s *Session) SubmitAt(at float64, reqs ...workload.Request) {
 	for _, r := range reqs {
 		if r.PromptTokens <= 0 && r.DecodeTokens <= 0 {
 			continue
 		}
 		sr := &sessionRequest{req: r, submitSeq: s.nextSubmit}
 		s.nextSubmit++
-		s.arrivals.Push(r.Arrival, sr)
+		when := r.Arrival
+		if at > when {
+			when = at
+		}
+		s.arrivals.Push(when, sr)
 	}
 }
 
