@@ -10,13 +10,14 @@ import (
 )
 
 // serveGoldens are the CLI's serving smoke invocations, each pinned to a
-// committed report: one open-loop Session under SLO admission, one
-// affinity-routed fleet with admission at the fleet door, one
-// disaggregated prefill/decode pool split, one greedy-batched Session
-// whose admission both defers and sheds and whose deadlines are missed,
-// and one churning fleet (a scale-up join, a drain, a stall detected
-// with a lost request and re-routes, fleet-door sheds and a deferral).
-// Together they print every line format of the serve report.
+// committed report: one open-loop plain run under session SLO
+// admission, one affinity-routed fleet with admission at the fleet
+// door, one disaggregated prefill/decode pool split, one greedy-batched
+// plain run whose session admission both defers and sheds and whose
+// deadlines are missed, and one churning fleet (a scale-up join, a
+// drain, a stall detected with a lost request and re-routes, fleet-door
+// sheds and a deferral). Together they print every line format of the
+// serve report.
 // Regenerate with
 // UPDATE_GOLDEN=1 go test ./cmd/hybrimoe -run TestServeGolden
 // and review the diff like any other code change.
@@ -85,6 +86,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"serve -cache 1.5",
 		"serve -requests 0",
 		"serve -pools 0:0:1",
+		"serve -router bogus -requests 1",
 		"serve -replicas 2 -fail 1@NaN:stall",
 		"serve -replicas 2 -scale-plan +1@NaN",
 		"serve -slo-ttft-p95 -1",

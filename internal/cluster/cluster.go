@@ -181,7 +181,10 @@ func WithMaxConcurrent(n int) Option {
 
 // WithAdmission installs a fleet-level admission policy consulted at
 // dispatch time, before a request reaches any replica — router-level
-// shedding over fleet-aggregate TTFT/TBT quantiles. Replica sessions
+// shedding over fleet-aggregate TTFT/TBT quantiles. One protocol serves
+// both sites: the fleet door runs the policy through an engine.Door, the
+// same type a Session's admission pass uses, so shed and deferral
+// records, idle promotion and counters behave alike. Replica sessions
 // keep whatever admission their engines were built with; the two layers
 // compose (fleet sheds first, replicas may still defer what gets
 // through).
@@ -303,13 +306,13 @@ type replica struct {
 // any worker count — the router is the only coupling between replicas,
 // and every stochastic component draws from its own seeded stream.
 type Cluster struct {
-	replicas []*replica
-	router   Router
-	// door is the fleet-level admission protocol (nil without a policy);
-	// it observes every replica event the fleet produces.
-	door          *engine.Door
+	replicas      []*replica
+	router        Router
 	build         func(i int) (*engine.Engine, error)
 	maxConcurrent int
+	// door is the fleet-level admission protocol (nil without a policy);
+	// it observes every replica event the fleet produces.
+	door *engine.Door
 	// life schedules lifecycle transitions (failures, detections, scale
 	// events, warm-up promotions) on the same deterministic timeline
 	// arrivals ride.

@@ -152,11 +152,11 @@ func (c *Cluster) applyLife(a lifeAction, at float64) {
 // session has produced but not delivered leave first (they report
 // iterations that already ran), its undelivered queue is reclaimed back
 // into the dispatch queue (one Rerouted event per request, original
-// arrival stamps intact — the wait on the dead box lands in
-// queue-inclusive TTFT when the request finally runs), its in-flight
-// requests are abandoned (counted by Lost; their state cannot move),
-// and a ReplicaDead event records the moment with the abandoned count
-// in Tokens.
+// arrival stamps intact, and no compute before at — so the wait on the
+// dead box lands in queue-inclusive TTFT when the request finally runs),
+// its in-flight requests are abandoned (counted by Lost; their state
+// cannot move), and a ReplicaDead event records the moment with the
+// abandoned count in Tokens.
 func (c *Cluster) kill(i int, at float64) {
 	r := c.replicas[i]
 	if r.state == StateDead {

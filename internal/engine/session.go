@@ -318,10 +318,9 @@ func (s *Session) Submit(reqs ...workload.Request) {
 // SubmitAt is Submit for requests that cannot arrive before at: each
 // kept request joins the arrival heap at the later of its Arrival and
 // at, while its queue wait (StepEvent.Queued, and so its TTFT) still
-// counts from Arrival. A fleet hands a re-routed request or a
-// just-joined replica's first work over this way, so the wait the
-// request served elsewhere lands in its latencies and no compute runs
-// before the request or the replica was available.
+// counts from Arrival. A fleet dispatches through it, so no compute
+// runs before a re-routed request was reclaimed or before a scale-up
+// replica began serving.
 func (s *Session) SubmitAt(at float64, reqs ...workload.Request) {
 	for _, r := range reqs {
 		if r.PromptTokens <= 0 && r.DecodeTokens <= 0 {
@@ -329,11 +328,7 @@ func (s *Session) SubmitAt(at float64, reqs ...workload.Request) {
 		}
 		sr := &sessionRequest{req: r, submitSeq: s.nextSubmit}
 		s.nextSubmit++
-		when := r.Arrival
-		if at > when {
-			when = at
-		}
-		s.arrivals.Push(when, sr)
+		s.arrivals.Push(max(r.Arrival, at), sr)
 	}
 }
 
