@@ -481,13 +481,13 @@ func BenchmarkQuantMatVec(b *testing.B) {
 	rng := stats.NewRNG(7)
 	m := tensor.NewMatrix(256, 512)
 	m.FillRandom(rng)
-	q := quant.Quantize(m, 128)
+	q := quant.Quantize(m, 4, 128)
 	x := make([]float32, 512)
 	for i := range x {
 		x[i] = float32(rng.NormMeanStd(0, 1))
 	}
 	dst := make([]float32, 256)
-	b.SetBytes(q.SizeBytes())
+	b.SetBytes(quant.SizeBytes(q.Rows, q.Cols, q.Bits, q.GroupSize))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.MatVec(dst, x)

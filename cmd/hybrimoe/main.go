@@ -72,7 +72,6 @@ func run(args []string, w io.Writer) error {
 	seed := fs.Uint64("seed", 2025, "trace seed")
 	steps := fs.Int("steps", 50, "decode iterations per configuration")
 	quick := fs.Bool("quick", false, "reduced iteration counts")
-	short := fs.Bool("short", false, "alias for -quick (CI smoke runs)")
 	workers := fs.Int("workers", 0, "sweep-runner parallelism for grid studies (0 = all CPUs)")
 	clusterWorkers := fs.Int("cluster-workers", 1, "goroutines each fleet's horizon windows fan replicas out to (output is identical at any count)")
 
@@ -95,7 +94,7 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		p, err := params(*seed, *steps, *workers, *clusterWorkers, *quick || *short)
+		p, err := params(fs, *seed, *steps, *workers, *clusterWorkers, *quick)
 		if err != nil {
 			return err
 		}
@@ -106,7 +105,7 @@ func run(args []string, w io.Writer) error {
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		p, err := params(*seed, *steps, *workers, *clusterWorkers, *quick || *short)
+		p, err := params(fs, *seed, *steps, *workers, *clusterWorkers, *quick)
 		if err != nil {
 			return err
 		}
@@ -527,8 +526,10 @@ func printEvent(w io.Writer, ev cluster.Event, fleet bool) {
 	}
 }
 
-// params resolves the experiment scale the run and all subcommands use.
-func params(seed uint64, steps, workers, clusterWorkers int, quick bool) (exp.Params, error) {
+// params resolves the experiment scale the run and all subcommands use:
+// the quick or the default preset, whose decode iterations a -steps
+// given on the command line (fs, parsed) replaces.
+func params(fs *flag.FlagSet, seed uint64, steps, workers, clusterWorkers int, quick bool) (exp.Params, error) {
 	if err := checkSteps(steps); err != nil {
 		return exp.Params{}, err
 	}
@@ -545,10 +546,11 @@ func params(seed uint64, steps, workers, clusterWorkers int, quick bool) (exp.Pa
 	p.Seed = seed
 	p.Workers = workers
 	p.ClusterWorkers = clusterWorkers
-	p.DecodeSteps = steps
-	if quick && steps == 50 {
-		p.DecodeSteps = 8
-	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "steps" {
+			p.DecodeSteps = steps
+		}
+	})
 	return p, nil
 }
 

@@ -43,6 +43,34 @@ func TestDemoGolden(t *testing.T) {
 	checkGolden(t, "demo", "demo -steps 5")
 }
 
+// TestExplicitStepsOverridesQuick pins that a -steps given on the
+// command line replaces the -quick preset's decode iterations even when
+// it equals the flag's default: -quick -steps 50 runs the 50 steps a
+// full run does, and -quick alone keeps the preset's 8. abl-warmup
+// reads nothing else the presets differ in.
+func TestExplicitStepsOverridesQuick(t *testing.T) {
+	out := func(args string) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := run(strings.Fields(args), &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, pair := range [][2]string{
+		{"run abl-warmup -quick -steps 50", "run abl-warmup -steps 50"},
+		{"run abl-warmup -quick", "run abl-warmup -quick -steps 8"},
+	} {
+		if got, want := out(pair[0]), out(pair[1]); got != want {
+			t.Errorf("`hybrimoe %s` differs from `hybrimoe %s`:\n%s", pair[0], pair[1],
+				diffLines([]byte(want), []byte(got)))
+		}
+	}
+	if out("run abl-warmup -quick") == out("run abl-warmup -steps 50") {
+		t.Error("abl-warmup reads the same at 8 and 50 steps; the test cannot tell them apart")
+	}
+}
+
 // checkGolden runs `hybrimoe args` and compares its output with
 // testdata/<name>.golden, rewriting the file under UPDATE_GOLDEN=1.
 func checkGolden(t *testing.T, name, args string) {
@@ -76,6 +104,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"run",
 		"run fig99",
 		"run fig8 -steps 0",
+		"run fig8 -short",
 		"run fig8 -workers -1",
 		"all -steps -1",
 		"all -workers -3",

@@ -129,8 +129,8 @@ func WithReplicas(n int) Option {
 
 // WithRouter selects the dispatch policy by registry name (default
 // "round-robin"); the router is built at New time from the final
-// RouterConfig, so it sees the fleet size, seed and lease TTL the run
-// actually uses. Unknown names error from New.
+// RouterConfig, so it sees the seed the run actually uses. Unknown
+// names error from New.
 func WithRouter(name string) Option {
 	return func(c *config) error {
 		if name == "" {
@@ -404,11 +404,7 @@ func New(opts ...Option) (*Cluster, error) {
 			}
 		}
 	}
-	router, err := NewRouter(cfg.routerName, RouterConfig{
-		Replicas: cfg.replicas,
-		Seed:     cfg.seed,
-		LeaseTTL: DefaultLeaseTTL,
-	})
+	router, err := NewRouter(cfg.routerName, RouterConfig{Seed: cfg.seed})
 	if err != nil {
 		return nil, err
 	}

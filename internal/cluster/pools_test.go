@@ -307,15 +307,21 @@ func TestGoldenDisaggHandoffStream(t *testing.T) {
 }
 
 // TestPooledAdmissionCountsEachFirstTokenOnce runs a disaggregated fleet
-// with fleet-door admission installed: the door's Tally must count one
+// with admission at both levels. The fleet door's Tally must count one
 // TTFT per prefill (on the prefill pool) and none for the adopted
-// decodes that continue those requests on the decode pool. The door's
-// policy admits everything and checks the sample it is handed at each
+// decodes that continue those requests on the decode pool. Its policy
+// admits everything and checks the sample it is handed at each
 // decision: dispatch runs only on a drained queue, so the door has
 // observed exactly the events delivered so far. One arrival submitted
-// after the drain makes the door read the whole run's tally.
+// after the drain makes the door read the whole run's tally. The fleet
+// tally has anchored each request at its prefill before the adopted
+// decode arrives, so it cannot tell whether an adopted decode would
+// count as a first token; each decode-pool replica's session door sees
+// the adopted decodes alone, so its tally must never hold a TTFT
+// sample.
 func TestPooledAdmissionCountsEachFirstTokenOnce(t *testing.T) {
 	const seed = 840
+	spec := PoolSpec{Prefill: 1, Decode: 2}
 	prefills, adopted, read := 0, 0, -1
 	record := decideFunc(func(_ workload.Request, snap engine.SLOSnapshot) engine.AdmissionDecision {
 		if snap.TTFT.N != prefills {
@@ -324,13 +330,31 @@ func TestPooledAdmissionCountsEachFirstTokenOnce(t *testing.T) {
 		read = snap.TTFT.N
 		return engine.AdmissionAdmit
 	})
+	// decided[i] counts decode replica i's session decisions made after
+	// its door had folded a decode step.
+	decided := map[int]int{}
+	build := func(i int) (*engine.Engine, error) {
+		if spec.Role(i) != RoleDecode {
+			return buildReplica(t, seed)(i)
+		}
+		session := decideFunc(func(_ workload.Request, snap engine.SLOSnapshot) engine.AdmissionDecision {
+			if snap.TTFT.N != 0 {
+				t.Fatalf("decode replica %d session door reads %d TTFT observations", i, snap.TTFT.N)
+			}
+			if snap.TBT.N > 0 {
+				decided[i]++
+			}
+			return engine.AdmissionAdmit
+		})
+		return buildReplica(t, seed, engine.WithAdmission(session))(i)
+	}
 	c, err := New(
 		WithReplicas(3),
 		WithRouter("affinity"),
 		WithSeed(seed),
-		WithBuilder(buildReplica(t, seed)),
+		WithBuilder(build),
 		WithMaxConcurrent(2),
-		WithPools(PoolSpec{Prefill: 1, Decode: 2}),
+		WithPools(spec),
 		WithAdmission(record))
 	if err != nil {
 		t.Fatal(err)
@@ -357,4 +381,10 @@ func TestPooledAdmissionCountsEachFirstTokenOnce(t *testing.T) {
 	if read != ran {
 		t.Fatalf("fleet tally holds %d TTFT observations for %d prefills", read, ran)
 	}
+	for i := spec.Prefill; i < spec.Prefill+spec.Decode; i++ {
+		if decided[i] == 0 {
+			t.Errorf("decode replica %d session door decided nothing after a decode step", i)
+		}
+	}
+	t.Logf("session decisions after a decode step per decode replica: %v", decided)
 }

@@ -153,62 +153,36 @@ func (p *PowerOfTwo) Pick(_ workload.Request, views []ReplicaView) int {
 // not pay, a few decode steps' worth.
 const DefaultReadyDiscount = 0.05
 
+// staleTolerance is the lease age (simulated seconds) past which
+// Affinity suspects a replica of a silent stall: half the cluster's
+// lease TTL, so the router dodges a frozen replica well before the
+// doctor declares it dead.
+const staleTolerance = DefaultLeaseTTL / 2
+
 // Affinity steers each request toward the eligible replica that will be
 // ready for it soonest, where "ready" folds cache state into
 // availability: each replica's score is its clock minus a residency
 // discount — the fraction of its predicted expert set already resident
 // (ReplicaView.Resident/Predicted, the per-device attribution from
 // cache.Multi surfaced by Engine.PredictedResidency) times
-// ReadyDiscount, the transfer time those resident experts won't pay.
-// Warm replicas therefore win exactly the near-ties where cache
+// DefaultReadyDiscount, the transfer time those resident experts won't
+// pay. Warm replicas therefore win exactly the near-ties where cache
 // readiness covers the clock gap, instead of accumulating load
-// unboundedly. A load-imbalance cap keeps hot experts from melting one
-// replica: only replicas within ImbalanceCap requests of the lightest
-// queue are eligible, so affinity never trades locality for unbounded
-// queue skew. Score ties go to the lowest index.
-type Affinity struct {
-	// ImbalanceCap is the maximum queue-depth excess over the lightest
-	// replica an eligible pick may carry. The zero value — strict
-	// load balance, locality only breaks availability ties — is the
-	// default; negative values are treated as 0.
-	ImbalanceCap int
-	// ReadyDiscount is the availability credit (seconds) full predicted
-	// residency buys; non-positive values fall back to
-	// DefaultReadyDiscount.
-	ReadyDiscount float64
-	// StaleTolerance, when positive, makes the router lease-aware: a
-	// view whose LeaseAge exceeds it is suspected stalled (a frozen
-	// clock looks unbeatably available — exactly the trap) and is
-	// skipped unless every view is suspect. The registry factory sets
-	// it to half the cluster's lease TTL; the zero value trusts every
-	// Serving view, the pre-lifecycle behaviour.
-	StaleTolerance float64
-}
-
-// NewAffinity returns an affinity router with the default strict
-// imbalance cap and readiness discount, trusting every Serving view.
-func NewAffinity() *Affinity { return &Affinity{} }
+// unboundedly. Load balance is strict: only replicas at the lightest
+// queue depth are eligible, so hot experts never melt one replica and
+// locality only breaks availability ties. The router is lease-aware: a
+// view whose LeaseAge exceeds half the lease TTL is suspected stalled
+// (a frozen clock looks unbeatably available — exactly the trap) and is
+// skipped unless every view is suspect. Score ties go to the lowest
+// index.
+type Affinity struct{}
 
 // Name implements Router.
 func (a *Affinity) Name() string { return "affinity" }
 
-func (a *Affinity) cap() int {
-	if a.ImbalanceCap < 0 {
-		return 0
-	}
-	return a.ImbalanceCap
-}
-
-func (a *Affinity) discount() float64 {
-	if a.ReadyDiscount <= 0 {
-		return DefaultReadyDiscount
-	}
-	return a.ReadyDiscount
-}
-
 // suspect reports whether the view's lease is stale enough to dodge.
-func (a *Affinity) suspect(v ReplicaView) bool {
-	return a.StaleTolerance > 0 && v.LeaseAge > a.StaleTolerance
+func suspect(v ReplicaView) bool {
+	return v.LeaseAge > staleTolerance
 }
 
 // readinessFor scores a view's cache readiness for this specific
@@ -216,7 +190,7 @@ func (a *Affinity) suspect(v ReplicaView) bool {
 // so its readiness is the fraction of the checkpoint's experts already
 // resident on the replica (probed through HasExpert); everything else
 // falls back to the replica's own predicted-residency fraction.
-func (a *Affinity) readinessFor(req workload.Request, v ReplicaView) float64 {
+func readinessFor(req workload.Request, v ReplicaView) float64 {
 	if ck := req.Checkpoint; ck != nil && len(ck.Experts) > 0 && v.HasExpert != nil {
 		resident := 0
 		for _, x := range ck.Experts {
@@ -236,14 +210,14 @@ func (a *Affinity) Pick(req workload.Request, views []ReplicaView) int {
 	// guess beats a stranded request).
 	fresh := 0
 	for _, v := range views {
-		if !a.suspect(v) {
+		if !suspect(v) {
 			fresh++
 		}
 	}
 	useFilter := fresh > 0 && fresh < len(views)
 	minPending, seeded := 0, false
 	for _, v := range views {
-		if useFilter && a.suspect(v) {
+		if useFilter && suspect(v) {
 			continue
 		}
 		if !seeded || v.Pending < minPending {
@@ -252,13 +226,10 @@ func (a *Affinity) Pick(req workload.Request, views []ReplicaView) int {
 	}
 	best, bestScore := -1, 0.0
 	for _, v := range views {
-		if useFilter && a.suspect(v) {
+		if (useFilter && suspect(v)) || v.Pending > minPending {
 			continue
 		}
-		if v.Pending > minPending+a.cap() {
-			continue
-		}
-		score := v.Clock - a.discount()*a.readinessFor(req, v)
+		score := v.Clock - DefaultReadyDiscount*readinessFor(req, v)
 		if best < 0 || score < bestScore {
 			best, bestScore = v.Index, score
 		}
@@ -266,21 +237,13 @@ func (a *Affinity) Pick(req workload.Request, views []ReplicaView) int {
 	return best
 }
 
-// RouterConfig carries everything a router factory may condition on:
-// fleet shape, the seed randomized routers derive their streams from,
-// and the lifecycle knobs lease-aware routers calibrate against. New
-// fields extend it without another breaking Factory signature change.
+// RouterConfig carries everything a router factory may condition on.
+// New fields extend it without another breaking Factory signature
+// change.
 type RouterConfig struct {
-	// Replicas is the fleet size at construction (scale plans may grow
-	// it later).
-	Replicas int
 	// Seed is the fleet base seed; randomized routers must derive their
 	// streams from it so equal-seed runs stay byte-stable.
 	Seed uint64
-	// LeaseTTL is the cluster's lease timeout in simulated seconds —
-	// the detection horizon lease-aware routers calibrate their
-	// staleness tolerance against.
-	LeaseTTL float64
 }
 
 // Factory builds one router instance for a cluster from its config.
@@ -310,7 +273,5 @@ func init() {
 	RegisterRouter("round-robin", func(RouterConfig) Router { return NewRoundRobin() })
 	RegisterRouter("least-loaded", func(RouterConfig) Router { return NewLeastLoaded() })
 	RegisterRouter("power-of-two", func(cfg RouterConfig) Router { return NewPowerOfTwo(cfg.Seed) })
-	RegisterRouter("affinity", func(cfg RouterConfig) Router {
-		return &Affinity{StaleTolerance: cfg.LeaseTTL / 2}
-	})
+	RegisterRouter("affinity", func(RouterConfig) Router { return &Affinity{} })
 }

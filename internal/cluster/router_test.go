@@ -67,7 +67,7 @@ func TestPowerOfTwoIsDeterministicAndValid(t *testing.T) {
 }
 
 func TestAffinityPrefersResidency(t *testing.T) {
-	r := NewAffinity()
+	r := &Affinity{}
 	// Equal load and equal clocks: the readiness discount is the only
 	// differentiator, and the most-resident replica wins.
 	vs := views(1, 1, 1)
@@ -84,7 +84,7 @@ func TestAffinityPrefersResidency(t *testing.T) {
 }
 
 func TestAffinityReadinessDiscountsAvailability(t *testing.T) {
-	r := NewAffinity()
+	r := &Affinity{}
 	// A perfectly warm replica a full second behind the cold one: warmth
 	// only buys ReadyDiscount seconds, so the earlier clock wins.
 	vs := views(1, 1)
@@ -101,29 +101,13 @@ func TestAffinityReadinessDiscountsAvailability(t *testing.T) {
 }
 
 func TestAffinityDefaultCapIsStrict(t *testing.T) {
-	r := NewAffinity()
+	r := &Affinity{}
 	// With the zero-value cap only the lightest replicas are eligible:
 	// perfect residency one request deeper never wins.
 	vs := views(0, 1)
 	vs[1].Resident, vs[1].Predicted = 8, 8
 	if got := r.Pick(workload.Request{}, vs); got != 0 {
 		t.Fatalf("picked %d; strict cap admitted a heavier replica", got)
-	}
-}
-
-func TestAffinityImbalanceCapExcludesDeepQueues(t *testing.T) {
-	r := &Affinity{ImbalanceCap: 2}
-	vs := views(0, 3)
-	// Replica 1 has perfect residency but sits 3 deep over the lightest
-	// with a cap of 2: affinity must fall back to the lighter replica.
-	vs[1].Resident, vs[1].Predicted = 8, 8
-	if got := r.Pick(workload.Request{}, vs); got != 0 {
-		t.Fatalf("picked the over-loaded replica %d; imbalance cap ignored", got)
-	}
-	// Within the cap the residency signal wins again.
-	vs[1].Pending = 2
-	if got := r.Pick(workload.Request{}, vs); got != 1 {
-		t.Fatalf("picked %d, want the resident replica 1 within the cap", got)
 	}
 }
 
@@ -137,7 +121,7 @@ func TestRoutersReturnViewIndex(t *testing.T) {
 		{Index: 0, Pending: 1},
 		{Index: 2, Pending: 0},
 	}
-	routers := []Router{NewRoundRobin(), NewLeastLoaded(), NewPowerOfTwo(9), NewAffinity()}
+	routers := []Router{NewRoundRobin(), NewLeastLoaded(), NewPowerOfTwo(9), &Affinity{}}
 	for _, r := range routers {
 		for i := 0; i < 8; i++ {
 			pick := r.Pick(workload.Request{}, eligible)
@@ -148,19 +132,24 @@ func TestRoutersReturnViewIndex(t *testing.T) {
 	}
 }
 
-// TestAffinityDodgesStaleLeases pins lease-awareness: with a positive
-// StaleTolerance, a view whose LeaseAge exceeds it loses to fresh views
-// even when its frozen clock looks unbeatably available — and when
-// every view is stale the filter yields to the full set rather than
-// strand the request.
+// TestAffinityDodgesStaleLeases pins lease-awareness: a view whose
+// LeaseAge exceeds half the lease TTL loses to fresh views even when
+// its frozen clock looks unbeatably available — and when every view is
+// stale the filter yields to the full set rather than strand the
+// request.
 func TestAffinityDodgesStaleLeases(t *testing.T) {
-	r := &Affinity{StaleTolerance: 0.1}
+	r := &Affinity{}
 	vs := views(0, 0)
+	vs[1].Clock = 2.0
+	// A lease half the TTL old is still trusted: the earlier clock wins.
+	vs[0].LeaseAge = DefaultLeaseTTL / 2
+	if got := r.Pick(workload.Request{}, vs); got != 0 {
+		t.Fatalf("picked %d; a lease within half the TTL was suspected", got)
+	}
 	// Replica 0 stalled long ago: clock frozen at 0 (earliest = most
 	// attractive), lease far past tolerance. Replica 1 is fresh but
 	// later-clocked.
 	vs[0].LeaseAge = 0.5
-	vs[1].Clock = 2.0
 	if got := r.Pick(workload.Request{}, vs); got != 1 {
 		t.Fatalf("picked %d; stale lease did not disqualify the frozen clock", got)
 	}
@@ -168,11 +157,6 @@ func TestAffinityDodgesStaleLeases(t *testing.T) {
 	vs[1].LeaseAge = 0.5
 	if got := r.Pick(workload.Request{}, vs); got != 0 {
 		t.Fatalf("picked %d, want 0 when every lease is stale", got)
-	}
-	// Zero tolerance trusts everything, the pre-lifecycle behaviour.
-	trusting := NewAffinity()
-	if got := trusting.Pick(workload.Request{}, vs); got != 0 {
-		t.Fatalf("picked %d; zero tolerance must ignore LeaseAge", got)
 	}
 }
 
@@ -183,7 +167,7 @@ func TestRouterRegistry(t *testing.T) {
 		t.Fatalf("RouterNames() = %v, want %v", names, want)
 	}
 	for _, name := range names {
-		r, err := NewRouter(name, RouterConfig{Replicas: 4, Seed: 7})
+		r, err := NewRouter(name, RouterConfig{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,19 +175,10 @@ func TestRouterRegistry(t *testing.T) {
 			t.Fatalf("router %q reports name %q", name, r.Name())
 		}
 	}
-	if _, err := NewRouter("nope", RouterConfig{Replicas: 4, Seed: 7}); err == nil {
+	if _, err := NewRouter("nope", RouterConfig{Seed: 7}); err == nil {
 		t.Fatal("unknown router name should error")
 	} else if !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("error %q does not name the unknown router", err)
-	}
-	// The registry affinity router calibrates staleness to the lease TTL
-	// the cluster actually runs with.
-	r, err := NewRouter("affinity", RouterConfig{Replicas: 4, Seed: 7, LeaseTTL: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aff, ok := r.(*Affinity); !ok || aff.StaleTolerance != 0.25 {
-		t.Fatalf("affinity factory produced %+v, want StaleTolerance = LeaseTTL/2", r)
 	}
 }
 

@@ -164,19 +164,6 @@ func (d *Door) Deferred() int {
 	return d.deferred
 }
 
-// ClassTarget overrides the guard-wide budgets for one SLO class, so a
-// single admission policy can hold "interactive" traffic to a tight
-// budget while "batch" traffic rides a slack one.
-type ClassTarget struct {
-	// TTFTp95 and TBTp95 replace the policy's targets for requests of
-	// this class; a zero field keeps the guard-wide target for that
-	// stage (so a class can tighten TTFT alone).
-	TTFTp95, TBTp95 float64
-	// ShedExempt requests are never shed, only deferred — the same
-	// protection Priority > 0 buys, granted to the whole class.
-	ShedExempt bool
-}
-
 // SLOAdmission is the built-in SLO guard: it compares the live p95
 // TTFT and TBT against their targets and turns new arrivals away when
 // either is at risk. A breach up to ShedFactor× the target defers (the
@@ -196,14 +183,6 @@ type SLOAdmission struct {
 	// above target defers, above ShedFactor×target sheds. Non-positive
 	// values fall back to the default of 1.5.
 	ShedFactor float64
-	// Classes keys per-class targets on workload.Request.Class. A
-	// request whose class has an entry is judged against that entry's
-	// budgets (zero fields inherit the guard-wide targets); classes
-	// without an entry — and the unclassified "" — keep the guard-wide
-	// behaviour. The live quantiles stay aggregate: classes share one
-	// observation stream and differ only in how much of it they
-	// tolerate.
-	Classes map[string]ClassTarget
 }
 
 // NewSLOAdmission returns an SLO guard with the default sample floor
@@ -218,20 +197,9 @@ func (a *SLOAdmission) Name() string { return "slo-p95" }
 
 // Decide implements AdmissionPolicy.
 func (a *SLOAdmission) Decide(req workload.Request, snap SLOSnapshot) AdmissionDecision {
-	ttftT, tbtT := a.TTFTp95, a.TBTp95
-	exempt := req.Priority > 0
-	if ct, ok := a.Classes[req.Class]; ok {
-		if ct.TTFTp95 > 0 {
-			ttftT = ct.TTFTp95
-		}
-		if ct.TBTp95 > 0 {
-			tbtT = ct.TBTp95
-		}
-		exempt = exempt || ct.ShedExempt
-	}
-	breach := maxF(a.breach(snap.TTFT, ttftT), a.breach(snap.TBT, tbtT))
+	breach := max(a.breach(snap.TTFT, a.TTFTp95), a.breach(snap.TBT, a.TBTp95))
 	switch {
-	case breach > a.shedFactor() && !exempt:
+	case breach > a.shedFactor() && req.Priority <= 0:
 		return AdmissionShed
 	case breach > 1:
 		return AdmissionDefer

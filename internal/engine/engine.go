@@ -393,12 +393,12 @@ func (e *Engine) runStep(b *stepBuffers, tokens, context int, perLoadLookups boo
 		// only.
 		var attEnd float64
 		if e.attentionDevice(act.Layer) == hw.GPU {
-			start := maxF(e.gpuBusy[0], layerStart)
+			start := max(e.gpuBusy[0], layerStart)
 			attEnd = start + e.platform.GPUs[0].ExpertTime(attFlops, attBytes)
 			e.recordSpan(e.gpuTL(0), start, attEnd, "attn")
 			e.gpuBusy[0] = attEnd
 		} else {
-			start := maxF(e.cpuBusy, layerStart)
+			start := max(e.cpuBusy, layerStart)
 			attEnd = start + e.platform.CPU.ExpertTime(attFlops, attBytes, true)
 			e.recordSpan(e.cpuTL, start, attEnd, "attn")
 			e.cpuBusy = attEnd
@@ -430,13 +430,13 @@ func (e *Engine) runStep(b *stepBuffers, tokens, context int, perLoadLookups boo
 		b.tasks = sched.TasksFromLoads(b.tasks, e.cfg, act.Layer, act.Loads, e.residentOn)
 		tasks := b.tasks
 		res := sched.Resources{
-			CPUFree:  maxF(0, e.cpuBusy-layerStart),
+			CPUFree:  max(0, e.cpuBusy-layerStart),
 			GPUFree:  e.gpuFrees,
 			LinkFree: e.linkFrees,
 		}
 		for d := range e.gpuBusy {
-			res.GPUFree[d] = maxF(0, e.gpuBusy[d]-layerStart)
-			res.LinkFree[d] = maxF(0, e.linkBusy[d]-layerStart)
+			res.GPUFree[d] = max(0, e.gpuBusy[d]-layerStart)
+			res.LinkFree[d] = max(0, e.linkBusy[d]-layerStart)
 		}
 		plan := e.scheduler.Plan(tasks, e.platform, res)
 		if e.set.validatePlans {
@@ -446,7 +446,7 @@ func (e *Engine) runStep(b *stepBuffers, tokens, context int, perLoadLookups boo
 		}
 		e.applyPlan(plan, layerStart, guard)
 
-		layerEnd := maxF(attEnd, layerStart+plan.Makespan)
+		layerEnd := max(attEnd, layerStart+plan.Makespan)
 		e.clock = layerEnd
 
 		// Cache policy sees this iteration's routing scores.
@@ -472,17 +472,17 @@ func (e *Engine) applyPlan(plan *sched.Plan, layerStart float64, guard cache.Gua
 		case sched.OpComputeCPU:
 			e.stats.CPUOps++
 			e.recordOp(e.cpuTL, absStart, absEnd, "", op.Expert)
-			e.cpuBusy = maxF(e.cpuBusy, absEnd)
+			e.cpuBusy = max(e.cpuBusy, absEnd)
 		case sched.OpComputeGPU:
 			d := op.Device.GPUIndex()
 			e.stats.GPUOps++
 			e.recordOp(e.gpuTL(d), absStart, absEnd, "", op.Expert)
-			e.gpuBusy[d] = maxF(e.gpuBusy[d], absEnd)
+			e.gpuBusy[d] = max(e.gpuBusy[d], absEnd)
 		case sched.OpTransfer:
 			d := op.Device.GPUIndex()
 			e.stats.DemandTransfers++
 			e.recordOp(e.linkTL(d), absStart, absEnd, "", op.Expert)
-			e.linkBusy[d] = maxF(e.linkBusy[d], absEnd)
+			e.linkBusy[d] = max(e.linkBusy[d], absEnd)
 			e.dest[op.Expert.Index] = d
 		}
 	}
@@ -768,11 +768,4 @@ func (e *Engine) Gantt(width int) string {
 	tls = append(tls, e.cpuTL)
 	tls = append(tls, e.linkTLs...)
 	return sim.Gantt(width, tls...)
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

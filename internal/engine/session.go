@@ -696,7 +696,7 @@ func (s *Session) queueWait(r *sessionRequest, start float64) float64 {
 	if r.adopted || r.req.Arrival <= 0 {
 		return 0
 	}
-	return maxF(0, start-r.req.Arrival)
+	return max(0, start-r.req.Arrival)
 }
 
 // runBatch executes one engine iteration for the batch the former built
@@ -751,7 +751,7 @@ func (s *Session) runBatch(batch []int, lead int) StepEvent {
 
 	hits := s.e.cache.Hits() - hits0
 	misses := s.e.cache.Misses() - misses0
-	cpu := maxF(0, s.e.cpuBusy-cpu0)
+	cpu := max(0, s.e.cpuBusy-cpu0)
 	gpu := advances(s.gpuAdv, s.e.gpuBusy)
 	link := advances(s.linkAdv, s.e.linkBusy)
 	end := s.e.clock
@@ -841,7 +841,7 @@ func (s *Session) runBatch(batch []int, lead int) StepEvent {
 // device's frontier advance since the snapshot, in place.
 func advances(prev, cur []float64) []float64 {
 	for d := range prev {
-		prev[d] = maxF(0, cur[d]-prev[d])
+		prev[d] = max(0, cur[d]-prev[d])
 	}
 	return prev
 }

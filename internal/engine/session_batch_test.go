@@ -318,13 +318,13 @@ func TestLoneMemberBusyIsFrontierAdvance(t *testing.T) {
 			if ev.BatchSize != 1 {
 				t.Fatalf("unbatched session ran a batch of %d", ev.BatchSize)
 			}
-			advances := []float64{maxF(0, e.cpuBusy-cpu0)}
+			advances := []float64{max(0, e.cpuBusy-cpu0)}
 			if ev.CPUBusy != advances[0] {
 				t.Fatalf("%s event CPUBusy %v, frontier advanced %v", ev.Phase, ev.CPUBusy, advances[0])
 			}
 			var gpu, link float64
 			for d := range gpu0 {
-				g, l := maxF(0, e.gpuBusy[d]-gpu0[d]), maxF(0, e.linkBusy[d]-link0[d])
+				g, l := max(0, e.gpuBusy[d]-gpu0[d]), max(0, e.linkBusy[d]-link0[d])
 				if ev.GPUBusyByDevice[d] != g || ev.LinkBusyByDevice[d] != l {
 					t.Fatalf("%s event device %d busy %v/%v, frontiers advanced %v/%v",
 						ev.Phase, d, ev.GPUBusyByDevice[d], ev.LinkBusyByDevice[d], g, l)

@@ -405,6 +405,8 @@ func TestSLOAdmissionDecide(t *testing.T) {
 		{"mild breach", workload.Request{}, sample(1.2, 10), AdmissionDefer},
 		{"hard breach", workload.Request{}, sample(2.0, 10), AdmissionShed},
 		{"hard breach, priority exempt", workload.Request{Priority: 1}, sample(2.0, 10), AdmissionDefer},
+		{"hard breach, negative priority", workload.Request{Priority: -1}, sample(2.0, 10), AdmissionShed},
+		{"mild breach, negative priority", workload.Request{Priority: -1}, sample(1.2, 10), AdmissionDefer},
 	}
 	for _, tc := range cases {
 		if got := a.Decide(tc.req, tc.snap); got != tc.want {

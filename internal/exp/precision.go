@@ -29,8 +29,8 @@ func precisionStudy(p Params) *report.Table {
 	for i := range x {
 		x[i] = float32(rng.NormMeanStd(0, 1))
 	}
-	q4 := quant.Quantize(probe, quant.DefaultGroupSize)
-	q8 := quant.Quantize8(probe, quant.DefaultGroupSize)
+	q4 := quant.Quantize(probe, 4, quant.DefaultGroupSize)
+	q8 := quant.Quantize(probe, 8, quant.DefaultGroupSize)
 	f4 := quant.MeasureFidelity(probe, q4.MatVec, x)
 	f8 := quant.MeasureFidelity(probe, q8.MatVec, x)
 
@@ -38,7 +38,7 @@ func precisionStudy(p Params) *report.Table {
 	for _, cfg := range moe.AllModels() {
 		cells = append(cells, func() []Row {
 			int4 := cfg.ExpertBytes()
-			int8 := expertBytes8(cfg)
+			int8 := moe.FFNBytes(cfg.Hidden, cfg.Intermediate, 8)
 			return []Row{{cfg.Name,
 				float64(int4) / (1 << 20), float64(int8) / (1 << 20),
 				1e3 * link.TransferTime(int4), 1e3 * link.TransferTime(int8),
@@ -48,10 +48,4 @@ func precisionStudy(p Params) *report.Table {
 	return tableFromCells("Extension: INT4 vs INT8 expert offloading trade-off",
 		[]string{"model", "int4-bytes(MB)", "int8-bytes(MB)", "int4-xfer(ms)", "int8-xfer(ms)",
 			"int4-relL2", "int8-relL2"}, runCells(p, cells))
-}
-
-func expertBytes8(cfg *moe.Config) int64 {
-	per := quant.Quantized8SizeBytes(cfg.Intermediate, cfg.Hidden, quant.DefaultGroupSize)
-	down := quant.Quantized8SizeBytes(cfg.Hidden, cfg.Intermediate, quant.DefaultGroupSize)
-	return 2*per + down
 }

@@ -68,23 +68,29 @@ func (c *Config) Validate() error {
 // population.
 func (c *Config) TotalRoutedExperts() int { return c.Layers * c.RoutedExperts }
 
+// expertBits is the width routed experts are stored and moved at: INT4,
+// as the paper's Marlin kernels use.
+const expertBits = 4
+
 // ExpertBytes reports the INT4-quantized weight footprint of one routed
 // expert (gate, up and down projections), i.e. the bytes one cache miss
 // moves across PCIe.
-func (c *Config) ExpertBytes() int64 {
-	per := quant.QuantizedSizeBytes(c.Intermediate, c.Hidden, quant.DefaultGroupSize)
-	down := quant.QuantizedSizeBytes(c.Hidden, c.Intermediate, quant.DefaultGroupSize)
-	return 2*per + down
-}
+func (c *Config) ExpertBytes() int64 { return FFNBytes(c.Hidden, c.Intermediate, expertBits) }
 
 // SharedExpertBytes reports the INT4 footprint of one shared expert.
 func (c *Config) SharedExpertBytes() int64 {
 	if c.SharedExperts == 0 {
 		return 0
 	}
-	per := quant.QuantizedSizeBytes(c.SharedIntermediate, c.Hidden, quant.DefaultGroupSize)
-	down := quant.QuantizedSizeBytes(c.Hidden, c.SharedIntermediate, quant.DefaultGroupSize)
-	return 2*per + down
+	return FFNBytes(c.Hidden, c.SharedIntermediate, expertBits)
+}
+
+// FFNBytes reports the footprint of one gated FFN quantized at bits:
+// the gate and up projections (inter×hidden) and the down projection
+// (hidden×inter).
+func FFNBytes(hidden, inter, bits int) int64 {
+	return 2*quant.SizeBytes(inter, hidden, bits, quant.DefaultGroupSize) +
+		quant.SizeBytes(hidden, inter, bits, quant.DefaultGroupSize)
 }
 
 // kvGroupSharing is the grouped-query sharing factor KVBytes assumes:

@@ -59,9 +59,9 @@ func NewTinyModel(cfg *Config, seed uint64) (*TinyModel, error) {
 			wd.FillRandom(rng)
 			gsz := groupSizeFor(cfg.Hidden)
 			row = append(row, expertWeights{
-				gate: quant.Quantize(wg, gsz),
-				up:   quant.Quantize(wu, gsz),
-				down: quant.Quantize(wd, groupSizeFor(cfg.Intermediate)),
+				gate: quant.Quantize(wg, expertBits, gsz),
+				up:   quant.Quantize(wu, expertBits, gsz),
+				down: quant.Quantize(wd, expertBits, groupSizeFor(cfg.Intermediate)),
 			})
 		}
 		m.experts = append(m.experts, row)
@@ -185,18 +185,11 @@ func (m *TinyModel) Forward(x []float32) ([]float32, []Routing) {
 func TinyConfig(base *Config) *Config {
 	c := *base
 	c.Name = base.Name + "-tiny"
-	c.Layers = minInt(base.Layers, 4)
+	c.Layers = min(base.Layers, 4)
 	c.Hidden = 64
 	c.Intermediate = 96
 	if c.SharedExperts > 0 {
 		c.SharedIntermediate = 96
 	}
 	return &c
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

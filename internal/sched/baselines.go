@@ -105,7 +105,7 @@ func (s *GPUCentric) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	slices.Reverse(cached)
 	gpuBusy := runGPU(&s.plan, cached, p, res.gpuAt(0))
 	for i, t := range missed {
-		start := maxFloat(gpuBusy, s.plan.Ops[i].End)
+		start := max(gpuBusy, s.plan.Ops[i].End)
 		gpuBusy = start + p.GPUs[0].ExpertTime(t.Flops, t.Bytes)
 		s.plan.add(Op{Expert: t.ID, Kind: OpComputeGPU, Load: t.Load, Start: start, End: gpuBusy})
 	}
@@ -151,13 +151,6 @@ func (s *StaticSplit) Plan(tasks []Task, p *hw.Platform, res Resources) *Plan {
 		runCPU(&s.plan, ordered, p, res.CPUFree)
 	}
 	return &s.plan
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 var (

@@ -100,7 +100,7 @@ func buildAssignment(tasks []Task, p *hw.Platform, res Resources, onCPU func(int
 		bestIdx := -1
 		var bestStart float64
 		for i, r := range queue {
-			start := maxFloat(gpuBusy, r.at)
+			start := max(gpuBusy, r.at)
 			if bestIdx == -1 || start < bestStart {
 				bestIdx = i
 				bestStart = start

@@ -189,7 +189,7 @@ func refBuildAssignment(tasks []Task, p *hw.Platform, res Resources, onCPU func(
 		bestIdx := -1
 		var bestStart float64
 		for i, r := range queue {
-			start := maxFloat(gpuBusy, r.at)
+			start := max(gpuBusy, r.at)
 			if bestIdx == -1 || start < bestStart {
 				bestIdx = i
 				bestStart = start
@@ -420,7 +420,7 @@ func refKTransStatic(tasks []Task, p *hw.Platform, res Resources) *Plan {
 		plan.Ops = append(plan.Ops, Op{Expert: t.ID, Kind: OpComputeCPU, Load: t.Load, Start: cpuBusy, End: end})
 		cpuBusy = end
 	}
-	plan.Makespan = maxFloat(gpuBusy, cpuBusy)
+	plan.Makespan = max(gpuBusy, cpuBusy)
 	if len(gpuTasks) == 0 {
 		plan.Makespan = cpuBusy
 	}
@@ -465,7 +465,7 @@ func refGPUCentric(tasks []Task, p *hw.Platform, res Resources) *Plan {
 	sort.SliceStable(pend, func(i, j int) bool { return pend[i].at < pend[j].at })
 	gpuBusy := res.gpuAt(0)
 	for _, r := range pend {
-		start := maxFloat(gpuBusy, r.at)
+		start := max(gpuBusy, r.at)
 		end := start + p.GPUs[0].ExpertTime(r.task.Flops, r.task.Bytes)
 		plan.Ops = append(plan.Ops, Op{Expert: r.task.ID, Kind: OpComputeGPU, Load: r.task.Load, Start: start, End: end})
 		gpuBusy = end
