@@ -327,7 +327,8 @@ func TestPrefillLoadsAllocationsFlatInTokens(t *testing.T) {
 // allocating float32 TopK path. The pruned prefill draw must match
 // denseLoads, a copy of the per-token loop it replaced, through
 // matchDense on every layer: the three models, an odd expert count,
-// k = 1, k = E and k = E-1, E = 2 and k = E/2; 30 seeds at 1 to 513
+// k = 1, k = E and k = E-1, E = 2 and k = E/2, and E = 300, whose rows
+// carry more candidates than the widest ranking network; 30 seeds at 1 to 513
 // tokens, with a cached normal at the row start on alternate calls; and
 // options where every float32 row ties, where TokenNoise swamps the
 // latents, and where it is negative.
@@ -368,6 +369,7 @@ func TestScratchSelectionMatchesTopK(t *testing.T) {
 		{"E9k8", shape("E9k8", 6, 9, 8), nil},
 		{"E2k1", shape("E2k1", 6, 2, 1), nil},
 		{"E64k32", shape("E64k32", 6, 64, 32), nil},
+		{"E300k200", shape("E300k200", 1, 300, 200), nil},
 		{"ties", shape("ties", 4, 63, 5), func(o *Options) { o.BaseSpread, o.NoiseStd, o.TokenNoise = tiny, tiny, tiny }},
 		{"wide", shape("wide", 4, 64, 6), func(o *Options) { o.TokenNoise = 1e6 }},
 		{"negative", shape("negative", 4, 63, 5), func(o *Options) { o.TokenNoise = -1.3 }},
@@ -452,9 +454,11 @@ func matchDense(a, b *Generator, layer, tokens int, cached bool) error {
 // compute 0.05, 0.06 and 0.07 of each per row (Qwen2, DeepSeek,
 // Mixtral). The one-sided bounds before them computed the counts below,
 // and the selection before those 13.24 radii and 14.95 values, 9.94 and
-// 10.81, and 3.08 and 4.12.
+// 10.81, and 3.08 and 4.12. At least nine rows in ten must also settle
+// straight from the ranking, without the partition pass: 0.966, 0.948
+// and 0.931 do.
 func TestPrefillExactValuesPerRow(t *testing.T) {
-	const maxPerRow = 0.1
+	const maxPerRow, minRanked = 0.1, 0.9
 	for _, c := range []struct {
 		cfg           *moe.Config
 		radii, values float64
@@ -470,11 +474,15 @@ func TestPrefillExactValuesPerRow(t *testing.T) {
 		}
 		rows := float64(c.cfg.Layers * 256)
 		radii, values := float64(g.draw.radii)/rows, float64(g.draw.values)/rows
-		t.Logf("%s: %.2f exact radii and %.2f exact values per row, %.2f and %.2f with one-sided bounds",
-			c.cfg.Name, radii, values, c.radii, c.values)
+		ranked := float64(g.draw.ranked) / rows
+		t.Logf("%s: %.2f exact radii and %.2f exact values per row, %.2f and %.2f with one-sided bounds; %.3f of rows settled by the ranking",
+			c.cfg.Name, radii, values, c.radii, c.values, ranked)
 		if radii > maxPerRow || values > maxPerRow {
 			t.Errorf("%s: %.2f exact radii and %.2f exact values per row; want at most %.2f of each",
 				c.cfg.Name, radii, values, maxPerRow)
+		}
+		if ranked < minRanked {
+			t.Errorf("%s: %.3f of rows settled by the ranking; want at least %.2f", c.cfg.Name, ranked, minRanked)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"hybrimoe/internal/stats"
 	"hybrimoe/internal/tensor"
@@ -22,7 +24,10 @@ import (
 //   - A candidate is in when its lo beats float32(τ) and the (k+1)-th
 //     largest hi, so at most k-1 other entries can reach its value. It
 //     is out when its hi is below the least lo among the k highest his,
-//     so k entries beat it strictly.
+//     so k entries beat it strictly. A ranking network sorts the
+//     candidates' his (rankKeys); when the least lo of the k highest
+//     beats both float32(τ) and the (k+1)-th hi, those k are exactly
+//     the in set and the row is settled.
 //   - The ambiguous rest get exact values, and the best of those above
 //     float32(τ) fill the remaining places by descending value, then
 //     ascending index, the dense row's tie-break.
@@ -59,6 +64,10 @@ const (
 	// entries of a row are expected to exceed it.
 	thresholdSteps  = 10
 	thresholdTarget = 1.6
+	// rankLevels networks sort 1, 2, 4, … maxRankKeys keys: a whole row
+	// of up to 128 experts, in a 1 KiB scratch per generator.
+	rankLevels  = 8
+	maxRankKeys = 1 << (rankLevels - 1)
 )
 
 // drawBounds holds the package-wide tables behind the pruned draw.
@@ -134,19 +143,19 @@ type prefillDraw struct {
 	tau32      float32
 	flip, k    int
 	// cand holds the current token's candidates in index order, then
-	// the ambiguous ones, his their upper bounds and top the positions of
-	// the k+1 highest; sel collects the chosen entries, and hit and val
+	// the ambiguous ones, and keys their ranking keys (hiKey), at least
+	// maxRankKeys long; sel collects the chosen entries, and hit and val
 	// the ambiguous ones whose exact value exceeds float32(τ). The
 	// token's uniform pairs stay in the generator's pair scratch.
 	cand []candidate
-	his  []float32
-	top  []int
+	keys []uint64
 	sel  []int
 	hit  []int
 	val  []float32
 	// radii and values count the exact Box-Muller radii and entry values
-	// computed outside the dense fallback.
-	radii, values int
+	// computed outside the dense fallback, and ranked the rows settled
+	// by the ranking alone.
+	radii, values, ranked int
 }
 
 // begin prepares the draw for one prefill call over a layer's latents.
@@ -154,8 +163,7 @@ func (d *prefillDraw) begin(lat []float64, sigma float64, k int) {
 	n := len(lat)
 	if cap(d.cand) < n {
 		d.cand = make([]candidate, n)
-		d.his = make([]float32, n)
-		d.top = make([]int, 0, n)
+		d.keys = make([]uint64, max(n, maxRankKeys))
 		d.sel = make([]int, 0, n)
 		d.hit = make([]int, 0, n)
 		d.val = make([]float32, 0, n)
@@ -305,7 +313,7 @@ func (g *Generator) tokenTopK(d *prefillDraw) []int {
 // (e-off)/2, and are bounded here; the others are known exactly. It
 // reuses cand's storage for the ambiguous candidates.
 func (g *Generator) settle(d *prefillDraw, cand []candidate, off, full int) []int {
-	k, his, us, vs := d.k, d.his[:len(cand)], g.us, g.vs
+	k, keys, us, vs := d.k, d.keys, g.us, g.vs
 	lat, flip, rHiScale, rLoScale := d.lat, d.flip, d.rHi, d.rLo
 	for i := range cand {
 		c := &cand[i]
@@ -323,19 +331,27 @@ func (g *Generator) settle(d *prefillDraw, cand []candidate, off, full int) []in
 			c.hi = float32(lat[e] + max(rHi*tHi, rLo*tHi))
 			c.lo = float32(lat[e] + min(rHi*tLo, rLo*tLo))
 		}
-		his[i] = c.hi
+		keys[i] = hiKey(c.hi, i)
 	}
 	// An in entry's lo beats float32(τ) and every hi outside the k
 	// highest; an out entry's hi is below the least lo among them.
-	d.top = tensor.TopKInto(d.top, his, min(k+1, len(his)))
-	in, out := d.tau32, cand[d.top[0]].lo
-	if len(d.top) > k {
-		in = max(in, his[d.top[k]])
-	}
-	for _, i := range d.top[1:k] {
-		out = min(out, cand[i].lo)
+	// Once ranked, keys[r]'s low half is the position in cand of the
+	// candidate with the r-th highest hi.
+	rankKeys(keys, len(cand))
+	in, out := d.tau32, float32(math.Inf(1))
+	if len(cand) > k {
+		in = max(in, cand[uint32(keys[k])].hi)
 	}
 	sel := d.sel[:len(cand)]
+	for r, key := range keys[:k] {
+		c := &cand[uint32(key)]
+		sel[r], out = c.e, min(out, c.lo)
+	}
+	if out > in {
+		// Each of the k highest his has a lo above every other hi.
+		d.ranked++
+		return sel[:k]
+	}
 	ns, na := 0, 0
 	for _, c := range cand {
 		sel[ns], cand[na] = c.e, c
@@ -387,4 +403,63 @@ func (g *Generator) settle(d *prefillDraw, cand []candidate, off, full int) []in
 		sel = append(sel, hit[j])
 	}
 	return sel
+}
+
+// hiKey packs a candidate's upper bound hi and its position i into a
+// key whose ascending order is TopKInto's: hi descending, then i
+// ascending. Its high half reads hi's sign and magnitude bits as an
+// integer, negated so that larger values come first and offset by 2³¹
+// to order as unsigned. -0 and +0, equal under >, both read as 0, and
+// no hi but a NaN reaches the all-ones half that pads a network.
+func hiKey(hi float32, i int) uint64 {
+	b := int32(math.Float32bits(hi))
+	s := b >> 31
+	neg := s - (b&math.MaxInt32 ^ s)
+	return uint64(uint32(neg)^1<<31)<<32 | uint64(uint32(i))
+}
+
+// networks[j] is Batcher's odd-even merge sort over 2^j keys as
+// compare-exchange pairs in running order: each pass p merges sorted
+// runs of p keys into runs of 2p, comparing keys k apart for k = p,
+// p/2, … 1 within each run of 2p.
+var networks = func() (nets [rankLevels][][2]uint8) {
+	for j := range nets {
+		n := 1 << j
+		for p := 1; p < n; p *= 2 {
+			for k := p; k >= 1; k /= 2 {
+				for lo := k % p; lo+k < n; lo += 2 * k {
+					for i := lo; i < lo+k; i++ {
+						if i/(2*p) == (i+k)/(2*p) {
+							nets[j] = append(nets[j], [2]uint8{uint8(i), uint8(i + k)})
+						}
+					}
+				}
+			}
+		}
+	}
+	return nets
+}()
+
+// rankKeys sorts keys[:n] ascending, where keys holds at least
+// maxRankKeys entries. Up to maxRankKeys keys, it pads them with
+// all-ones keys to the next power of two and runs that size's network,
+// whose compare-exchanges take no branch; a longer row goes to
+// slices.Sort.
+func rankKeys(keys []uint64, n int) {
+	j := bits.Len(uint(n - 1)) // 2^j is the least power of two ≥ n
+	if j >= rankLevels {
+		slices.Sort(keys[:n])
+		return
+	}
+	ks := (*[maxRankKeys]uint64)(keys)
+	for i := n; i < 1<<j; i++ {
+		ks[i] = math.MaxUint64
+	}
+	// Masking the positions, all below maxRankKeys, spares their bounds
+	// checks.
+	net := networks[j]
+	for i := range net {
+		x, y := &ks[net[i][0]&(maxRankKeys-1)], &ks[net[i][1]&(maxRankKeys-1)]
+		*x, *y = min(*x, *y), max(*x, *y)
+	}
 }
