@@ -328,10 +328,10 @@ func TestPrefillLoadsAllocationsFlatInTokens(t *testing.T) {
 // denseLoads, a copy of the per-token loop it replaced, through
 // matchDense on every layer: the three models, an odd expert count,
 // k = 1, k = E and k = E-1, E = 2 and k = E/2, and E = 300, whose rows
-// carry more candidates than the widest ranking network; 30 seeds at 1 to 513
-// tokens, with a cached normal at the row start on alternate calls; and
-// options where every float32 row ties, where TokenNoise swamps the
-// latents, and where it is negative.
+// carry more candidates than the widest ranking network; 30 seeds at 1
+// to 513 tokens, with a cached normal at the row start on alternate
+// calls; and options where every float32 row ties, where TokenNoise
+// swamps the latents, and where it is negative.
 func TestScratchSelectionMatchesTopK(t *testing.T) {
 	cfg := moe.DeepSeek()
 	k := cfg.ActivatedExperts
