@@ -62,7 +62,6 @@ var fuzzCommands = []struct {
 		{name: "fail", values: []string{"1@0.3:stall", "0@0.5:death", "1@0:death,0@0:stall", "2@0.1:death", "1@NaN:stall", "1@-1:death", "@:"}},
 		{name: "scale-plan", values: []string{"+1@0.5", "-1@0.2", "+1@0,-2@0.1", "-3@0", "+1@NaN", "@"}},
 		{name: "pools", values: []string{"1:2", "2:1", "1:1", "0:1", "1:0", "0:0:1", ":"}},
-		{name: "cluster-workers", values: []string{"4"}},
 		{name: "seed", values: []string{"7", "18446744073709551615"}},
 		{name: "bogus"},
 	}},

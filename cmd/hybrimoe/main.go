@@ -13,8 +13,10 @@
 //	-seed N        trace seed (default 2025)
 //	-steps N       decode iterations per configuration (default 50)
 //	-quick         reduced iteration counts for a fast smoke run
-//	-workers N     sweep-runner parallelism for grid studies (0 = all CPUs);
-//	               results are identical for every worker count
+//
+// Grid studies run their cells, and serve steps its replicas, on
+// GOMAXPROCS goroutines; GOMAXPROCS=1 gives a serial run. Output is
+// identical at every count.
 //
 // Serve flags (see `hybrimoe serve -h` for the full set):
 //
@@ -41,6 +43,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 
 	"hybrimoe/internal/cluster"
@@ -72,8 +75,6 @@ func run(args []string, w io.Writer) error {
 	seed := fs.Uint64("seed", 2025, "trace seed")
 	steps := fs.Int("steps", 50, "decode iterations per configuration")
 	quick := fs.Bool("quick", false, "reduced iteration counts")
-	workers := fs.Int("workers", 0, "sweep-runner parallelism for grid studies (0 = all CPUs)")
-	clusterWorkers := fs.Int("cluster-workers", 1, "goroutines each fleet's horizon windows fan replicas out to (output is identical at any count)")
 
 	switch cmd {
 	case "list":
@@ -94,7 +95,7 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		p, err := params(fs, *seed, *steps, *workers, *clusterWorkers, *quick)
+		p, err := params(fs, *seed, *steps, *quick)
 		if err != nil {
 			return err
 		}
@@ -105,7 +106,7 @@ func run(args []string, w io.Writer) error {
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
-		p, err := params(fs, *seed, *steps, *workers, *clusterWorkers, *quick)
+		p, err := params(fs, *seed, *steps, *quick)
 		if err != nil {
 			return err
 		}
@@ -176,7 +177,7 @@ func run(args []string, w io.Writer) error {
 			sloTTFT: *sloTTFT, sloTBT: *sloTBT, deadline: *deadline,
 			arrivals: *arrivals, rate: *rate, traceIn: *traceIn, traceOut: *traceOut,
 			replicas: *replicas, router: *router, fail: *fail, scalePlan: *scalePlan,
-			pools: *pools, clusterWorkers: *clusterWorkers,
+			pools: *pools,
 		}
 		return serve(w, sc)
 
@@ -207,7 +208,6 @@ type serveConfig struct {
 	router               string
 	fail, scalePlan      string
 	pools                string
-	clusterWorkers       int
 }
 
 // serveRequests assembles the request sequence for one serve run:
@@ -279,9 +279,6 @@ func serve(w io.Writer, sc serveConfig) error {
 	}
 	if sc.replicas < 1 {
 		return fmt.Errorf("-replicas %d must be at least 1", sc.replicas)
-	}
-	if err := checkClusterWorkers(sc.clusterWorkers); err != nil {
-		return err
 	}
 	reqs, err := serveRequests(sc)
 	if err != nil {
@@ -355,7 +352,7 @@ func serve(w io.Writer, sc serveConfig) error {
 		cluster.WithBuilder(build),
 		cluster.WithSeed(sc.seed),
 		cluster.WithMaxConcurrent(sc.concurrent),
-		cluster.WithWorkers(sc.clusterWorkers),
+		cluster.WithWorkers(runtime.GOMAXPROCS(0)),
 	}
 	if poolSpec.Pooled() {
 		opts = append(opts, cluster.WithPools(poolSpec))
@@ -529,14 +526,8 @@ func printEvent(w io.Writer, ev cluster.Event, fleet bool) {
 // params resolves the experiment scale the run and all subcommands use:
 // the quick or the default preset, whose decode iterations a -steps
 // given on the command line (fs, parsed) replaces.
-func params(fs *flag.FlagSet, seed uint64, steps, workers, clusterWorkers int, quick bool) (exp.Params, error) {
+func params(fs *flag.FlagSet, seed uint64, steps int, quick bool) (exp.Params, error) {
 	if err := checkSteps(steps); err != nil {
-		return exp.Params{}, err
-	}
-	if workers < 0 {
-		return exp.Params{}, fmt.Errorf("-workers %d must be non-negative (0 = all CPUs)", workers)
-	}
-	if err := checkClusterWorkers(clusterWorkers); err != nil {
 		return exp.Params{}, err
 	}
 	p := exp.DefaultParams()
@@ -544,8 +535,6 @@ func params(fs *flag.FlagSet, seed uint64, steps, workers, clusterWorkers int, q
 		p = exp.QuickParams()
 	}
 	p.Seed = seed
-	p.Workers = workers
-	p.ClusterWorkers = clusterWorkers
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "steps" {
 			p.DecodeSteps = steps
@@ -559,13 +548,6 @@ func params(fs *flag.FlagSet, seed uint64, steps, workers, clusterWorkers int, q
 func checkSteps(steps int) error {
 	if steps < 1 {
 		return fmt.Errorf("-steps %d must be at least 1", steps)
-	}
-	return nil
-}
-
-func checkClusterWorkers(n int) error {
-	if n < 1 {
-		return fmt.Errorf("-cluster-workers %d must be at least 1", n)
 	}
 	return nil
 }

@@ -105,11 +105,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		"run fig99",
 		"run fig8 -steps 0",
 		"run fig8 -short",
-		"run fig8 -workers -1",
 		"all -steps -1",
-		"all -workers -3",
-		"run fleet -cluster-workers -1 -quick",
-		"all -cluster-workers -3 -quick",
 		"demo -steps 0",
 		"serve -model Bogus",
 		"serve -cache 1.5",

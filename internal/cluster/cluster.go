@@ -259,7 +259,10 @@ func WithRouteLog(n int) Option {
 // prefill-pool replica with work) and merges their event runs back into
 // the lockstep interleave, so the emitted Event sequence is
 // byte-identical at any worker count, pooled fleets included — the knob
-// trades CPU for wall-clock, never output. n < 1 errors.
+// trades CPU for wall-clock, never output. A replica step's panic
+// re-panics on the caller at any count. hybrimoe serve passes
+// runtime.GOMAXPROCS(0); fleets built inside study cells keep the
+// default, since the cells already fill the cores. n < 1 errors.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 1 {

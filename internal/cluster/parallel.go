@@ -3,8 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
+
+	"hybrimoe/internal/par"
 )
 
 // Horizon windows: the only way Step advances replicas.
@@ -52,8 +52,9 @@ import (
 // advanceWindow runs one window: it picks the horizon, collects the
 // steppable replicas whose clocks trail it (or, when the horizon is not
 // ahead of now, the trailing replica alone for one step), fans them out
-// to at most c.workers goroutines, and merges the runs into c.queue for
-// Step to drain. trailing and now are the frontier: the steppable
+// to at most c.workers goroutines through par.Do (so a replica's panic
+// re-panics on the caller), and merges the runs into c.queue for Step
+// to drain. trailing and now are the frontier: the steppable
 // replica whose clock trails the fleet and that clock.
 func (c *Cluster) advanceWindow(trailing int, now float64) {
 	h := math.Inf(1)
@@ -85,22 +86,7 @@ func (c *Cluster) advanceWindow(trailing int, now float64) {
 			c.runReplica(i, h, limit)
 		}
 	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(k)
-		for w := 0; w < k; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					n := int(next.Add(1)) - 1
-					if n >= len(cands) {
-						return
-					}
-					c.runReplica(cands[n], h, limit)
-				}
-			}()
-		}
-		wg.Wait()
+		par.Do(k, len(cands), func(n int) { c.runReplica(cands[n], h, limit) })
 	}
 	c.mergeWindow(cands)
 }

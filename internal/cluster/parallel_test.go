@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hybrimoe/internal/engine"
+	"hybrimoe/internal/reqsched"
 	"hybrimoe/internal/workload"
 )
 
@@ -452,6 +454,49 @@ func TestClusterWorkersValidation(t *testing.T) {
 		if _, err := New(WithBuilder(build), WithWorkers(n)); err != nil {
 			t.Fatalf("WithWorkers(%d) rejected: %v", n, err)
 		}
+	}
+}
+
+// emptyOnFourth is a faulty batch former: its fourth Form call returns
+// an empty batch, which the session rejects with a panic.
+type emptyOnFourth struct{ calls int }
+
+func (*emptyOnFourth) Name() string { return "empty-on-fourth" }
+
+func (b *emptyOnFourth) Form(_ float64, _ []reqsched.Request, lead int) []int {
+	if b.calls++; b.calls == 4 {
+		return nil
+	}
+	return []int{lead}
+}
+
+func init() {
+	reqsched.RegisterBatch("test-empty-on-fourth", func(int) (reqsched.BatchPolicy, error) {
+		return &emptyOnFourth{}, nil
+	})
+}
+
+// A replica step that panics inside a horizon window re-panics its value
+// on the caller at every worker count, where a recover can see it,
+// instead of killing the process from a window goroutine.
+func TestWindowPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			c, err := New(WithReplicas(4), WithRouter("round-robin"), WithSeed(970),
+				WithBuilder(buildReplica(t, 970, engine.WithBatchPolicy("test-empty-on-fourth", 64))),
+				WithMaxConcurrent(2), WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Submit(burstRequests(970, 16, 0)...)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "formed an empty batch") {
+					t.Fatalf("recovered %q, want the session's empty-batch panic", msg)
+				}
+			}()
+			c.Run(func(Event) {})
+		})
 	}
 }
 

@@ -26,15 +26,14 @@ type Engine struct {
 	set      settings
 
 	gen *trace.Generator
-	// cache is the full per-device expert cache; placeCache is the
-	// slice of it placement may use — the whole thing for device-aware
-	// schedulers, GPU0's shard alone for single-GPU planners (a plan
-	// that runs a GPU1-resident expert on GPU0 without a transfer is
-	// not physical, so their residency view is confined too).
-	cache      *cache.Multi
-	placeCache *cache.Multi
-	// placeGPUs is how many devices placement spreads over (1 for
-	// single-GPU planners regardless of the platform's GPU count).
+	// cache holds one expert cache shard per device placement spreads
+	// over.
+	cache *cache.Multi
+	// placeGPUs is how many devices placement spreads over: every GPU
+	// for device-aware schedulers, GPU0 alone for single-GPU planners
+	// regardless of the platform's GPU count (a plan that runs a
+	// GPU1-resident expert on GPU0 without a transfer is not physical,
+	// so their residency is confined too).
 	placeGPUs int
 	// decodeSched and prefillSched are the per-stage scheduling
 	// strategies; scheduler points at the one for the current stage.
@@ -183,25 +182,6 @@ func New(cfg *moe.Config, platform *hw.Platform, fw Framework, opts ...Option) (
 		}
 	}
 	gpus := platform.NumGPUs()
-	capacity := cfg.CacheCapacity(set.cacheRatio)
-	if set.cacheRatio == 0 {
-		// The explicit zero-cache baseline: CacheCapacity floors at one
-		// expert, but a requested ratio of exactly 0 means none.
-		capacity = 0
-	}
-	// One residency shard per GPU, each with the full per-device
-	// capacity and its own policy instance (policies are stateful).
-	shards := make([]*cache.Cache, gpus)
-	for d := 0; d < gpus; d++ {
-		policy, err := cache.NewPolicy(fw.CachePolicy, cfg.ActivatedExperts)
-		if err != nil {
-			return nil, err
-		}
-		shards[d] = cache.New(capacity, policy)
-	}
-	e.cache = cache.NewMulti(shards...)
-	e.placeCache = e.cache
-	e.placeGPUs = gpus
 	decAware := sched.IsDeviceAware(e.decodeSched)
 	preAware := sched.IsDeviceAware(e.prefillSched)
 	if gpus > 1 && decAware != preAware {
@@ -213,12 +193,28 @@ func New(cfg *moe.Config, platform *hw.Platform, fw Framework, opts ...Option) (
 			"engine: mixed device-aware and single-GPU stage schedulers (decode %q, prefill %q) on a %d-GPU platform",
 			e.decodeSched.Name(), e.prefillSched.Name(), gpus)
 	}
+	e.placeGPUs = gpus
 	if !decAware || !preAware {
 		e.placeGPUs = 1
-		if gpus > 1 {
-			e.placeCache = cache.NewMulti(shards[0])
-		}
 	}
+	capacity := cfg.CacheCapacity(set.cacheRatio)
+	if set.cacheRatio == 0 {
+		// The explicit zero-cache baseline: CacheCapacity floors at one
+		// expert, but a requested ratio of exactly 0 means none.
+		capacity = 0
+	}
+	// One residency shard per placement device, each with the full
+	// per-device capacity and its own policy instance (policies are
+	// stateful).
+	shards := make([]*cache.Cache, e.placeGPUs)
+	for d := range shards {
+		policy, err := cache.NewPolicy(fw.CachePolicy, cfg.ActivatedExperts)
+		if err != nil {
+			return nil, err
+		}
+		shards[d] = cache.New(capacity, policy)
+	}
+	e.cache = cache.NewMulti(shards...)
 	e.gpuBusy = make([]float64, gpus)
 	e.linkBusy = make([]float64, gpus)
 	e.gpuFrees = make([]float64, gpus)
@@ -269,7 +265,7 @@ func (e *Engine) warmCache() {
 			for x, load := range act.Loads {
 				counts[act.Layer*n+x] += load
 			}
-			e.placeCache.ObserveScores(act.Layer, act.Scores)
+			e.cache.ObserveScores(act.Layer, act.Scores)
 		}
 	}
 	count := func(id moe.ExpertID) int { return counts[id.Layer*n+id.Index] }
@@ -290,21 +286,21 @@ func (e *Engine) warmCache() {
 	})
 	if e.fw.PinWarm {
 		for _, id := range ids {
-			if e.placeCache.Len() >= e.placeCache.Capacity() {
+			if e.cache.Len() >= e.cache.Capacity() {
 				break
 			}
-			e.placeCache.Pin(id)
+			e.cache.Pin(id)
 		}
 		return
 	}
-	e.placeCache.Warm(ids)
+	e.cache.Warm(ids)
 	// Replay the history into the policy — least frequent first so the
 	// hottest experts end up both most counted and most recent — giving
 	// LFU counts and LRU recency the state of a long-running server
 	// instead of treating every warm expert as a one-hit wonder.
 	for i := len(ids) - 1; i >= 0; i-- {
 		for k := 0; k < count(ids[i]); k++ {
-			e.placeCache.TouchHistorical(ids[i])
+			e.cache.TouchHistorical(ids[i])
 		}
 	}
 }
@@ -321,7 +317,7 @@ func (e *Engine) residentOn(id moe.ExpertID) (hw.Device, bool) {
 	if e.fw.LayerMapped {
 		return hw.GPU, id.Layer < e.gpuLayers
 	}
-	d, ok := e.placeCache.Owner(id)
+	d, ok := e.cache.Owner(id)
 	return hw.GPUAt(d), ok
 }
 
@@ -424,7 +420,7 @@ func (e *Engine) runStep(b *stepBuffers, tokens, context int, perLoadLookups boo
 			for n := 0; n < lookups; n++ {
 				// Hit/miss statistics; misses are attributed to the
 				// expert's home device.
-				e.placeCache.Lookup(id, e.homeDevice(id).GPUIndex())
+				e.cache.Lookup(id, e.homeDevice(id).GPUIndex())
 			}
 		}
 		b.tasks = sched.TasksFromLoads(b.tasks, e.cfg, act.Layer, act.Loads, e.residentOn)
@@ -450,7 +446,7 @@ func (e *Engine) runStep(b *stepBuffers, tokens, context int, perLoadLookups boo
 		e.clock = layerEnd
 
 		// Cache policy sees this iteration's routing scores.
-		e.placeCache.ObserveScores(act.Layer, act.Scores)
+		e.cache.ObserveScores(act.Layer, act.Scores)
 
 		// Spend PCIe idle time: prefetch upcoming layers, then refresh
 		// the cache with this layer's misses if the framework does so.
@@ -487,7 +483,7 @@ func (e *Engine) applyPlan(plan *sched.Plan, layerStart float64, guard cache.Gua
 		}
 	}
 	for _, id := range plan.Transferred {
-		e.placeCache.Insert(id, e.dest[id.Index], guard)
+		e.cache.Insert(id, e.dest[id.Index], guard)
 	}
 }
 
@@ -527,7 +523,7 @@ func (e *Engine) prefetchInto(layer int, layerEnd float64, guard cache.Guard) {
 		// A shard full of guarded residents only blocks its own
 		// device's picks; on one device the failure repeats, matching
 		// the old early exit.
-		if _, ok := e.placeCache.Insert(id, d, guard); !ok {
+		if _, ok := e.cache.Insert(id, d, guard); !ok {
 			continue
 		}
 		xfer := e.platform.Links[d].TransferTime(e.cfg.ExpertBytes())
@@ -594,7 +590,7 @@ func (e *Engine) missInsert(act trace.LayerActivation, layerEnd float64, guard c
 		if e.linkBusy[d]+xfer > layerEnd {
 			continue
 		}
-		if _, ok := e.placeCache.Insert(id, d, guard); !ok {
+		if _, ok := e.cache.Insert(id, d, guard); !ok {
 			continue
 		}
 		start := e.linkBusy[d]
@@ -737,7 +733,7 @@ func (e *Engine) AdoptWorkingSet(experts []workload.ExpertRef) (warm int) {
 			warm++
 			continue
 		}
-		if _, ok := e.placeCache.Insert(id, e.homeDevice(id).GPUIndex(), cache.Guard{}); ok {
+		if _, ok := e.cache.Insert(id, e.homeDevice(id).GPUIndex(), cache.Guard{}); ok {
 			warm++
 		}
 	}
@@ -748,7 +744,9 @@ func (e *Engine) AdoptWorkingSet(experts []workload.ExpertRef) (warm int) {
 // layer reads its Interconnect to price replica-to-replica migration.
 func (e *Engine) Platform() *hw.Platform { return e.platform }
 
-// Caches exposes the per-device expert cache for analysis.
+// Caches exposes the per-device expert cache for analysis: one shard
+// per GPU placement spreads over, so a single-GPU planner on an N-GPU
+// platform has GPU0's shard alone.
 func (e *Engine) Caches() *cache.Multi { return e.cache }
 
 // Timelines returns the recorded span timelines for the CPU, GPU0 and

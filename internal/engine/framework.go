@@ -33,7 +33,8 @@ type Framework struct {
 	// refresh their cache between iterations).
 	OnMissInsert bool
 	// PinWarm pins the warm-started experts permanently, modelling a
-	// truly static frequency-based placement.
+	// truly static frequency-based placement. Layer-mapped frameworks
+	// have no expert cache to pin.
 	PinWarm bool
 	// LayerMapped marks frameworks whose expert residency is a static
 	// whole-layer mapping (llama.cpp -ngl): the leading layers live
@@ -96,7 +97,6 @@ func LlamaCppFramework() Framework {
 		Sched:       SchedStaticSplit,
 		Prefetch:    "none",
 		CachePolicy: "LRU",
-		PinWarm:     true,
 		LayerMapped: true,
 	}
 }

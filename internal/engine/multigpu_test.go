@@ -107,21 +107,28 @@ func TestDualGPUSessionUsesBothDevices(t *testing.T) {
 	}
 }
 
-// Per-device capacity: every shard gets the full per-GPU expert budget,
-// so a dual platform holds twice the residency of a single one.
+// Per-device capacity: every placement shard gets the full per-GPU
+// expert budget, so a dual expert-parallel engine holds twice the
+// residency of a single one. A single-GPU planner on the same dual
+// platform places on GPU0 alone, so it holds one shard of single
+// capacity.
 func TestPerDeviceCacheCapacity(t *testing.T) {
 	cfg := moe.DeepSeek()
-	single, err := New(cfg, hw.A6000Platform(), HybriMoEFramework(), WithCacheRatio(0.25), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
+	build := func(p *hw.Platform, fw Framework) *Engine {
+		e, err := New(cfg, p, fw, WithCacheRatio(0.25), WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
-	dual, err := New(cfg, hw.MultiA6000Platform(2), HybriMoEFramework(), WithCacheRatio(0.25), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
+	single := build(hw.A6000Platform(), HybriMoEFramework()).Caches().Capacity()
+	if got := build(hw.MultiA6000Platform(2), expertParallelFramework()).Caches().Capacity(); got != 2*single {
+		t.Fatalf("dual expert-parallel capacity = %d, want %d (2× single)", got, 2*single)
 	}
-	want := 2 * single.Caches().Capacity()
-	if got := dual.Caches().Capacity(); got != want {
-		t.Fatalf("dual capacity = %d, want %d (2× single)", got, want)
+	confined := build(hw.MultiA6000Platform(2), HybriMoEFramework()).Caches()
+	if confined.Devices() != 1 || confined.Capacity() != single {
+		t.Fatalf("confined dual engine holds %d shards of capacity %d, want 1 shard of %d",
+			confined.Devices(), confined.Capacity(), single)
 	}
 }
 

@@ -154,5 +154,5 @@ func platformSweep(p Params) *report.Table {
 		})
 	}
 	return tableFromCells("Platform sweep: decode TBT on laptop-class hardware (25% cache)",
-		[]string{"model", "KTrans(s)", "HybriMoE(s)", "speedup"}, runCells(p, cells))
+		[]string{"model", "KTrans(s)", "HybriMoE(s)", "speedup"}, runCells(cells))
 }

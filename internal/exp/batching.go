@@ -33,5 +33,5 @@ func BatchingStudy(p Params, requests int, ratio float64) *report.Table {
 	}
 	return tableFromCells("Batching study: batch formers × concurrency (HybriMoE)",
 		[]string{"batch", "concurrent", "decode-tok/s", "p50-TBT(s)", "p95-TBT(s)",
-			"p95-TTFT(s)", "mean-batch", "sim-time(s)"}, runCells(p, cells))
+			"p95-TTFT(s)", "mean-batch", "sim-time(s)"}, runCells(cells))
 }

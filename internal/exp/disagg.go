@@ -90,7 +90,7 @@ func disaggStudy(p Params, requests int, ratio float64) *report.Table {
 			})
 		}
 	}
-	return disaggTable(runCells(p, cells))
+	return disaggTable(runCells(cells))
 }
 
 // disaggReplicas is the fixed fleet size the split grid divides.

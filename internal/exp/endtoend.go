@@ -32,7 +32,7 @@ func Fig7(p Params) (*report.Table, []float64) {
 	}
 	return speedupTable("Fig 7: prefill TTFT across lengths and cache ratios",
 		[]string{"model", "cache", "len", "llama.cpp(s)", "AdapMoE(s)", "KTrans(s)", "HybriMoE(s)", "speedup-vs-KTrans"},
-		runCells(p, cells))
+		runCells(cells))
 }
 
 // Fig7MeanSpeedup computes the average HybriMoE speedup over
@@ -60,7 +60,7 @@ func Fig8(p Params) (*report.Table, []float64) {
 	}
 	return speedupTable("Fig 8: decode TBT across cache ratios",
 		[]string{"model", "cache", "llama.cpp(s)", "AdapMoE(s)", "KTrans(s)", "HybriMoE(s)", "speedup-vs-KTrans"},
-		runCells(p, cells))
+		runCells(cells))
 }
 
 // Fig8MeanSpeedup computes the average decode speedup over
@@ -147,7 +147,7 @@ func table3Rows(p Params) []Row {
 // the paper's hit-rate counters).
 func Fig9(p Params) *report.Table {
 	return tableFromCells("Fig 9: cache hit rate, MRS vs LRU",
-		[]string{"model", "cached-%", "LRU", "MRS", "delta"}, runCells(p, fig9Cells(p)))
+		[]string{"model", "cached-%", "LRU", "MRS", "delta"}, runCells(fig9Cells(p)))
 }
 
 // fig9Cells is Fig 9's grid: one cell per model and cached-expert

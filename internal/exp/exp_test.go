@@ -118,7 +118,7 @@ func TestFig3fShape(t *testing.T) {
 func TestFig9MRSWins(t *testing.T) {
 	p := QuickParams()
 	p.HitRateIters = 80
-	results := runCells(p, fig9Cells(p))
+	results := runCells(fig9Cells(p))
 	if len(results) != 18 { // 3 models × 6 capacities
 		t.Fatalf("cells = %d, want 18", len(results))
 	}

@@ -7,8 +7,6 @@
 package exp
 
 import (
-	"runtime"
-
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
@@ -27,26 +25,6 @@ type Params struct {
 	CDFIters int
 	// HitRateIters is the trace length for Figure 9.
 	HitRateIters int
-	// Workers bounds runCells' cell-level parallelism; 0 (the zero
-	// value, so existing Params literals keep working) means one worker
-	// per available CPU. Results are worker-count independent — the knob
-	// trades wall-clock for CPU, never output.
-	Workers int
-	// ClusterWorkers bounds the goroutines each fleet cell's horizon
-	// windows fan replicas out to (cluster.WithWorkers); 0 or 1 runs
-	// them on the cell's own goroutine. Like Workers, the event
-	// streams and every derived number are worker-count independent,
-	// so the two levels compose: cells fan out across Workers, replicas
-	// within a cell across ClusterWorkers.
-	ClusterWorkers int
-}
-
-// workers resolves the effective sweep parallelism.
-func (p Params) workers() int {
-	if p.Workers > 0 {
-		return p.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // DefaultParams returns the full-size experiment configuration.

@@ -22,9 +22,11 @@ type fleetRun struct {
 	routed []int
 }
 
-// NewFleet assembles the canonical fleet every consumer (the study, the
-// CLI, the benchmark) shares: n HybriMoE replicas on A6000-class boxes,
-// seeded per replica from the base seed, steered by the named router.
+// NewFleet assembles the fleet the fleet studies and examples/fleet
+// share: n HybriMoE replicas on A6000-class boxes, seeded per replica
+// from the base seed, steered by the named router. (hybrimoe serve and
+// the benchmark's fleet workload build their own replicas from their
+// own knobs.)
 // Replicas beyond the initial n — born from a scale plan — are built
 // with cache warm-up disabled, so a mid-run join pays the cold-cache
 // re-warm cost the lifecycle model charges for elasticity.
@@ -50,15 +52,6 @@ func NewFleet(n int, routerName string, seed uint64, ratio float64,
 	return cluster.New(opts...)
 }
 
-// workerOpts resolves Params.ClusterWorkers into cluster options — nil
-// at 0 or 1, where the cluster's default of one worker applies.
-func workerOpts(p Params) []cluster.Option {
-	if p.ClusterWorkers > 1 {
-		return []cluster.Option{cluster.WithWorkers(p.ClusterWorkers)}
-	}
-	return nil
-}
-
 // driveFleet serves reqs through a fresh n-replica fleet under the
 // named router and optional fleet-level admission policy.
 func driveFleet(p Params, ratio float64, n int, routerName string,
@@ -71,13 +64,13 @@ func driveFleet(p Params, ratio float64, n int, routerName string,
 	return r
 }
 
-// serveFleet serves reqs through a fresh n-replica study fleet (with
-// Params.ClusterWorkers applied) and folds every step event into the
-// returned run; observe, when non-nil, also sees every event, lifecycle
-// records included. The drained cluster is returned for its counters.
+// serveFleet serves reqs through a fresh n-replica study fleet and
+// folds every step event into the returned run; observe, when non-nil,
+// also sees every event, lifecycle records included. The drained
+// cluster is returned for its counters.
 func serveFleet(p Params, ratio float64, n int, routerName string, reqs []workload.Request,
 	observe func(cluster.Event), opts ...cluster.Option) (fleetRun, *cluster.Cluster) {
-	c, err := NewFleet(n, routerName, p.Seed, ratio, append(workerOpts(p), opts...)...)
+	c, err := NewFleet(n, routerName, p.Seed, ratio, opts...)
 	if err != nil {
 		panic(err)
 	}
@@ -154,5 +147,5 @@ func FleetStudy(p Params, requests int, replicaCounts []int, ratio float64) *rep
 	}
 	return tableFromCells("Fleet study: replicas × router × Poisson arrival rate (HybriMoE)",
 		[]string{"replicas", "router", "rate(req/s)", "completed", "shed-fraction",
-			"goodput(req/s)", "p95-TTFT(s)", "makespan(s)", "routed"}, runCells(p, cells))
+			"goodput(req/s)", "p95-TTFT(s)", "makespan(s)", "routed"}, runCells(cells))
 }

@@ -195,7 +195,7 @@ func fleetChurnStudy(p Params, requests, replicas int, ratio float64) *report.Ta
 		fmt.Sprintf("Fleet churn study: scenario × router, %d replicas (stall at 0.3 span, standby scale-up at the stall)", replicas),
 		[]string{"scenario", "router", "completed", "rerouted", "lost", "goodput(req/s)",
 			"dip-depth", "recovery(s)", "p95-TTFT(s)", "cold-routed", "cold-hit", "warm-hit"},
-		runCells(p, cells))
+		runCells(cells))
 }
 
 // churnRouters are the two dispatch policies the churn grid contrasts:

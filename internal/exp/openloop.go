@@ -53,5 +53,5 @@ func OpenLoopStudy(p Params, requests int, ratio float64) *report.Table {
 	}
 	return tableFromCells("Open-loop study: Poisson arrival rate × scheduler × batch former (HybriMoE)",
 		[]string{"rate(req/s)", "reqsched", "batch", "completed", "shed-fraction",
-			"goodput(req/s)", "p95-TTFT(s)", "p95-prefill(s)", "p95-queue(s)"}, runCells(p, cells))
+			"goodput(req/s)", "p95-TTFT(s)", "p95-prefill(s)", "p95-queue(s)"}, runCells(cells))
 }

@@ -92,5 +92,5 @@ func placementStudy(p Params, requests int) *report.Table {
 	}
 	return tableFromCells("Placement study: GPU topology × scheduler × cache ratio (HybriMoE stack)",
 		[]string{"gpus", "sched", "cache", "decode-tok/s", "p50-TBT(s)", "p95-TBT(s)", "hit-rate", "per-GPU-util"},
-		runCells(p, cells))
+		runCells(cells))
 }

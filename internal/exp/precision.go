@@ -52,7 +52,7 @@ func precisionStudy(p Params) Renderable {
 	}
 	t := tableFromCells("Extension: INT4 vs INT8 expert offloading trade-off",
 		[]string{"model", "int4-bytes(MB)", "int8-bytes(MB)", "int4-xfer(ms)", "int8-xfer(ms)"},
-		runCells(p, cells))
+		runCells(cells))
 	return noted{t, fmt.Sprintf("Fidelity on one %dx%d random probe matrix, shared by every model: int4-relL2 %.4f, int8-relL2 %.4f",
 		probeRows, probeCols, f4.RelL2Error, f8.RelL2Error)}
 }

@@ -50,7 +50,7 @@ func ServingStudy(p Params, requests int, ratio float64) *report.Table {
 	}
 	return tableFromCells("Serving study: mixed corpus stream, end-to-end",
 		[]string{"framework", "mean-TTFT(s)", "p50-TTFT(s)", "p95-TTFT(s)", "p99-TTFT(s)",
-			"p50-TBT(s)", "p95-TBT(s)", "p99-TBT(s)", "hit-rate"}, runCells(p, cells))
+			"p50-TBT(s)", "p95-TBT(s)", "p99-TBT(s)", "hit-rate"}, runCells(cells))
 }
 
 // classViolationRate reports violated/completed for SLO class c.
@@ -197,5 +197,5 @@ func ServingPolicyStudy(p Params, requests int, ratio float64) *report.Table {
 	return tableFromCells("Serving policy study: request schedulers × admission (HybriMoE)",
 		[]string{"reqsched", "admission", "completed", "shed",
 			"goodput(req/s)", "violation-rate", "shed-fraction",
-			"viol[inter/batch]", "shed[inter/batch]", "p95-TTFT(s)", "p95-TBT(s)"}, runCells(p, cells))
+			"viol[inter/batch]", "shed[inter/batch]", "p95-TTFT(s)", "p95-TBT(s)"}, runCells(cells))
 }

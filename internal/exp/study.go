@@ -1,9 +1,9 @@
 package exp
 
 import (
-	"sync"
-	"sync/atomic"
+	"runtime"
 
+	"hybrimoe/internal/par"
 	"hybrimoe/internal/report"
 	"hybrimoe/internal/workload"
 )
@@ -20,53 +20,15 @@ type Row []interface{}
 // runs and deadline stamping, happens before the cells are built.
 type Cell func() []Row
 
-// runCells executes cells on a bounded pool of p.workers() goroutines
-// (serially when that is 1 or there is only one cell) and returns each
-// cell's rows in its grid slot. Results are identical for every worker
-// count: cells are hermetic and their rows land in grid order, not
-// completion order. A panicking cell stops the sweep and re-panics on
-// the caller's goroutine.
-func runCells(p Params, cells []Cell) [][]Row {
+// runCells executes cells through par.Do on runtime.GOMAXPROCS(0)
+// goroutines (serially under GOMAXPROCS=1) and returns each cell's rows
+// in its grid slot. Results are identical for every worker count: cells
+// are hermetic and their rows land in grid order, not completion order.
+// Once a cell panics no further cell starts, and the panic re-panics on
+// the caller's goroutine after the running cells return.
+func runCells(cells []Cell) [][]Row {
 	results := make([][]Row, len(cells))
-	workers := min(p.workers(), len(cells))
-	if workers <= 1 {
-		for i, c := range cells {
-			results[i] = c()
-		}
-		return results
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked interface{}
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
-					return
-				}
-				results[i] = cells[i]()
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
+	par.Do(runtime.GOMAXPROCS(0), len(cells), func(i int) { results[i] = cells[i]() })
 	return results
 }
 
