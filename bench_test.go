@@ -128,7 +128,8 @@ func runPrefill(b *testing.B, fw engine.Framework, tokens int) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return e.RunPrefill(tokens).Total
+	ttft, _, _ := serveAlone(e, workload.Request{PromptTokens: tokens})
+	return ttft
 }
 
 func runDecode(b *testing.B, fw engine.Framework, steps int) float64 {
@@ -137,7 +138,18 @@ func runDecode(b *testing.B, fw engine.Framework, steps int) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return e.RunDecode(steps).Mean()
+	sum, n, _ := serveAlone(e, workload.Request{DecodeTokens: steps})
+	return sum / float64(n)
+}
+
+// serveAlone serves req alone on a fresh Session of e and returns the
+// step latencies summed in event order, the step count, and the
+// session's metrics once drained.
+func serveAlone(e *engine.Engine, req workload.Request) (sum float64, steps int, m engine.Metrics) {
+	s := e.NewSession()
+	s.Submit(req)
+	steps = s.Run(func(ev engine.StepEvent) { sum += ev.Latency })
+	return sum, steps, s.Metrics()
 }
 
 // BenchmarkFig9CacheHitRate reproduces one Figure 9 point (DeepSeek,
@@ -502,10 +514,11 @@ func BenchmarkEngineDecodeStep(b *testing.B) {
 	}
 	// Warm-up: the first step grows the schedulers' plans and the pooled
 	// scratch, which a single timed iteration would otherwise count.
-	e.RunDecode(1)
+	step := workload.Request{DecodeTokens: 1}
+	serveAlone(e, step)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.RunDecode(1)
+		serveAlone(e, step)
 	}
 }
 
@@ -823,7 +836,7 @@ func BenchmarkDisaggHandoff(b *testing.B) {
 				completed++
 			}
 		})
-		handoffs = c.Handoffs()
+		handoffs = c.Metrics().Handoffs
 	}
 	if completed != len(reqs) || handoffs != len(reqs) {
 		b.Fatalf("completed %d, migrated %d of %d requests", completed, handoffs, len(reqs))

@@ -131,11 +131,15 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res := e.RunDecode(*steps)
+		s := e.NewSession()
+		s.Submit(workload.Request{DecodeTokens: *steps})
+		var sum float64
+		n := s.Run(func(ev engine.StepEvent) { sum += ev.Latency })
+		m := s.Metrics()
 		fmt.Fprintf(w, "%s decode, %d steps, %.0f%% cache: mean TBT %.4fs, hit rate %.1f%%\n",
-			cfg.Name, *steps, *ratio*100, res.Mean(), 100*res.Stats.CacheHitRate)
+			cfg.Name, *steps, *ratio*100, sum/float64(n), 100*m.HitRate())
 		fmt.Fprintf(w, "ops: %d CPU, %d GPU, %d demand transfers, %d prefetches\n",
-			res.Stats.CPUOps, res.Stats.GPUOps, res.Stats.DemandTransfers, res.Stats.PrefetchTransfers)
+			m.CPUOps, m.GPUOps, m.DemandTransfers, m.PrefetchTransfers)
 		fmt.Fprintln(w, "\nExecution timeline (whole run):")
 		fmt.Fprint(w, e.Gantt(100))
 		return nil
@@ -416,43 +420,45 @@ func serve(w io.Writer, sc serveConfig) error {
 		printEvent(w, ev, fleet)
 	})
 
+	m := c.Metrics()
 	if fleet {
-		fmt.Fprintf(w, "\nsteps: %d   routed per replica: %v\n", c.Steps(), c.Routed())
+		fmt.Fprintf(w, "\nsteps: %d   routed per replica: %v\n", m.Steps, c.Routed())
 		for i := 0; i < c.Replicas(); i++ {
 			role := ""
 			if c.Pools().Pooled() {
 				role = " " + c.Role(i).String()
 			}
 			fmt.Fprintf(w, "  replica %d: %-8s%s clock %.3fs, cache hit rate %.1f%%\n",
-				i, c.State(i), role, c.Engine(i).Clock(), 100*c.Engine(i).Caches().HitRate())
+				i, c.State(i), role, c.Engine(i).Clock(), 100*c.Session(i).Metrics().HitRate())
 		}
-		if c.Handoffs() > 0 {
-			warm, total := c.MigratedExperts()
+		if m.Handoffs > 0 {
 			fmt.Fprintf(w, "disaggregation: %d prefill→decode handoffs, %d/%d migrated experts landed warm\n",
-				c.Handoffs(), warm, total)
+				m.Handoffs, m.WarmExperts, m.MigratedExperts)
 		}
-		if c.Rerouted() > 0 || c.Lost() > 0 {
+		if m.Rerouted > 0 || m.Lost > 0 {
 			fmt.Fprintf(w, "churn: %d requests re-routed off dead replicas, %d in-flight lost\n",
-				c.Rerouted(), c.Lost())
+				m.Rerouted, m.Lost)
 		}
 	} else {
-		fmt.Fprintf(w, "\nsteps: %d   cache hit rate: %.1f%%\n", c.Steps(), 100*c.Engine(0).Caches().HitRate())
+		rm := c.Session(0).Metrics()
+		fmt.Fprintf(w, "\nsteps: %d   cache hit rate: %.1f%%\n", m.Steps, 100*rm.HitRate())
 		if sc.batch != "none" {
-			batches, meanBatch := c.Session(0).Batches(), 0.0
-			if batches > 0 {
-				meanBatch = float64(t.ComputeEvents) / float64(batches)
+			meanBatch := 0.0
+			if rm.Batches > 0 {
+				meanBatch = float64(t.ComputeEvents) / float64(rm.Batches)
 			}
 			fmt.Fprintf(w, "batching: %d iterations for %d request-steps (mean batch %.2f)\n",
-				batches, t.ComputeEvents, meanBatch)
+				rm.Batches, t.ComputeEvents, meanBatch)
 		}
 	}
 	if slo != nil || sc.deadline > 0 {
 		// Admission runs at one layer, the fleet door or the plain run's
 		// session; the other counts nothing.
-		shed, deferred := c.Shed(), c.Deferred()
+		shed, deferred := m.Shed, m.Deferred
 		for i := 0; i < c.Replicas(); i++ {
-			shed += c.Session(i).Shed()
-			deferred += c.Session(i).Deferred()
+			rm := c.Session(i).Metrics()
+			shed += rm.Shed
+			deferred += rm.Deferred
 		}
 		fmt.Fprintf(w, "admission: %d shed, %d deferral verdicts   deadline violations: %d\n",
 			shed, deferred, t.Violated)

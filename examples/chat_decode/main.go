@@ -18,6 +18,7 @@ import (
 	"hybrimoe/internal/moe"
 	"hybrimoe/internal/report"
 	"hybrimoe/internal/trace"
+	"hybrimoe/internal/workload"
 )
 
 func main() {
@@ -37,7 +38,12 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			lats[fw.Name] = e.RunDecode(steps).Mean()
+			// A decode-only burst: one event per generated token.
+			s := e.NewSession()
+			s.Submit(workload.Request{DecodeTokens: steps})
+			var total float64
+			n := s.Run(func(ev engine.StepEvent) { total += ev.Latency })
+			lats[fw.Name] = total / float64(n)
 		}
 		tbl.AddRow(cfg.Name,
 			lats["llama.cpp"], lats["AdapMoE"], lats["KTransformers"], lats["HybriMoE"],

@@ -85,10 +85,10 @@ func main() {
 				ev.End, ev.Request)
 		}
 	})
-	fmt.Printf("shed %d of %d; routed per replica: %v\n", c.Shed(), len(reqs), c.Routed())
+	fmt.Printf("shed %d of %d; routed per replica: %v\n", c.Metrics().Shed, len(reqs), c.Routed())
 	for i := 0; i < replicas; i++ {
 		fmt.Printf("  replica %d: clock %.3fs, cache hit rate %.1f%%\n",
-			i, c.Engine(i).Clock(), 100*c.Engine(i).Caches().HitRate())
+			i, c.Engine(i).Clock(), 100*c.Session(i).Metrics().HitRate())
 	}
 
 	// Fleet churn: replica 1 stalls silently mid-run — the fleet keeps
@@ -117,7 +117,8 @@ func main() {
 				ev.End, ev.Request, ev.Replica, ev.Arrival)
 		}
 	})
-	fmt.Printf("re-routed %d, lost %d; replica states:", churn.Rerouted(), churn.Lost())
+	m := churn.Metrics()
+	fmt.Printf("re-routed %d, lost %d; replica states:", m.Rerouted, m.Lost)
 	for i := 0; i < churn.Replicas(); i++ {
 		fmt.Printf(" r%d=%s", i, churn.State(i))
 	}

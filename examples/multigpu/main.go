@@ -55,7 +55,7 @@ func serveOn(gpus int, schedName string, reqs []workload.Request) runResult {
 			r.decodeTokens += ev.Tokens
 		}
 	})
-	r.hitRate = e.Caches().HitRate()
+	r.hitRate = s.Metrics().HitRate()
 	return r
 }
 

@@ -16,6 +16,7 @@ import (
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
 	"hybrimoe/internal/report"
+	"hybrimoe/internal/workload"
 )
 
 func main() {
@@ -39,7 +40,7 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				lats[fw.Name] = e.RunPrefill(length).Mean()
+				lats[fw.Name] = ttft(e, length)
 			}
 			tbl.AddRow(fmt.Sprintf("%.0f%%", ratio*100), length,
 				lats["llama.cpp"], lats["AdapMoE"], lats["KTransformers"], lats["HybriMoE"],
@@ -54,8 +55,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := e.RunPrefill(128)
-	fmt.Printf("\nHybriMoE prefill-128 at 25%% cache: TTFT %.3fs\n", res.Total)
+	fmt.Printf("\nHybriMoE prefill-128 at 25%% cache: TTFT %.3fs\n", ttft(e, 128))
 	fmt.Println("timeline:")
 	fmt.Print(e.Gantt(100))
+}
+
+// ttft serves one prompt of the given length alone on a fresh session of
+// e; the prompt's forward is the session's one step, and its latency the
+// TTFT.
+func ttft(e *engine.Engine, tokens int) float64 {
+	s := e.NewSession()
+	s.Submit(workload.Request{PromptTokens: tokens})
+	ev, _ := s.Step()
+	return ev.Latency
 }

@@ -1,7 +1,8 @@
 // Quickstart: build a HybriMoE engine for DeepSeek-V2-Lite on the
 // A6000-class platform with the functional-options API, decode 32
-// tokens, and print the paper's decode metric (TBT) together with cache
-// statistics and the execution timeline.
+// tokens through a Session, and print the paper's decode metric (TBT)
+// from its events, the cache and op counters from its Metrics snapshot,
+// and the execution timeline.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -13,10 +14,12 @@ import (
 	"hybrimoe/internal/engine"
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
+	"hybrimoe/internal/workload"
 )
 
 func main() {
-	e, err := engine.New(moe.DeepSeek(), hw.A6000Platform(), engine.HybriMoEFramework(),
+	cfg, fw := moe.DeepSeek(), engine.HybriMoEFramework()
+	e, err := engine.New(cfg, hw.A6000Platform(), fw,
 		engine.WithCacheRatio(0.25), // 25% of routed experts fit in GPU memory
 		engine.WithSeed(42),
 		engine.WithTraceRecording(),
@@ -25,18 +28,25 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// A request without a prompt is a decode-only burst: one event per
+	// generated token, each carrying that step's latency (its TBT).
 	const steps = 32
-	res := e.RunDecode(steps)
+	s := e.NewSession()
+	s.Submit(workload.Request{DecodeTokens: steps})
+	var total float64
+	n := s.Run(func(ev engine.StepEvent) { total += ev.Latency })
+	tbt := total / float64(n)
+	m := s.Metrics()
 
-	fmt.Printf("model           : %s\n", res.Model)
-	fmt.Printf("framework       : %s\n", res.Framework)
+	fmt.Printf("model           : %s\n", cfg.Name)
+	fmt.Printf("framework       : %s\n", fw.Name)
 	fmt.Printf("decode steps    : %d\n", steps)
-	fmt.Printf("mean TBT        : %.4f s\n", res.Mean())
-	fmt.Printf("throughput      : %.1f tok/s\n", 1/res.Mean())
-	fmt.Printf("cache hit rate  : %.1f%%\n", 100*res.Stats.CacheHitRate)
-	fmt.Printf("expert ops      : %d on CPU, %d on GPU\n", res.Stats.CPUOps, res.Stats.GPUOps)
+	fmt.Printf("mean TBT        : %.4f s\n", tbt)
+	fmt.Printf("throughput      : %.1f tok/s\n", 1/tbt)
+	fmt.Printf("cache hit rate  : %.1f%%\n", 100*m.HitRate())
+	fmt.Printf("expert ops      : %d on CPU, %d on GPU\n", m.CPUOps, m.GPUOps)
 	fmt.Printf("transfers       : %d on-demand, %d prefetched\n",
-		res.Stats.DemandTransfers, res.Stats.PrefetchTransfers)
+		m.DemandTransfers, m.PrefetchTransfers)
 
 	fmt.Println("\nexecution timeline (a=attention, L=experts, p=prefetch, m=miss insert):")
 	fmt.Print(e.Gantt(100))

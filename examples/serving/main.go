@@ -76,7 +76,8 @@ func main() {
 			}
 		}
 	})
-	fmt.Printf("\n%d steps, cache hit rate %.1f%%\n", s.Steps(), 100*e.Caches().HitRate())
+	m := s.Metrics()
+	fmt.Printf("\n%d steps, cache hit rate %.1f%%\n", m.Steps, 100*m.HitRate())
 	fmt.Printf("TTFT  %s\n", t.TTFT.Stats())
 	fmt.Printf("TBT   %s\n", t.TBT.Stats())
 
@@ -121,8 +122,9 @@ func main() {
 			}
 		}
 	})
+	m2 := s2.Metrics()
 	fmt.Printf("shed %d, deferral verdicts %d, deadline violations %d\n",
-		s2.Shed(), s2.Deferred(), t2.Violated)
+		m2.Shed, m2.Deferred, t2.Violated)
 
 	// The same stream under continuous batching: the phase-aware batch
 	// former merges the in-flight requests' decode steps into single
@@ -147,8 +149,9 @@ func main() {
 				ev.End, ev.Request, ev.BatchSize, ev.Batch)
 		}
 	})
+	m3 := s3.Metrics()
 	fmt.Printf("%d decode tokens over %d merged iterations (mean batch %.2f)\n",
-		t3.DecodeTokens, s3.Batches(), float64(s3.Steps())/float64(s3.Batches()))
+		t3.DecodeTokens, m3.Batches, float64(m3.Steps)/float64(m3.Batches))
 	fmt.Printf("TBT   %s\n", t3.TBT.Stats())
 
 	// The same workload as an open-loop server: a bursty arrival process
@@ -191,7 +194,7 @@ func main() {
 			fmt.Printf("  t=%7.3fs  req %2d  shed (live p95 TTFT over budget)\n", ev.End, ev.Request)
 		}
 	})
-	fmt.Printf("shed %d of %d\n", s4.Shed(), len(replayed))
+	fmt.Printf("shed %d of %d\n", s4.Metrics().Shed, len(replayed))
 	fmt.Printf("TTFT (arrival→first token)  %s\n", t4.TTFT.Stats())
 
 	// End-to-end serving comparison across frameworks, with percentiles.

@@ -26,8 +26,8 @@ func TestTimelineSpansNeverOverlap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.RunPrefill(32)
-			e.RunDecode(5)
+			serveAlone(e, workload.Request{PromptTokens: 32})
+			serveAlone(e, workload.Request{DecodeTokens: 5})
 			cpu, gpu, link := e.Timelines()
 			for _, tl := range []*sim.Timeline{cpu, gpu, link} {
 				assertSerial(t, tl)
@@ -60,8 +60,8 @@ func TestExpertComputationConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := e.RunDecode(steps)
-		if got := res.Stats.CPUOps + res.Stats.GPUOps; got != want {
+		_, _, m := serveAlone(e, workload.Request{DecodeTokens: steps})
+		if got := m.CPUOps + m.GPUOps; got != want {
 			t.Fatalf("%s: %d expert computations, want %d", fw.Name, got, want)
 		}
 	}
@@ -86,8 +86,8 @@ func TestLatencyDominanceAcrossGrid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := hy.RunDecode(15).Total
-			k := kt.RunDecode(15).Total
+			h, _, _ := serveAlone(hy, workload.Request{DecodeTokens: 15})
+			k, _, _ := serveAlone(kt, workload.Request{DecodeTokens: 15})
 			if h > k {
 				t.Errorf("%s @%.0f%%: HybriMoE %.4fs slower than kTransformers %.4fs",
 					cfg.Name, ratio*100, h, k)
@@ -97,8 +97,8 @@ func TestLatencyDominanceAcrossGrid(t *testing.T) {
 }
 
 // TestServingSessionThroughEngine drives the full stack — workload
-// stream, engine, scheduler, cache — through the Run* wrappers for a
-// small session and checks metric sanity.
+// stream, engine, scheduler, cache — through one prompt-only and one
+// decode-only session per request and checks metric sanity.
 func TestServingSessionThroughEngine(t *testing.T) {
 	e, err := engine.New(moe.DeepSeek(), hw.A6000Platform(), engine.HybriMoEFramework(),
 		engine.WithCacheRatio(0.25), engine.WithSeed(104))
@@ -106,27 +106,29 @@ func TestServingSessionThroughEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := workload.NewStream(104, workload.AllDatasets()...)
-	var lastTTFT float64
+	var m engine.Metrics
 	for _, req := range stream.NextN(3) {
 		decode := req.DecodeTokens
 		if decode > 5 {
 			decode = 5
 		}
-		pre := e.RunPrefill(req.PromptTokens)
-		if pre.Total <= 0 || math.IsNaN(pre.Total) {
-			t.Fatalf("bad TTFT %v for %+v", pre.Total, req)
+		ttft, _, _ := serveAlone(e, workload.Request{PromptTokens: req.PromptTokens})
+		if ttft <= 0 || math.IsNaN(ttft) {
+			t.Fatalf("bad TTFT %v for %+v", ttft, req)
 		}
-		lastTTFT = pre.Total
-		dec := e.RunDecode(decode)
-		if dec.Mean() <= 0 {
+		var sum float64
+		var n int
+		sum, n, m = serveAlone(e, workload.Request{DecodeTokens: decode})
+		tbt := sum / float64(n)
+		if tbt <= 0 {
 			t.Fatalf("bad TBT for %+v", req)
 		}
 		// A decode step is far cheaper than its request's prefill.
-		if dec.Mean() >= lastTTFT {
-			t.Fatalf("TBT %v should be below TTFT %v", dec.Mean(), lastTTFT)
+		if tbt >= ttft {
+			t.Fatalf("TBT %v should be below TTFT %v", tbt, ttft)
 		}
 	}
-	if hr := e.Caches().HitRate(); hr <= 0 || hr >= 1 {
+	if hr := m.HitRate(); hr <= 0 || hr >= 1 {
 		t.Fatalf("session hit rate %v out of (0,1)", hr)
 	}
 }

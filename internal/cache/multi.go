@@ -178,13 +178,3 @@ func (m *Multi) Misses() int64 {
 	}
 	return total
 }
-
-// HitRate reports the aggregate hits/(hits+misses), or 0 before any
-// lookup.
-func (m *Multi) HitRate() float64 {
-	hits, total := m.Hits(), m.Hits()+m.Misses()
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}

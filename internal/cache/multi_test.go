@@ -65,9 +65,6 @@ func TestMultiSingleShardMatchesCache(t *testing.T) {
 		t.Fatalf("occupancy diverged: multi %d/%d, cache %d/%d",
 			multi.Len(), multi.Capacity(), single.Len(), single.Capacity())
 	}
-	if multi.HitRate() != single.HitRate() {
-		t.Fatalf("hit rate diverged: %v vs %v", multi.HitRate(), single.HitRate())
-	}
 }
 
 func TestMultiOwnerAndAttribution(t *testing.T) {

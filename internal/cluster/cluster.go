@@ -509,7 +509,8 @@ func (c *Cluster) State(i int) ReplicaState { return c.replicas[i].state }
 
 // Routed reports how many requests the router dispatched to each
 // replica (fleet-level sheds excluded; re-routes count at every replica
-// that received the request).
+// that received the request). The engine-backed benchmark reads it for
+// its dispatch-imbalance metric.
 func (c *Cluster) Routed() []int { return append([]int(nil), c.routed...) }
 
 // RouteLog returns the retained dispatch decisions oldest-first — empty
@@ -524,25 +525,46 @@ func (c *Cluster) RouteLog() []RouteRecord {
 	return out
 }
 
-// Steps reports how many events the cluster has emitted, fleet-level
-// admission and lifecycle records included.
-func (c *Cluster) Steps() int { return c.steps }
+// Metrics is a fleet's counters at one instant; each replica's own are
+// in Session(i).Metrics().
+type Metrics struct {
+	// Steps counts the events Step has returned, fleet-level admission
+	// and lifecycle records included.
+	Steps int
+	// Shed counts the requests fleet-level admission dropped. Deferred
+	// counts its deferral verdicts: one request deferred across n
+	// dispatch passes counts n times, though its PhaseDeferred event is
+	// emitted once. Replica sessions count their own verdicts.
+	Shed, Deferred int
+	// Rerouted counts queued requests reclaimed from dead replicas that
+	// re-entered the dispatch queue. Lost counts in-flight requests that
+	// died with their replica: work that had started compute and could
+	// not be reclaimed.
+	Rerouted, Lost int
+	// Handoffs counts completed prefill→decode migrations: checkpointed
+	// requests that crossed the interconnect and were adopted by a
+	// decode-pool replica. MigratedExperts counts the expert references
+	// they carried, and WarmExperts those that landed warm (already
+	// resident or admitted) in the adopting replica's cache.
+	Handoffs, MigratedExperts, WarmExperts int
+}
 
-// Shed reports how many requests fleet-level admission dropped (replica
-// sessions count their own sheds separately).
-func (c *Cluster) Shed() int { return c.door.Shed() }
+// Metrics snapshots the fleet's counters.
+func (c *Cluster) Metrics() Metrics {
+	return Metrics{
+		Steps:           c.steps,
+		Shed:            c.door.Shed(),
+		Deferred:        c.door.Deferred(),
+		Rerouted:        c.rerouted,
+		Lost:            c.lost,
+		Handoffs:        c.handoffs,
+		MigratedExperts: c.migratedExperts,
+		WarmExperts:     c.warmAdmitted,
+	}
+}
 
-// Deferred reports how many fleet-level deferral verdicts admission
-// returned (one request deferred across n dispatch passes counts n
-// times; its PhaseDeferred event is emitted once).
-func (c *Cluster) Deferred() int { return c.door.Deferred() }
-
-// Rerouted reports how many queued requests were reclaimed from dead
-// replicas and re-entered the dispatch queue.
-func (c *Cluster) Rerouted() int { return c.rerouted }
-
-// Lost reports how many in-flight requests died with their replica —
-// work that had started compute and could not be reclaimed.
+// Lost is Metrics().Lost, kept because the engine-backed benchmark
+// reads it.
 func (c *Cluster) Lost() int { return c.lost }
 
 // RouterName reports the dispatch policy steering this cluster.
@@ -554,19 +576,6 @@ func (c *Cluster) Pools() PoolSpec { return c.pools }
 
 // Role reports replica i's pool role.
 func (c *Cluster) Role(i int) PoolRole { return c.replicas[i].role }
-
-// Handoffs reports how many prefill→decode migrations completed —
-// checkpointed requests that crossed the interconnect and were adopted
-// by a decode-pool replica.
-func (c *Cluster) Handoffs() int { return c.handoffs }
-
-// MigratedExperts reports the aggregate working-set migration outcome:
-// total expert references carried by completed handoffs, and how many
-// of them landed warm (already resident or admitted) on the receiving
-// replica's cache.
-func (c *Cluster) MigratedExperts() (warm, total int) {
-	return c.warmAdmitted, c.migratedExperts
-}
 
 // steppable reports whether replica i can run a compute step: alive,
 // not stalled, with work queued.
@@ -632,7 +641,6 @@ func (c *Cluster) views(now float64, head *fleetRequest) []ReplicaView {
 		}
 		views = append(views, ReplicaView{
 			Index:     i,
-			State:     r.state,
 			Pending:   r.ses.Pending(),
 			Clock:     r.eng.Clock(),
 			LeaseAge:  age,

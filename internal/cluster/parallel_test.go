@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,9 +16,9 @@ import (
 
 // parallelScenario is one fleet shape the window ≡ lockstep contract is
 // pinned over. Every scenario is rebuilt from scratch per run so no
-// state leaks between runs. needs names a counter that must be positive
-// in the reference run, or the scenario lost its point; wide requires
-// some window to run more than one replica.
+// state leaks between runs. needs names a Metrics field that must be
+// positive in the reference run, or the scenario lost its point; wide
+// requires some window to run more than one replica.
 type parallelScenario struct {
 	name  string
 	opts  func(t *testing.T) []Option
@@ -29,7 +30,8 @@ type parallelScenario struct {
 // parallelScenarios spans the coupling surfaces a window must not
 // perturb: plain routing, stateful affinity routing, fleet admission
 // (shed/defer + the tally-fed quantiles, and deferred heads that shrink
-// a window to one step), failure churn with re-routes, elastic
+// a window to one step) over solo and merged batches, failure churn
+// with re-routes, elastic
 // scale-down draining, merged batches whose trailing events outlive
 // Pending, and disaggregated fleets whose prefill clocks bound the
 // horizon, with and without churn.
@@ -66,7 +68,23 @@ func parallelScenarios() []parallelScenario {
 				}
 			},
 			reqs:  func() []workload.Request { return burstRequests(920, 24, 16) },
-			needs: "shed",
+			needs: "Shed",
+		},
+		{
+			// Fleet-door admission in front of merged batches: the door's
+			// quantiles are fed by every member of a batch.
+			name: "batched-admission",
+			opts: func(t *testing.T) []Option {
+				return []Option{
+					WithReplicas(3), WithRouter("affinity"), WithSeed(925),
+					WithBuilder(buildReplica(t, 925, engine.WithBatchPolicy("greedy", 64))),
+					WithMaxConcurrent(3),
+					WithAdmission(&engine.SLOAdmission{TTFTp95: 0.05, MinSamples: 2, ShedFactor: 1.5}),
+				}
+			},
+			reqs:  func() []workload.Request { return burstRequests(925, 30, 20) },
+			needs: "Shed",
+			wide:  true,
 		},
 		{
 			name: "churn-stall-scale-up",
@@ -79,7 +97,7 @@ func parallelScenarios() []parallelScenario {
 				}
 			},
 			reqs:  func() []workload.Request { return burstRequests(800, 20, 12) },
-			needs: "rerouted",
+			needs: "Rerouted",
 		},
 		{
 			name: "scale-down-drain",
@@ -124,7 +142,7 @@ func parallelScenarios() []parallelScenario {
 				}
 			},
 			reqs:  func() []workload.Request { return burstRequests(840, 10, 12) },
-			needs: "handoffs",
+			needs: "Handoffs",
 		},
 		{
 			// A deferred fleet-door head holds the horizon at or behind
@@ -139,7 +157,7 @@ func parallelScenarios() []parallelScenario {
 				}
 			},
 			reqs:  func() []workload.Request { return burstRequests(970, 24, 16) },
-			needs: "deferred",
+			needs: "Deferred",
 		},
 		{
 			name: "pooled-deferring",
@@ -152,7 +170,7 @@ func parallelScenarios() []parallelScenario {
 				}
 			},
 			reqs:  func() []workload.Request { return burstRequests(980, 24, 16) },
-			needs: "deferred",
+			needs: "Deferred",
 		},
 		{
 			// Churn on both pools: a stalled decode replica, a prefill
@@ -171,7 +189,7 @@ func parallelScenarios() []parallelScenario {
 				}
 			},
 			reqs:  func() []workload.Request { return burstRequests(990, 40, 20) },
-			needs: "handoffs",
+			needs: "Handoffs",
 			wide:  true,
 		},
 		{
@@ -184,18 +202,18 @@ func parallelScenarios() []parallelScenario {
 				}
 			},
 			reqs:  func() []workload.Request { return burstRequests(991, 30, 8) },
-			needs: "handoffs",
+			needs: "Handoffs",
 		},
 	}
 }
 
 // scenarioRun is one drained scenario: its serialised event log, the
-// counters a divergent merge would skew, and the most replicas any one
-// window ran.
+// fleet's metrics, which a divergent merge would skew, and the most
+// replicas any one window ran.
 type scenarioRun struct {
-	log      []byte
-	counters map[string]int
-	widest   int
+	log     []byte
+	metrics Metrics
+	widest  int
 }
 
 // runScenario drains one freshly-built cluster at the given worker
@@ -227,14 +245,7 @@ func runScenario(t *testing.T, sc parallelScenario, workers int, step func(*Clus
 		t.Fatal(err)
 	}
 	run.log = buf.Bytes()
-	run.counters = map[string]int{
-		"steps":    c.Steps(),
-		"shed":     c.Shed(),
-		"deferred": c.Deferred(),
-		"rerouted": c.Rerouted(),
-		"lost":     c.Lost(),
-		"handoffs": c.Handoffs(),
-	}
+	run.metrics = c.Metrics()
 	return run
 }
 
@@ -295,8 +306,8 @@ func (c *Cluster) lockstepStep() (ev Event, ok bool) {
 
 // TestParallelMatchesSerial is the determinism contract: at every
 // worker count, 1 included, over every fleet shape, Step's windowed
-// stream is byte-identical to the lockstep reference's and every fleet
-// counter agrees. Wide scenarios, a pooled one among them, must also
+// stream is byte-identical to the lockstep reference's and the fleet's
+// metrics agree. Wide scenarios, a pooled one among them, must also
 // run some window over more than one replica, or the horizon has
 // collapsed to lockstep. This is the test CI runs under -race — the worker pool's only shared mutable
 // state must be the per-replica stacks it partitions.
@@ -304,7 +315,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for _, sc := range parallelScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			ref := runScenario(t, sc, 1, (*Cluster).lockstepStep)
-			if sc.needs != "" && ref.counters[sc.needs] == 0 {
+			if sc.needs != "" && reflect.ValueOf(ref.metrics).FieldByName(sc.needs).Int() == 0 {
 				t.Fatalf("reference run has no %s; the scenario lost its point", sc.needs)
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
@@ -312,10 +323,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 				if diff := diffJSONL(ref.log, got.log); diff != "" {
 					t.Fatalf("workers=%d stream diverged from lockstep:\n%s", workers, diff)
 				}
-				for k, v := range ref.counters {
-					if got.counters[k] != v {
-						t.Fatalf("workers=%d %s = %d, lockstep %d", workers, k, got.counters[k], v)
-					}
+				if got.metrics != ref.metrics {
+					t.Fatalf("workers=%d metrics %+v, lockstep %+v", workers, got.metrics, ref.metrics)
 				}
 				if sc.wide && got.widest < 2 {
 					t.Fatalf("workers=%d: no window ran more than one replica", workers)

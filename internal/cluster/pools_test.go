@@ -175,10 +175,11 @@ func TestClusterDisaggLifecycle(t *testing.T) {
 			t.Fatalf("request %d: %d prefills, %d handoffs, %d dones", id, prefills[id], n, done[id])
 		}
 	}
-	if got := c.Handoffs(); got != offered {
-		t.Fatalf("Handoffs() = %d, want %d", got, offered)
+	m := c.Metrics()
+	if m.Handoffs != offered {
+		t.Fatalf("Metrics().Handoffs = %d, want %d", m.Handoffs, offered)
 	}
-	warm, total := c.MigratedExperts()
+	warm, total := m.WarmExperts, m.MigratedExperts
 	if total <= 0 {
 		t.Fatal("handoffs carried no expert working set")
 	}
@@ -240,8 +241,8 @@ func TestClusterDisaggKillStripsCheckpoints(t *testing.T) {
 			t.Fatalf("request %d emitted %d Done events", id, n)
 		}
 	}
-	if got := len(done) + c.Lost(); got != offered {
-		t.Fatalf("done %d + lost %d ≠ offered %d (rerouted %d)", len(done), c.Lost(), offered, rerouted)
+	if lost := c.Metrics().Lost; len(done)+lost != offered {
+		t.Fatalf("done %d + lost %d ≠ offered %d (rerouted %d)", len(done), lost, offered, rerouted)
 	}
 	if c.Pending() != 0 {
 		t.Fatalf("%d pending after drain", c.Pending())
@@ -372,8 +373,8 @@ func TestPooledAdmissionCountsEachFirstTokenOnce(t *testing.T) {
 		}
 	}
 	c.Run(count)
-	if c.Handoffs() == 0 || adopted == 0 {
-		t.Fatalf("%d handoffs, %d adopted decodes; the scenario must migrate work", c.Handoffs(), adopted)
+	if handoffs := c.Metrics().Handoffs; handoffs == 0 || adopted == 0 {
+		t.Fatalf("%d handoffs, %d adopted decodes; the scenario must migrate work", handoffs, adopted)
 	}
 	ran := prefills
 	c.Submit(workload.Request{ID: 100, PromptTokens: 8, DecodeTokens: 1, Arrival: 60})

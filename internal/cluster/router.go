@@ -15,11 +15,6 @@ type ReplicaView struct {
 	// dispatch-eligible replicas, so a view's position and its Index
 	// need not agree.
 	Index int
-	// State is the replica's lifecycle state. Every view handed to Pick
-	// is StateServing (the cluster filters eligibility before routing);
-	// the field is carried for router telemetry and for consumers
-	// inspecting views directly.
-	State ReplicaState
 	// Pending is the replica's in-flight plus queued request count
 	// (Session.Pending).
 	Pending int

@@ -84,37 +84,8 @@ type Engine struct {
 	cpuTL           *sim.Timeline
 	gpuTLs, linkTLs []*sim.Timeline
 
-	stats RunStats
-}
-
-// RunStats aggregates execution counters for one run.
-type RunStats struct {
-	CPUOps            int
-	GPUOps            int
-	DemandTransfers   int
-	PrefetchTransfers int
-	MissInserts       int
-	CacheHitRate      float64
-}
-
-// Result reports one measured run.
-type Result struct {
-	Framework string
-	Model     string
-	// StepLatencies holds per-decode-step latency, or a single entry
-	// (the TTFT) for prefill.
-	StepLatencies []float64
-	// Total is the summed latency of all measured steps.
-	Total float64
-	Stats RunStats
-}
-
-// Mean reports the mean step latency.
-func (r Result) Mean() float64 {
-	if len(r.StepLatencies) == 0 {
-		return 0
-	}
-	return r.Total / float64(len(r.StepLatencies))
+	// Lifetime op counters, read through Session.Metrics.
+	cpuOps, gpuOps, demandTransfers, prefetchTransfers, missInserts int
 }
 
 // New builds an engine for the framework's named strategies, resolved
@@ -466,17 +437,17 @@ func (e *Engine) applyPlan(plan *sched.Plan, layerStart float64, guard cache.Gua
 		absStart, absEnd := layerStart+op.Start, layerStart+op.End
 		switch op.Kind {
 		case sched.OpComputeCPU:
-			e.stats.CPUOps++
+			e.cpuOps++
 			e.recordOp(e.cpuTL, absStart, absEnd, "", op.Expert)
 			e.cpuBusy = max(e.cpuBusy, absEnd)
 		case sched.OpComputeGPU:
 			d := op.Device.GPUIndex()
-			e.stats.GPUOps++
+			e.gpuOps++
 			e.recordOp(e.gpuTL(d), absStart, absEnd, "", op.Expert)
 			e.gpuBusy[d] = max(e.gpuBusy[d], absEnd)
 		case sched.OpTransfer:
 			d := op.Device.GPUIndex()
-			e.stats.DemandTransfers++
+			e.demandTransfers++
 			e.recordOp(e.linkTL(d), absStart, absEnd, "", op.Expert)
 			e.linkBusy[d] = max(e.linkBusy[d], absEnd)
 			e.dest[op.Expert.Index] = d
@@ -530,7 +501,7 @@ func (e *Engine) prefetchInto(layer int, layerEnd float64, guard cache.Guard) {
 		start := e.linkBusy[d]
 		e.recordOp(e.linkTL(d), start, start+xfer, "pf:", id)
 		e.linkBusy[d] = start + xfer
-		e.stats.PrefetchTransfers++
+		e.prefetchTransfers++
 	}
 }
 
@@ -596,7 +567,7 @@ func (e *Engine) missInsert(act trace.LayerActivation, layerEnd float64, guard c
 		start := e.linkBusy[d]
 		e.recordOp(e.linkTL(d), start, start+xfer, "mi:", id)
 		e.linkBusy[d] = start + xfer
-		e.stats.MissInserts++
+		e.missInserts++
 	}
 }
 
@@ -743,11 +714,6 @@ func (e *Engine) AdoptWorkingSet(experts []workload.ExpertRef) (warm int) {
 // Platform exposes the hardware model this engine runs on — the fleet
 // layer reads its Interconnect to price replica-to-replica migration.
 func (e *Engine) Platform() *hw.Platform { return e.platform }
-
-// Caches exposes the per-device expert cache for analysis: one shard
-// per GPU placement spreads over, so a single-GPU planner on an N-GPU
-// platform has GPU0's shard alone.
-func (e *Engine) Caches() *cache.Multi { return e.cache }
 
 // Timelines returns the recorded span timelines for the CPU, GPU0 and
 // GPU0's link (nil without WithTraceRecording). Multi-GPU devices are

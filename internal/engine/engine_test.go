@@ -6,7 +6,21 @@ import (
 
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
+	"hybrimoe/internal/workload"
 )
+
+// serveAlone serves req alone on a fresh Session of e and returns its
+// events, their latencies summed in order, and the session's metrics
+// once drained.
+func serveAlone(e *Engine, req workload.Request) (events []StepEvent, total float64, m Metrics) {
+	s := e.NewSession()
+	s.Submit(req)
+	s.Run(func(ev StepEvent) {
+		events = append(events, ev)
+		total += ev.Latency
+	})
+	return events, total, s.Metrics()
+}
 
 func newEngine(t *testing.T, cfg *moe.Config, fw Framework, ratio float64, seed uint64) *Engine {
 	t.Helper()
@@ -68,20 +82,14 @@ func TestNewRejectsBadInputs(t *testing.T) {
 func TestDecodeProducesPositiveLatencies(t *testing.T) {
 	for _, fw := range AllFrameworks() {
 		e := newEngine(t, moe.DeepSeek(), fw, 0.5, 1)
-		res := e.RunDecode(8)
-		if len(res.StepLatencies) != 8 {
-			t.Fatalf("%s: %d steps", fw.Name, len(res.StepLatencies))
+		events, _, _ := serveAlone(e, workload.Request{DecodeTokens: 8})
+		if len(events) != 8 {
+			t.Fatalf("%s: %d steps", fw.Name, len(events))
 		}
-		for i, lat := range res.StepLatencies {
-			if lat <= 0 {
-				t.Fatalf("%s step %d latency %v", fw.Name, i, lat)
+		for i, ev := range events {
+			if ev.Phase != PhaseDecode || ev.Latency <= 0 {
+				t.Fatalf("%s step %d of a decode-only burst: %v, latency %v", fw.Name, i, ev.Phase, ev.Latency)
 			}
-		}
-		if res.Mean() <= 0 || res.Total <= 0 {
-			t.Fatalf("%s aggregates broken: %+v", fw.Name, res)
-		}
-		if res.Framework != fw.Name || res.Model != "DeepSeek" {
-			t.Fatalf("result labels wrong: %+v", res)
 		}
 	}
 }
@@ -89,31 +97,11 @@ func TestDecodeProducesPositiveLatencies(t *testing.T) {
 func TestPrefillProducesPositiveLatency(t *testing.T) {
 	for _, fw := range AllFrameworks() {
 		e := newEngine(t, moe.DeepSeek(), fw, 0.5, 2)
-		res := e.RunPrefill(64)
-		if len(res.StepLatencies) != 1 || res.StepLatencies[0] <= 0 {
-			t.Fatalf("%s: prefill result %+v", fw.Name, res)
+		events, _, _ := serveAlone(e, workload.Request{PromptTokens: 64})
+		if len(events) != 1 || events[0].Phase != PhasePrefill || events[0].Latency <= 0 {
+			t.Fatalf("%s: a prompt-only request gave %+v, want one prefill", fw.Name, events)
 		}
 	}
-}
-
-func TestRunPanicsOnBadArgs(t *testing.T) {
-	e := newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.5, 3)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("zero decode steps should panic")
-			}
-		}()
-		e.RunDecode(0)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("zero prefill tokens should panic")
-			}
-		}()
-		e.RunPrefill(0)
-	}()
 }
 
 func TestHybriMoEBeatsKTransformersDecode(t *testing.T) {
@@ -121,10 +109,10 @@ func TestHybriMoEBeatsKTransformersDecode(t *testing.T) {
 	// tight cache ratios. Averaged over seeds to avoid flake.
 	var hybTotal, ktTotal float64
 	for seed := uint64(0); seed < 3; seed++ {
-		hyb := newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.25, 10+seed).RunDecode(30)
-		kt := newEngine(t, moe.DeepSeek(), KTransformersFramework(), 0.25, 10+seed).RunDecode(30)
-		hybTotal += hyb.Total
-		ktTotal += kt.Total
+		_, hyb, _ := serveAlone(newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.25, 10+seed), workload.Request{DecodeTokens: 30})
+		_, kt, _ := serveAlone(newEngine(t, moe.DeepSeek(), KTransformersFramework(), 0.25, 10+seed), workload.Request{DecodeTokens: 30})
+		hybTotal += hyb
+		ktTotal += kt
 	}
 	speedup := ktTotal / hybTotal
 	t.Logf("decode speedup over kTransformers: %.2fx", speedup)
@@ -136,10 +124,10 @@ func TestHybriMoEBeatsKTransformersDecode(t *testing.T) {
 func TestHybriMoEBeatsKTransformersPrefill(t *testing.T) {
 	var hybTotal, ktTotal float64
 	for seed := uint64(0); seed < 3; seed++ {
-		hyb := newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.25, 20+seed).RunPrefill(128)
-		kt := newEngine(t, moe.DeepSeek(), KTransformersFramework(), 0.25, 20+seed).RunPrefill(128)
-		hybTotal += hyb.Total
-		ktTotal += kt.Total
+		_, hyb, _ := serveAlone(newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.25, 20+seed), workload.Request{PromptTokens: 128})
+		_, kt, _ := serveAlone(newEngine(t, moe.DeepSeek(), KTransformersFramework(), 0.25, 20+seed), workload.Request{PromptTokens: 128})
+		hybTotal += hyb
+		ktTotal += kt
 	}
 	speedup := ktTotal / hybTotal
 	t.Logf("prefill speedup over kTransformers: %.2fx", speedup)
@@ -151,10 +139,10 @@ func TestHybriMoEBeatsKTransformersPrefill(t *testing.T) {
 func TestLlamaCppWorstAtPrefill(t *testing.T) {
 	// Figure 7: llama.cpp's whole-layer CPU mapping is the slowest
 	// prefill by a wide margin.
-	lc := newEngine(t, moe.DeepSeek(), LlamaCppFramework(), 0.5, 30).RunPrefill(128)
-	hyb := newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.5, 30).RunPrefill(128)
-	if lc.Total <= hyb.Total {
-		t.Fatalf("llama.cpp prefill (%v) should trail HybriMoE (%v)", lc.Total, hyb.Total)
+	_, lc, _ := serveAlone(newEngine(t, moe.DeepSeek(), LlamaCppFramework(), 0.5, 30), workload.Request{PromptTokens: 128})
+	_, hyb, _ := serveAlone(newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.5, 30), workload.Request{PromptTokens: 128})
+	if lc <= hyb {
+		t.Fatalf("llama.cpp prefill (%v) should trail HybriMoE (%v)", lc, hyb)
 	}
 }
 
@@ -163,7 +151,7 @@ func TestMoreCacheIsFaster(t *testing.T) {
 	lat := map[float64]float64{}
 	for _, ratio := range []float64{0.25, 0.75} {
 		e := newEngine(t, moe.DeepSeek(), HybriMoEFramework(), ratio, 40)
-		lat[ratio] = e.RunDecode(30).Total
+		_, lat[ratio], _ = serveAlone(e, workload.Request{DecodeTokens: 30})
 	}
 	if lat[0.75] >= lat[0.25] {
 		t.Fatalf("75%% cache (%v) should beat 25%% cache (%v)", lat[0.75], lat[0.25])
@@ -172,29 +160,29 @@ func TestMoreCacheIsFaster(t *testing.T) {
 
 func TestCacheHitRateReported(t *testing.T) {
 	e := newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.5, 50)
-	res := e.RunDecode(20)
-	if res.Stats.CacheHitRate <= 0 || res.Stats.CacheHitRate > 1 {
-		t.Fatalf("hit rate %v out of (0,1]", res.Stats.CacheHitRate)
+	_, _, m := serveAlone(e, workload.Request{DecodeTokens: 20})
+	if hr := m.HitRate(); hr <= 0 || hr > 1 {
+		t.Fatalf("hit rate %v out of (0,1]", hr)
 	}
 }
 
 func TestStatsCounters(t *testing.T) {
 	e := newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.25, 60)
-	res := e.RunDecode(10)
-	if res.Stats.CPUOps+res.Stats.GPUOps == 0 {
+	_, _, m := serveAlone(e, workload.Request{DecodeTokens: 10})
+	if m.CPUOps+m.GPUOps == 0 {
 		t.Fatal("no compute ops recorded")
 	}
 	// 10 steps × 26 layers × 6 experts = 1560 expert computations.
-	if got := res.Stats.CPUOps + res.Stats.GPUOps; got != 1560 {
+	if got := m.CPUOps + m.GPUOps; got != 1560 {
 		t.Fatalf("compute ops = %d, want 1560", got)
 	}
 	e2 := newEngine(t, moe.DeepSeek(), KTransformersFramework(), 0.25, 60)
-	res2 := e2.RunDecode(10)
-	if res2.Stats.DemandTransfers != 0 {
-		t.Fatalf("static mapping made %d demand transfers", res2.Stats.DemandTransfers)
+	_, _, m2 := serveAlone(e2, workload.Request{DecodeTokens: 10})
+	if m2.DemandTransfers != 0 {
+		t.Fatalf("static mapping made %d demand transfers", m2.DemandTransfers)
 	}
-	if res2.Stats.PrefetchTransfers != 0 {
-		t.Fatalf("kTransformers made %d prefetch transfers", res2.Stats.PrefetchTransfers)
+	if m2.PrefetchTransfers != 0 {
+		t.Fatalf("kTransformers made %d prefetch transfers", m2.PrefetchTransfers)
 	}
 }
 
@@ -208,16 +196,16 @@ func TestPrefetcherActuallyPrefetches(t *testing.T) {
 	fw.Prefetch = "impact-driven"
 	fw.PinWarm = false
 	e := newEngine(t, moe.DeepSeek(), fw, 0.25, 70)
-	res := e.RunDecode(20)
-	if res.Stats.PrefetchTransfers == 0 {
+	_, total, m := serveAlone(e, workload.Request{DecodeTokens: 20})
+	if m.PrefetchTransfers == 0 {
 		t.Fatal("impact-driven prefetcher never fired over 20 decode steps")
 	}
 	// And prefetching must help: same config without it is slower.
 	plain := KTransformersFramework()
 	plain.PinWarm = false
-	base := newEngine(t, moe.DeepSeek(), plain, 0.25, 70).RunDecode(20)
-	if res.Total >= base.Total {
-		t.Fatalf("prefetching should reduce decode latency: %v vs %v", res.Total, base.Total)
+	_, base, _ := serveAlone(newEngine(t, moe.DeepSeek(), plain, 0.25, 70), workload.Request{DecodeTokens: 20})
+	if total >= base {
+		t.Fatalf("prefetching should reduce decode latency: %v vs %v", total, base)
 	}
 }
 
@@ -227,7 +215,7 @@ func TestRecordTraceGantt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunDecode(2)
+	serveAlone(e, workload.Request{DecodeTokens: 2})
 	g := e.Gantt(60)
 	if !strings.Contains(g, "GPU") || !strings.Contains(g, "CPU") {
 		t.Fatalf("recorded trace should render CPU and GPU rows:\n%s", g)
@@ -241,7 +229,7 @@ func TestRecordTraceGantt(t *testing.T) {
 	}
 	// Without RecordTrace, Gantt is empty.
 	e2 := newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.5, 81)
-	e2.RunDecode(1)
+	serveAlone(e2, workload.Request{DecodeTokens: 1})
 	if e2.Gantt(60) != "" {
 		t.Fatal("Gantt without RecordTrace should be empty")
 	}
@@ -274,8 +262,7 @@ func TestAblationFrameworksComplete(t *testing.T) {
 		names[fw.Name] = true
 		// Every variant must construct and run.
 		e := newEngine(t, moe.Qwen2(), fw, 0.25, 100)
-		res := e.RunDecode(3)
-		if res.Total <= 0 {
+		if _, total, _ := serveAlone(e, workload.Request{DecodeTokens: 3}); total <= 0 {
 			t.Fatalf("%s produced non-positive latency", fw.Name)
 		}
 	}
@@ -289,18 +276,17 @@ func TestAblationFrameworksComplete(t *testing.T) {
 func TestMixtralAndQwenRun(t *testing.T) {
 	for _, cfg := range []*moe.Config{moe.Mixtral(), moe.Qwen2()} {
 		e := newEngine(t, cfg, HybriMoEFramework(), 0.5, 110)
-		res := e.RunDecode(3)
-		if res.Total <= 0 {
+		if _, total, _ := serveAlone(e, workload.Request{DecodeTokens: 3}); total <= 0 {
 			t.Fatalf("%s decode broken", cfg.Name)
 		}
 	}
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	a := newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.25, 120).RunDecode(5)
-	b := newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.25, 120).RunDecode(5)
-	for i := range a.StepLatencies {
-		if a.StepLatencies[i] != b.StepLatencies[i] {
+	a, _, _ := serveAlone(newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.25, 120), workload.Request{DecodeTokens: 5})
+	b, _, _ := serveAlone(newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.25, 120), workload.Request{DecodeTokens: 5})
+	for i := range a {
+		if a[i].Latency != b[i].Latency {
 			t.Fatal("same seed must reproduce identical latencies")
 		}
 	}
@@ -308,9 +294,9 @@ func TestDeterministicRuns(t *testing.T) {
 
 // TestDecodeStepAllocations pins the decode step's allocation budget:
 // once the schedulers' plans and the pooled scratch have grown, a
-// DeepSeek HybriMoE decode step (a fresh one-request Session, as
-// RunDecode builds it) stays within 50 allocations. Planning itself
-// allocates nothing; the rest is the Session and its event.
+// DeepSeek HybriMoE decode step (a fresh one-request Session) stays
+// within 50 allocations. Planning itself allocates nothing; the rest is
+// the Session and its event.
 func TestDecodeStepAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -320,8 +306,9 @@ func TestDecodeStepAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunDecode(1)
-	if a := testing.AllocsPerRun(20, func() { e.RunDecode(1) }); a > 50 {
+	step := workload.Request{DecodeTokens: 1}
+	serveAlone(e, step)
+	if a := testing.AllocsPerRun(20, func() { serveAlone(e, step) }); a > 50 {
 		t.Errorf("decode step allocated %.0f times, want at most 50", a)
 	}
 }

@@ -22,7 +22,8 @@ import (
 // and review the diff like any other code change.
 type goldenScenario struct {
 	name string
-	run  func(t *testing.T) []StepEvent
+	// session builds the scenario's session with its requests submitted.
+	session func(t *testing.T) *Session
 }
 
 // goldenScenarios is the table fleet scenarios land in next: each entry
@@ -36,7 +37,7 @@ func goldenScenarios() []goldenScenario {
 			// jumps, queue waits, merged iterations and interleaved
 			// decodes in one run.
 			name: "bursty-openloop",
-			run: func(t *testing.T) []StepEvent {
+			session: func(t *testing.T) *Session {
 				e := newEngineOpts(t, 500, WithBatchPolicy("greedy", 64))
 				s := e.NewSession(WithMaxConcurrent(3))
 				stream := workload.NewStream(500, workload.AllDatasets()...).
@@ -44,9 +45,7 @@ func goldenScenarios() []goldenScenario {
 				reqs := stream.NextN(10)
 				workload.CapDecode(reqs, 4)
 				s.Submit(reqs...)
-				var events []StepEvent
-				s.Run(func(ev StepEvent) { events = append(events, ev) })
-				return events
+				return s
 			},
 		},
 		{
@@ -56,7 +55,7 @@ func goldenScenarios() []goldenScenario {
 			// session, pinning exactly the prefill-behind-decode
 			// interference pattern pool splitting removes.
 			name: "hetero-mix",
-			run: func(t *testing.T) []StepEvent {
+			session: func(t *testing.T) *Session {
 				e := newEngineOpts(t, 510, WithBatchPolicy("greedy", 64))
 				s := e.NewSession(WithMaxConcurrent(3))
 				s.Submit(
@@ -67,16 +66,14 @@ func goldenScenarios() []goldenScenario {
 					workload.Request{ID: 4, PromptTokens: 48, DecodeTokens: 12, Arrival: 0.06, Class: "chat"},
 					workload.Request{ID: 5, PromptTokens: 28, DecodeTokens: 10, Arrival: 0.30, Class: "chat"},
 				)
-				var events []StepEvent
-				s.Run(func(ev StepEvent) { events = append(events, ev) })
-				return events
+				return s
 			},
 		},
 		{
 			// Two GPUs under the device-aware planner: residency, plans,
 			// transfers and prefetch budgets spread over both devices.
 			name: "dual-gpu-expert-parallel",
-			run: func(t *testing.T) []StepEvent {
+			session: func(t *testing.T) *Session {
 				return dualGPUGolden(t, expertParallelFramework())
 			},
 		},
@@ -84,16 +81,16 @@ func goldenScenarios() []goldenScenario {
 			// The same platform under the single-GPU hybrimoe planner,
 			// which the engine confines to GPU0.
 			name: "dual-gpu-confined",
-			run: func(t *testing.T) []StepEvent {
+			session: func(t *testing.T) *Session {
 				return dualGPUGolden(t, HybriMoEFramework())
 			},
 		},
 	}
 }
 
-// dualGPUGolden serves ten Poisson(4) requests on a 2-GPU DeepSeek
-// engine through a continuously-batched session.
-func dualGPUGolden(t *testing.T, fw Framework) []StepEvent {
+// dualGPUGolden submits ten Poisson(4) requests to a continuously-batched
+// session on a 2-GPU DeepSeek engine.
+func dualGPUGolden(t *testing.T, fw Framework) *Session {
 	e, err := New(moe.DeepSeek(), hw.MultiA6000Platform(2), fw,
 		WithCacheRatio(0.25), WithSeed(520), WithBatchPolicy("greedy", 64))
 	if err != nil {
@@ -105,7 +102,7 @@ func dualGPUGolden(t *testing.T, fw Framework) []StepEvent {
 	reqs := stream.NextN(10)
 	workload.CapDecode(reqs, 4)
 	s.Submit(reqs...)
-	return collect(s)
+	return s
 }
 
 // TestGoldenEventStream re-runs each scenario and diffs its serialised
@@ -113,7 +110,7 @@ func dualGPUGolden(t *testing.T, fw Framework) []StepEvent {
 func TestGoldenEventStream(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			events := sc.run(t)
+			events := collect(sc.session(t))
 			if len(events) == 0 {
 				t.Fatal("scenario produced no events")
 			}

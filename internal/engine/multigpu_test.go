@@ -94,7 +94,7 @@ func TestDualGPUSessionUsesBothDevices(t *testing.T) {
 	if busy[0] == 0 || busy[1] == 0 {
 		t.Fatalf("expert-parallel on two GPUs left a device idle: %v", busy)
 	}
-	caches := e.Caches()
+	caches := e.cache
 	if caches.Devices() != 2 {
 		t.Fatalf("cache devices = %d, want 2", caches.Devices())
 	}
@@ -102,8 +102,8 @@ func TestDualGPUSessionUsesBothDevices(t *testing.T) {
 		t.Fatalf("warm start left a shard empty: %d/%d",
 			caches.Shard(0).Len(), caches.Shard(1).Len())
 	}
-	if hr := caches.HitRate(); hr <= 0 {
-		t.Fatalf("aggregate hit rate = %v", hr)
+	if caches.Hits() <= 0 {
+		t.Fatalf("aggregate hits = %d", caches.Hits())
 	}
 }
 
@@ -121,11 +121,11 @@ func TestPerDeviceCacheCapacity(t *testing.T) {
 		}
 		return e
 	}
-	single := build(hw.A6000Platform(), HybriMoEFramework()).Caches().Capacity()
-	if got := build(hw.MultiA6000Platform(2), expertParallelFramework()).Caches().Capacity(); got != 2*single {
+	single := build(hw.A6000Platform(), HybriMoEFramework()).cache.Capacity()
+	if got := build(hw.MultiA6000Platform(2), expertParallelFramework()).cache.Capacity(); got != 2*single {
 		t.Fatalf("dual expert-parallel capacity = %d, want %d (2× single)", got, 2*single)
 	}
-	confined := build(hw.MultiA6000Platform(2), HybriMoEFramework()).Caches()
+	confined := build(hw.MultiA6000Platform(2), HybriMoEFramework()).cache
 	if confined.Devices() != 1 || confined.Capacity() != single {
 		t.Fatalf("confined dual engine holds %d shards of capacity %d, want 1 shard of %d",
 			confined.Devices(), confined.Capacity(), single)

@@ -8,6 +8,7 @@ import (
 	"hybrimoe/internal/hw"
 	"hybrimoe/internal/moe"
 	"hybrimoe/internal/prefetch"
+	"hybrimoe/internal/workload"
 )
 
 func TestOptionValidation(t *testing.T) {
@@ -54,29 +55,28 @@ func TestExplicitZeroCacheRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := cfg.CacheCapacity(0.25); def.Caches().Shard(0).Capacity() != want {
-		t.Fatalf("unset ratio capacity = %d, want default %d", def.Caches().Shard(0).Capacity(), want)
+	if want := cfg.CacheCapacity(0.25); def.cache.Shard(0).Capacity() != want {
+		t.Fatalf("unset ratio capacity = %d, want default %d", def.cache.Shard(0).Capacity(), want)
 	}
 
 	zero, err := New(cfg, platform, HybriMoEFramework(), WithSeed(1), WithCacheRatio(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if zero.Caches().Shard(0).Capacity() != 0 {
-		t.Fatalf("explicit zero ratio capacity = %d, want 0", zero.Caches().Shard(0).Capacity())
+	if zero.cache.Shard(0).Capacity() != 0 {
+		t.Fatalf("explicit zero ratio capacity = %d, want 0", zero.cache.Shard(0).Capacity())
 	}
-	res := zero.RunDecode(3)
-	if res.Total <= 0 {
+	_, total, m := serveAlone(zero, workload.Request{DecodeTokens: 3})
+	if total <= 0 {
 		t.Fatal("zero-cache engine must still run")
 	}
-	if res.Stats.CacheHitRate != 0 {
-		t.Fatalf("zero-cache hit rate = %v, want 0", res.Stats.CacheHitRate)
+	if m.HitRate() != 0 {
+		t.Fatalf("zero-cache hit rate = %v, want 0", m.HitRate())
 	}
 	// No cache means strictly more demand traffic or CPU work than the
 	// default — it must not be faster.
-	base := def.RunDecode(3)
-	if res.Total < base.Total {
-		t.Fatalf("zero cache (%v) beat a 25%% cache (%v)", res.Total, base.Total)
+	if _, base, _ := serveAlone(def, workload.Request{DecodeTokens: 3}); total < base {
+		t.Fatalf("zero cache (%v) beat a 25%% cache (%v)", total, base)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestWithPrefetcherOverridesFrameworkName(t *testing.T) {
 	if err != nil {
 		t.Fatalf("explicit prefetcher should bypass name resolution: %v", err)
 	}
-	if e.RunDecode(2).Total <= 0 {
+	if _, total, _ := serveAlone(e, workload.Request{DecodeTokens: 2}); total <= 0 {
 		t.Fatal("engine with injected prefetcher broken")
 	}
 }
@@ -99,7 +99,7 @@ func TestWarmupItersZeroDisablesWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := e.Caches().Shard(0).Len(); n != 0 {
+	if n := e.cache.Shard(0).Len(); n != 0 {
 		t.Fatalf("explicit zero warmup left %d residents", n)
 	}
 }

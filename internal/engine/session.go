@@ -280,9 +280,8 @@ func (a *devArena) take(n int) []float64 {
 // NewSession starts a streaming run loop on the engine, with the
 // request scheduler and admission policy the engine was constructed
 // with (WithRequestScheduler, WithAdmission). An engine should drive
-// one session (or the Run* compatibility wrappers) at a time;
-// interleaving several corrupts none of the accounting but makes the
-// shared clock meaningless.
+// one session at a time; interleaving several corrupts none of the
+// accounting but makes the shared clock meaningless.
 func (e *Engine) NewSession(opts ...SessionOption) *Session {
 	rs, err := reqsched.New(e.set.reqSched)
 	if err != nil {
@@ -451,30 +450,58 @@ func (s *Session) Reclaim() []workload.Request {
 	return reqs
 }
 
-// Steps reports how many step events the session has emitted,
-// shed/deferral records included.
-func (s *Session) Steps() int { return s.steps }
+// Metrics is a session's counters at one instant. Steps, Batches, Shed
+// and Deferred are the session's own. The cache and op counts are the
+// engine's lifetime counters: an engine serves one session at a time,
+// so they cover this session unless earlier ones ran on the engine.
+type Metrics struct {
+	// Steps counts the events Step has returned, shed and deferral
+	// records included.
+	Steps int
+	// Batches counts engine iterations: a merged multi-request
+	// iteration counts once, and its events all carry its ordinal as
+	// StepEvent.Batch. Steps/Batches exceeds 1 exactly when batching
+	// merged work.
+	Batches int
+	// Shed counts the requests the admission policy dropped. Deferred
+	// counts its deferral verdicts: a request deferred across n
+	// admission passes counts n times, though its PhaseDeferred event
+	// is emitted once. Both are 0 without a policy.
+	Shed, Deferred int
+	// Hits and Misses count expert-cache lookups over every shard.
+	Hits, Misses int64
+	// CPUOps and GPUOps count expert computations by device kind;
+	// DemandTransfers, PrefetchTransfers and MissInserts count expert
+	// weight transfers by cause.
+	CPUOps, GPUOps, DemandTransfers, PrefetchTransfers, MissInserts int
+}
 
-// Shed reports how many requests the admission policy dropped.
-func (s *Session) Shed() int { return s.door.Shed() }
+// HitRate reports Hits/(Hits+Misses), or 0 before any lookup.
+func (m Metrics) HitRate() float64 {
+	total := m.Hits + m.Misses
+	if total == 0 {
+		return 0
+	}
+	return float64(m.Hits) / float64(total)
+}
 
-// Deferred reports how many deferral verdicts the admission policy
-// returned (a single request deferred across n admission passes counts
-// n times; its PhaseDeferred event is emitted once).
-func (s *Session) Deferred() int { return s.door.Deferred() }
-
-// Scheduler reports the request-scheduling policy driving this session.
-func (s *Session) Scheduler() string { return s.sched.Name() }
-
-// Batcher reports the batch-forming policy merging this session's
-// iterations ("none" when unbatched).
-func (s *Session) Batcher() string { return s.batch.Name() }
-
-// Batches reports how many engine iterations the session has run (a
-// merged multi-request iteration counts once; its events all carry the
-// same Batch ordinal). Steps()/Batches() exceeds 1 exactly when
-// batching merged work.
-func (s *Session) Batches() int { return s.batches }
+// Metrics snapshots the session's counters.
+func (s *Session) Metrics() Metrics {
+	e := s.e
+	return Metrics{
+		Steps:             s.steps,
+		Batches:           s.batches,
+		Shed:              s.door.Shed(),
+		Deferred:          s.door.Deferred(),
+		Hits:              e.cache.Hits(),
+		Misses:            e.cache.Misses(),
+		CPUOps:            e.cpuOps,
+		GPUOps:            e.gpuOps,
+		DemandTransfers:   e.demandTransfers,
+		PrefetchTransfers: e.prefetchTransfers,
+		MissInserts:       e.missInserts,
+	}
+}
 
 // arrive moves every arrival the clock has reached into the admission
 // queue, keeping it sorted by submission order (arrivals fire in stamp
@@ -858,12 +885,12 @@ func share(x float64, prev, next, total int) float64 {
 }
 
 // burstContext is the KV context a decode-only burst (a request without
-// a prompt, as RunDecode submits) attends over.
+// a prompt) attends over.
 const burstContext = 512
 
 // contextFor reports the KV context length for a request's next decode
 // step: the prompt plus tokens generated so far, or burstContext for
-// decode-only bursts (the Run* wrappers).
+// decode-only bursts.
 func (s *Session) contextFor(r *sessionRequest) int {
 	if r.adopted && r.req.Checkpoint != nil {
 		// The checkpoint's context is authoritative for adopted
@@ -891,39 +918,4 @@ func (s *Session) Run(handler func(StepEvent)) int {
 		}
 		n++
 	}
-}
-
-// RunDecode measures steps decode iterations and returns per-step TBT.
-// It is a compatibility wrapper over a decode-only Session burst at
-// burstContext.
-func (e *Engine) RunDecode(steps int) Result {
-	if steps <= 0 {
-		panic(fmt.Sprintf("engine: non-positive decode steps %d", steps))
-	}
-	return e.runOne(workload.Request{DecodeTokens: steps})
-}
-
-// RunPrefill measures a single prefill forward over the given prompt
-// length and returns its TTFT as the sole step latency. It is a
-// compatibility wrapper over a prefill-only Session request.
-func (e *Engine) RunPrefill(tokens int) Result {
-	if tokens <= 0 {
-		panic(fmt.Sprintf("engine: non-positive prefill tokens %d", tokens))
-	}
-	return e.runOne(workload.Request{PromptTokens: tokens})
-}
-
-// runOne serves req alone on a fresh Session and reports every step's
-// latency, the engine's counters and the cache hit rate at the end.
-func (e *Engine) runOne(req workload.Request) Result {
-	s := e.NewSession()
-	s.Submit(req)
-	res := Result{Framework: e.fw.Name, Model: e.cfg.Name}
-	s.Run(func(ev StepEvent) {
-		res.StepLatencies = append(res.StepLatencies, ev.Latency)
-		res.Total += ev.Latency
-	})
-	res.Stats = e.stats
-	res.Stats.CacheHitRate = e.cache.HitRate()
-	return res
 }

@@ -105,14 +105,11 @@ func TestBatchedStepEventAttribution(t *testing.T) {
 	s.Submit(workload.Request{ID: 0, DecodeTokens: 4},
 		workload.Request{ID: 1, DecodeTokens: 4},
 		workload.Request{ID: 2, DecodeTokens: 4})
-	if s.Batcher() != "greedy" {
-		t.Fatalf("session batcher %q, want greedy", s.Batcher())
-	}
 
 	byBatch := map[int][]StepEvent{}
 	s.Run(func(ev StepEvent) { byBatch[ev.Batch] = append(byBatch[ev.Batch], ev) })
-	if s.Batches() >= s.Steps() {
-		t.Fatalf("no merged iterations: %d batches over %d steps", s.Batches(), s.Steps())
+	if m := s.Metrics(); m.Batches >= m.Steps {
+		t.Fatalf("no merged iterations: %d batches over %d steps", m.Batches, m.Steps)
 	}
 
 	merged := 0
@@ -156,7 +153,7 @@ func TestBatchedStepEventAttribution(t *testing.T) {
 		t.Fatal("greedy policy with 3 decode requests never merged a batch")
 	}
 	// Attributed lookups across all events equal the cache's counters.
-	if got := e.Caches().Hits() + e.Caches().Misses(); got != looks {
+	if got := e.cache.Hits() + e.cache.Misses(); got != looks {
 		t.Fatalf("attributed lookups %d != cache counters %d", looks, got)
 	}
 }
@@ -368,14 +365,14 @@ func TestStepPreClocksAreMonotone(t *testing.T) {
 	for s.Pending() > 0 {
 		pre := e.Clock()
 		if pre < prev {
-			t.Fatalf("step %d starts at clock %v, after one that started at %v", s.Steps(), pre, prev)
+			t.Fatalf("step %d starts at clock %v, after one that started at %v", s.Metrics().Steps, pre, prev)
 		}
 		if _, ok := s.Step(); !ok {
 			t.Fatalf("Step refused with %d pending", s.Pending())
 		}
 		prev = pre
 	}
-	if s.Steps() == s.Batches() {
+	if m := s.Metrics(); m.Steps == m.Batches {
 		t.Fatal("no step delivered a queued emission; the scenario lost its point")
 	}
 }

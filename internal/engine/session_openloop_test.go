@@ -186,7 +186,7 @@ func TestSessionAdmissionSeesQueueWait(t *testing.T) {
 		s := e.NewSession()
 		s.Submit(mkReqs(stamp)...)
 		s.Run(nil)
-		return s.Shed()
+		return s.Metrics().Shed
 	}
 	if shed := drive(false); shed != 0 {
 		t.Fatalf("closed-loop run shed %d requests under a target above the forward latency", shed)

@@ -69,8 +69,8 @@ func TestSessionEventStream(t *testing.T) {
 	for _, r := range reqs {
 		wantEvents += 1 + r.DecodeTokens
 	}
-	if events != wantEvents || s.Steps() != wantEvents {
-		t.Fatalf("events = %d (Steps %d), want %d", events, s.Steps(), wantEvents)
+	if steps := s.Metrics().Steps; events != wantEvents || steps != wantEvents {
+		t.Fatalf("events = %d (Steps %d), want %d", events, steps, wantEvents)
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("%d requests still pending after drain", s.Pending())
@@ -80,9 +80,9 @@ func TestSessionEventStream(t *testing.T) {
 	}
 }
 
-// TestSessionInterleavesPhases checks the streaming property the old
-// RunPrefill/RunDecode split could not express: with concurrency > 1,
-// one request's decode steps interleave with another's prefill.
+// TestSessionInterleavesPhases checks the streaming property: with
+// concurrency > 1, one request's decode steps interleave with another's
+// prefill.
 func TestSessionInterleavesPhases(t *testing.T) {
 	e := newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.25, 201)
 	s := e.NewSession(WithMaxConcurrent(2))
@@ -161,46 +161,6 @@ func TestSessionStreamingSubmit(t *testing.T) {
 	}
 }
 
-// TestRunWrappersMatchSession pins the compatibility contract: the
-// RunDecode/RunPrefill wrappers are exactly a decode-only (resp.
-// prefill-only) session drive.
-func TestRunWrappersMatchSession(t *testing.T) {
-	mk := func() *Engine { return newEngine(t, moe.DeepSeek(), HybriMoEFramework(), 0.25, 203) }
-
-	viaWrapper := mk().RunDecode(6)
-	s := mk().NewSession()
-	s.Submit(workload.Request{DecodeTokens: 6})
-	var viaSession []float64
-	s.Run(func(ev StepEvent) {
-		if ev.Phase != PhaseDecode {
-			t.Fatalf("decode-only burst emitted %v", ev.Phase)
-		}
-		viaSession = append(viaSession, ev.Latency)
-	})
-	if len(viaWrapper.StepLatencies) != len(viaSession) {
-		t.Fatalf("wrapper %d steps, session %d", len(viaWrapper.StepLatencies), len(viaSession))
-	}
-	for i := range viaSession {
-		if viaWrapper.StepLatencies[i] != viaSession[i] {
-			t.Fatalf("step %d: wrapper %v != session %v", i, viaWrapper.StepLatencies[i], viaSession[i])
-		}
-	}
-
-	pre := mk().RunPrefill(64)
-	s2 := mk().NewSession()
-	s2.Submit(workload.Request{PromptTokens: 64})
-	ev, ok := s2.Step()
-	if !ok || ev.Phase != PhasePrefill {
-		t.Fatalf("prefill-only request mis-phased: %+v ok=%v", ev, ok)
-	}
-	if pre.Total != ev.Latency {
-		t.Fatalf("wrapper TTFT %v != session TTFT %v", pre.Total, ev.Latency)
-	}
-	if _, ok := s2.Step(); ok {
-		t.Fatal("prefill-only request should finish in one step")
-	}
-}
-
 // newEngineOpts builds an engine with extra options on top of the
 // standard test configuration.
 func newEngineOpts(t *testing.T, seed uint64, extra ...Option) *Engine {
@@ -219,9 +179,6 @@ func newEngineOpts(t *testing.T, seed uint64, extra ...Option) *Engine {
 func TestSessionFCFSServesInOrder(t *testing.T) {
 	e := newEngineOpts(t, 210, WithRequestScheduler("fcfs"))
 	s := e.NewSession(WithMaxConcurrent(2))
-	if s.Scheduler() != "fcfs" {
-		t.Fatalf("session scheduler %q, want fcfs", s.Scheduler())
-	}
 	s.Submit(workload.Request{ID: 0, PromptTokens: 16, DecodeTokens: 3},
 		workload.Request{ID: 1, PromptTokens: 16, DecodeTokens: 3})
 	var order []int
@@ -318,8 +275,8 @@ func TestSessionAdmissionShedAccounting(t *testing.T) {
 	if tally.ComputeEvents != 0 || tally.Shed != len(testRequests()) {
 		t.Fatalf("fully-shed run folded %d compute events, %d sheds", tally.ComputeEvents, tally.Shed)
 	}
-	if s.Shed() != len(testRequests()) {
-		t.Fatalf("Shed() = %d, want %d", s.Shed(), len(testRequests()))
+	if shed := s.Metrics().Shed; shed != len(testRequests()) {
+		t.Fatalf("Metrics().Shed = %d, want %d", shed, len(testRequests()))
 	}
 	for _, r := range testRequests() {
 		if sheds[r.ID] != 1 {
@@ -375,14 +332,15 @@ func TestSessionAdmissionDeferAccounting(t *testing.T) {
 	if deferrals != 1 {
 		t.Fatalf("%d PhaseDeferred records, want exactly 1", deferrals)
 	}
-	if s.Deferred() < 1 {
-		t.Fatalf("Deferred() = %d, want at least 1", s.Deferred())
+	m := s.Metrics()
+	if m.Deferred < 1 {
+		t.Fatalf("Metrics().Deferred = %d, want at least 1", m.Deferred)
 	}
 	if !done[0] || !done[1] {
 		t.Fatalf("requests not all completed: %v", done)
 	}
-	if s.Shed() != 0 {
-		t.Fatalf("defer-only policy shed %d requests", s.Shed())
+	if m.Shed != 0 {
+		t.Fatalf("defer-only policy shed %d requests", m.Shed)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"hybrimoe/internal/sched"
 	"hybrimoe/internal/stats"
 	"hybrimoe/internal/trace"
+	"hybrimoe/internal/workload"
 )
 
 // AblationGreedyVsExhaustive measures the cost of scheduling greedily:
@@ -89,6 +90,7 @@ func AblationLookahead(p Params) *report.Table {
 		"window", "decode-TBT(s)")
 	platform := hw.A6000Platform()
 	cfg := moe.DeepSeek()
+	burst := workload.Request{DecodeTokens: p.DecodeSteps}
 	for _, window := range []int{0, 1, 3, 5} {
 		fw := engine.HybriMoEFramework()
 		var opts []engine.Option
@@ -97,8 +99,8 @@ func AblationLookahead(p Params) *report.Table {
 		} else {
 			opts = append(opts, engine.WithPrefetcher(&prefetch.ImpactDriven{Window: window}))
 		}
-		e := mustEngine(cfg, platform, fw, 0.25, p.Seed, opts...)
-		t.AddRow(window, e.RunDecode(p.DecodeSteps).Mean())
+		sum, n := serveAlone(cfg, platform, fw, 0.25, p.Seed, burst, opts...)
+		t.AddRow(window, sum/float64(n))
 	}
 	return t
 }
@@ -110,11 +112,12 @@ func AblationPrefetchPolicy(p Params) *report.Table {
 		"policy", "decode-TBT(s)")
 	platform := hw.A6000Platform()
 	cfg := moe.DeepSeek()
+	burst := workload.Request{DecodeTokens: p.DecodeSteps}
 	for _, policy := range []string{"none", "next-layer-topk", "impact-driven"} {
 		fw := engine.HybriMoEFramework()
 		fw.Prefetch = policy
-		e := mustEngine(cfg, platform, fw, 0.25, p.Seed)
-		t.AddRow(policy, e.RunDecode(p.DecodeSteps).Mean())
+		sum, n := serveAlone(cfg, platform, fw, 0.25, p.Seed, burst)
+		t.AddRow(policy, sum/float64(n))
 	}
 	return t
 }
@@ -129,12 +132,13 @@ func AblationCPUWarmup(p Params) *report.Table {
 	with := hw.A6000Platform()
 	without := hw.A6000Platform()
 	without.CPU.WarmupPenalty = 0
+	burst := workload.Request{DecodeTokens: p.DecodeSteps}
 	for _, c := range []struct {
 		name     string
 		platform *hw.Platform
 	}{{"modelled", with}, {"ignored", without}} {
-		e := mustEngine(cfg, c.platform, engine.HybriMoEFramework(), 0.25, p.Seed)
-		t.AddRow(c.name, e.RunDecode(p.DecodeSteps).Mean())
+		sum, n := serveAlone(cfg, c.platform, engine.HybriMoEFramework(), 0.25, p.Seed, burst)
+		t.AddRow(c.name, sum/float64(n))
 	}
 	return t
 }
@@ -148,8 +152,10 @@ func platformSweep(p Params) *report.Table {
 	var cells []Cell
 	for _, cfg := range moe.AllModels() {
 		cells = append(cells, func() []Row {
-			kt := mustEngine(cfg, platform, engine.KTransformersFramework(), 0.25, p.Seed).RunDecode(p.DecodeSteps).Mean()
-			hy := mustEngine(cfg, platform, engine.HybriMoEFramework(), 0.25, p.Seed).RunDecode(p.DecodeSteps).Mean()
+			burst := workload.Request{DecodeTokens: p.DecodeSteps}
+			ktSum, ktN := serveAlone(cfg, platform, engine.KTransformersFramework(), 0.25, p.Seed, burst)
+			hySum, hyN := serveAlone(cfg, platform, engine.HybriMoEFramework(), 0.25, p.Seed, burst)
+			kt, hy := ktSum/float64(ktN), hySum/float64(hyN)
 			return []Row{{cfg.Name, kt, hy, kt / hy}}
 		})
 	}

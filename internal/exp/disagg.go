@@ -14,17 +14,16 @@ import (
 // interference claim is judged on.
 type disaggRun struct {
 	fleetRun
-	handoffs                int
-	warmExperts, allExperts int
+	fleet cluster.Metrics
 }
 
 // warmFrac is the fraction of migrated working-set experts already
 // resident on the adopting decode replica (0 when nothing migrated).
 func (r disaggRun) warmFrac() float64 {
-	if r.allExperts == 0 {
+	if r.fleet.MigratedExperts == 0 {
 		return 0
 	}
-	return float64(r.warmExperts) / float64(r.allExperts)
+	return float64(r.fleet.WarmExperts) / float64(r.fleet.MigratedExperts)
 }
 
 // driveDisagg serves reqs through an n-replica affinity-routed fleet
@@ -36,9 +35,7 @@ func (r disaggRun) warmFrac() float64 {
 func driveDisagg(p Params, ratio float64, n int, reqs []workload.Request,
 	spec cluster.PoolSpec) disaggRun {
 	run, c := serveFleet(p, ratio, n, "affinity", reqs, nil, cluster.WithPools(spec))
-	r := disaggRun{fleetRun: run, handoffs: c.Handoffs()}
-	r.warmExperts, r.allExperts = c.MigratedExperts()
-	return r
+	return disaggRun{fleetRun: run, fleet: c.Metrics()}
 }
 
 // disaggConfigs is the pool grid the study contrasts, mixed baseline
@@ -85,7 +82,7 @@ func disaggStudy(p Params, requests int, ratio float64) *report.Table {
 			cells = append(cells, func() []Row {
 				r := driveDisagg(p, ratio, disaggReplicas, reqs, spec)
 				return []Row{{spec.String(), rate, r.Completed, r.Goodput(),
-					r.handoffs, r.warmFrac(), r.TTFT.Stats().P95, r.Gap.Stats().P95,
+					r.fleet.Handoffs, r.warmFrac(), r.TTFT.Stats().P95, r.Gap.Stats().P95,
 					r.Makespan}}
 			})
 		}

@@ -29,15 +29,15 @@ func TestDisaggIsolationAtSaturation(t *testing.T) {
 		t.Fatalf("completions mixed=%d split=%d, want %d each",
 			mixed.Completed, split.Completed, requests)
 	}
-	if mixed.handoffs != 0 {
-		t.Fatalf("mixed baseline migrated %d requests, want 0", mixed.handoffs)
+	if mixed.fleet.Handoffs != 0 {
+		t.Fatalf("mixed baseline migrated %d requests, want 0", mixed.fleet.Handoffs)
 	}
-	if split.handoffs != requests {
-		t.Fatalf("split migrated %d requests, want every one of %d", split.handoffs, requests)
+	if split.fleet.Handoffs != requests {
+		t.Fatalf("split migrated %d requests, want every one of %d", split.fleet.Handoffs, requests)
 	}
-	if split.allExperts == 0 || split.warmExperts == 0 {
+	if split.fleet.MigratedExperts == 0 || split.fleet.WarmExperts == 0 {
 		t.Fatalf("migrated working sets landed cold: %d/%d experts warm",
-			split.warmExperts, split.allExperts)
+			split.fleet.WarmExperts, split.fleet.MigratedExperts)
 	}
 	if split.Gap.Stats().P95 >= mixed.Gap.Stats().P95 {
 		t.Errorf("disaggregated p95 inter-token gap %.4f did not beat mixed %.4f at rate %.2f",
@@ -111,7 +111,7 @@ func TestDisaggRunDerivedMetrics(t *testing.T) {
 	if zero.warmFrac() != 0 {
 		t.Fatal("zero-value disaggRun must not divide by zero")
 	}
-	r := disaggRun{warmExperts: 3, allExperts: 4}
+	r := disaggRun{fleet: cluster.Metrics{WarmExperts: 3, MigratedExperts: 4}}
 	if got := r.warmFrac(); got != 0.75 {
 		t.Fatalf("warmFrac = %v, want 0.75", got)
 	}

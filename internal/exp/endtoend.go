@@ -9,6 +9,7 @@ import (
 	"hybrimoe/internal/moe"
 	"hybrimoe/internal/report"
 	"hybrimoe/internal/trace"
+	"hybrimoe/internal/workload"
 )
 
 // Fig7 reproduces the prefill comparison: TTFT for every model, input
@@ -23,7 +24,8 @@ func Fig7(p Params) (*report.Table, []float64) {
 			for _, length := range PrefillLengths {
 				cells = append(cells, func() []Row {
 					lats := compareFrameworks(func(fw engine.Framework) float64 {
-						return mustEngine(cfg, platform, fw, ratio, p.Seed).RunPrefill(length).Total
+						ttft, _ := serveAlone(cfg, platform, fw, ratio, p.Seed, workload.Request{PromptTokens: length})
+						return ttft
 					})
 					return []Row{append(Row{cfg.Name, pct(ratio), length}, lats...)}
 				})
@@ -52,7 +54,8 @@ func Fig8(p Params) (*report.Table, []float64) {
 		for _, ratio := range CacheRatios {
 			cells = append(cells, func() []Row {
 				lats := compareFrameworks(func(fw engine.Framework) float64 {
-					return mustEngine(cfg, platform, fw, ratio, p.Seed).RunDecode(p.DecodeSteps).Mean()
+					sum, n := serveAlone(cfg, platform, fw, ratio, p.Seed, workload.Request{DecodeTokens: p.DecodeSteps})
+					return sum / float64(n)
 				})
 				return []Row{append(Row{cfg.Name, pct(ratio)}, lats...)}
 			})
@@ -125,14 +128,15 @@ func table3Rows(p Params) []Row {
 			// cache policy cannot help that stage.
 			continue
 		}
-		pre := mustEngine(cfg, platform, fw, 0.25, p.Seed).RunPrefill(128).Total
+		pre, _ := serveAlone(cfg, platform, fw, 0.25, p.Seed, workload.Request{PromptTokens: 128})
 		if fw.Name == "Baseline" {
 			prefillBase = pre
 		}
 		rows = append(rows, Row{"prefill", fw.Name, pre, prefillBase / pre})
 	}
 	for _, fw := range engine.AblationFrameworks() {
-		dec := mustEngine(cfg, platform, fw, 0.25, p.Seed).RunDecode(p.DecodeSteps).Mean()
+		sum, n := serveAlone(cfg, platform, fw, 0.25, p.Seed, workload.Request{DecodeTokens: p.DecodeSteps})
+		dec := sum / float64(n)
 		if fw.Name == "Baseline" {
 			decodeBase = dec
 		}
@@ -209,13 +213,22 @@ func CacheHitRate(cfg *moe.Config, policy cache.Policy, ratio float64, iters int
 	return c.HitRate()
 }
 
-func mustEngine(cfg *moe.Config, platform *hw.Platform, fw engine.Framework, ratio float64, seed uint64, opts ...engine.Option) *engine.Engine {
+// serveAlone builds fw's engine for cfg on platform at the cache ratio
+// and seed, serves req alone on a fresh Session, and returns the step
+// latencies summed in event order with the step count: a prompt-only
+// request's one step is its TTFT, and a decode-only burst's sum over its
+// count is its mean TBT.
+func serveAlone(cfg *moe.Config, platform *hw.Platform, fw engine.Framework, ratio float64, seed uint64,
+	req workload.Request, opts ...engine.Option) (sum float64, steps int) {
 	opts = append([]engine.Option{engine.WithCacheRatio(ratio), engine.WithSeed(seed)}, opts...)
 	e, err := engine.New(cfg, platform, fw, opts...)
 	if err != nil {
 		panic(err)
 	}
-	return e
+	s := e.NewSession()
+	s.Submit(req)
+	steps = s.Run(func(ev engine.StepEvent) { sum += ev.Latency })
+	return sum, steps
 }
 
 func pct(ratio float64) string { return fmt.Sprintf("%.0f%%", ratio*100) }

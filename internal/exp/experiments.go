@@ -13,6 +13,7 @@ import (
 	"hybrimoe/internal/report"
 	"hybrimoe/internal/stats"
 	"hybrimoe/internal/trace"
+	"hybrimoe/internal/workload"
 )
 
 // Params bundles the experiment-scale knobs so benchmarks can shrink
@@ -128,17 +129,8 @@ func Fig3d(p Params) *report.Table {
 	for _, sc := range scenarios {
 		row := []interface{}{sc.name}
 		for _, fw := range frameworks {
-			e, err := engine.New(sc.cfg, platform, fw,
-				engine.WithCacheRatio(0.25), engine.WithSeed(p.Seed))
-			if err != nil {
-				panic(err)
-			}
-			var total float64
-			if sc.prefill > 0 {
-				total = e.RunPrefill(sc.prefill).Total
-			} else {
-				total = e.RunDecode(sc.steps).Total
-			}
+			total, _ := serveAlone(sc.cfg, platform, fw, 0.25, p.Seed,
+				workload.Request{PromptTokens: sc.prefill, DecodeTokens: sc.steps})
 			row = append(row, total)
 		}
 		t.AddRow(row...)

@@ -14,7 +14,7 @@ import (
 // actually delivered while it re-warmed.
 type churnRun struct {
 	fleetRun
-	rerouted, lost int
+	fleet cluster.Metrics
 	// deadAt is when the lease expiry detected the failure (0 when the
 	// scenario is churn-free).
 	deadAt float64
@@ -71,7 +71,7 @@ func driveChurn(p Params, ratio float64, n int, routerName string,
 		}
 	}, opts...)
 	r.fleetRun = run
-	r.rerouted, r.lost = c.Rerouted(), c.Lost()
+	r.fleet = c.Metrics()
 
 	for id := range reroutedIDs {
 		if at, ok := r.CompletedAt[id]; ok && at > r.recoverAt {
@@ -185,7 +185,7 @@ func fleetChurnStudy(p Params, requests, replicas int, ratio float64) *report.Ta
 				}
 				r := driveChurn(p, ratio, replicas, routerName, reqs,
 					anchor, sc.opts(stallAt, scaleAt)...)
-				return []Row{{sc.name, routerName, r.Completed, r.rerouted, r.lost,
+				return []Row{{sc.name, routerName, r.Completed, r.fleet.Rerouted, r.fleet.Lost,
 					r.Goodput(), r.dipDepth(), r.recovery(), r.TTFT.Stats().P95,
 					r.coldRouted, r.coldHit, r.warmHit}}
 			})

@@ -42,12 +42,12 @@ func TestFleetChurnStallRecovers(t *testing.T) {
 	stallAt, drive := churnTestShape(t, p)
 	for _, router := range churnRouters {
 		r := drive(router, cluster.WithFailure(1, stallAt, cluster.FailStall))
-		if r.rerouted == 0 {
+		if r.fleet.Rerouted == 0 {
 			t.Errorf("%s: stall displaced no queued requests", router)
 		}
-		if r.Completed+r.lost != churnTestRequests {
+		if r.Completed+r.fleet.Lost != churnTestRequests {
 			t.Errorf("%s: completed %d + lost %d != offered %d",
-				router, r.Completed, r.lost, churnTestRequests)
+				router, r.Completed, r.fleet.Lost, churnTestRequests)
 		}
 		if r.recoverAt == 0 {
 			t.Errorf("%s: no re-routed request ever completed", router)
@@ -85,9 +85,9 @@ func TestFleetChurnStandbyPaysRewarm(t *testing.T) {
 			t.Errorf("%s: cold hit rate %.3f not below warm %.3f; re-warm cost invisible",
 				router, r.coldHit, r.warmHit)
 		}
-		if r.Completed+r.lost != churnTestRequests {
+		if r.Completed+r.fleet.Lost != churnTestRequests {
 			t.Errorf("%s: completed %d + lost %d != offered %d",
-				router, r.Completed, r.lost, churnTestRequests)
+				router, r.Completed, r.fleet.Lost, churnTestRequests)
 		}
 	}
 	rr, aff := runs["round-robin"], runs["affinity"]
@@ -105,8 +105,8 @@ func TestFleetChurnSteadyIsQuiet(t *testing.T) {
 	_, drive := churnTestShape(t, p)
 	for _, router := range churnRouters {
 		r := drive(router)
-		if r.rerouted != 0 || r.lost != 0 {
-			t.Errorf("%s: steady run re-routed %d / lost %d", router, r.rerouted, r.lost)
+		if r.fleet.Rerouted != 0 || r.fleet.Lost != 0 {
+			t.Errorf("%s: steady run re-routed %d / lost %d", router, r.fleet.Rerouted, r.fleet.Lost)
 		}
 		if r.Completed != churnTestRequests {
 			t.Errorf("%s: steady run completed %d of %d", router, r.Completed, churnTestRequests)

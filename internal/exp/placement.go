@@ -59,7 +59,7 @@ func drivePlacement(p Params, gpus int, schedName string, ratio float64, reqs []
 			r.gpuBusy[d] += busy
 		}
 	})
-	r.hitRate = e.Caches().HitRate()
+	r.hitRate = s.Metrics().HitRate()
 	return r
 }
 

@@ -45,7 +45,7 @@ func ServingStudy(p Params, requests int, ratio float64) *report.Table {
 			ses.Run(t.Add)
 			ttft, tbt := t.TTFT.Stats(), t.TBT.Stats()
 			return []Row{{fw.Name, ttft.Mean, ttft.P50, ttft.P95, ttft.P99,
-				tbt.P50, tbt.P95, tbt.P99, e.Caches().HitRate()}}
+				tbt.P50, tbt.P95, tbt.P99, ses.Metrics().HitRate()}}
 		})
 	}
 	return tableFromCells("Serving study: mixed corpus stream, end-to-end",
@@ -101,7 +101,7 @@ func drivePolicy(p Params, ratio float64, reqs []workload.Request,
 
 	r := &policyRun{}
 	s.Run(r.Add)
-	r.iterations = s.Batches()
+	r.iterations = s.Metrics().Batches
 	return r
 }
 
